@@ -68,6 +68,7 @@ class CategoryData:
         self._fblocks = {}
         self._build_blocks(fentries)
         self.rsymbols = dict(rsymbols) if rsymbols else None
+        self.residuals = None  # {"pentagon", "unitarity"}, set by validate()
         if validate:
             self.validate()
 
@@ -209,18 +210,20 @@ class CategoryData:
             raise CategoryError(
                 "dimension eigenvector mismatch: residual %.3e" % resid
             )
+        unitarity = 0.0
         for key, blk in self._fblocks.items():
             m = blk.mat
-            u = np.max(np.abs(m @ m.conj().T - np.eye(len(blk.rows))))
+            u = float(np.max(np.abs(m @ m.conj().T - np.eye(len(blk.rows)))))
             if u > STRUCT_TOL:
                 raise CategoryError(
                     "F-block (%d,%d,%d;%d) not unitary: residual %.3e" % (key + (u,))
                 )
+            unitarity = max(unitarity, u)
         from . import trees  # local import; trees needs CategoryData
 
-        resid = trees.pentagon_residual(self)
-        if resid > STRUCT_TOL:
-            raise CategoryError("pentagon residual %.3e above tolerance" % resid)
+        pentagon = trees.pentagon_residual(self)
+        if pentagon > STRUCT_TOL:
+            raise CategoryError("pentagon residual %.3e above tolerance" % pentagon)
         if self.rsymbols is not None:
             for (a, b, c), v in self.rsymbols.items():
                 if self.N[a, b, c] == 0:
@@ -230,6 +233,7 @@ class CategoryData:
             resid = trees.hexagon_residual(self)
             if resid > STRUCT_TOL:
                 raise CategoryError("hexagon residual %.3e above tolerance" % resid)
+        self.residuals = {"pentagon": pentagon, "unitarity": unitarity}
 
     def fingerprint(self):
         """Content hash of the canonical serialization."""

@@ -23,8 +23,6 @@ from .catdata import (
     CategoryError,
     global_dim,
     load_category,
-    unitarity_residual,
-    validate_pentagon,
     zoo,
 )
 from .modulardata import (
@@ -80,6 +78,8 @@ EXIT_TOLERANCE = 2
 EXIT_BUDGET = 3
 
 ZOO_NAMES = ("vec_z2", "vec_z3", "fibonacci", "ising")
+
+_WORKERS_HELP = "deprecated and ignored; the state sum runs in one thread"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,10 +170,7 @@ def _cmd_validate(args, argv):
     with _stage(timings, "load"):
         cat = _load_category_arg(args.category)
     with _stage(timings, "residuals"):
-        residuals = {
-            "pentagon": validate_pentagon(cat),
-            "unitarity": unitarity_residual(cat),
-        }
+        residuals = dict(cat.residuals)
     ok = all(v < args.tolerance for v in residuals.values())
     results = {
         "labels": list(cat.names),
@@ -197,11 +194,8 @@ def _cmd_center(args, argv):
         alg = build_tube_algebra(cat)
     with _stage(timings, "center"):
         dec = center_decompose(alg)
-    residuals = {
-        "pentagon": validate_pentagon(cat),
-        "unitarity": unitarity_residual(cat),
-        "associativity": alg.associativity_residual(),
-    }
+    residuals = dict(cat.residuals,
+                     associativity=alg.associativity_residual())
     results = {
         "dim": alg.dim,
         "blocks": [{"n": int(n), "qdim": float(q)}
@@ -221,11 +215,7 @@ def _cmd_modular_data(args, argv):
         cat = _load_category_arg(args.category)
     with _stage(timings, "pipeline"):
         md = compute_modular_data(cat)
-    residuals = {
-        "pentagon": validate_pentagon(cat),
-        "unitarity": unitarity_residual(cat),
-    }
-    residuals.update(md.residuals)
+    residuals = dict(cat.residuals, **md.residuals)
     cperm = [int(np.argmax(row)) for row in md.C]
     results = {
         "S": _cmat(md.S),
@@ -255,8 +245,7 @@ def _cmd_invariant(args, argv):
         with _stage(timings, "triangulation"):
             tri = _load_triangulation_arg(args.statesum)
         with _stage(timings, "state_sum"):
-            value = state_sum(cat, tri, workers=args.workers,
-                              budget=args.budget)
+            value = state_sum(cat, tri, budget=args.budget)
         results = {
             "route": "statesum",
             "source": args.statesum,
@@ -294,8 +283,7 @@ def _cmd_compare(args, argv):
         cat = _load_category_arg(args.category)
     with _stage(timings, "state_sum"):
         tri = _load_triangulation_arg(args.statesum)
-        z_ss = complex(state_sum(cat, tri, workers=args.workers,
-                                 budget=args.budget))
+        z_ss = complex(state_sum(cat, tri, budget=args.budget))
     with _stage(timings, "surgery"):
         md = compute_modular_data(cat)
         g = _load_plumbing_arg(args.surgery)
@@ -340,8 +328,7 @@ def _cmd_zoo(args, argv):
 class SelftestContext:
     """Caches the per-category pipeline shared by the criteria."""
 
-    def __init__(self, workers=1, budget=None):
-        self.workers = workers
+    def __init__(self, budget=None):
         self.budget = budget
         self._pipe = {}
         self._md = {}
@@ -367,8 +354,7 @@ class SelftestContext:
         if key not in self._zss:
             cat = self.pipe(name)[0]
             tri = builtin_triangulation(tri_name)
-            self._zss[key] = complex(state_sum(
-                cat, tri, workers=self.workers, budget=self.budget))
+            self._zss[key] = complex(state_sum(cat, tri, budget=self.budget))
         return self._zss[key]
 
 
@@ -376,7 +362,7 @@ def _crit_category_gate(ctx):
     worst = 0.0
     for name in ZOO_NAMES:
         cat = ctx.pipe(name)[0]
-        worst = max(worst, validate_pentagon(cat), unitarity_residual(cat))
+        worst = max(worst, *cat.residuals.values())
     return worst < 1e-9, "worst pentagon/unitarity residual %.3e" % worst
 
 
@@ -577,7 +563,7 @@ SELFTEST_CRITERIA = (
 
 def _cmd_selftest(args, argv):
     timings = {}
-    ctx = SelftestContext(workers=args.workers, budget=args.budget)
+    ctx = SelftestContext(budget=args.budget)
     rows = []
     failed = 0
     for num, label, fn in SELFTEST_CRITERIA:
@@ -631,7 +617,7 @@ def _build_parser():
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--statesum", help="triangulation path or builtin:NAME")
     grp.add_argument("--surgery", help="plumbing path or builtin:NAME")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--strict-trees", action="store_true",
                    help="refuse plumbings with cycles or parallel clasps")
@@ -641,7 +627,7 @@ def _build_parser():
     category_opt(p)
     p.add_argument("--statesum", required=True)
     p.add_argument("--surgery", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--strict-trees", action="store_true")
     p.add_argument("--tolerance", type=float, default=1e-8)
@@ -651,7 +637,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_zoo)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_selftest)
 

@@ -26,25 +26,32 @@ conjugated when the tetrahedron sign is -1; then
     Z = lambda^{-a} * sum_colorings (prod_E d) * sum_labelings prod_tets W
 
 with a the vertex count and lambda the global dimension.
+
+`state_sum` never lists colorings: the sum is a tensor network with one
+weight table per tetrahedron (indexed by its six edge labels, plus its four
+face-basis indices when some multiplicity exceeds 1) and one ``d`` vector per
+edge, contracted by variable elimination (`doubletop.contract`).  Only the
+Dijkgraaf-Witten oracle enumerates, so that it stays independent.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from .catdata import global_dim
+from .contract import contract
 
 DEFAULT_BUDGET = 5_000_000
-_CHUNK = 4096  # fixed accumulation granularity, independent of worker count
+_CHUNK = 4096  # colorings per vectorised block of the DW oracle
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 EDGE_SLOTS = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
-_EDGE_POS = {p: k for k, p in enumerate(EDGE_SLOTS)}
+_BOND_FACES = (3, 1, 0, 2)  # faces 012, 023, 123, 013: weight-table bond order
 
 
 class TriangulationError(ValueError):
@@ -52,7 +59,7 @@ class TriangulationError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Enumeration would exceed the coloring budget."""
+    """The complex has more colorings than the budget allows."""
 
 
 class _UnionFind:
@@ -377,35 +384,16 @@ BUILTIN_TRIANGULATIONS = {
 # ---------------------------------------------------------------------------
 
 
-def tet_weight(cat, tri, t, coloring, labeling):
-    """Weight of tetrahedron `t` under an edge coloring and face labeling.
+def _weight_tables(cat):
+    """Dense per-orientation weight tables over (c01,c12,c23,c02,c13,c03).
 
-    coloring: label id per edge class; labeling: basis index per face class.
-    Returns 0 for inadmissible labelings.
+    When some fusion multiplicity exceeds 1 the tables carry four more axes,
+    the face-basis bonds (f012,f023,f123,f013); entries outside a face's
+    multiplicity are 0.
     """
-    c01 = coloring[tri.edge_class(t, 0, 1)]
-    c12 = coloring[tri.edge_class(t, 1, 2)]
-    c23 = coloring[tri.edge_class(t, 2, 3)]
-    c02 = coloring[tri.edge_class(t, 0, 2)]
-    c13 = coloring[tri.edge_class(t, 1, 3)]
-    c03 = coloring[tri.edge_class(t, 0, 3)]
-    f012 = labeling[tri.face_class(t, 3)]
-    f123 = labeling[tri.face_class(t, 0)]
-    f013 = labeling[tri.face_class(t, 2)]
-    f023 = labeling[tri.face_class(t, 1)]
-    if (f012 >= cat.N[c01, c12, c02] or f123 >= cat.N[c12, c23, c13]
-            or f013 >= cat.N[c01, c13, c03] or f023 >= cat.N[c02, c23, c03]):
-        return 0.0 + 0.0j
-    val = cat.f_entry(c01, c12, c23, c03, c02, f012, f023, c13, f123, f013)
-    val = val / math.sqrt(cat.d[c02] * cat.d[c13])
-    return np.conj(val) if tri.signs[t] == -1 else complex(val)
-
-
-def _mult_free_tables(cat):
-    """Dense per-orientation weight tables over (c01,c12,c23,c02,c13,c03)."""
-    n = cat.n
-    W = np.zeros((n,) * 6, dtype=complex)
-    N, d = cat.N, cat.d
+    n, N, d = cat.n, cat.N, cat.d
+    m = int(N.max())
+    W = np.zeros((n,) * 6 + ((m,) * 4 if m > 1 else ()), dtype=complex)
     for c01 in range(n):
         for c12 in range(n):
             for c02 in range(n):
@@ -418,12 +406,17 @@ def _mult_free_tables(cat):
                         for c03 in range(n):
                             if not (N[c01, c13, c03] and N[c02, c23, c03]):
                                 continue
-                            v = cat.f_entry(c01, c12, c23, c03,
-                                            c02, 0, 0, c13, 0, 0)
-                            W[c01, c12, c23, c02, c13, c03] = (
-                                v / math.sqrt(d[c02] * d[c13])
-                            )
-    return W.reshape(-1), np.conj(W).reshape(-1)
+                            edges = (c01, c12, c23, c02, c13, c03)
+                            for bond in itertools.product(
+                                    range(N[c01, c12, c02]), range(N[c02, c23, c03]),
+                                    range(N[c12, c23, c13]), range(N[c01, c13, c03])):
+                                f012, f023, f123, f013 = bond
+                                v = cat.f_entry(c01, c12, c23, c03, c02, f012,
+                                                f023, c13, f123, f013)
+                                W[edges + (bond if m > 1 else ())] = (
+                                    v / math.sqrt(d[c02] * d[c13])
+                                )
+    return W, np.conj(W)
 
 
 def _chunks(total):
@@ -444,126 +437,28 @@ def _decode(idx, n, n_edges):
     return out
 
 
-def state_sum(cat, tri, workers=1, budget=None):
+def state_sum(cat, tri, budget=None):
     """6j-symbol state sum Z(V) for a validated category and complex.
 
-    Enumerates all edge colorings (budget-guarded), summing face labelings per
-    coloring.  Deterministic for any worker count: fixed chunking, per-chunk
-    partial sums combined in chunk order by exact float summation.
+    Contracts the tensor network of one weight table per tetrahedron (face
+    bonds added for categories with multiplicities) and one ``d`` vector
+    per edge.  The budget is a size gate: complexes with more than `budget`
+    edge colorings (n^E) are refused, although none are enumerated.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
-    n = cat.n
-    total = n ** tri.n_edges
+    total = cat.n ** tri.n_edges
     if total > budget:
         raise BudgetError(
             "state sum needs %d colorings, budget is %d" % (total, budget)
         )
-    lam = global_dim(cat)
-    if (cat.N <= 1).all():
-        acc = _state_sum_fast(cat, tri, total, workers)
-    else:
-        acc = _state_sum_generic(cat, tri, total)
-    return acc * lam ** (-tri.n_vertices)
-
-
-def _state_sum_fast(cat, tri, total, workers):
-    n = cat.n
-    Wp, Wn = _mult_free_tables(cat)
-    strides = np.array([n ** 5, n ** 4, n ** 3, n ** 2, n, 1], dtype=np.int64)
-    tet_tab = [Wp if s == 1 else Wn for s in tri.signs]
-    dvec = cat.d
-
-    def part(rng):
-        lo, hi = rng
-        idx = np.arange(lo, hi, dtype=np.int64)
-        dig = _decode(idx, n, tri.n_edges)
-        vals = np.ones(hi - lo, dtype=complex)
-        for t in range(tri.n_tets):
-            flat = np.zeros(hi - lo, dtype=np.int64)
-            for k in range(6):
-                flat += dig[tri.tet_edges[t, k]] * strides[k]
-            vals *= tet_tab[t][flat]
-        dfac = np.ones(hi - lo)
-        for e in range(tri.n_edges):
-            dfac *= dvec[dig[e]]
-        return complex(np.sum(vals * dfac))
-
-    ranges = list(_chunks(total))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(part, ranges))
-    else:
-        partials = [part(r) for r in ranges]
-    return complex(math.fsum(p.real for p in partials),
-                   math.fsum(p.imag for p in partials))
-
-
-def _state_sum_generic(cat, tri, total):
-    n = cat.n
-    N, d = cat.N, cat.d
-    partials = []
-    face_corner_edges = []
-    for cid in range(tri.n_faces):
-        t, f = tri.face_reps[cid]
-        i, j, k = FACE_CORNERS[f]
-        face_corner_edges.append((
-            tri.edge_class(t, i, j), tri.edge_class(t, j, k), tri.edge_class(t, i, k)
-        ))
-    acc_chunks = []
-    chunk_acc = []
-    for flat in range(total):
-        coloring = []
-        w = flat
-        for _ in range(tri.n_edges):
-            coloring.append(w % n)
-            w //= n
-        coloring.reverse()
-        dims = []
-        ok = True
-        for (ea, eb, ec) in face_corner_edges:
-            m = int(N[coloring[ea], coloring[eb], coloring[ec]])
-            if m == 0:
-                ok = False
-                break
-            dims.append(m)
-        if not ok:
-            if len(chunk_acc) >= _CHUNK:
-                acc_chunks.append(complex(math.fsum(x.real for x in chunk_acc),
-                                          math.fsum(x.imag for x in chunk_acc)))
-                chunk_acc = []
-            continue
-        ops = []
-        subs = []
-        for t in range(tri.n_tets):
-            fcls = [int(tri.tet_faces[t, f]) for f in range(4)]
-            shape = tuple(dims[c] for c in fcls)
-            ten = np.empty(shape, dtype=complex)
-            it = np.ndindex(shape)
-            lab = [0] * tri.n_faces
-            for bidx in it:
-                for f in range(4):
-                    lab[fcls[f]] = bidx[f]
-                ten[bidx] = tet_weight(cat, tri, t, coloring, lab)
-            ops.append(ten)
-            subs.append(fcls)
-        args = []
-        for op, sub in zip(ops, subs):
-            args.extend((op, sub))
-        args.append([])
-        term = complex(np.einsum(*args))
-        dfac = 1.0
-        for e in range(tri.n_edges):
-            dfac *= d[coloring[e]]
-        chunk_acc.append(term * dfac)
-        if len(chunk_acc) >= _CHUNK:
-            acc_chunks.append(complex(math.fsum(x.real for x in chunk_acc),
-                                      math.fsum(x.imag for x in chunk_acc)))
-            chunk_acc = []
-    if chunk_acc:
-        acc_chunks.append(complex(math.fsum(x.real for x in chunk_acc),
-                                  math.fsum(x.imag for x in chunk_acc)))
-    return complex(math.fsum(p.real for p in acc_chunks),
-                   math.fsum(p.imag for p in acc_chunks))
+    Wp, Wn = _weight_tables(cat)
+    factors = [(cat.d, [e]) for e in range(tri.n_edges)]
+    for t in range(tri.n_tets):
+        ids = list(tri.tet_edges[t])
+        if Wp.ndim > 6:
+            ids += [tri.n_edges + tri.tet_faces[t, f] for f in _BOND_FACES]
+        factors.append((Wp if tri.signs[t] == 1 else Wn, ids))
+    return contract(factors) * global_dim(cat) ** (-tri.n_vertices)
 
 
 # ---------------------------------------------------------------------------

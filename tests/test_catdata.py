@@ -8,7 +8,7 @@ import pytest
 
 from doubletop.catdata import (
     CategoryData, CategoryError, dump_category, global_dim, load_category,
-    validate_pentagon, zoo, _category_from_dict,
+    unitarity_residual, validate_pentagon, zoo, _category_from_dict,
 )
 
 ZOO = ["vec_z1", "vec_z2", "vec_z3", "vec_z4", "fibonacci", "ising"]
@@ -40,6 +40,18 @@ def test_pentagon_group_categories_exact():
 def test_pentagon_fibonacci_ising():
     assert validate_pentagon(zoo("fibonacci")) < 1e-12
     assert validate_pentagon(zoo("ising")) < 1e-12
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_validation_records_residuals(name):
+    cat = zoo(name)
+    assert cat.residuals == {"pentagon": validate_pentagon(cat),
+                             "unitarity": unitarity_residual(cat)}
+
+
+def test_unvalidated_category_has_no_residuals():
+    cat = _category_from_dict(dump_category(zoo("fibonacci")), validate=False)
+    assert cat.residuals is None
 
 
 def test_pentagon_detects_wrong_f_sign():

@@ -1,0 +1,33 @@
+import numpy as np
+
+from doubletop.contract import contract
+
+
+def test_matches_einsum_with_repeated_and_shared_indices():
+    rng = np.random.default_rng(5)
+    shapes = {0: 2, 1: 3, 2: 2, 3: 4, 4: 3}
+    nets = [[(0, 1), (1, 2, 2), (2, 3, 0), (3,), (4, 1), (4, 4)],
+            [(0, 0), (1,), (1,), (2, 3, 4)],
+            [(3, 1, 0)]]
+    for ids_list in nets:
+        factors = [(rng.normal(size=[shapes[i] for i in ids])
+                    + 1j * rng.normal(size=[shapes[i] for i in ids]), ids)
+                   for ids in ids_list]
+        args = [x for a, ids in factors for x in (a, list(ids))] + [[]]
+        want = complex(np.einsum(*args))
+        assert abs(contract(factors) - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_empty_and_scalar_networks():
+    assert contract([]) == 1
+    assert contract([(np.array(2.5), ())]) == 2.5
+
+
+
+def test_more_factors_than_one_einsum_takes():
+    # 70 factors on one pair of indices; np.einsum takes at most 63 operands
+    rng = np.random.default_rng(7)
+    mats = [rng.uniform(0.5, 1.5, size=(2, 2)) for _ in range(70)]
+    want = float(np.sum(np.prod(mats, axis=0)))
+    got = contract([(m, (0, 1)) for m in mats])
+    assert abs(got - want) < 1e-12 * want

@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from doubletop.catdata import global_dim, zoo
+from doubletop.catdata import CategoryData, global_dim, zoo
+from doubletop.modulardata import compute_modular_data
 from doubletop.statesum import (
     BudgetError, Triangulation, TriangulationError, boundary_4_simplex,
     builtin_triangulation, cyclic_group_table, doubled_tetrahedron, dw_oracle,
     lens_triangulation, load_triangulation, s2xs1_twotet, s3_twotet,
-    state_sum, t3_sixtet, tet_weight, _state_sum_generic,
-    _triangulation_from_dict,
+    state_sum, t3_sixtet, _triangulation_from_dict,
 )
-from oracles import all_pairings, expected_flat_fraction, first_homology
+from doubletop.surgery import lens_chain, surgery_invariant
+from oracles import (all_pairings, brute_state_sum, expected_flat_fraction,
+                     first_homology, tet_weight)
 
 BUILTINS = ["s3_boundary4simplex", "s3_twotet", "rp3_lens", "rp3_antipodal",
             "lens_3_1", "lens_4_1", "s2xs1", "t3_sixtet"]
@@ -113,21 +115,53 @@ def test_state_sum_orientation_conjugates():
         np.conj(state_sum(cat, tri)), abs=1e-10)
 
 
-def test_workers_bit_identical():
+def _multiplicity_ring(seed=2024):
+    """Unvalidated ring x (x) x = 1 + 2x with seeded random F entries.
+
+    No bundled category has a multiplicity above 1; this one exercises the
+    face bonds of the contraction (the F entries need not be unitary).
+    """
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
+    N[1, 1, 1] = 2
+    rng = np.random.default_rng(seed)
+    fentries = []
+    for dd in range(2):
+        rows = [(e, al, be) for e in range(2) for al in range(N[1, 1, e])
+                for be in range(N[e, 1, dd])]
+        cols = [(f, mu, nu) for f in range(2) for mu in range(N[1, 1, f])
+                for nu in range(N[1, f, dd])]
+        for (e, al, be) in rows:
+            for (f, mu, nu) in cols:
+                fentries.append(((1, 1, 1, dd, e, f), (al, be, mu, nu),
+                                 complex(*rng.normal(size=2))))
+    return CategoryData(["1", "x"], [0, 1], N, [1.0, 1.0 + math.sqrt(2.0)],
+                        fentries, validate=False)
+
+
+def test_state_sum_matches_brute_force():
+    cats = [zoo(name) for name in ("vec_z2", "vec_z3", "fibonacci", "ising")]
+    cats.append(_multiplicity_ring())
+    for cat in cats:
+        for tname in ("s3_twotet", "s2xs1", "rp3_lens", "lens_3_1"):
+            tri = builtin_triangulation(tname)
+            want = brute_state_sum(cat, tri)
+            assert abs(want) > 1e-3  # a zero reference would check nothing
+            assert abs(state_sum(cat, tri) - want) < 1e-12, (cat.names, tname)
+
+
+def test_contraction_reaches_many_edges():
+    # E = 62: one whole-network einsum runs out of subscript letters
+    tri = lens_triangulation(60, 1)
+    assert tri.n_edges == 62
+    assert state_sum(zoo("vec_z1"), tri) == 1
+
+
+def test_ising_lens_21_8_matches_surgery():
     cat = zoo("ising")
-    tri = builtin_triangulation("t3_sixtet")
-    z1 = state_sum(cat, tri, workers=1)
-    z3 = state_sum(cat, tri, workers=3)
-    assert z1 == z3  # exact equality, not approx
-
-
-def test_generic_path_matches_fast_path():
-    for cname, tname in (("vec_z2", "rp3_lens"), ("fibonacci", "s3_twotet")):
-        cat = zoo(cname)
-        tri = builtin_triangulation(tname)
-        total = cat.n ** tri.n_edges
-        slow = _state_sum_generic(cat, tri, total) * global_dim(cat) ** (-tri.n_vertices)
-        assert slow == pytest.approx(state_sum(cat, tri), abs=1e-12)
+    z = state_sum(cat, lens_triangulation(21, 8), budget=3 ** 23)
+    md = compute_modular_data(cat)
+    assert abs(z - surgery_invariant(md, lens_chain(21, 8))) < 1e-8
 
 
 def test_tet_weight_trivial_coloring():

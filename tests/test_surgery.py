@@ -335,6 +335,12 @@ def test_budget_exceeded(mds):
         rt_invariant(md, chain([2, 2, 2]), budget=10)
 
 
+def test_surgery_reaches_many_vertices():
+    # 60 clasped unknots: more indices than one einsum has subscript letters
+    md = compute_modular_data(zoo("vec_z1"))
+    assert surgery_invariant(md, chain([2] * 60)) == 1
+
+
 def test_evaluate_fields(mds):
     md = mds["fibonacci"]
     g = chain([2, -3, 0])

@@ -49,7 +49,6 @@ from .statesum import (
 )
 from .surgery import (
     BUILTIN_PLUMBINGS,
-    ColoringBudgetError,
     SurgeryError,
     ToleranceError,
     blow_down,
@@ -78,8 +77,6 @@ EXIT_TOLERANCE = 2
 EXIT_BUDGET = 3
 
 ZOO_NAMES = ("vec_z2", "vec_z3", "fibonacci", "ising")
-
-_WORKERS_HELP = "deprecated and ignored; the state sum runs in one thread"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,7 +264,7 @@ def _cmd_invariant(args, argv):
             "tau": _c(res.tau),
             "sigma": res.sigma,
             "m": res.m,
-            "colorings": res.colorings_enumerated,
+            "largest_step": res.largest_step,
             "two_route_residual": abs(res.Z - res.tau),
             "tolerance": 1e-8,
         }
@@ -617,7 +614,6 @@ def _build_parser():
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--statesum", help="triangulation path or builtin:NAME")
     grp.add_argument("--surgery", help="plumbing path or builtin:NAME")
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--strict-trees", action="store_true",
                    help="refuse plumbings with cycles or parallel clasps")
@@ -627,7 +623,6 @@ def _build_parser():
     category_opt(p)
     p.add_argument("--statesum", required=True)
     p.add_argument("--surgery", required=True)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--strict-trees", action="store_true")
     p.add_argument("--tolerance", type=float, default=1e-8)
@@ -637,7 +632,6 @@ def _build_parser():
     p.set_defaults(func=_cmd_zoo)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_selftest)
 
@@ -650,7 +644,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except (BudgetError, ColoringBudgetError) as exc:
+    except BudgetError as exc:
         sys.stderr.write("budget error: %s\n" % exc)
         return EXIT_BUDGET
     except ToleranceError as exc:

@@ -4,12 +4,18 @@ Both invariant routes are sums, over shared labels, of products of small
 tensors: tetrahedron weights and edge dimensions for the state sum, vertex
 weights and clasp S-matrices for the surgery formula.  Summing out one index
 at a time costs time exponential only in the width of the elimination order,
-not in the number of indices.
+not in the number of indices.  The budget bounds that cost where it is
+spent: the index space of the largest elimination step.
 """
 
 import numpy as np
 
+DEFAULT_BUDGET = 5_000_000
 _MAX_OPERANDS = 32  # np.einsum accepts at most 63 operands per call
+
+
+class BudgetError(RuntimeError):
+    """An elimination step would sum over more labels than the budget allows."""
 
 
 def _einsum(factors, out):
@@ -20,7 +26,7 @@ def _einsum(factors, out):
     return np.einsum(*args, [local[i] for i in out])
 
 
-def contract(factors):
+def contract(factors, budget=None):
     """Sum over every index of the product of `factors`.
 
     factors: iterable of (array, ids), one integer id per axis; an id
@@ -28,16 +34,32 @@ def contract(factors):
     Indices are eliminated in min-degree order, ties broken by the smaller
     id, so the summation order, and hence the result, is fixed.  Each step
     is one ``np.einsum`` over the factors touching that index (batched when
-    there are too many for one call).
+    there are too many for one call); its index space is the product of the
+    label counts of the index and its neighbours.  A step whose index space
+    exceeds `budget` (default DEFAULT_BUDGET) raises BudgetError before it
+    runs.
+
+    Returns (value, largest_step): the complex sum and the index space of
+    the largest step (1 when no index is summed).
     """
-    factors = [(np.asarray(a), tuple(int(i) for i in ids)) for a, ids in factors]
-    todo = {i for _, ids in factors for i in ids}
+    budget = DEFAULT_BUDGET if budget is None else budget
+    factors = [(np.asarray(a), tuple(map(int, ids))) for a, ids in factors]
+    size = {i: n for a, ids in factors for i, n in zip(ids, a.shape)}
+    todo = set(size)
+    largest = 1
     while todo:
         nbrs = {i: set() for i in todo}
         for _, ids in factors:
             for i in ids:
                 nbrs[i].update(ids)
         v = min(todo, key=lambda i: (len(nbrs[i]), i))
+        step = 1
+        for i in nbrs[v]:
+            step *= size[i]
+        if step > budget:
+            raise BudgetError("budget exceeded: eliminating an index sums over "
+                              "%d labels, budget is %d" % (step, budget))
+        largest = max(largest, step)
         todo.discard(v)
         hit = [f for f in factors if v in f[1]]
         factors = [f for f in factors if v not in f[1]]
@@ -50,4 +72,4 @@ def contract(factors):
     result = 1.0
     for a, _ in factors:
         result = result * a
-    return complex(result)
+    return complex(result), largest

@@ -106,9 +106,7 @@ def block_irreps(alg, dec, seed=None):
         rng = np.random.default_rng([dec.seed if seed is None else seed, i])
         n = dec.n[i]
         q = _minimal_projection(alg, dec, i, rng)
-        cols = np.stack([alg.product(alg.basis_element(b), q)
-                         for b in range(alg.dim)], axis=1)
-        U, sv, _ = np.linalg.svd(cols)
+        U, sv, _ = np.linalg.svd(alg.right_mult(q))
         rank = int(np.sum(sv > 1e-8 * sv[0]))
         if rank != n:
             raise ModularDataError(

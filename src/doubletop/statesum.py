@@ -44,9 +44,8 @@ from fractions import Fraction
 import numpy as np
 
 from .catdata import global_dim
-from .contract import contract
+from .contract import DEFAULT_BUDGET, BudgetError, contract
 
-DEFAULT_BUDGET = 5_000_000
 _CHUNK = 4096  # colorings per vectorised block of the DW oracle
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -56,10 +55,6 @@ _BOND_FACES = (3, 1, 0, 2)  # faces 012, 023, 123, 013: weight-table bond order
 
 class TriangulationError(ValueError):
     """A triangulation invariant failed (non-manifold, orientation, ...)."""
-
-
-class BudgetError(RuntimeError):
-    """The complex has more colorings than the budget allows."""
 
 
 class _UnionFind:
@@ -442,15 +437,10 @@ def state_sum(cat, tri, budget=None):
 
     Contracts the tensor network of one weight table per tetrahedron (face
     bonds added for categories with multiplicities) and one ``d`` vector
-    per edge.  The budget is a size gate: complexes with more than `budget`
-    edge colorings (n^E) are refused, although none are enumerated.
+    per edge.  BudgetError is raised when one elimination step of that
+    contraction would sum over more than `budget` labels (see
+    `doubletop.contract`).
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    total = cat.n ** tri.n_edges
-    if total > budget:
-        raise BudgetError(
-            "state sum needs %d colorings, budget is %d" % (total, budget)
-        )
     Wp, Wn = _weight_tables(cat)
     factors = [(cat.d, [e]) for e in range(tri.n_edges)]
     for t in range(tri.n_tets):
@@ -458,7 +448,8 @@ def state_sum(cat, tri, budget=None):
         if Wp.ndim > 6:
             ids += [tri.n_edges + tri.tet_faces[t, f] for f in _BOND_FACES]
         factors.append((Wp if tri.signs[t] == 1 else Wn, ids))
-    return contract(factors) * global_dim(cat) ** (-tri.n_vertices)
+    value, _ = contract(factors, budget)
+    return value * global_dim(cat) ** (-tri.n_vertices)
 
 
 # ---------------------------------------------------------------------------

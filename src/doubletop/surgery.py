@@ -15,16 +15,11 @@ import numpy as np
 
 from .contract import contract
 
-DEFAULT_BUDGET = 5_000_000
 _MATCH_TOL = 1e-8
 
 
 class SurgeryError(RuntimeError):
-    """Invalid plumbing data, ineligible Kirby site, or blown budget."""
-
-
-class ColoringBudgetError(SurgeryError):
-    """The graph has more colorings than the budget allows."""
+    """Invalid plumbing data or ineligible Kirby site."""
 
 
 class ToleranceError(SurgeryError):
@@ -212,23 +207,20 @@ def colored_invariant(md, g, coloring):
 
 
 def _colored_sum(S, T, g, extra_vertex_weight, budget):
-    """Sum of prod_v weight_v(i_v) * J(g, colors) over all colorings."""
-    r1 = S.shape[0]
-    total = r1 ** g.m
-    if total > budget:
-        raise ColoringBudgetError("coloring budget exceeded: %d^%d = %d > %d"
-                                  % (r1, g.m, total, budget))
+    """Sum of prod_v weight_v(i_v) * J(g, colors) over all colorings.
+
+    Returns (sum, largest_step), the latter from `doubletop.contract`.
+    """
     pos = {v: k for k, v in enumerate(g.ids)}
     factors = [(extra_vertex_weight * T ** (-g.framing[v])
                 * S[0] ** (1 - g.degree(v)), [pos[v]]) for v in g.ids]
     factors += [(S, [pos[u], pos[w]]) for u, w in g.edges]
-    core = contract(factors)
-    return S[0, 0] ** (1 - g.components()) * core, total
+    core, step = contract(factors, budget)
+    return S[0, 0] ** (1 - g.components()) * core, step
 
 
 def surgery_invariant(md, g, budget=None):
     """Z(M) = sum over colorings of prod_v S_{i_v, 0} times J (Dehn surgery)."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     S, T = md.S, md.T
     if g.m == 0:
         return complex(S[0, 0])
@@ -243,9 +235,9 @@ def _tau(S, T, g, budget):
     D = 1.0 / S[0, 0]
     delta = np.sum(dims ** 2 * T)
     sig = signature(g)
-    core, total = _colored_sum(S, T, g, dims, budget)
+    core, step = _colored_sum(S, T, g, dims, budget)
     tau = delta ** sig * D ** (-sig - g.m - 1) * core / S[0, 0]
-    return complex(tau), sig, total
+    return complex(tau), sig, step
 
 
 def rt_invariant(md, g, budget=None):
@@ -255,18 +247,11 @@ def rt_invariant(md, g, budget=None):
     F = J/S_00 and dim V_i = S_{0i}/S_00; for a center both Gauss sums
     and D collapse to the global dimension.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    tau, _, _ = _tau(md.S, md.T, g, budget)
-    z = surgery_invariant(md, g, budget=budget)
-    if abs(tau - z) >= _MATCH_TOL:
-        raise ToleranceError("tau = %r disagrees with the surgery sum %r "
-                             "(|diff| = %.3e)" % (tau, z, abs(tau - z)))
-    return tau
+    return evaluate(md, g, budget).tau
 
 
 def modular_tau(S, T, g, budget=None):
     """tau evaluated with an externally supplied modular pair (S, T)."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     S = np.asarray(S, dtype=complex)
     T = np.asarray(T, dtype=complex).reshape(-1)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] != T.shape[0]:
@@ -287,19 +272,22 @@ class SurgeryResult:
     tau: complex
     sigma: int
     m: int
-    colorings_enumerated: int
+    largest_step: int
 
 
 def evaluate(md, g, budget=None):
-    """Both invariant routes plus bookkeeping, with the equality asserted."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    tau, sig, total = _tau(md.S, md.T, g, budget)
+    """Both invariant routes plus bookkeeping, with the equality asserted.
+
+    largest_step is the index space of the largest elimination step of the
+    tau contraction, the quantity the budget bounds.
+    """
+    tau, sig, step = _tau(md.S, md.T, g, budget)
     z = surgery_invariant(md, g, budget=budget)
     if abs(tau - z) >= _MATCH_TOL:
         raise ToleranceError("tau = %r disagrees with the surgery sum %r "
                              "(|diff| = %.3e)" % (tau, z, abs(tau - z)))
     return SurgeryResult(Z=z, tau=tau, sigma=sig, m=g.m,
-                         colorings_enumerated=total)
+                         largest_step=step)
 
 
 # ---------------------------------------------------------------------------

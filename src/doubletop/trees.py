@@ -144,19 +144,15 @@ def shape_moves(cat, leaves, root):
 def pentagon_residual(cat):
     """Max deviation between the two F-move paths ((ab)c)d -> a(b(cd))."""
     worst = 0.0
-    n = cat.n
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    for t in range(n):
-                        sh, mv = shape_moves(cat, (a, b, c, d), t)
-                        if len(sh["LL"]) == 0:
-                            continue
-                        left = mv["LL>M"] @ mv["M>R"] @ mv["R>RR"]
-                        right = mv["LL>C"] @ mv["C>RR"]
-                        diff = np.max(np.abs(left - right)) if left.size else 0.0
-                        worst = max(worst, float(diff))
+    N = cat.N
+    # dim of the ((ab)c)d -> t space; the five shapes are skipped when it is 0
+    ll_dim = np.einsum("abx,xcy,ydt->abcdt", N, N, N)
+    for a, b, c, d, t in np.argwhere(ll_dim).tolist():
+        _, mv = shape_moves(cat, (a, b, c, d), t)
+        left = mv["LL>M"] @ mv["M>R"] @ mv["R>RR"]
+        right = mv["LL>C"] @ mv["C>RR"]
+        diff = np.max(np.abs(left - right)) if left.size else 0.0
+        worst = max(worst, float(diff))
     return worst
 
 

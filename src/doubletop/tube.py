@@ -303,7 +303,7 @@ def _center_basis(alg):
         lb = alg.C[b].T          # lb[k,j] = C[b,j,k]
         rb = alg.C[:, b, :].T    # rb[k,j] = C[j,b,k]
         rows[b * dim:(b + 1) * dim] = lb - rb
-    _, s, vh = np.linalg.svd(rows)
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
     tol = max(dim, 8) * np.finfo(float).eps * (s[0] if s.size else 1.0)
     null = int(np.sum(s <= max(tol, 1e-10)))
     if null == 0:

@@ -88,7 +88,7 @@ def test_invariant_surgery(capsys):
     assert res["value"]["re"] == pytest.approx(1.0)
     assert res["value"]["im"] == pytest.approx(0.0, abs=1e-12)
     assert res["sigma"] == 1 and res["m"] == 1
-    assert res["colorings"] == 9
+    assert res["largest_step"] == 9
     assert res["two_route_residual"] < 1e-8
 
 
@@ -101,15 +101,11 @@ def test_invariant_statesum(capsys):
     assert res["value"]["re"] == pytest.approx(1.0)
 
 
-def test_worker_independence(capsys):
-    vals = []
-    for k in ("1", "2"):
-        code, doc, _ = run(capsys, "invariant", "--category", "zoo:ising",
-                           "--statesum", "builtin:t3", "--workers", k)
-        assert code == 0
-        vals.append(doc["results"]["value"]["re"])
-    assert abs(vals[0] - vals[1]) < 1e-12
-    assert vals[0] == pytest.approx(9.0)
+def test_ising_t3_statesum(capsys):
+    code, doc, _ = run(capsys, "invariant", "--category", "zoo:ising",
+                       "--statesum", "builtin:t3")
+    assert code == 0
+    assert doc["results"]["value"]["re"] == pytest.approx(9.0)
 
 
 def test_compare_example(capsys):
@@ -178,6 +174,16 @@ def test_usage_errors_exit_1(capsys):
         main(["frobnicate"])
     assert exc.value.code == 1
     capsys.readouterr()
+    # --workers did nothing and is no longer accepted
+    for argv in (["invariant", "--category", "zoo:ising",
+                  "--statesum", "builtin:t3"],
+                 ["compare", "--category", "zoo:vec_z2", "--statesum",
+                  "builtin:rp3", "--surgery", "builtin:lens_2_1"],
+                 ["selftest"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "1"])
+        assert exc.value.code == 1
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_report_determinism(capsys):

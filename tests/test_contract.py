@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from doubletop.contract import contract
+from doubletop.contract import BudgetError, contract
 
 
 def test_matches_einsum_with_repeated_and_shared_indices():
@@ -15,13 +16,12 @@ def test_matches_einsum_with_repeated_and_shared_indices():
                    for ids in ids_list]
         args = [x for a, ids in factors for x in (a, list(ids))] + [[]]
         want = complex(np.einsum(*args))
-        assert abs(contract(factors) - want) < 1e-12 * max(1.0, abs(want))
+        assert abs(contract(factors)[0] - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_empty_and_scalar_networks():
-    assert contract([]) == 1
-    assert contract([(np.array(2.5), ())]) == 2.5
-
+    assert contract([]) == (1, 1)
+    assert contract([(np.array(2.5), ())]) == (2.5, 1)
 
 
 def test_more_factors_than_one_einsum_takes():
@@ -29,5 +29,17 @@ def test_more_factors_than_one_einsum_takes():
     rng = np.random.default_rng(7)
     mats = [rng.uniform(0.5, 1.5, size=(2, 2)) for _ in range(70)]
     want = float(np.sum(np.prod(mats, axis=0)))
-    got = contract([(m, (0, 1)) for m in mats])
+    got, _ = contract([(m, (0, 1)) for m in mats])
     assert abs(got - want) < 1e-12 * want
+
+
+def test_budget_bounds_the_largest_step():
+    # a chain of 4x4 matrices: every step sums over two indices, 4^2 = 16
+    rng = np.random.default_rng(3)
+    factors = [(rng.normal(size=(4, 4)), (k, k + 1)) for k in range(6)]
+    want = float(np.sum(np.linalg.multi_dot([a for a, _ in factors])))
+    value, step = contract(factors)
+    assert step == 16 and abs(value - want) < 1e-12 * max(1.0, abs(want))
+    assert contract(factors, budget=16)[1] == 16
+    with pytest.raises(BudgetError, match="budget exceeded"):
+        contract(factors, budget=15)

@@ -164,6 +164,14 @@ def test_ising_lens_21_8_matches_surgery():
     assert abs(z - surgery_invariant(md, lens_chain(21, 8))) < 1e-8
 
 
+def test_ising_lens_14_3_within_default_budget():
+    # 3^16 edge colorings; the largest elimination step is 3^11
+    cat = zoo("ising")
+    z = state_sum(cat, lens_triangulation(14, 3))
+    md = compute_modular_data(cat)
+    assert abs(z - surgery_invariant(md, lens_chain(14, 3))) < 1e-8
+
+
 def test_tet_weight_trivial_coloring():
     cat = zoo("fibonacci")
     tri = s3_twotet()

@@ -7,6 +7,7 @@ import pytest
 
 from doubletop import zoo
 from doubletop.catdata import CategoryError
+from doubletop.contract import BudgetError
 from doubletop.modulardata import braiding_st, compute_modular_data
 from doubletop.surgery import (
     BUILTIN_PLUMBINGS,
@@ -329,10 +330,18 @@ def test_dw_cross_check_random_forests(mds):
 
 def test_budget_exceeded(mds):
     md = mds["vec_z3"]
-    with pytest.raises(SurgeryError, match="budget exceeded"):
+    # each step of a chain sums over two neighbouring vertices: 9^2 = 81
+    with pytest.raises(BudgetError, match="budget exceeded"):
         surgery_invariant(md, chain([2, 2]), budget=3)
-    with pytest.raises(SurgeryError, match="budget exceeded"):
+    with pytest.raises(BudgetError, match="budget exceeded"):
         rt_invariant(md, chain([2, 2, 2]), budget=10)
+
+
+def test_budget_bounds_the_step_not_the_colorings(mds):
+    # 9^8 = 43 046 721 colorings, but no step sums over more than 81 labels
+    g = chain([2] * 8)
+    assert surgery_invariant(mds["vec_z3"], g) == pytest.approx(
+        float(dw_plumbing(g, 3)), abs=1e-10)
 
 
 def test_surgery_reaches_many_vertices():
@@ -348,7 +357,7 @@ def test_evaluate_fields(mds):
     assert abs(res.Z - res.tau) < 1e-8
     assert res.sigma == signature(g)
     assert res.m == 3
-    assert res.colorings_enumerated == md.r_plus_1 ** 3
+    assert res.largest_step == md.r_plus_1 ** 2
     assert res.Z == pytest.approx(surgery_invariant(md, g))
 
 

@@ -142,10 +142,6 @@ class CategoryData:
         """F-move block matrix, or None when Hom(d,(ab)c) = 0."""
         return self._fblocks.get((a, b, c, dd))
 
-    def fmat(self, a, b, c, dd):
-        blk = self._fblocks.get((a, b, c, dd))
-        return None if blk is None else blk.mat
-
     def f_entry(self, a, b, c, dd, e, al, be, f, mu, nu):
         blk = self._fblocks.get((a, b, c, dd))
         if blk is None:
@@ -165,9 +161,6 @@ class CategoryData:
         if self.rsymbols is None:
             raise CategoryError("category carries no R-symbols")
         return self.rsymbols[(a, b, c)]
-
-    def label_id(self, name):
-        return self.names.index(name)
 
     # -- validation -----------------------------------------------------------
 
@@ -248,29 +241,23 @@ class CategoryData:
 # ---------------------------------------------------------------------------
 
 
-def validate_pentagon(cat):
-    """Max |LHS - RHS| over all pentagon instances (brute force)."""
-    from . import trees
-
-    return trees.pentagon_residual(cat)
-
-
 def global_dim(cat):
     """lambda = sum_xi d(xi)^2."""
     return float(np.sum(cat.d ** 2))
 
 
-def unitarity_residual(cat):
-    """Max deviation of any F-block from unitarity."""
-    worst = 0.0
-    for blk in cat._fblocks.values():
-        m = blk.mat
-        worst = max(worst, float(np.max(np.abs(
-            m @ m.conj().T - np.eye(len(blk.rows))))))
-    return worst
-
-
 def _category_from_dict(doc, validate=True):
+    try:
+        parts = _category_parts(doc)
+    except CategoryError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise CategoryError("malformed category document: %s" % exc) from exc
+    return CategoryData(*parts, validate=validate)
+
+
+def _category_parts(doc):
+    """Constructor arguments (names, dual, N, qdims, fentries, rsymbols)."""
     labels = doc["labels"]
     ids = [l["id"] for l in labels]
     if ids != list(range(len(ids))):
@@ -280,10 +267,16 @@ def _category_from_dict(doc, validate=True):
     dual = doc["dual"]
     if len(dual) != n:
         raise CategoryError("dual length != n")
+
+    def triple(a, b, c):
+        if not all(0 <= x < n for x in (a, b, c)):
+            raise CategoryError("label triple %s outside 0..%d" % ((a, b, c), n - 1))
+        return a, b, c
+
     N = np.zeros((n, n, n), dtype=np.int64)
     for ent in doc["fusion"]:
-        N[ent["i"], ent["j"], ent["k"]] = ent["mult"]
-    qdims = doc["qdims"]
+        N[triple(ent["i"], ent["j"], ent["k"])] = ent["mult"]
+    qdims = [float(x) for x in doc["qdims"]]
     if len(qdims) != n:
         raise CategoryError("qdims length != n")
     fentries = []
@@ -300,9 +293,8 @@ def _category_from_dict(doc, validate=True):
         for ent in doc["rsymbols"]:
             if tuple(ent.get("basis", [0, 0])) != (0, 0):
                 raise CategoryError("R-symbols with multiplicity > 1 unsupported")
-            rsymbols[(ent["a"], ent["b"], ent["c"])] = complex(ent["re"], ent.get("im", 0.0))
-    return CategoryData(names, dual, N, qdims, fentries, rsymbols,
-                        validate=validate)
+            rsymbols[triple(ent["a"], ent["b"], ent["c"])] = complex(ent["re"], ent.get("im", 0.0))
+    return names, dual, N, qdims, fentries, rsymbols
 
 
 def load_category(path):

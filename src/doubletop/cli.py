@@ -68,7 +68,6 @@ from .tube import (
     TubeError,
     build_tube_algebra,
     center_decompose,
-    colored_inner_product,
 )
 
 EXIT_OK = 0
@@ -196,9 +195,9 @@ def _cmd_center(args, argv):
     results = {
         "dim": alg.dim,
         "blocks": [{"n": int(n), "qdim": float(q)}
-                   for n, q in zip(dec.block_dims, dec.qdims)],
+                   for n, q in zip(dec.n, dec.qdims)],
         "vacuum_index": dec.vacuum_index,
-        "sum_n_squared": int(sum(n * n for n in dec.block_dims)),
+        "sum_n_squared": int(sum(n * n for n in dec.n)),
     }
     _emit(_envelope("center", argv, timings,
                     category=_category_block(args.category, cat),
@@ -369,12 +368,11 @@ def _crit_tube_structure(ctx):
             "fibonacci": (7, [1, 1, 1, 2])}
     for name, (dim, blocks) in want.items():
         _, alg, dec = ctx.pipe(name)[:3]
-        if alg.dim != dim or dec.block_dims != blocks:
-            return False, "%s has dim %d, blocks %r" % (name, alg.dim,
-                                                        dec.block_dims)
+        if alg.dim != dim or dec.n != blocks:
+            return False, "%s has dim %d, blocks %r" % (name, alg.dim, dec.n)
     for name in ZOO_NAMES:
         _, alg, dec = ctx.pipe(name)[:3]
-        if sum(n * n for n in dec.block_dims) != alg.dim:
+        if sum(n * n for n in dec.n) != alg.dim:
             return False, "%s: sum n_i^2 != dim" % name
     return True, "dims (4, 9, 7); sum n_i^2 == dim exactly for all"
 
@@ -386,7 +384,7 @@ def _crit_projection_inner(ctx):
         for i, pi in enumerate(dec.projections):
             for j, pj in enumerate(dec.projections):
                 want = dec.n[i] ** 2 if i == j else 0.0
-                got = colored_inner_product(alg, pi, pj)
+                got = alg.inner(pi, pj)
                 worst = max(worst, abs(got - want))
     return worst < 1e-8, "worst |<pi_i, pi_j> - delta n_i^2| = %.3e" % worst
 

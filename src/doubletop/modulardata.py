@@ -358,7 +358,7 @@ def twist_element(alg):
     return t
 
 
-def compute_T(alg, dec, reps, braidings=None):
+def compute_T(alg, dec, reps, braidings):
     """Twist eigenvalues per block (the T diagonal), with E cross-check."""
     tw = twist_element(alg)
     tvals = []
@@ -374,11 +374,10 @@ def compute_T(alg, dec, reps, braidings=None):
                                    "block %d" % (t, i))
         tvals.append(t)
     T = np.array(tvals)
-    if braidings is not None:
-        resid = _twist_from_braiding_residual(alg.cat, reps, braidings, T)
-        if resid > _AXIOM_TOL:
-            raise ModularDataError("twist disagrees with half-braiding "
-                                   "trace (%.3e)" % resid)
+    resid = _twist_from_braiding_residual(alg.cat, reps, braidings, T)
+    if resid > _AXIOM_TOL:
+        raise ModularDataError("twist disagrees with half-braiding "
+                               "trace (%.3e)" % resid)
     return T
 
 
@@ -473,6 +472,7 @@ def canonical_permutation(qdims, T, S, vacuum_index=0):
     runs producing the same data up to permutation serialize identically.
     """
     r1 = len(qdims)
+    E = [[_ent(S[i, j]) for j in range(r1)] for i in range(r1)]  # rounded once
 
     def rank(sig):
         keys = sorted(set(sig.values()))
@@ -481,7 +481,7 @@ def canonical_permutation(qdims, T, S, vacuum_index=0):
     def refine(sig):
         sig = rank(sig)
         while True:
-            prof = {i: (sig[i], tuple(sorted((sig[j], _ent(S[i, j]))
+            prof = {i: (sig[i], tuple(sorted((sig[j], E[i][j])
                                              for j in range(r1))))
                     for i in range(r1)}
             new = rank(prof)
@@ -499,7 +499,7 @@ def canonical_permutation(qdims, T, S, vacuum_index=0):
 
     def stream(order):
         head = tuple(_ent(T[i]) for i in order)
-        body = tuple(_ent(S[i, j]) for i in order for j in order)
+        body = tuple(E[i][j] for i in order for j in order)
         return head + body
 
     best = [None]

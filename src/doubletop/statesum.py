@@ -87,6 +87,8 @@ def _derive_gluings(verts):
     """Face pairing from global vertex ids (requires strictly increasing tets)."""
     slots = {}
     for t, v in enumerate(verts):
+        if len(v) != 4:
+            raise TriangulationError("tet %d: need 4 vertex ids" % t)
         if list(v) != sorted(set(v)):
             raise TriangulationError(
                 "branching violation: tet %d vertex ids must be strictly increasing "
@@ -332,46 +334,15 @@ def load_triangulation(path):
     return _triangulation_from_dict(doc)
 
 
-def _triangulation_from_dict(doc, name=None):
-    tets = [(tuple(t["v"]) if "v" in t else None, t.get("sign", 1))
-            for t in doc["tets"]]
-    gluings = doc.get("gluings")
-    return Triangulation(
-        tets, gluings=gluings, n_vertices=doc.get("vertices"),
-        pi1=doc.get("pi1"), name=name,
-    )
-
-
-def builtin_triangulation(name):
-    """Load one of the packaged triangulations by short name."""
-    from importlib import resources
-
-    fname = BUILTIN_TRIANGULATIONS.get(name, name)
-    ref = resources.files("doubletop").joinpath("data/triangulations/%s.json" % fname)
-    if not ref.is_file():
-        raise TriangulationError(
-            "unknown builtin triangulation %r (have: %s)"
-            % (name, ", ".join(sorted(BUILTIN_TRIANGULATIONS)))
-        )
-    with ref.open("r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return _triangulation_from_dict(doc, name=name)
-
-
-BUILTIN_TRIANGULATIONS = {
-    "s3": "s3_boundary4simplex",
-    "s3_boundary4simplex": "s3_boundary4simplex",
-    "s3_small": "s3_twotet",
-    "s3_twotet": "s3_twotet",
-    "rp3": "rp3_lens",
-    "rp3_lens": "rp3_lens",
-    "rp3_antipodal": "rp3_antipodal",
-    "lens_3_1": "lens_3_1",
-    "lens_4_1": "lens_4_1",
-    "s2xs1": "s2xs1",
-    "t3": "t3_sixtet",
-    "t3_sixtet": "t3_sixtet",
-}
+def _triangulation_from_dict(doc):
+    try:
+        tets = [(tuple(t["v"]) if "v" in t else None, t.get("sign", 1))
+                for t in doc["tets"]]
+        gluings = doc.get("gluings")
+        n_vertices, pi1 = doc.get("vertices"), doc.get("pi1")
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise TriangulationError("malformed triangulation document: %s" % exc) from exc
+    return Triangulation(tets, gluings=gluings, n_vertices=n_vertices, pi1=pi1)
 
 
 # ---------------------------------------------------------------------------
@@ -617,3 +588,39 @@ def doubled_tetrahedron():
     gluings = [((0, f), (1, f)) for f in range(4)]
     return Triangulation(tets, gluings=gluings,
                          pi1={"free_rank": 0, "torsion": []})
+
+
+def _lens(p, q, torsion):
+    """Constructor of L(p, q) tagged with pi1 = Z/torsion."""
+    return lambda: lens_triangulation(
+        p, q, pi1={"free_rank": 0, "torsion": [torsion]})
+
+
+# name or alias -> constructor
+BUILTIN_TRIANGULATIONS = {
+    "s3": boundary_4_simplex,
+    "s3_boundary4simplex": boundary_4_simplex,
+    "s3_small": s3_twotet,
+    "s3_twotet": s3_twotet,
+    "rp3": _lens(2, 1, 2),
+    "rp3_lens": _lens(2, 1, 2),
+    "rp3_antipodal": _lens(4, 2, 2),
+    "lens_3_1": _lens(3, 1, 3),
+    "lens_4_1": _lens(4, 1, 4),
+    "s2xs1": s2xs1_twotet,
+    "t3": t3_sixtet,
+    "t3_sixtet": t3_sixtet,
+}
+
+
+def builtin_triangulation(name):
+    """Build one of the bundled triangulations by short name."""
+    make = BUILTIN_TRIANGULATIONS.get(name)
+    if make is None:
+        raise TriangulationError(
+            "unknown builtin triangulation %r (have: %s)"
+            % (name, ", ".join(sorted(BUILTIN_TRIANGULATIONS)))
+        )
+    tri = make()
+    tri.name = name
+    return tri

@@ -88,8 +88,8 @@ class PlumbingGraph:
     def from_dict(cls, doc, name=None):
         try:
             framings = [(v["id"], v["framing"]) for v in doc["vertices"]]
-            edges = [tuple(e) for e in doc["edges"]]
-        except (KeyError, TypeError) as exc:
+            edges = [(u, w) for u, w in doc["edges"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise SurgeryError("malformed plumbing document: %s" % exc) from exc
         return cls(framings, edges, name=name)
 
@@ -102,7 +102,10 @@ class PlumbingGraph:
 
 def load_plumbing(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SurgeryError("parse error: %s" % exc) from exc
     return PlumbingGraph.from_dict(doc, name=str(path))
 
 

@@ -245,24 +245,16 @@ class TubeAlgebra:
         return float(np.max(np.abs(self.St @ np.conj(self.St) - np.eye(self.dim))))
 
     def _star_antihom_residual(self):
-        worst = 0.0
-        for i in range(self.dim):
-            xi_s = self.St[:, i]
-            for j in range(self.dim):
-                lhs = self.star(self.C[i, j])
-                rhs = self.product(self.St[:, j], xi_s)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+        # star(e_i e_j) = star(e_j) star(e_i) for every (i, j), coordinate k
+        St, C = self.St, self.C
+        lhs = np.einsum("kl,ijl->ijk", St, np.conj(C))
+        rhs = np.einsum("aj,bi,abk->ijk", St, St, C, optimize=True)
+        return float(np.max(np.abs(lhs - rhs)))
 
 
 def build_tube_algebra(cat):
     """Assemble the tube algebra of a validated category."""
     return TubeAlgebra(cat)
-
-
-def colored_inner_product(alg, x, y):
-    """Trace-form inner product; the exposed basis is orthonormal for it."""
-    return alg.inner(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +282,12 @@ class CenterDecomposition:
         self.vacuum_index = 0
         self.p = [pi / ni for pi, ni in zip(projections, ns)]
 
-    @property
-    def block_dims(self):
-        return list(self.n)
-
 
 def _center_basis(alg):
     """Orthonormal basis of the center, via the commutant null space."""
-    dim = alg.dim
-    rows = np.empty((dim * dim, dim), dtype=complex)
-    for b in range(dim):
-        lb = alg.C[b].T          # lb[k,j] = C[b,j,k]
-        rb = alg.C[:, b, :].T    # rb[k,j] = C[j,b,k]
-        rows[b * dim:(b + 1) * dim] = lb - rb
+    dim, C = alg.dim, alg.C
+    # row (b, k), column j: C[b,j,k] - C[j,b,k], the commutator with e_b
+    rows = (C.transpose(0, 2, 1) - C.transpose(1, 2, 0)).reshape(dim * dim, dim)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     tol = max(dim, 8) * np.finfo(float).eps * (s[0] if s.size else 1.0)
     null = int(np.sum(s <= max(tol, 1e-10)))
@@ -344,7 +329,10 @@ def center_decompose(alg, seed=None):
     """
     if seed is None:
         env = os.environ.get(SEED_ENV)
-        seed = int(env, 0) if env else CENTER_SEED
+        try:
+            seed = int(env, 0) if env else CENTER_SEED
+        except ValueError:
+            raise CenterError("%s=%r is not an integer" % (SEED_ENV, env)) from None
     Z = _center_basis(alg)
     r1 = Z.shape[1]
     rng = np.random.default_rng(seed)

@@ -10,6 +10,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def smith_diagonal(mat):
     """Diagonal entries of the Smith normal form of an integer matrix.
@@ -172,3 +174,18 @@ def all_pairings(items):
         rest = items[1:k] + items[k + 1:]
         for sub in all_pairings(rest):
             yield [(first, items[k])] + sub
+
+
+def star_antihom_residual(St, C):
+    """max |star(e_i e_j) - star(e_j) star(e_i)| over all basis pairs (i, j).
+
+    One pair at a time, with star(x) = St conj(x) and the product read off
+    the structure constants C; the reference for the tensor form in `tube`.
+    """
+    worst = 0.0
+    for i in range(C.shape[0]):
+        for j in range(C.shape[0]):
+            lhs = St @ np.conj(C[i, j])
+            rhs = np.einsum("a,b,abk->k", St[:, j], St[:, i], C)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst

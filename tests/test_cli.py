@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from doubletop.catdata import dump_category, zoo
 from doubletop.cli import main
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -163,6 +164,48 @@ def test_bad_inputs_exit_1(capsys):
     code, _, err = run(capsys, "invariant", "--category", "zoo:vec_z2",
                        "--statesum", "builtin:nope")
     assert code == 1 and "unknown builtin" in err
+
+
+def _fibonacci_with_fusion_index_7():
+    doc = dump_category(zoo("fibonacci"))
+    doc["fusion"][0]["k"] = 7
+    return doc
+
+
+def _fibonacci_with_string_qdim():
+    doc = dump_category(zoo("fibonacci"))
+    doc["qdims"][1] = "golden"
+    return doc
+
+
+_CATEGORY = ["validate", "--category"]
+_STATESUM = ["invariant", "--category", "zoo:vec_z2", "--statesum"]
+_SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (_CATEGORY, [1, 2]),
+    (_CATEGORY, _fibonacci_with_string_qdim()),
+    (_CATEGORY, _fibonacci_with_fusion_index_7()),
+    (_STATESUM, {"tets": [{"v": [0, 1, 2]}, {"v": [0, 1, 2, 3], "sign": -1}]}),
+    (_STATESUM, [1]),
+    (_SURGERY, {"vertices": [{"id": 0, "framing": 1}], "edges": [[0]]}),
+], ids=["category-list", "category-string-qdim", "category-fusion-index",
+        "triangulation-three-vertices", "triangulation-list",
+        "plumbing-one-element-edge"])
+def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bad_seed_variable_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("DOUBLETOP_SEED", "abc")
+    code, _, err = run(capsys, "center", "--category", "zoo:vec_z2")
+    assert code == 1
+    assert "DOUBLETOP_SEED" in err and "'abc'" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -270,25 +270,6 @@ def test_lens_args_validated():
         lens_triangulation(3, 4)
 
 
-# -- files stay in sync with constructors --------------------------------------
-
-def test_bundled_files_match_constructors():
-    builders = {
-        "s3_boundary4simplex": boundary_4_simplex,
-        "s3_twotet": s3_twotet,
-        "rp3_lens": lambda: lens_triangulation(2, 1, pi1={"free_rank": 0, "torsion": [2]}),
-        "rp3_antipodal": lambda: lens_triangulation(4, 2, pi1={"free_rank": 0, "torsion": [2]}),
-        "lens_3_1": lambda: lens_triangulation(3, 1, pi1={"free_rank": 0, "torsion": [3]}),
-        "lens_4_1": lambda: lens_triangulation(4, 1, pi1={"free_rank": 0, "torsion": [4]}),
-        "s2xs1": s2xs1_twotet,
-        "t3_sixtet": t3_sixtet,
-    }
-    for name, make in builders.items():
-        got = builtin_triangulation(name).to_dict()
-        want = make().to_dict()
-        assert got == want, name
-
-
 def test_roundtrip_via_dict():
     for name in BUILTINS:
         tri = builtin_triangulation(name)

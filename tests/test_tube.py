@@ -1,5 +1,7 @@
 """Tube algebra: structure constants, star, traces, center decomposition."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from doubletop.tube import (
     TubeAlgebra,
     build_tube_algebra,
     center_decompose,
-    colored_inner_product,
     conditional_expectation,
 )
+from oracles import star_antihom_residual
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 DIMS = {"vec_z2": 4, "vec_z3": 9, "fibonacci": 7, "ising": 12}
@@ -95,6 +97,22 @@ def test_star_involution_and_antihom(algs, name):
 
 
 @pytest.mark.parametrize("name", ZOO)
+def test_star_antihom_matches_pairwise_loop(algs, name):
+    alg = algs[name]
+    assert alg.residuals["star_antihom"] == pytest.approx(
+        star_antihom_residual(alg.St, alg.C), abs=1e-15)
+
+
+def test_star_antihom_detects_perturbed_star(algs):
+    bad = copy.copy(algs["fibonacci"])
+    rng = np.random.default_rng(3)
+    bad.St = bad.St + 0.5 * rng.standard_normal(bad.St.shape)
+    got = bad._star_antihom_residual()
+    assert got > 0.1
+    assert got == pytest.approx(star_antihom_residual(bad.St, bad.C), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ZOO)
 def test_star_swaps_sectors(algs, name):
     alg = algs[name]
     dual = alg.cat.dual
@@ -171,7 +189,7 @@ def test_colored_gram_of_vec_z2_is_identity(algs):
     alg = algs["vec_z2"]
     G = np.array(
         [
-            [colored_inner_product(alg, alg.basis_element(i), alg.basis_element(j))
+            [alg.inner(alg.basis_element(i), alg.basis_element(j))
              for j in range(alg.dim)]
             for i in range(alg.dim)
         ]
@@ -184,7 +202,7 @@ def test_colored_gram_positive_definite(algs, name):
     alg = algs[name]
     G = np.array(
         [
-            [colored_inner_product(alg, alg.basis_element(i), alg.basis_element(j))
+            [alg.inner(alg.basis_element(i), alg.basis_element(j))
              for j in range(alg.dim)]
             for i in range(alg.dim)
         ]
@@ -200,8 +218,8 @@ def test_colored_product_gns_compatible(algs, name):
     x, y, z = (
         rng.standard_normal((3, alg.dim)) + 1j * rng.standard_normal((3, alg.dim))
     )
-    lhs = colored_inner_product(alg, alg.product(x, y), z)
-    rhs = colored_inner_product(alg, y, alg.product(alg.star(x), z))
+    lhs = alg.inner(alg.product(x, y), z)
+    rhs = alg.inner(y, alg.product(alg.star(x), z))
     assert abs(lhs - rhs) < 1e-8
 
 
@@ -248,7 +266,7 @@ def test_projection_pairing(decs, name):
     alg = dec.alg
     for i, pi in enumerate(dec.projections):
         for j, pj in enumerate(dec.projections):
-            got = colored_inner_product(alg, pi, pj)
+            got = alg.inner(pi, pj)
             want = dec.n[i] ** 2 if i == j else 0.0
             assert abs(got - want) < 1e-8
 
@@ -259,7 +277,7 @@ def test_verlinde_vectors_orthonormal(decs, name):
     alg = dec.alg
     for i, pi in enumerate(dec.p):
         for j, pj in enumerate(dec.p):
-            got = colored_inner_product(alg, pi, pj)
+            got = alg.inner(pi, pj)
             assert abs(got - (1.0 if i == j else 0.0)) < 1e-8
 
 
@@ -371,7 +389,7 @@ def test_expectation_positive(decs, name):
         pos = alg.product(alg.star(y), y)
         ex = conditional_expectation(alg, dec, pos)
         for pi, n in zip(dec.projections, dec.n):
-            w = colored_inner_product(alg, ex, pi).real / (n * n)
+            w = alg.inner(ex, pi).real / (n * n)
             assert w > -1e-9
         spec = np.linalg.eigvalsh(alg.left_mult(ex))
         assert spec.min() > -1e-9

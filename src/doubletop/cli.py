@@ -14,8 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,11 +25,10 @@ from .catdata import (
 )
 from .modulardata import (
     ModularDataError,
-    block_irreps,
+    _stage,
     braiding_st,
     compute_modular_data,
     compute_S,
-    extract_half_braidings,
     group_double_oracle,
     match_blocks,
     pants_dims,
@@ -84,13 +81,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         raise SystemExit(EXIT_VALIDATION)
-
-
-@contextmanager
-def _stage(timings, name):
-    t0 = time.perf_counter()
-    yield
-    timings[name] = round((time.perf_counter() - t0) * 1e3, 3)
 
 
 def _c(z):
@@ -149,13 +139,6 @@ def _category_block(uri, cat):
     return {"uri": uri, "fingerprint": "sha256:" + cat.fingerprint()}
 
 
-def _check_strict_trees(args, g):
-    if getattr(args, "strict_trees", False) and not g.is_forest():
-        raise SurgeryError(
-            "--strict-trees: plumbing graph has a cycle or parallel clasp; "
-            "the product formula is only cross-validated on forests")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -209,8 +192,8 @@ def _cmd_modular_data(args, argv):
     timings = {}
     with _stage(timings, "load"):
         cat = _load_category_arg(args.category)
-    with _stage(timings, "pipeline"):
-        md = compute_modular_data(cat)
+    md = compute_modular_data(cat)
+    timings.update(md.timings_ms)
     residuals = dict(cat.residuals, **md.residuals)
     cperm = [int(np.argmax(row)) for row in md.C]
     results = {
@@ -249,11 +232,10 @@ def _cmd_invariant(args, argv):
             "tets": tri.n_tets,
         }
     else:
-        with _stage(timings, "modular_data"):
-            md = compute_modular_data(cat)
+        md = compute_modular_data(cat)
+        timings.update(md.timings_ms)
         with _stage(timings, "plumbing"):
             g = _load_plumbing_arg(args.surgery)
-            _check_strict_trees(args, g)
         with _stage(timings, "surgery"):
             res = evaluate(md, g, budget=args.budget)
         results = {
@@ -274,16 +256,19 @@ def _cmd_invariant(args, argv):
 
 
 def _cmd_compare(args, argv):
+    """State sum against the surgery sum of the plumbed manifold M(g),
+    every clasp positive; the two must agree within --tolerance."""
     timings = {}
     with _stage(timings, "load"):
         cat = _load_category_arg(args.category)
     with _stage(timings, "state_sum"):
         tri = _load_triangulation_arg(args.statesum)
         z_ss = complex(state_sum(cat, tri, budget=args.budget))
-    with _stage(timings, "surgery"):
-        md = compute_modular_data(cat)
+    md = compute_modular_data(cat)
+    timings.update(md.timings_ms)
+    with _stage(timings, "plumbing"):
         g = _load_plumbing_arg(args.surgery)
-        _check_strict_trees(args, g)
+    with _stage(timings, "surgery"):
         z_sg = surgery_invariant(md, g, budget=args.budget)
     delta = abs(z_ss - z_sg)
     ok = delta < args.tolerance
@@ -322,23 +307,12 @@ def _cmd_zoo(args, argv):
 
 
 class SelftestContext:
-    """Caches the per-category pipeline shared by the criteria."""
+    """Caches the modular data, with its parts, and the state sums of the criteria."""
 
     def __init__(self, budget=None):
         self.budget = budget
-        self._pipe = {}
         self._md = {}
         self._zss = {}
-
-    def pipe(self, name):
-        if name not in self._pipe:
-            cat = zoo(name)
-            alg = build_tube_algebra(cat)
-            dec = center_decompose(alg)
-            reps = block_irreps(alg, dec)
-            hbs, _ = extract_half_braidings(alg, dec, reps)
-            self._pipe[name] = (cat, alg, dec, reps, hbs)
-        return self._pipe[name]
 
     def md(self, name):
         if name not in self._md:
@@ -348,7 +322,7 @@ class SelftestContext:
     def statesum(self, name, tri_name):
         key = (name, tri_name)
         if key not in self._zss:
-            cat = self.pipe(name)[0]
+            cat = self.md(name).alg.cat
             tri = builtin_triangulation(tri_name)
             self._zss[key] = complex(state_sum(cat, tri, budget=self.budget))
         return self._zss[key]
@@ -357,8 +331,7 @@ class SelftestContext:
 def _crit_category_gate(ctx):
     worst = 0.0
     for name in ZOO_NAMES:
-        cat = ctx.pipe(name)[0]
-        worst = max(worst, *cat.residuals.values())
+        worst = max(worst, *ctx.md(name).alg.cat.residuals.values())
     return worst < 1e-9, "worst pentagon/unitarity residual %.3e" % worst
 
 
@@ -367,12 +340,12 @@ def _crit_tube_structure(ctx):
             "vec_z3": (9, [1] * 9),
             "fibonacci": (7, [1, 1, 1, 2])}
     for name, (dim, blocks) in want.items():
-        _, alg, dec = ctx.pipe(name)[:3]
-        if alg.dim != dim or dec.n != blocks:
-            return False, "%s has dim %d, blocks %r" % (name, alg.dim, dec.n)
+        md = ctx.md(name)
+        if md.alg.dim != dim or md.dec.n != blocks:
+            return False, "%s has dim %d, blocks %r" % (name, md.alg.dim, md.dec.n)
     for name in ZOO_NAMES:
-        _, alg, dec = ctx.pipe(name)[:3]
-        if sum(n * n for n in dec.n) != alg.dim:
+        md = ctx.md(name)
+        if sum(n * n for n in md.dec.n) != md.alg.dim:
             return False, "%s: sum n_i^2 != dim" % name
     return True, "dims (4, 9, 7); sum n_i^2 == dim exactly for all"
 
@@ -380,7 +353,7 @@ def _crit_tube_structure(ctx):
 def _crit_projection_inner(ctx):
     worst = 0.0
     for name in ZOO_NAMES:
-        _, alg, dec = ctx.pipe(name)[:3]
+        alg, dec = ctx.md(name).alg, ctx.md(name).dec
         for i, pi in enumerate(dec.projections):
             for j, pj in enumerate(dec.projections):
                 want = dec.n[i] ** 2 if i == j else 0.0
@@ -410,9 +383,9 @@ def _crit_verlinde_axioms(ctx):
 
 def _crit_pants_equals_verlinde(ctx):
     for name in ZOO_NAMES:
-        _, alg, dec, reps, hbs = ctx.pipe(name)
-        Nv, _ = verlinde_fusion(compute_S(alg, dec, reps, hbs))
-        if not np.array_equal(pants_dims(alg, dec, reps, hbs), Nv):
+        md = ctx.md(name)
+        Nv, _ = verlinde_fusion(compute_S(md.alg, md.dec, md.reps, md.braidings))
+        if not np.array_equal(pants_dims(md.alg, md.dec, md.reps, md.braidings), Nv):
             return False, "%s: pants dims differ from Verlinde fusion" % name
     return True, "pants dims == Verlinde fusion exactly for all categories"
 
@@ -429,7 +402,7 @@ def _crit_group_double_oracle(ctx):
 def _crit_state_sum_values(ctx):
     worst = 0.0
     for name in ZOO_NAMES:
-        cat = ctx.pipe(name)[0]
+        cat = ctx.md(name).alg.cat
         worst = max(worst, abs(ctx.statesum(name, "s3") - 1 / global_dim(cat)))
         worst = max(worst, abs(ctx.statesum(name, "s2xs1") - 1.0))
         worst = max(worst, abs(ctx.statesum(name, "t3") - ctx.md(name).r_plus_1))
@@ -613,8 +586,6 @@ def _build_parser():
     grp.add_argument("--statesum", help="triangulation path or builtin:NAME")
     grp.add_argument("--surgery", help="plumbing path or builtin:NAME")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--strict-trees", action="store_true",
-                   help="refuse plumbings with cycles or parallel clasps")
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("compare", help="state sum vs surgery on one manifold")
@@ -622,7 +593,6 @@ def _build_parser():
     p.add_argument("--statesum", required=True)
     p.add_argument("--surgery", required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--strict-trees", action="store_true")
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=_cmd_compare)
 

@@ -24,13 +24,26 @@ and S is the normalized trace of the double braiding of two blocks.
 All Verlinde-type axioms are asserted before a ModularData is returned.
 """
 
+import time
+from contextlib import contextmanager
+
 import numpy as np
 
-from .catdata import global_dim
-from .tube import _newton_idempotent  # same refinement as the center pass
+from .tube import _newton_idempotent, build_tube_algebra, center_decompose
 
 _EXTRACT_TOL = 1e-6
 _AXIOM_TOL = 1e-8
+
+# ModularData.timings_ms keys in run order; "axioms" is ModularData and 1/S_00.
+STAGES = ("tube", "center", "irreps", "half_braidings", "composition_law",
+          "u_condition", "T", "S", "canonical_order", "axioms")
+
+
+@contextmanager
+def _stage(timings, name):
+    t0 = time.perf_counter()
+    yield
+    timings[name] = round((time.perf_counter() - t0) * 1e3, 3)
 
 
 class ModularDataError(RuntimeError):
@@ -92,18 +105,18 @@ def _minimal_projection(alg, dec, i, rng):
         for b in range(1, n):
             q = alg.product(q, h - mus[b] * pi) / (mus[0] - mus[b])
         q = 0.5 * (q + alg.star(q))
-        q = _newton_idempotent(alg, q)
+        q = _newton_idempotent(alg, q)  # same refinement as the center pass
         if abs(alg.reg_trace(q).real - n) < 1e-6:
             return q
     raise ModularDataError("no minimal projection found in block %d" % i)
 
 
-def block_irreps(alg, dec, seed=None):
+def block_irreps(alg, dec):
     """One irreducible representation per central block."""
     cat = alg.cat
     reps = []
     for i in range(dec.r_plus_1):
-        rng = np.random.default_rng([dec.seed if seed is None else seed, i])
+        rng = np.random.default_rng([dec.seed, i])
         n = dec.n[i]
         q = _minimal_projection(alg, dec, i, rng)
         U, sv, _ = np.linalg.svd(alg.right_mult(q))
@@ -524,7 +537,9 @@ def canonical_permutation(qdims, T, S, vacuum_index=0):
 
 
 class ModularData:
-    """S, T, fusion rules and Gauss sums of a center, axiom-checked."""
+    """S, T, fusion rules and Gauss sums of a center, axiom-checked; from
+    compute_modular_data also its parts alg, dec, reps, braidings (the last
+    two in dec's block order) and timings_ms, else None and {}."""
 
     def __init__(self, S, T, qdims, block_dims, lam, residuals=None):
         self.S = np.asarray(S, dtype=complex)
@@ -533,6 +548,8 @@ class ModularData:
         self.block_dims = list(block_dims)
         self.lam = float(lam)
         self.residuals = dict(residuals or {})
+        self.alg = self.dec = self.reps = self.braidings = None
+        self.timings_ms = {}
         self._validate()
         self.N, fresid = verlinde_fusion(self.S)
         self.residuals["verlinde_rounding"] = fresid
@@ -580,29 +597,41 @@ class ModularData:
 
 
 def compute_modular_data(cat, seed=None):
-    """Full pipeline: tube algebra, center, half-braidings, S and T."""
-    from .tube import build_tube_algebra, center_decompose
-
-    alg = build_tube_algebra(cat)
-    dec = center_decompose(alg, seed=seed)
-    reps = block_irreps(alg, dec)
-    braidings, resid = extract_half_braidings(alg, dec, reps)
-    resid["multiplicative"] = half_braiding_multiplicativity(cat, reps, braidings)
-    if resid["multiplicative"] > _EXTRACT_TOL:
-        raise ModularDataError("half-braiding composition law fails at %.3e"
-                               % resid["multiplicative"])
-    resid["u_condition"] = check_U_condition(alg, dec)
-    T = compute_T(alg, dec, reps, braidings)
-    S = compute_S(alg, dec, reps, braidings)
-    order = canonical_permutation(dec.qdims, T, S)
-    md = ModularData(S[np.ix_(order, order)], T[np.asarray(order)],
-                     [dec.qdims[i] for i in order],
-                     [dec.n[i] for i in order],
-                     alg.lam, resid)
-    lam_err = abs(1.0 / md.S[0, 0] - alg.lam)
-    if lam_err > _AXIOM_TOL:
-        raise ModularDataError("1/S_00 disagrees with the global dimension "
-                               "(%.3e)" % lam_err)
+    """Full pipeline: tube algebra, center, half-braidings, S and T, each
+    of STAGES timed; the result keeps the parts (see ModularData)."""
+    timings = {}
+    with _stage(timings, "tube"):
+        alg = build_tube_algebra(cat)
+    with _stage(timings, "center"):
+        dec = center_decompose(alg, seed=seed)
+    with _stage(timings, "irreps"):
+        reps = block_irreps(alg, dec)
+    with _stage(timings, "half_braidings"):
+        braidings, resid = extract_half_braidings(alg, dec, reps)
+    with _stage(timings, "composition_law"):
+        worst = resid["multiplicative"] = half_braiding_multiplicativity(
+            cat, reps, braidings)
+        if worst > _EXTRACT_TOL:
+            raise ModularDataError("half-braiding composition law fails at "
+                                   "%.3e" % worst)
+    with _stage(timings, "u_condition"):
+        resid["u_condition"] = check_U_condition(alg, dec)
+    with _stage(timings, "T"):
+        T = compute_T(alg, dec, reps, braidings)
+    with _stage(timings, "S"):
+        S = compute_S(alg, dec, reps, braidings)
+    with _stage(timings, "canonical_order"):
+        order = canonical_permutation(dec.qdims, T, S)
+    with _stage(timings, "axioms"):
+        md = ModularData(S[np.ix_(order, order)], T[np.asarray(order)],
+                         [dec.qdims[i] for i in order], [dec.n[i] for i in order],
+                         alg.lam, resid)
+        lam_err = abs(1.0 / md.S[0, 0] - alg.lam)
+        if lam_err > _AXIOM_TOL:
+            raise ModularDataError("1/S_00 disagrees with the global "
+                                   "dimension (%.3e)" % lam_err)
+    md.alg, md.dec, md.reps, md.braidings = alg, dec, reps, braidings
+    md.timings_ms = timings
     return md
 
 

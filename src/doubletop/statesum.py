@@ -118,20 +118,22 @@ class Triangulation:
                  pi1=None, name=None):
         # tets_signs: list of (vertex_ids_or_None, sign)
         vlists = [v for (v, _) in tets_signs]
-        self.signs = [int(s) for (_, s) in tets_signs]
         self.n_tets = len(tets_signs)
         self.name = name
         self.pi1 = pi1
         if self.n_tets == 0:
             raise TriangulationError("empty triangulation")
-        for s in self.signs:
-            if s not in (-1, 1):
-                raise TriangulationError("tetrahedron sign must be +1 or -1")
+        if any(s not in (-1, 1) for (_, s) in tets_signs):
+            raise TriangulationError("tetrahedron sign must be +1 or -1")
+        self.signs = [int(s) for (_, s) in tets_signs]
         if gluings is None:
             if any(v is None for v in vlists):
                 raise TriangulationError("need vertex ids or explicit gluings")
             gluings = _derive_gluings(vlists)
-        self.gluings = [tuple(map(tuple, g)) for g in gluings]
+        try:
+            self.gluings = [((ta, fa), (tb, fb)) for (ta, fa), (tb, fb) in gluings]
+        except (TypeError, ValueError) as exc:
+            raise TriangulationError("malformed gluing list: %s" % exc) from exc
         self._validate_pairing()
         self._orientation_check()
         self._build_classes()

@@ -2,13 +2,15 @@
 
 Framed links are restricted to plumbing graphs: every component is an
 unknot with an integer framing (a vertex) and components are clasped
-pairwise like the Hopf link (edges, parallel clasps allowed).  Chains of
-such vertices present every lens space through negative continued
-fractions, and the closed evaluation formula for the colored invariant
-is forced by the axioms of the modular data.
+pairwise like the Hopf link (edges, parallel clasps allowed); a graph g
+is Neumann's plumbed manifold M(g), every clasp positive.  Chains present
+every lens space through negative continued fractions, and the closed
+evaluation formula is forced by the axioms of the modular data.
 """
 
 import json
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ class PlumbingGraph:
         for v, f in framings:
             if v in self.framing:
                 raise SurgeryError("duplicate vertex id %r" % (v,))
-            if f != int(f):
+            if not isinstance(f, numbers.Real) or f % 1 != 0:
                 raise SurgeryError("framing of vertex %r must be an integer" % (v,))
             self.ids.append(v)
             self.framing[v] = int(f)
@@ -77,12 +79,6 @@ class PlumbingGraph:
         for u, w in self.edges:
             parent[find(u)] = find(w)
         return len({find(v) for v in self.ids})
-
-    def is_forest(self):
-        """True when the graph is acyclic with no parallel clasps."""
-        if len(set(self.edges)) != len(self.edges):
-            return False
-        return len(self.edges) == self.m - self.components()
 
     @classmethod
     def from_dict(cls, doc, name=None):
@@ -215,15 +211,17 @@ def _colored_sum(S, T, g, extra_vertex_weight, budget):
     Returns (sum, largest_step), the latter from `doubletop.contract`.
     """
     pos = {v: k for k, v in enumerate(g.ids)}
+    deg = Counter(v for edge in g.edges for v in edge)
     factors = [(extra_vertex_weight * T ** (-g.framing[v])
-                * S[0] ** (1 - g.degree(v)), [pos[v]]) for v in g.ids]
+                * S[0] ** (1 - deg[v]), [pos[v]]) for v in g.ids]
     factors += [(S, [pos[u], pos[w]]) for u, w in g.edges]
     core, step = contract(factors, budget)
     return S[0, 0] ** (1 - g.components()) * core, step
 
 
 def surgery_invariant(md, g, budget=None):
-    """Z(M) = sum over colorings of prod_v S_{i_v, 0} times J (Dehn surgery)."""
+    """Z(M(g)) = sum over colorings of prod_v S_{i_v, 0} times J (Dehn
+    surgery), M(g) the plumbed manifold of any graph, every clasp positive."""
     S, T = md.S, md.T
     if g.m == 0:
         return complex(S[0, 0])
@@ -279,7 +277,7 @@ class SurgeryResult:
 
 
 def evaluate(md, g, budget=None):
-    """Both invariant routes plus bookkeeping, with the equality asserted.
+    """Both invariant routes for M(g), every clasp positive, equality asserted.
 
     largest_step is the index space of the largest elimination step of the
     tau contraction, the quantity the budget bounds.
@@ -310,8 +308,8 @@ def blow_up(g, site):
     touched framings shift by +eps so that blow_down is the exact
     congruence inverse.  Neutrality of each site is the local identity
     S T^(-eps) S = T^(eps) S T^(eps); a +1 vertex riding an edge has no
-    such reduction (the doubled clasp leaves the product formula's
-    domain), so that site is refused.
+    such reduction (blowing it down leaves a negative clasp, which a
+    plumbing graph here does not carry), so that site is refused.
     """
     if not site or site[0] not in ("isolated", "vertex", "edge"):
         raise SurgeryError("ineligible site %r" % (site,))

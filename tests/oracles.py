@@ -165,6 +165,32 @@ def dw_plumbing(graph, nmod):
     return Fraction(count, nmod)
 
 
+def dw_plumbed(graph, nmod):
+    """|Hom(H1(M), Z/nmod)| / nmod for the plumbed manifold of any graph.
+
+    A graph with cycle rank b1 = E - m + (components) plumbs a manifold
+    with H1 = coker B + Z^b1, so the count gains a factor nmod^b1 over
+    dw_plumbing.  Components are found here by search, not by the package.
+    """
+    adj = {v: set() for v in graph.ids}
+    for u, w in graph.edges:
+        adj[u].add(w)
+        adj[w].add(u)
+    seen, components = set(), 0
+    for v in graph.ids:
+        if v in seen:
+            continue
+        components += 1
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(adj[x])
+    b1 = len(graph.edges) - len(graph.ids) + components
+    return nmod ** b1 * dw_plumbing(graph, nmod)
+
+
 def all_pairings(items):
     if not items:
         yield []

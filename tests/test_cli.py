@@ -7,6 +7,7 @@ import pytest
 
 from doubletop.catdata import dump_category, zoo
 from doubletop.cli import main
+from doubletop.modulardata import STAGES
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -143,17 +144,16 @@ def test_budget_exits_3(capsys, tmp_path):
     assert code == 3 and "budget exceeded" in err
 
 
-def test_strict_trees(capsys, tmp_path):
+def test_invariant_surgery_on_a_cycle(capsys, tmp_path):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({
         "vertices": [{"id": i, "framing": 0} for i in range(3)],
         "edges": [[0, 1], [1, 2], [0, 2]]}))
-    code, _, err = run(capsys, "invariant", "--category", "zoo:vec_z2",
-                       "--surgery", str(path), "--strict-trees")
-    assert code == 1 and "strict-trees" in err
     code, doc, _ = run(capsys, "invariant", "--category", "zoo:vec_z2",
                        "--surgery", str(path))
     assert code == 0
+    # 2^b1 * #{x in Z_2^3 : B x = 0} / 2 with b1 = 1 and x = (t, t, t)
+    assert doc["results"]["value"]["re"] == pytest.approx(2.0)
 
 
 def test_bad_inputs_exit_1(capsys):
@@ -189,10 +189,14 @@ _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
     (_CATEGORY, _fibonacci_with_fusion_index_7()),
     (_STATESUM, {"tets": [{"v": [0, 1, 2]}, {"v": [0, 1, 2, 3], "sign": -1}]}),
     (_STATESUM, [1]),
+    (_STATESUM, {"tets": [{"v": [0, 1, 2, 3], "sign": "a"}]}),
+    (_STATESUM, {"tets": [{"sign": 1}], "gluings": [[0, 0]]}),
     (_SURGERY, {"vertices": [{"id": 0, "framing": 1}], "edges": [[0]]}),
+    (_SURGERY, {"vertices": [{"id": 0, "framing": "x"}], "edges": []}),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
-        "plumbing-one-element-edge"])
+        "triangulation-string-sign", "triangulation-int-gluing",
+        "plumbing-one-element-edge", "plumbing-string-framing"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -217,16 +221,23 @@ def test_usage_errors_exit_1(capsys):
         main(["frobnicate"])
     assert exc.value.code == 1
     capsys.readouterr()
-    # --workers did nothing and is no longer accepted
-    for argv in (["invariant", "--category", "zoo:ising",
-                  "--statesum", "builtin:t3"],
-                 ["compare", "--category", "zoo:vec_z2", "--statesum",
-                  "builtin:rp3", "--surgery", "builtin:lens_2_1"],
-                 ["selftest"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--workers", "1"])
-        assert exc.value.code == 1
-        assert "--workers" in capsys.readouterr().err
+    # --workers did nothing and --strict-trees refused valid plumbings: gone
+    for extra in (["--workers", "1"], ["--strict-trees"]):
+        for argv in (["invariant", "--category", "zoo:ising",
+                      "--statesum", "builtin:t3"],
+                     ["compare", "--category", "zoo:vec_z2", "--statesum",
+                      "builtin:rp3", "--surgery", "builtin:lens_2_1"],
+                     ["selftest"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 1
+            assert extra[0] in capsys.readouterr().err
+
+
+def test_modular_data_reports_its_stages(capsys):
+    code, doc, _ = run(capsys, "modular-data", "--category", "zoo:ising")
+    assert code == 0
+    assert set(doc["timings_ms"]) == {"load", *STAGES}
 
 
 def test_report_determinism(capsys):

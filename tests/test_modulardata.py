@@ -6,16 +6,15 @@ import pytest
 import doubletop as dt
 from doubletop.catdata import CategoryError
 from doubletop.modulardata import (
+    STAGES,
     ModularData,
     ModularDataError,
-    block_irreps,
     braiding_st,
     canonical_permutation,
     check_U_condition,
     compute_S,
     compute_T,
     compute_modular_data,
-    extract_half_braidings,
     group_double_oracle,
     half_braiding_multiplicativity,
     match_blocks,
@@ -23,27 +22,20 @@ from doubletop.modulardata import (
     twist_element,
     verlinde_fusion,
 )
-from doubletop.tube import build_tube_algebra, center_decompose
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 PHI = (1 + np.sqrt(5)) / 2
 
 
 @pytest.fixture(scope="module")
-def pipes():
-    out = {}
-    for name in ZOO:
-        alg = build_tube_algebra(dt.zoo(name))
-        dec = center_decompose(alg)
-        reps = block_irreps(alg, dec)
-        hbs, resid = extract_half_braidings(alg, dec, reps)
-        out[name] = (alg, dec, reps, hbs, resid)
-    return out
+def mds():
+    return {name: compute_modular_data(dt.zoo(name)) for name in ZOO}
 
 
 @pytest.fixture(scope="module")
-def mds():
-    return {name: compute_modular_data(dt.zoo(name)) for name in ZOO}
+def pipes(mds):
+    return {name: (md.alg, md.dec, md.reps, md.braidings, md.residuals)
+            for name, md in mds.items()}
 
 
 # -- half-braidings ------------------------------------------------------------
@@ -180,6 +172,18 @@ def test_gauss_sums_equal_global_dim(mds, name):
     assert abs(md.gauss_plus - md.lam) < 1e-8
     assert abs(md.gauss_minus - md.lam) < 1e-8
     assert abs(1.0 / md.S[0, 0] - md.lam) < 1e-8
+
+
+def test_pipeline_keeps_parts_and_stage_times(mds):
+    md = mds["ising"]
+    assert tuple(md.timings_ms) == STAGES
+    assert all(t >= 0 for t in md.timings_ms.values())
+    assert sum(n * n for n in md.dec.n) == md.alg.dim
+    assert len(md.reps) == len(md.braidings) == md.r_plus_1
+    assert sorted(md.block_dims) == sorted(md.dec.n)
+    bare = ModularData(md.S, md.T, md.qdims, md.block_dims, md.lam)
+    assert bare.alg is None and bare.reps is None and bare.timings_ms == {}
+    assert md.permuted(list(range(md.r_plus_1))).alg is None
 
 
 def test_sizes_and_block_dims(mds):

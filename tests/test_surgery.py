@@ -9,6 +9,7 @@ from doubletop import zoo
 from doubletop.catdata import CategoryError
 from doubletop.contract import BudgetError
 from doubletop.modulardata import braiding_st, compute_modular_data
+from doubletop.statesum import builtin_triangulation, state_sum
 from doubletop.surgery import (
     BUILTIN_PLUMBINGS,
     PlumbingGraph,
@@ -27,7 +28,7 @@ from doubletop.surgery import (
     signature,
     surgery_invariant,
 )
-from oracles import dw_plumbing
+from oracles import dw_plumbed, dw_plumbing
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -76,15 +77,6 @@ def test_components_and_empty():
     assert g.components() == 2
     empty = PlumbingGraph([], [])
     assert empty.m == 0 and empty.components() == 0
-
-
-def test_is_forest():
-    assert chain([2, 2, 2]).is_forest()
-    assert PlumbingGraph([(0, 1), (1, 2), (2, 3)], [(0, 1)]).is_forest()
-    tri = PlumbingGraph([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2), (0, 2)])
-    assert not tri.is_forest()
-    dbl = PlumbingGraph([(0, 0), (1, 0)], [(0, 1), (0, 1)])
-    assert not dbl.is_forest()
 
 
 def test_validation_errors():
@@ -326,6 +318,32 @@ def test_dw_cross_check_random_forests(mds):
             g = random_forest(rng)
             want = float(dw_plumbing(g, nmod))
             assert surgery_invariant(md, g) == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("name,nmod", [("vec_z2", 2), ("vec_z3", 3),
+                                       ("vec_z5", 5)])
+def test_dw_cross_check_random_plumbings(mds, name, nmod):
+    # cycles and parallel clasps included: the value is that of the
+    # plumbed manifold M(g), whose H1 is coker B plus Z^b1
+    md = mds[name] if name in mds else compute_modular_data(zoo(name))
+    rng = np.random.default_rng(78)
+    cyclic = 0
+    for _ in range(40):
+        g = random_plumbing(rng)
+        cyclic += len(g.edges) > g.m - 1
+        want = float(dw_plumbed(g, nmod))
+        assert surgery_invariant(md, g) == pytest.approx(want, abs=1e-9)
+    assert cyclic >= 10
+
+
+def test_three_cycle_is_t3(mds):
+    # the torus bundle of prod [[-1, 1], [-1, 0]]^3 = 1 is T^3
+    g = PlumbingGraph([(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (0, 2)])
+    for name in ZOO:
+        want = state_sum(zoo(name), builtin_triangulation("t3"))
+        assert abs(want - mds[name].r_plus_1) < 1e-9
+        assert surgery_invariant(mds[name], g) == pytest.approx(want,
+                                                                abs=1e-9)
 
 
 def test_budget_exceeded(mds):

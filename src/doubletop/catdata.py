@@ -26,9 +26,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import trees
 
 STRUCT_TOL = 1e-9
 
@@ -212,8 +215,6 @@ class CategoryData:
                     "F-block (%d,%d,%d;%d) not unitary: residual %.3e" % (key + (u,))
                 )
             unitarity = max(unitarity, u)
-        from . import trees  # local import; trees needs CategoryData
-
         pentagon = trees.pentagon_residual(self)
         if pentagon > STRUCT_TOL:
             raise CategoryError("pentagon residual %.3e above tolerance" % pentagon)
@@ -275,7 +276,10 @@ def _category_parts(doc):
 
     N = np.zeros((n, n, n), dtype=np.int64)
     for ent in doc["fusion"]:
-        N[triple(ent["i"], ent["j"], ent["k"])] = ent["mult"]
+        mult = ent["mult"]
+        if not isinstance(mult, numbers.Real) or mult % 1 != 0:
+            raise CategoryError("fusion multiplicity %r must be an integer" % (mult,))
+        N[triple(ent["i"], ent["j"], ent["k"])] = mult
     qdims = [float(x) for x in doc["qdims"]]
     if len(qdims) != n:
         raise CategoryError("qdims length != n")

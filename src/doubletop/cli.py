@@ -28,11 +28,9 @@ from .modulardata import (
     _stage,
     braiding_st,
     compute_modular_data,
-    compute_S,
     group_double_oracle,
     match_blocks,
     pants_dims,
-    verlinde_fusion,
 )
 from .statesum import (
     BUILTIN_TRIANGULATIONS,
@@ -384,8 +382,7 @@ def _crit_verlinde_axioms(ctx):
 def _crit_pants_equals_verlinde(ctx):
     for name in ZOO_NAMES:
         md = ctx.md(name)
-        Nv, _ = verlinde_fusion(compute_S(md.alg, md.dec, md.reps, md.braidings))
-        if not np.array_equal(pants_dims(md.alg, md.dec, md.reps, md.braidings), Nv):
+        if not np.array_equal(pants_dims(md.alg, md.dec, md.reps, md.braidings), md.N):
             return False, "%s: pants dims differ from Verlinde fusion" % name
     return True, "pants dims == Verlinde fusion exactly for all categories"
 

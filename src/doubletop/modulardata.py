@@ -231,7 +231,8 @@ def extract_half_braidings(alg, dec, reps):
             for tube_i, (xi, eta, zt, delta, a, b) in enumerate(alg.basis):
                 if zt != zeta or xi not in rep.m or eta not in rep.m:
                     continue
-                rho = alg.scale[tube_i] * rep.rho(alg.basis_element(tube_i))
+                # rho of the basis tube; left multiplication by it is C[tube_i].T
+                rho = alg.scale[tube_i] * (rep.V.conj().T @ alg.C[tube_i].T @ rep.V)
                 # the graded rep basis is orthonormal; the half-braiding
                 # component convention weighs grade xi by sqrt(d_xi)
                 grade = np.sqrt(cat.d[eta] / cat.d[xi])
@@ -539,7 +540,8 @@ def canonical_permutation(qdims, T, S, vacuum_index=0):
 class ModularData:
     """S, T, fusion rules and Gauss sums of a center, axiom-checked; from
     compute_modular_data also its parts alg, dec, reps, braidings (the last
-    two in dec's block order) and timings_ms, else None and {}."""
+    two in the canonical order of S, while dec keeps its own block order)
+    and timings_ms, else None and {}."""
 
     def __init__(self, S, T, qdims, block_dims, lam, residuals=None):
         self.S = np.asarray(S, dtype=complex)
@@ -630,7 +632,9 @@ def compute_modular_data(cat, seed=None):
         if lam_err > _AXIOM_TOL:
             raise ModularDataError("1/S_00 disagrees with the global "
                                    "dimension (%.3e)" % lam_err)
-    md.alg, md.dec, md.reps, md.braidings = alg, dec, reps, braidings
+    md.alg, md.dec = alg, dec
+    md.reps = [reps[i] for i in order]
+    md.braidings = [braidings[i] for i in order]
     md.timings_ms = timings
     return md
 

@@ -89,7 +89,12 @@ def _derive_gluings(verts):
     for t, v in enumerate(verts):
         if len(v) != 4:
             raise TriangulationError("tet %d: need 4 vertex ids" % t)
-        if list(v) != sorted(set(v)):
+        try:
+            ordered = sorted(set(v))
+        except TypeError:
+            raise TriangulationError("tet %d: vertex ids %r cannot be ordered"
+                                     % (t, list(v))) from None
+        if list(v) != ordered:
             raise TriangulationError(
                 "branching violation: tet %d vertex ids must be strictly increasing "
                 "when gluings are omitted" % t

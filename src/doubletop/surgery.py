@@ -49,6 +49,7 @@ class PlumbingGraph:
                 raise SurgeryError("edge (%r, %r) uses an unknown vertex" % (u, v))
             self.edges.append((u, v) if repr(u) <= repr(v) else (v, u))
         self.name = name
+        self._components = self._count_components()
 
     @property
     def m(self):
@@ -68,6 +69,10 @@ class PlumbingGraph:
         return B
 
     def components(self):
+        """Number of connected components, counted once at construction."""
+        return self._components
+
+    def _count_components(self):
         parent = {v: v for v in self.ids}
 
         def find(x):
@@ -87,6 +92,9 @@ class PlumbingGraph:
             edges = [(u, w) for u, w in doc["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SurgeryError("malformed plumbing document: %s" % exc) from exc
+        for v in [v for v, _ in framings] + [v for edge in edges for v in edge]:
+            if not isinstance(v, (int, str)):
+                raise SurgeryError("vertex id %r must be an integer or a string" % (v,))
         return cls(framings, edges, name=name)
 
     def to_dict(self):

@@ -191,6 +191,50 @@ def dw_plumbed(graph, nmod):
     return nmod ** b1 * dw_plumbing(graph, nmod)
 
 
+def torus_bundle_count(framings, nmod):
+    """|ker(A - 1)| on (Z/nmod)^2 with A = prod [[-e_i, 1], [-1, 0]].
+
+    A cycle of vertices with framings e_i plumbs the torus bundle with
+    monodromy A, whose H1 is Z + coker(A - 1); so |Hom(H1, Z/nmod)| / nmod
+    is this count.  Multiplies 2x2 integer matrices and lists all vectors.
+    """
+    A = [[1, 0], [0, 1]]
+    for e in framings:
+        A = [[-e * A[0][0] - A[0][1], A[0][0]],
+             [-e * A[1][0] - A[1][1], A[1][0]]]
+    K = [[A[0][0] - 1, A[0][1]], [A[1][0], A[1][1] - 1]]
+    return sum(1 for x in range(nmod) for y in range(nmod)
+               if (K[0][0] * x + K[0][1] * y) % nmod == 0
+               and (K[1][0] * x + K[1][1] * y) % nmod == 0)
+
+
+def multiplicity_ring(seed=2024):
+    """Unvalidated ring x (x) x = 1 + 2x with seeded random F entries.
+
+    No bundled category has a multiplicity above 1; this one exercises the
+    face bonds of the contraction and the basis slots of the pentagon
+    moves (the F entries need not be unitary).
+    """
+    from doubletop.catdata import CategoryData
+
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
+    N[1, 1, 1] = 2
+    rng = np.random.default_rng(seed)
+    fentries = []
+    for dd in range(2):
+        rows = [(e, al, be) for e in range(2) for al in range(N[1, 1, e])
+                for be in range(N[e, 1, dd])]
+        cols = [(f, mu, nu) for f in range(2) for mu in range(N[1, 1, f])
+                for nu in range(N[1, f, dd])]
+        for (e, al, be) in rows:
+            for (f, mu, nu) in cols:
+                fentries.append(((1, 1, 1, dd, e, f), (al, be, mu, nu),
+                                 complex(*rng.normal(size=2))))
+    return CategoryData(["1", "x"], [0, 1], N, [1.0, 1.0 + math.sqrt(2.0)],
+                        fentries, validate=False)
+
+
 def all_pairings(items):
     if not items:
         yield []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from doubletop.catdata import dump_category, zoo
+from doubletop import cli, modulardata
 from doubletop.cli import main
 from doubletop.modulardata import STAGES
 
@@ -178,6 +179,12 @@ def _fibonacci_with_string_qdim():
     return doc
 
 
+def _fibonacci_with_fractional_mult():
+    doc = dump_category(zoo("fibonacci"))
+    doc["fusion"][-1]["mult"] = 1.5
+    return doc
+
+
 _CATEGORY = ["validate", "--category"]
 _STATESUM = ["invariant", "--category", "zoo:vec_z2", "--statesum"]
 _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
@@ -193,10 +200,17 @@ _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
     (_STATESUM, {"tets": [{"sign": 1}], "gluings": [[0, 0]]}),
     (_SURGERY, {"vertices": [{"id": 0, "framing": 1}], "edges": [[0]]}),
     (_SURGERY, {"vertices": [{"id": 0, "framing": "x"}], "edges": []}),
+    (_SURGERY, {"vertices": [{"id": [1], "framing": 1}], "edges": []}),
+    (_SURGERY, {"vertices": [{"id": 0, "framing": 1}, {"id": 1, "framing": 1}],
+                "edges": [[0, [1]]]}),
+    (_STATESUM, {"tets": [{"v": [0, 1, 2, "x"]}]}),
+    (_CATEGORY, _fibonacci_with_fractional_mult()),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
-        "plumbing-one-element-edge", "plumbing-string-framing"])
+        "plumbing-one-element-edge", "plumbing-string-framing",
+        "plumbing-list-id", "plumbing-list-endpoint",
+        "triangulation-mixed-ids", "category-fractional-mult"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -232,6 +246,19 @@ def test_usage_errors_exit_1(capsys):
                 main(argv + extra)
             assert exc.value.code == 1
             assert extra[0] in capsys.readouterr().err
+
+
+def test_selftest_computes_S_once_per_category(capsys, monkeypatch):
+    # 12 modular-data pipelines; the pants criterion reads their S, not a new one
+    calls = []
+    compute_S = modulardata.compute_S
+    for mod in (modulardata, cli):  # every module that may hold the name
+        if hasattr(mod, "compute_S"):
+            monkeypatch.setattr(mod, "compute_S",
+                                lambda *args: calls.append(1) or compute_S(*args))
+    code, _, _ = run(capsys, "selftest")
+    assert code == 0
+    assert len(calls) == 12
 
 
 def test_modular_data_reports_its_stages(capsys):

@@ -65,9 +65,9 @@ def test_vec_z2_half_braidings_are_signs(pipes):
     assert seen == {1, -1}
 
 
-def test_fibonacci_two_dim_braiding_block(pipes):
-    _, dec, _, hbs, _ = pipes["fibonacci"]
-    two = [hb for hb, n in zip(hbs, dec.n) if n == 2]
+def test_fibonacci_two_dim_braiding_block(mds):
+    md = mds["fibonacci"]
+    two = [hb for hb, n in zip(md.braidings, md.block_dims) if n == 2]
     assert len(two) == 1
     assert any(E.shape == (2, 2) for E in two[0].mats.values())
 
@@ -213,6 +213,14 @@ def test_pants_dims_equal_verlinde(pipes, name):
     S = compute_S(alg, dec, reps, hbs)
     Nv, _ = verlinde_fusion(S)
     assert np.array_equal(pants_dims(alg, dec, reps, hbs), Nv)
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_parts_are_in_the_order_of_S(mds, name):
+    # reps and braidings follow S, so S and N need no permutation
+    md = mds[name]
+    assert [rep.n for rep in md.reps] == md.block_dims
+    assert np.array_equal(compute_S(md.alg, md.dec, md.reps, md.braidings), md.S)
 
 
 def test_fibonacci_product_fusion(mds):

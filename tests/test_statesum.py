@@ -1,10 +1,9 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from doubletop.catdata import CategoryData, global_dim, zoo
+from doubletop.catdata import global_dim, zoo
 from doubletop.modulardata import compute_modular_data
 from doubletop.statesum import (
     BudgetError, Triangulation, TriangulationError, boundary_4_simplex,
@@ -14,7 +13,7 @@ from doubletop.statesum import (
 )
 from doubletop.surgery import lens_chain, surgery_invariant
 from oracles import (all_pairings, brute_state_sum, expected_flat_fraction,
-                     first_homology, tet_weight)
+                     first_homology, multiplicity_ring, tet_weight)
 
 BUILTINS = ["s3_boundary4simplex", "s3_twotet", "rp3_lens", "rp3_antipodal",
             "lens_3_1", "lens_4_1", "s2xs1", "t3_sixtet"]
@@ -115,33 +114,9 @@ def test_state_sum_orientation_conjugates():
         np.conj(state_sum(cat, tri)), abs=1e-10)
 
 
-def _multiplicity_ring(seed=2024):
-    """Unvalidated ring x (x) x = 1 + 2x with seeded random F entries.
-
-    No bundled category has a multiplicity above 1; this one exercises the
-    face bonds of the contraction (the F entries need not be unitary).
-    """
-    N = np.zeros((2, 2, 2), dtype=np.int64)
-    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
-    N[1, 1, 1] = 2
-    rng = np.random.default_rng(seed)
-    fentries = []
-    for dd in range(2):
-        rows = [(e, al, be) for e in range(2) for al in range(N[1, 1, e])
-                for be in range(N[e, 1, dd])]
-        cols = [(f, mu, nu) for f in range(2) for mu in range(N[1, 1, f])
-                for nu in range(N[1, f, dd])]
-        for (e, al, be) in rows:
-            for (f, mu, nu) in cols:
-                fentries.append(((1, 1, 1, dd, e, f), (al, be, mu, nu),
-                                 complex(*rng.normal(size=2))))
-    return CategoryData(["1", "x"], [0, 1], N, [1.0, 1.0 + math.sqrt(2.0)],
-                        fentries, validate=False)
-
-
 def test_state_sum_matches_brute_force():
     cats = [zoo(name) for name in ("vec_z2", "vec_z3", "fibonacci", "ising")]
-    cats.append(_multiplicity_ring())
+    cats.append(multiplicity_ring())
     for cat in cats:
         for tname in ("s3_twotet", "s2xs1", "rp3_lens", "lens_3_1"):
             tri = builtin_triangulation(tname)

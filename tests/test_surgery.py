@@ -28,7 +28,7 @@ from doubletop.surgery import (
     signature,
     surgery_invariant,
 )
-from oracles import dw_plumbed, dw_plumbing
+from oracles import dw_plumbed, dw_plumbing, torus_bundle_count
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -64,6 +64,17 @@ def test_chain_shape():
     assert [g.degree(v) for v in g.ids] == [1, 2, 1]
     assert g.components() == 1
     assert g.framing == {0: 2, 1: 3, 2: 4}
+
+
+def test_components_counted_once_per_graph(mds, monkeypatch):
+    calls = []
+    count = PlumbingGraph._count_components
+    monkeypatch.setattr(PlumbingGraph, "_count_components",
+                        lambda g: calls.append(g) or count(g))
+    g = PlumbingGraph([(0, 1), (1, 2), (2, 1), (3, 0)], [(0, 1), (1, 2)])
+    assert g.components() == 2 and calls == [g]
+    evaluate(mds["ising"], g)
+    assert calls == [g]
 
 
 def test_linking_matrix():
@@ -344,6 +355,22 @@ def test_three_cycle_is_t3(mds):
         assert abs(want - mds[name].r_plus_1) < 1e-9
         assert surgery_invariant(mds[name], g) == pytest.approx(want,
                                                                 abs=1e-9)
+
+
+@pytest.mark.parametrize("nmod", [2, 3, 4, 5])
+def test_cycles_are_torus_bundles(mds, nmod):
+    # a k-cycle plumbs the torus bundle with monodromy prod [[-e, 1], [-1, 0]]
+    name = "vec_z%d" % nmod
+    md = mds[name] if name in mds else compute_modular_data(zoo(name))
+    rng = np.random.default_rng(79)
+    for k in range(2, 6):
+        for _ in range(6):
+            framings = [int(f) for f in rng.integers(-3, 4, size=k)]
+            g = PlumbingGraph(list(enumerate(framings)),
+                              [(i, (i + 1) % k) for i in range(k)])
+            want = torus_bundle_count(framings, nmod)
+            assert surgery_invariant(md, g) == pytest.approx(want, abs=1e-9), \
+                framings
 
 
 def test_budget_exceeded(mds):

@@ -7,7 +7,9 @@ A category is described combinatorially by
 * fusion multiplicities ``N[i, j, k] = dim Hom(k, i (x) j)``,
 * positive quantum dimensions ``d`` solving ``d[i] d[j] = sum_k N[i,j,k] d[k]``,
 * F-symbols, stored per block ``(a, b, c; d)`` as a unitary matrix between the
-  two parenthesizations of ``Hom(d, a (x) b (x) c)``.
+  two parenthesizations of ``Hom(d, a (x) b (x) c)``, and once more as one dense
+  array ``F[a, b, c, d, e, f, alpha, beta, mu, nu]`` (basis axes of length
+  ``max N``; zero outside admissible slots) for array code.
 
 F-matrix convention.  For fixed outer labels the left tree ``((ab)c)`` has basis
 ``(e, alpha, beta)`` with ``alpha`` in an orthonormal basis of ``Hom(e, ab)`` and
@@ -138,22 +140,17 @@ class CategoryData:
                     )
                 continue
             blk.mat[blk.row_index[(e, al, be)], blk.col_index[(f, mu, nu)]] = val
+        self.F = np.zeros((n,) * 6 + (int(self.N.max(initial=1)),) * 4, dtype=complex)
+        for (a, b, c, dd), blk in self._fblocks.items():
+            e, al, be = np.array(blk.rows).T[:, :, None]
+            f, mu, nu = np.array(blk.cols).T[:, None, :]
+            self.F[a, b, c, dd, e, f, al, be, mu, nu] = blk.mat
 
     # -- accessors ------------------------------------------------------------
 
     def fblock(self, a, b, c, dd):
         """F-move block matrix, or None when Hom(d,(ab)c) = 0."""
         return self._fblocks.get((a, b, c, dd))
-
-    def f_entry(self, a, b, c, dd, e, al, be, f, mu, nu):
-        blk = self._fblocks.get((a, b, c, dd))
-        if blk is None:
-            return 0.0
-        i = blk.row_index.get((e, al, be))
-        j = blk.col_index.get((f, mu, nu))
-        if i is None or j is None:
-            return 0.0
-        return blk.mat[i, j]
 
     def rsym(self, a, b, c):
         """Mult-free R-symbol for c in a(x)b; unit-involving R is 1."""
@@ -206,6 +203,14 @@ class CategoryData:
             raise CategoryError(
                 "dimension eigenvector mismatch: residual %.3e" % resid
             )
+        if self.rsymbols is not None:
+            if (N > 1).any():
+                raise CategoryError("R-symbols need a multiplicity-free fusion ring")
+            if not np.array_equal(N, N.transpose(1, 0, 2)):
+                raise CategoryError("R-symbols on a noncommutative fusion ring")
+            for (a, b, c) in self.rsymbols:
+                if N[a, b, c] == 0:
+                    raise CategoryError("R-symbol on empty space (%d,%d,%d)" % (a, b, c))
         unitarity = 0.0
         for key, blk in self._fblocks.items():
             m = blk.mat
@@ -219,11 +224,6 @@ class CategoryData:
         if pentagon > STRUCT_TOL:
             raise CategoryError("pentagon residual %.3e above tolerance" % pentagon)
         if self.rsymbols is not None:
-            for (a, b, c), v in self.rsymbols.items():
-                if self.N[a, b, c] == 0:
-                    raise CategoryError("R-symbol on empty space (%d,%d,%d)" % (a, b, c))
-                if self.N[a, b, c] > 1:
-                    raise CategoryError("R-symbols with multiplicity > 1 unsupported")
             resid = trees.hexagon_residual(self)
             if resid > STRUCT_TOL:
                 raise CategoryError("hexagon residual %.3e above tolerance" % resid)

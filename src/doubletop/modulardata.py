@@ -7,17 +7,19 @@ multiplicities m_{i,xi} (sum m = n_i); the representation space is
 graded accordingly and the grading is read off from the corner
 idempotents X(xi,xi,e,xi,0,0).
 
-A half-braiding for block i and strand zeta is a family of unitaries
-E_i(zeta, delta), one per total charge delta, with
-
-    rows  (xi, t, a in B(delta, zeta.xi))   [target  zeta x Gamma_i]
-    cols  (eta, s, b in B(delta, eta.zeta)) [source  Gamma_i x zeta]
+A half-braiding for block i is one array E_i[sigma, delta, p, a, q, b]:
+sigma is the strand and delta the total charge; p is the row component
+(a slot of rep.comps) and a its basis in Hom(delta, sigma.xi_p), q the
+column component and b its basis in Hom(delta, eta_q.sigma).  The basis
+axes have length max N, and E_i is zero outside admissible slots, so
+for each (sigma, delta) the admissible rows and columns form a square
+unitary.
 
 The tube action determines E_i linearly: acting with X(xi,eta,zeta,...)
 on the graded representation space equals an F-sandwich of
 E_i(zeta*, .).  We solve that linear system per (block, strand) by least
 squares, then verify unitarity and the two-strand composition law the
-solution never saw.
+solution never saw, as one contraction of E with slices of cat.F.
 
 The twist is the eigenvalue of the central twist tube on each block,
 and S is the normalized trace of the double braiding of two blocks.
@@ -33,6 +35,9 @@ from .tube import _newton_idempotent, build_tube_algebra, center_decompose
 
 _EXTRACT_TOL = 1e-6
 _AXIOM_TOL = 1e-8
+_VERLINDE_TOL = 1e-6  # distance of the Verlinde numbers from integers
+_U_TOL = 1e-9  # self-adjointness of the Verlinde vectors
+_PANTS_GAP = 1e6  # singular-value ratio that separates a pants null space
 
 # ModularData.timings_ms keys in run order; "axioms" is ModularData and 1/S_00.
 STAGES = ("tube", "center", "irreps", "half_braidings", "composition_law",
@@ -60,8 +65,8 @@ class BlockRep:
 
     `V` has orthonormal columns spanning a minimal left ideal of the
     block; `rho(x) = V+ L_x V`.  `comps` lists the grading basis as
-    (simple, copy) pairs in ascending simple order; `m[xi]` counts the
-    copies of simple xi.
+    (simple, copy) pairs in ascending simple order, `labels` their
+    simples as an array; `m[xi]` counts the copies of simple xi.
     """
 
     def __init__(self, alg, V, comps, m):
@@ -69,6 +74,7 @@ class BlockRep:
         self.V = V
         self.n = V.shape[1]
         self.comps = comps
+        self.labels = np.array([xi for xi, _ in comps], dtype=np.int64)
         self.m = m
         self.slot = {ct: i for i, ct in enumerate(comps)}
 
@@ -126,17 +132,11 @@ def block_irreps(alg, dec):
                 "left ideal of block %d has rank %d, expected %d" % (i, rank, n))
         V = U[:, :n]
 
-        # grade by the corner idempotents
-        rep = BlockRep(alg, V, [], {})
-        blocks_W = []
-        comps = []
-        m = {}
-        total = 0
+        # grade by the corner idempotents; left multiplication by basis k is C[k].T
+        blocks_W, comps, m = [], [], {}
         for xi in range(cat.n):
-            corner = np.zeros(alg.dim, dtype=complex)
             k = alg.index[(xi, xi, 0, xi, 0, 0)]
-            corner[k] = alg.scale[k]
-            P = rep.rho(corner)
+            P = V.conj().T @ (alg.scale[k] * alg.C[k].T) @ V
             mult = int(round(np.trace(P).real))
             if mult == 0:
                 continue
@@ -148,10 +148,9 @@ def block_irreps(alg, dec):
             blocks_W.append(keep)
             comps.extend((xi, t) for t in range(mult))
             m[xi] = mult
-            total += mult
-        if total != n:
+        if len(comps) != n:
             raise ModularDataError("grading of block %d sums to %d, not %d"
-                                   % (i, total, n))
+                                   % (i, len(comps), n))
         V = V @ np.hstack(blocks_W)
         qd = sum(mult * cat.d[xi] for xi, mult in m.items())
         if abs(qd - dec.qdims[i]) > 1e-8:
@@ -166,67 +165,35 @@ def block_irreps(alg, dec):
 # ---------------------------------------------------------------------------
 
 
-class HalfBraiding:
-    """Half-braiding unitaries of one block, indexed by (strand, charge)."""
-
-    def __init__(self, mats, rows, cols):
-        self.mats = mats  # (zeta, delta) -> matrix
-        self.rows = rows  # (zeta, delta) -> [(xi, t, a)]
-        self.cols = cols  # (zeta, delta) -> [(eta, s, b)]
-
-    def entry(self, zeta, delta, row, col):
-        key = (zeta, delta)
-        if key not in self.mats:
-            return 0.0
-        E = self.mats[key]
-        ir = self.rows[key].get(row)
-        ic = self.cols[key].get(col)
-        if ir is None or ic is None:
-            return 0.0
-        return E[ir, ic]
-
-
-def _braiding_slots(cat, rep, zeta):
-    """Row/col labels of E(zeta, delta) for every admissible delta."""
-    N = cat.N
-    out = {}
-    for delta in range(cat.n):
-        rows = [(xi, t, a) for (xi, t) in rep.comps
-                for a in range(N[zeta, xi, delta])]
-        cols = [(eta, s, b) for (eta, s) in rep.comps
-                for b in range(N[eta, zeta, delta])]
-        if rows or cols:
-            if len(rows) != len(cols):
-                raise ModularDataError("half-braiding block (%d,%d) is not "
-                                       "square" % (zeta, delta))
-            if rows:
-                out[delta] = (rows, cols)
-    return out
-
-
 def extract_half_braidings(alg, dec, reps):
     """Solve the tube action for the half-braiding of every block.
 
-    Returns (list of HalfBraiding, residual dict) and raises when the
-    least-squares fit or the unitarity of any solved block is worse than
-    1e-6.
+    Returns (one array E[sigma, delta, p, a, q, b] per block, residual
+    dict) and raises when the least-squares fit or the unitarity of any
+    solved (sigma, delta) square is worse than 1e-6.
     """
     cat = alg.cat
-    N, dual = cat.N, cat.dual
+    N, F, n = cat.N, cat.F, cat.n
+    slot = np.arange(F.shape[-1])
     residuals = {"solve": 0.0, "unitary": 0.0}
     out = []
     for bi, rep in enumerate(reps):
-        mats, rowix, colix = {}, {}, {}
-        for sigma in range(cat.n):
-            zeta = dual[sigma]
-            slots = _braiding_slots(cat, rep, sigma)
-            varix = {}
-            for delta, (rows, cols) in slots.items():
-                for r in rows:
-                    for c in cols:
-                        varix[(delta, r, c)] = len(varix)
-            if not varix:
+        E = np.zeros((n, n, rep.n, slot.size, rep.n, slot.size), dtype=complex)
+        for sigma in range(n):
+            zeta = cat.dual[sigma]
+            # admissible rows (delta, p, a) and columns (delta, q, b) of E[sigma]
+            rows = slot < N[sigma][rep.labels].T[:, :, None]
+            cols = slot < N[rep.labels, sigma].T[:, :, None]
+            nrows, ncols = rows.sum(axis=(1, 2)), cols.sum(axis=(1, 2))
+            if (nrows != ncols).any():
+                raise ModularDataError("half-braiding block (%d,%d) is not "
+                                       "square" % (sigma, np.argmax(nrows != ncols)))
+            # unknowns: the admissible entries of E[sigma], in C order
+            free = rows[:, :, :, None, None] & cols[:, None, None, :, :]
+            if not free.any():
                 continue
+            nvar = int(free.sum())
+            varix = np.cumsum(free).reshape(free.shape) - 1
             eqs, rhs = [], []
             for tube_i, (xi, eta, zt, delta, a, b) in enumerate(alg.basis):
                 if zt != zeta or xi not in rep.m or eta not in rep.m:
@@ -238,30 +205,25 @@ def extract_half_braidings(alg, dec, reps):
                 grade = np.sqrt(cat.d[eta] / cat.d[xi])
                 for t in range(rep.m[xi]):
                     for s in range(rep.m[eta]):
-                        row = np.zeros(len(varix), dtype=complex)
-                        for k in range(cat.n):
+                        p, q = rep.slot[(xi, t)], rep.slot[(eta, s)]
+                        row = np.zeros(nvar, dtype=complex)
+                        for k in range(n):
                             if N[eta, sigma, k] == 0 or N[zeta, k, xi] == 0:
                                 continue
                             for mm in range(N[eta, sigma, k]):
                                 for mp in range(N[sigma, xi, k]):
-                                    var = varix.get((k, (xi, t, mp), (eta, s, mm)))
-                                    if var is None:
-                                        continue
                                     coef = 0.0 + 0.0j
                                     for w in range(N[zeta, k, xi]):
                                         for u2 in range(N[delta, sigma, xi]):
                                             coef += (
-                                                cat.f_entry(xi, zeta, sigma, xi,
-                                                            delta, a, u2, 0, 0, 0)
-                                                * np.conj(cat.f_entry(zeta, eta, sigma, xi,
-                                                                      delta, b, u2, k, mm, w))
-                                                * cat.f_entry(zeta, sigma, xi, xi,
-                                                              0, 0, 0, k, mp, w)
+                                                F[xi, zeta, sigma, xi, delta, 0, a, u2, 0, 0]
+                                                * np.conj(F[zeta, eta, sigma, xi,
+                                                            delta, k, b, u2, mm, w])
+                                                * F[zeta, sigma, xi, xi, 0, k, 0, 0, mp, w]
                                             )
-                                    row[var] += coef
+                                    row[varix[k, p, mp, q, mm]] += coef
                         eqs.append(row)
-                        rhs.append(grade
-                                   * rho[rep.slot[(xi, t)], rep.slot[(eta, s)]])
+                        rhs.append(grade * rho[p, q])
             A = np.array(eqs)
             y = np.array(rhs)
             sol, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -271,91 +233,40 @@ def extract_half_braidings(alg, dec, reps):
                 raise ModularDataError("half-braiding solve for block %d, "
                                        "strand %d has residual %.3e"
                                        % (bi, sigma, fit))
-            for delta, (rows, cols) in slots.items():
-                E = np.empty((len(rows), len(cols)), dtype=complex)
-                for ir, r in enumerate(rows):
-                    for ic, c in enumerate(cols):
-                        E[ir, ic] = sol[varix[(delta, r, c)]]
-                uni = float(np.max(np.abs(E.conj().T @ E - np.eye(len(rows)))))
+            E[sigma][free] = sol
+            for delta in np.flatnonzero(nrows):
+                sq = E[sigma, delta].reshape(rep.n * slot.size, -1)[
+                    np.ix_(rows[delta].ravel(), cols[delta].ravel())]
+                uni = float(np.max(np.abs(sq.conj().T @ sq - np.eye(len(sq)))))
                 residuals["unitary"] = max(residuals["unitary"], uni)
                 if uni > _EXTRACT_TOL:
                     raise ModularDataError("half-braiding (%d, strand %d, "
                                            "charge %d) is not unitary (%.3e)"
                                            % (bi, sigma, delta, uni))
-                mats[(sigma, delta)] = E
-                rowix[(sigma, delta)] = {r: k for k, r in enumerate(rows)}
-                colix[(sigma, delta)] = {c: k for k, c in enumerate(cols)}
-        out.append(HalfBraiding(mats, rowix, colix))
+        out.append(E)
     return out, residuals
 
 
 def half_braiding_multiplicativity(cat, reps, braidings):
-    """Residual of the two-strand composition law, per block.
+    """Residual of the two-strand composition law, over all blocks.
 
     The extracted E never saw this equation: composing the strand-a and
-    strand-b half-braidings through four F-moves must reproduce E on
-    each fusion channel of a x b.
+    strand-b half-braidings through three F-moves must reproduce E on
+    each fusion channel nu of a x b, for every (a, b, delta) at once.
     """
-    N = cat.N
+    F = cat.F
+    n, msize = cat.n, F.shape[-1]
+    channel = np.arange(msize) < cat.N[:, :, :, None]  # T < N[a, b, nu]
     worst = 0.0
-    for rep, hb in zip(reps, braidings):
-        for a in range(cat.n):
-            for b in range(cat.n):
-                for delta in range(cat.n):
-                    worst = max(worst, _composition_residual(
-                        cat, rep, hb, a, b, delta))
+    for rep, E in zip(reps, braidings):
+        lab = rep.labels
+        got = np.einsum("qabdenABTm,aersqA,arbdefsBut,bfpcru,abpdzfUyct"
+                        "->abdzUpynTqm", F[lab].conj(), E, F[:, lab], E,
+                        F[:, :, lab].conj(), optimize=True)
+        want = np.einsum("zn,UT,abnT,ndpyqm->abdzUpynTqm",
+                         np.eye(n), np.eye(msize), channel, E)
+        worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
-
-
-def _composition_residual(cat, rep, hb, a, b, delta):
-    N = cat.N
-    src = [(nu, T, (eta, s), m)
-           for nu in range(cat.n) for T in range(N[a, b, nu])
-           for (eta, s) in rep.comps
-           for m in range(N[eta, nu, delta])]
-    tgt = [(nu, T, (xi, t), mp)
-           for nu in range(cat.n) for T in range(N[a, b, nu])
-           for (xi, t) in rep.comps
-           for mp in range(N[nu, xi, delta])]
-    if not src:
-        return 0.0
-    got = np.zeros((len(tgt), len(src)), dtype=complex)
-    want = np.zeros_like(got)
-    for ic, (nu, T, (eta, s), m) in enumerate(src):
-        for ir, (nu2, T2, (xi, t), mp) in enumerate(tgt):
-            if nu2 == nu and T2 == T:
-                want[ir, ic] = hb.entry(nu, delta, (xi, t, mp), (eta, s, m))
-            acc = 0.0 + 0.0j
-            for eps in range(cat.n):
-                for al in range(N[eta, a, eps]):
-                    for be in range(N[eps, b, delta]):
-                        f1 = np.conj(cat.f_entry(eta, a, b, delta,
-                                                 eps, al, be, nu, T, m))
-                        if f1 == 0.0:
-                            continue
-                        for (xip, tp) in rep.comps:
-                            for ap in range(N[a, xip, eps]):
-                                e1 = hb.entry(a, eps, (xip, tp, ap), (eta, s, al))
-                                if e1 == 0.0:
-                                    continue
-                                for f in range(cat.n):
-                                    for mu in range(N[xip, b, f]):
-                                        for nt in range(N[a, f, delta]):
-                                            f2 = cat.f_entry(a, xip, b, delta,
-                                                             eps, ap, be, f, mu, nt)
-                                            if f2 == 0.0:
-                                                continue
-                                            for c in range(N[b, xi, f]):
-                                                e2 = hb.entry(b, f, (xi, t, c),
-                                                              (xip, tp, mu))
-                                                if e2 == 0.0:
-                                                    continue
-                                                f3 = np.conj(cat.f_entry(
-                                                    a, b, xi, delta,
-                                                    nu2, T2, mp, f, c, nt))
-                                                acc += f1 * e1 * f2 * e2 * f3
-            got[ir, ic] = acc
-    return float(np.max(np.abs(got - want)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +309,10 @@ def compute_T(alg, dec, reps, braidings):
 def _twist_from_braiding_residual(cat, reps, braidings, T):
     """theta_i from the E-diagonal over the first graded component."""
     worst = 0.0
-    for i, (rep, hb) in enumerate(zip(reps, braidings)):
-        rho_c, r = rep.comps[0]
-        acc = 0.0 + 0.0j
-        for delta in range(cat.n):
-            for u in range(cat.N[rho_c, rho_c, delta]):
-                acc += (cat.d[delta] / cat.d[rho_c]) * hb.entry(
-                    rho_c, delta, (rho_c, r, u), (rho_c, r, u))
-        worst = max(worst, abs(acc - T[i]))
+    for i, (rep, E) in enumerate(zip(reps, braidings)):
+        c = rep.labels[0]
+        theta = cat.d @ np.trace(E[c, :, 0, :, 0, :], axis1=1, axis2=2) / cat.d[c]
+        worst = max(worst, abs(theta - T[i]))
     return worst
 
 
@@ -417,26 +324,26 @@ def compute_S(alg, dec, reps, braidings):
     the result is conjugated to make (ST)^3 = S^2 hold.
     """
     cat = alg.cat
-    N, d = cat.N, cat.d
-    r1 = len(reps)
+    n, msize = cat.n, cat.F.shape[-1]
+    r1, width = len(reps), max(rep.n for rep in reps)
+    # D[i, sigma, delta, p, u, w] = E_i[sigma, delta, p, u, p, w], zero-padded
+    D = np.zeros((r1, n, n, width, msize, msize), dtype=complex)
+    lab = np.zeros((r1, width), dtype=np.int64)
+    for i, (rep, E) in enumerate(zip(reps, braidings)):
+        D[i, :, :, :rep.n] = np.einsum("sdpupw->sdpuw", E)
+        lab[i, :rep.n] = rep.labels
+    blk = np.arange(r1)
+    # term[i, j, delta]: sum over components p of i, q of j and slots u, w
+    # of E_j(xi_p)[q,u; q,w] E_i(eta_q)[p,w; p,u], added in that order
+    # (einsum's product rounds like scalar complex arithmetic)
+    term = np.zeros((r1, r1, n), dtype=complex)
+    for p, q, u, w in np.ndindex(width, width, msize, msize):
+        term += np.einsum("ijd,ijd->ijd",
+                          D[blk[None, :], lab[:, p, None], :, q, u, w],
+                          D[blk[:, None], lab[None, :, q], :, p, w, u])
     stilde = np.zeros((r1, r1), dtype=complex)
-    for i in range(r1):
-        for j in range(r1):
-            acc = 0.0 + 0.0j
-            for delta in range(cat.n):
-                term = 0.0 + 0.0j
-                for (xi, s) in reps[i].comps:
-                    for (eta, t) in reps[j].comps:
-                        for u in range(N[xi, eta, delta]):
-                            for w in range(N[eta, xi, delta]):
-                                term += (
-                                    braidings[j].entry(xi, delta,
-                                                       (eta, t, u), (eta, t, w))
-                                    * braidings[i].entry(eta, delta,
-                                                         (xi, s, w), (xi, s, u))
-                                )
-                acc += d[delta] * term
-            stilde[i, j] = acc
+    for delta in range(n):
+        stilde += cat.d[delta] * term[:, :, delta]
     return np.conj(stilde) / alg.lam
 
 
@@ -445,11 +352,11 @@ def compute_S(alg, dec, reps, braidings):
 # ---------------------------------------------------------------------------
 
 
-def verlinde_fusion(S, tol=1e-6):
+def verlinde_fusion(S):
     """Integer fusion rules from the Verlinde formula.
 
     Returns (N, rounding residual); raises when any entry is farther
-    than `tol` from an integer.
+    than 1e-6 from an integer.
     """
     r1 = S.shape[0]
     s0 = S[:, 0]
@@ -457,17 +364,17 @@ def verlinde_fusion(S, tol=1e-6):
     N = np.real(raw)
     rounded = np.round(N)
     resid = float(np.max(np.abs(N - rounded)) + np.max(np.abs(np.imag(raw))))
-    if resid > tol:
+    if resid > _VERLINDE_TOL:
         raise ModularDataError("Verlinde formula is %.3e from integers" % resid)
     return rounded.astype(np.int64), resid
 
 
-def check_U_condition(alg, dec, tol=1e-9):
+def check_U_condition(alg, dec):
     """Max deviation of the Verlinde vectors from self-adjointness."""
     worst = 0.0
     for p in dec.p:
         worst = max(worst, float(np.max(np.abs(alg.star(p) - p))))
-    if worst > tol:
+    if worst > _U_TOL:
         raise ModularDataError("Verlinde vectors are not self-adjoint "
                                "(%.3e)" % worst)
     return worst
@@ -539,9 +446,9 @@ def canonical_permutation(qdims, T, S, vacuum_index=0):
 
 class ModularData:
     """S, T, fusion rules and Gauss sums of a center, axiom-checked; from
-    compute_modular_data also its parts alg, dec, reps, braidings (the last
-    two in the canonical order of S, while dec keeps its own block order)
-    and timings_ms, else None and {}."""
+    compute_modular_data also its parts alg, dec, reps, braidings (reps and
+    the half-braiding arrays E, in the canonical order of S, while dec keeps
+    its own block order) and timings_ms, else None and {}."""
 
     def __init__(self, S, T, qdims, block_dims, lam, residuals=None):
         self.S = np.asarray(S, dtype=complex)
@@ -644,122 +551,54 @@ def compute_modular_data(cat, seed=None):
 # ---------------------------------------------------------------------------
 
 
-def _composite_action(cat, rep_i, hb_i, rep_j, hb_j, zeta, delta):
-    """Half-braiding of the product object Gamma_i x Gamma_j at (zeta, delta)."""
-    N = cat.N
-    src = [(al, s, be, t, eps, c, m)
-           for (al, s) in rep_i.comps for (be, t) in rep_j.comps
-           for eps in range(cat.n) for c in range(N[al, be, eps])
-           for m in range(N[eps, zeta, delta])]
-    tgt = [(al, s, be, t, f2, c2, m2)
-           for (al, s) in rep_i.comps for (be, t) in rep_j.comps
-           for f2 in range(cat.n) for c2 in range(N[al, be, f2])
-           for m2 in range(N[zeta, f2, delta])]
-    E = np.zeros((len(tgt), len(src)), dtype=complex)
-    for ic, (al, s, be, t, eps, c, m) in enumerate(src):
-        for f in range(cat.n):
-            for mu in range(N[be, zeta, f]):
-                for nu in range(N[al, f, delta]):
-                    f1 = cat.f_entry(al, be, zeta, delta, eps, c, m, f, mu, nu)
-                    if f1 == 0.0:
-                        continue
-                    for (bep, tp) in rep_j.comps:
-                        for a in range(N[zeta, bep, f]):
-                            e1 = hb_j.entry(zeta, f, (bep, tp, a), (be, t, mu))
-                            if e1 == 0.0:
-                                continue
-                            for epsp in range(cat.n):
-                                for g in range(N[al, zeta, epsp]):
-                                    for h in range(N[epsp, bep, delta]):
-                                        f2v = np.conj(cat.f_entry(
-                                            al, zeta, bep, delta,
-                                            epsp, g, h, f, a, nu))
-                                        if f2v == 0.0:
-                                            continue
-                                        for (alp, sp) in rep_i.comps:
-                                            for gp in range(N[zeta, alp, epsp]):
-                                                e2 = hb_i.entry(
-                                                    zeta, epsp,
-                                                    (alp, sp, gp), (al, s, g))
-                                                if e2 == 0.0:
-                                                    continue
-                                                for ir, key in enumerate(tgt):
-                                                    (al2, s2, be2, t2,
-                                                     f2, c2, m2) = key
-                                                    if (al2, s2) != (alp, sp) \
-                                                            or (be2, t2) != (bep, tp):
-                                                        continue
-                                                    f3 = cat.f_entry(
-                                                        zeta, alp, bep, delta,
-                                                        epsp, gp, h, f2, c2, m2)
-                                                    if f3 == 0.0:
-                                                        continue
-                                                    E[ir, ic] += (f1 * e1 * f2v
-                                                                  * e2 * f3)
-    return E, src, tgt
-
-
-def pants_dims(alg, dec, reps, braidings, gap=1e6):
+def pants_dims(alg, dec, reps, braidings):
     """Fusion multiplicities as dimensions of half-braiding intertwiners.
 
-    N_ij^k counts maps Gamma_i x Gamma_j -> Gamma_k commuting with the
-    half-braidings; computed as SVD nullities of the stacked constraint
-    systems, with an explicit spectral gap check.
+    N_ij^k counts maps phi: Gamma_i x Gamma_j -> Gamma_k with
+    E_k (phi x 1) = (1 x phi) E_ij, where E_ij is the half-braiding of the
+    product, built from E_i and E_j by three F-moves; computed as SVD
+    nullities of the stacked constraint systems, with an explicit
+    spectral gap check.
     """
     cat = alg.cat
-    N = cat.N
+    F, N, msize = cat.F, cat.N, cat.F.shape[-1]
     r1 = len(reps)
     out = np.zeros((r1, r1, r1), dtype=np.int64)
-    for i in range(r1):
-        for j in range(r1):
-            composites = {}
-            for zeta in range(cat.n):
-                for delta in range(cat.n):
-                    composites[(zeta, delta)] = _composite_action(
-                        cat, reps[i], braidings[i], reps[j], braidings[j],
-                        zeta, delta)
-            for k in range(r1):
-                phi = [(al, s, be, t, eps, c, r)
-                       for (al, s) in reps[i].comps
-                       for (be, t) in reps[j].comps
-                       for eps in range(cat.n)
-                       for c in range(N[al, be, eps])
-                       for r in range(reps[k].m.get(eps, 0))]
-                if not phi:
-                    continue
-                phix = {key: w for w, key in enumerate(phi)}
-                rows = []
-                for (zeta, delta), (E, src, tgt) in composites.items():
-                    hk = braidings[k]
-                    for ic, (al, s, be, t, eps, c, m) in enumerate(src):
-                        for (eps2, r2) in reps[k].comps:
-                            for a2 in range(N[zeta, eps2, delta]):
-                                row = np.zeros(len(phi), dtype=complex)
-                                for r in range(reps[k].m.get(eps, 0)):
-                                    row[phix[(al, s, be, t, eps, c, r)]] += \
-                                        hk.entry(zeta, delta,
-                                                 (eps2, r2, a2), (eps, r, m))
-                                for ir, (alp, sp, bep, tp, f2, c2, m2) \
-                                        in enumerate(tgt):
-                                    if (f2, m2) != (eps2, a2):
-                                        continue
-                                    for r2b in range(reps[k].m.get(f2, 0)):
-                                        if r2b != r2:
-                                            continue
-                                        row[phix[(alp, sp, bep, tp,
-                                                  f2, c2, r2b)]] -= E[ir, ic]
-                                rows.append(row)
-                A = np.array(rows)
-                sv = np.linalg.svd(A, compute_uv=False)
-                top = sv[0] if sv.size else 1.0
-                null = int(np.sum(sv < 1e-7 * max(top, 1.0)))
-                if null and sv.size > null:
-                    if sv[-null - 1] / max(sv[-null], 1e-300) < gap \
-                            and sv[-null - 1] < 1e-3:
-                        raise ModularDataError(
-                            "pants nullity for (%d,%d,%d) has no spectral gap"
-                            % (i, j, k))
-                out[i, j, k] = null
+    spec = "pqzdefcmun,zfQaqu,pQzdgfshan,zgPtps,zPQdgxthyw->zdPQxywpqecm"
+    path = None
+    for i, j in np.ndindex(r1, r1):
+        li, lj = reps[i].labels[:, None], reps[j].labels[None, :]
+        # E_ij[zeta, delta, P, Q, f2, c2, m2, p, q, eps, c, m]: the product
+        # component (p, q) fused to eps by c, strand zeta, charge delta;
+        # one contraction order, found once, serves every pair
+        ops = (F[li, lj], braidings[j], F[li, :, lj].conj(), braidings[i],
+               F[:, li, lj])
+        path = path or np.einsum_path(spec, *ops, optimize="greedy")[0]
+        Eij = np.einsum(spec, *ops, optimize=path)
+        Nij = N[li, lj]
+        fused = set(np.flatnonzero(Nij.any(axis=(0, 1))).tolist())
+        for k in range(r1):
+            if fused.isdisjoint(reps[k].m):
+                continue
+            lk = reps[k].labels
+            # phi[p, q, c, r]: component (p, q) fused by c into slot r of k
+            phi = np.arange(msize)[:, None] < Nij[:, :, None, lk]
+            onto = np.einsum("pP,qQ,cC,Re,zdSaRm->zdpqecmSaPQCR",
+                             np.eye(len(li)), np.eye(lj.size), np.eye(msize),
+                             np.equal.outer(lk, np.arange(cat.n)), braidings[k])
+            back = np.einsum("RS,zdPQSCapqecm->zdpqecmSaPQCR",
+                             np.eye(len(lk)), Eij[:, :, :, :, lk])
+            A = (onto - back).reshape(-1, phi.size)[:, phi.ravel()]
+            sv = np.linalg.svd(A, compute_uv=False)
+            top = sv[0] if sv.size else 1.0
+            null = int(np.sum(sv < 1e-7 * max(top, 1.0)))
+            if null and sv.size > null:
+                if sv[-null - 1] / max(sv[-null], 1e-300) < _PANTS_GAP \
+                        and sv[-null - 1] < 1e-3:
+                    raise ModularDataError(
+                        "pants nullity for (%d,%d,%d) has no spectral gap"
+                        % (i, j, k))
+            out[i, j, k] = null
     return out
 
 

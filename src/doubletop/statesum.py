@@ -230,7 +230,11 @@ class Triangulation:
                             "vertex ids inconsistent with gluings at tet %d corner %d"
                             % (t, c)
                         )
-            if len(set(ids.values())) != len(ids):
+            try:
+                shared = len(set(ids.values())) != len(ids)
+            except TypeError as exc:
+                raise TriangulationError("vertex ids must be hashable (%s)" % exc) from None
+            if shared:
                 raise TriangulationError("distinct vertex classes share a vertex id")
             self.verts = [list(v) for v in vlists]
         self.n_vertices = self.n_vertex_classes
@@ -362,33 +366,14 @@ def _weight_tables(cat):
 
     When some fusion multiplicity exceeds 1 the tables carry four more axes,
     the face-basis bonds (f012,f023,f123,f013); entries outside a face's
-    multiplicity are 0.
+    multiplicity are 0.  The table is cat.F with its axes (a,b,c,d,e,f)
+    reordered to (a,b,c,e,f,d), divided by sqrt(d_e d_f).
     """
-    n, N, d = cat.n, cat.N, cat.d
-    m = int(N.max())
-    W = np.zeros((n,) * 6 + ((m,) * 4 if m > 1 else ()), dtype=complex)
-    for c01 in range(n):
-        for c12 in range(n):
-            for c02 in range(n):
-                if not N[c01, c12, c02]:
-                    continue
-                for c23 in range(n):
-                    for c13 in range(n):
-                        if not N[c12, c23, c13]:
-                            continue
-                        for c03 in range(n):
-                            if not (N[c01, c13, c03] and N[c02, c23, c03]):
-                                continue
-                            edges = (c01, c12, c23, c02, c13, c03)
-                            for bond in itertools.product(
-                                    range(N[c01, c12, c02]), range(N[c02, c23, c03]),
-                                    range(N[c12, c23, c13]), range(N[c01, c13, c03])):
-                                f012, f023, f123, f013 = bond
-                                v = cat.f_entry(c01, c12, c23, c03, c02, f012,
-                                                f023, c13, f123, f013)
-                                W[edges + (bond if m > 1 else ())] = (
-                                    v / math.sqrt(d[c02] * d[c13])
-                                )
+    n = cat.n
+    root = np.sqrt(np.outer(cat.d, cat.d)).reshape((1, 1, 1, n, n) + (1,) * 5)
+    W = np.ascontiguousarray(cat.F.transpose(0, 1, 2, 4, 5, 3, 6, 7, 8, 9) / root)
+    if W.shape[6] == 1:
+        W = W.reshape(W.shape[:6])
     return W, np.conj(W)
 
 
@@ -546,8 +531,6 @@ def t3_sixtet():
     Tet for permutation (i,j,k) of the axes has corners 0, e_i, e_i+e_j, (1,1,1);
     opposite cube faces are identified by translation.
     """
-    import itertools
-
     perms = sorted(itertools.permutations(range(3)))
     corners = []
     signs = []

@@ -57,7 +57,7 @@ def _tube_basis(cat):
 
 def _raw_structure(cat, basis, index):
     """C[i,j,k] = coefficient of basis[k] in basis[i].basis[j]."""
-    N, d, n = cat.N, cat.d, cat.n
+    N, d, n, F = cat.N, cat.d, cat.n, cat.F
     dim = len(basis)
     C = np.zeros((dim, dim, dim), dtype=complex)
     for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
@@ -86,12 +86,11 @@ def _raw_structure(cat, basis, index):
                                 for v in range(mv):
                                     for w in range(mw):
                                         s += (
-                                            cat.f_entry(xi, zeta, zeta2, tau,
-                                                        delta, a, v, nu, T, c)
-                                            * np.conj(cat.f_entry(zeta, eta, zeta2, tau,
-                                                                  delta, b, v, delta2, a2, w))
-                                            * cat.f_entry(zeta, zeta2, eta2, tau,
-                                                          nu, T, dd, delta2, b2, w)
+                                            F[xi, zeta, zeta2, tau, delta, nu, a, v, T, c]
+                                            * np.conj(F[zeta, eta, zeta2, tau,
+                                                        delta, delta2, b, v, a2, w])
+                                            * F[zeta, zeta2, eta2, tau,
+                                                nu, delta2, T, dd, b2, w]
                                         )
                                 C[i, j, k] += pref * s
     return C
@@ -99,7 +98,7 @@ def _raw_structure(cat, basis, index):
 
 def _raw_star(cat, basis, index):
     """St with star(x) = St @ conj(x); maps sector (xi,eta,zeta) to (eta,xi,zeta*)."""
-    N, d, n = cat.N, cat.d, cat.n
+    N, d, n, F = cat.N, cat.d, cat.n, cat.F
     dim = len(basis)
     St = np.zeros((dim, dim), dtype=complex)
     for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
@@ -116,12 +115,9 @@ def _raw_star(cat, basis, index):
                     for u in range(N[zb, delta, eta]):
                         for w2 in range(N[tau, zeta, eta]):
                             s += (
-                                np.conj(cat.f_entry(zb, zeta, eta, eta,
-                                                    0, 0, 0, delta, b, u))
-                                * cat.f_entry(zb, xi, zeta, eta,
-                                              tau, dd, w2, delta, a, u)
-                                * np.conj(cat.f_entry(tau, zeta, zb, tau,
-                                                      eta, w2, c, 0, 0, 0))
+                                np.conj(F[zb, zeta, eta, eta, 0, delta, 0, 0, b, u])
+                                * F[zb, xi, zeta, eta, tau, delta, dd, w2, a, u]
+                                * np.conj(F[tau, zeta, zb, tau, eta, 0, w2, c, 0, 0])
                             )
                     St[k, i] += d[zeta] * s
     return St
@@ -228,9 +224,11 @@ class TubeAlgebra:
         return e
 
     def associativity_residual(self):
-        lhs = np.einsum("ija,akb->ijkb", self.C, self.C)
-        rhs = np.einsum("jka,iab->ijkb", self.C, self.C)
-        return float(np.max(np.abs(lhs - rhs)))
+        """max |(e_i e_j) e_k - e_i (e_j e_k)|, one slice of i at a time."""
+        C = self.C
+        return max(float(np.max(np.abs(np.einsum("ja,akb->jkb", Ci, C)
+                                       - np.einsum("jka,ab->jkb", C, Ci))))
+                   for Ci in C)
 
     # -- construction-time checks ----------------------------------------------
 

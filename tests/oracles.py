@@ -123,7 +123,9 @@ def tet_weight(cat, tri, t, coloring, labeling):
     if (f012 >= cat.N[c01, c12, c02] or f123 >= cat.N[c12, c23, c13]
             or f013 >= cat.N[c01, c13, c03] or f023 >= cat.N[c02, c23, c03]):
         return 0.0
-    val = cat.f_entry(c01, c12, c23, c03, c02, f012, f023, c13, f123, f013)
+    blk = cat.fblock(c01, c12, c23, c03)  # the block form, not cat.F
+    val = blk.mat[blk.row_index[(c02, f012, f023)],
+                  blk.col_index[(c13, f123, f013)]]
     val = val / math.sqrt(cat.d[c02] * cat.d[c13])
     return complex(val.conjugate() if tri.signs[t] == -1 else val)
 
@@ -235,6 +237,27 @@ def multiplicity_ring(seed=2024):
                         fentries, validate=False)
 
 
+def vec_s3_document():
+    """Category document of Vec(S3) with trivial F, labels = permutations of 3.
+
+    The only noncommutative fusion ring here; its double has 8 blocks with
+    quantum dimensions 1, 1, 2, 2, 2, 2, 3, 3 (Dijkgraaf-Pasquier-Roche).
+    """
+    perms = list(itertools.permutations(range(3)))
+    mul = [[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms]
+    return {
+        "labels": [{"id": i, "name": "".join(map(str, p))}
+                   for i, p in enumerate(perms)],
+        "dual": [mul[i].index(0) for i in range(6)],
+        "fusion": [{"i": i, "j": j, "k": mul[i][j], "mult": 1}
+                   for i in range(6) for j in range(6)],
+        "qdims": [1.0] * 6,
+        "sixj": [{"labels": [a, b, c, mul[mul[a][b]][c], mul[a][b], mul[b][c]],
+                  "basis": [0, 0, 0, 0], "re": 1.0}
+                 for a, b, c in itertools.product(range(1, 6), repeat=3)],
+    }
+
+
 def all_pairings(items):
     if not items:
         yield []
@@ -259,3 +282,42 @@ def star_antihom_residual(St, C):
             rhs = np.einsum("a,b,abk->k", St[:, j], St[:, i], C)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def associativity_residual(C):
+    """max |(e_i e_j) e_k - e_i (e_j e_k)| over all (i, j, k), coordinate b.
+
+    Both triple products as full dim^4 tensors; the reference for the
+    slice-at-a-time form in `tube`.
+    """
+    lhs = np.einsum("ija,akb->ijkb", C, C)
+    rhs = np.einsum("jka,iab->ijkb", C, C)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def hopf_link_S(cat, reps, braidings, lam):
+    """S from the double-braiding trace, one term at a time.
+
+    For blocks i, j: conj(sum_delta d_delta sum_{p, q, u, w}
+    E_j[xi_p, delta, q, u, q, w] E_i[eta_q, delta, p, w, p, u]) / lambda,
+    with p over the components xi_p of block i and q over the components
+    eta_q of block j, summed in that order; the reference for the array
+    form in `modulardata.compute_S`.
+    """
+    N, d = cat.N, cat.d
+    r1 = len(reps)
+    S = np.zeros((r1, r1), dtype=complex)
+    for i in range(r1):
+        for j in range(r1):
+            acc = 0.0 + 0.0j
+            for delta in range(cat.n):
+                term = 0.0 + 0.0j
+                for p, (xi, _) in enumerate(reps[i].comps):
+                    for q, (eta, _) in enumerate(reps[j].comps):
+                        for u in range(N[xi, eta, delta]):
+                            for w in range(N[eta, xi, delta]):
+                                term += (braidings[j][xi, delta, q, u, q, w]
+                                         * braidings[i][eta, delta, p, w, p, u])
+                acc += d[delta] * term
+            S[i, j] = np.conj(acc) / lam
+    return S

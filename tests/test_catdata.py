@@ -11,6 +11,7 @@ from doubletop.catdata import (
     CategoryData, CategoryError, dump_category, global_dim, load_category,
     zoo, _category_from_dict,
 )
+from oracles import multiplicity_ring
 
 ZOO = ["vec_z1", "vec_z2", "vec_z3", "vec_z4", "fibonacci", "ising"]
 
@@ -75,6 +76,20 @@ def test_f_unitarity_detects_scaling():
         ent["im"] *= 1.5
     with pytest.raises(CategoryError, match="unitar"):
         _category_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ZOO + ["multiplicity_ring"])
+def test_dense_f_holds_the_blocks(name):
+    cat = multiplicity_ring() if name == "multiplicity_ring" else zoo(name)
+    m = int(cat.N.max())
+    assert cat.F.shape == (cat.n,) * 6 + (m,) * 4
+    seen = np.zeros(cat.F.shape, dtype=bool)
+    for (a, b, c, dd), blk in cat._fblocks.items():
+        for i, (e, al, be) in enumerate(blk.rows):
+            for j, (f, mu, nu) in enumerate(blk.cols):
+                assert cat.F[a, b, c, dd, e, f, al, be, mu, nu] == blk.mat[i, j]
+                seen[a, b, c, dd, e, f, al, be, mu, nu] = True
+    assert not cat.F[~seen].any()
 
 
 def test_unit_blocks_are_identity():

@@ -9,6 +9,7 @@ from doubletop.catdata import dump_category, zoo
 from doubletop import cli, modulardata
 from doubletop.cli import main
 from doubletop.modulardata import STAGES
+from oracles import multiplicity_ring, vec_s3_document
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -185,6 +186,19 @@ def _fibonacci_with_fractional_mult():
     return doc
 
 
+def _vec_s3_with_one_r_symbol():
+    # Vec(S3) is a category, but its fusion ring does not commute
+    doc = vec_s3_document()
+    doc["rsymbols"] = [{"a": 1, "b": 1, "c": doc["fusion"][7]["k"], "re": 1.0}]
+    return doc
+
+
+def _multiplicity_ring_with_r_symbol():
+    doc = dump_category(multiplicity_ring())
+    doc["rsymbols"] = [{"a": 1, "b": 1, "c": 0, "re": 1.0}]
+    return doc
+
+
 _CATEGORY = ["validate", "--category"]
 _STATESUM = ["invariant", "--category", "zoo:vec_z2", "--statesum"]
 _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
@@ -205,18 +219,35 @@ _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
                 "edges": [[0, [1]]]}),
     (_STATESUM, {"tets": [{"v": [0, 1, 2, "x"]}]}),
     (_CATEGORY, _fibonacci_with_fractional_mult()),
+    (_CATEGORY, _vec_s3_with_one_r_symbol()),
+    (_CATEGORY, _multiplicity_ring_with_r_symbol()),
+    (_STATESUM, {"tets": [{"v": [[0]] * 4, "sign": 1}, {"v": [[0]] * 4, "sign": -1}],
+                 "gluings": [[[0, f], [1, f]] for f in range(4)]}),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
         "plumbing-one-element-edge", "plumbing-string-framing",
         "plumbing-list-id", "plumbing-list-endpoint",
-        "triangulation-mixed-ids", "category-fractional-mult"])
+        "triangulation-mixed-ids", "category-fractional-mult",
+        "category-noncommutative-braided", "category-multiplicity-braided",
+        "triangulation-list-ids-with-gluings"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, *argv, str(path))
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc,named", [
+    (_vec_s3_with_one_r_symbol(), "noncommutative fusion ring"),
+    (_multiplicity_ring_with_r_symbol(), "multiplicity-free fusion ring"),
+])
+def test_r_symbols_name_the_ring_they_need(capsys, tmp_path, doc, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--category", str(path))
+    assert code == 1 and named in err
 
 
 def test_bad_seed_variable_exits_1(capsys, monkeypatch):

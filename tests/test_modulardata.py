@@ -1,10 +1,12 @@
 """Half-braidings, S/T matrices, Verlinde fusion, and their oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import doubletop as dt
-from doubletop.catdata import CategoryError
+from doubletop.catdata import CategoryError, _category_from_dict
 from doubletop.modulardata import (
     STAGES,
     ModularData,
@@ -22,6 +24,7 @@ from doubletop.modulardata import (
     twist_element,
     verlinde_fusion,
 )
+from oracles import hopf_link_S, vec_s3_document
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 PHI = (1 + np.sqrt(5)) / 2
@@ -29,7 +32,7 @@ PHI = (1 + np.sqrt(5)) / 2
 
 @pytest.fixture(scope="module")
 def mds():
-    return {name: compute_modular_data(dt.zoo(name)) for name in ZOO}
+    return {name: compute_modular_data(dt.zoo(name)) for name in ZOO + ["vec_z4"]}
 
 
 @pytest.fixture(scope="module")
@@ -38,28 +41,49 @@ def pipes(mds):
             for name, md in mds.items()}
 
 
+def squares(cat, rep, E):
+    """Admissible square of E[sigma, delta] for every (sigma, delta) with
+    rows or columns, and the mask of all admissible entries of E."""
+    mask = np.zeros(E.shape, dtype=bool)
+    out = []
+    for sigma, delta in np.ndindex(cat.n, cat.n):
+        rows = [(p, a) for p, xi in enumerate(rep.labels)
+                for a in range(cat.N[sigma, xi, delta])]
+        cols = [(q, b) for q, eta in enumerate(rep.labels)
+                for b in range(cat.N[eta, sigma, delta])]
+        if rows or cols:
+            assert len(rows) == len(cols)
+            out.append(np.array([[E[sigma, delta, p, a, q, b] for q, b in cols]
+                                 for p, a in rows]))
+            for (p, a), (q, b) in itertools.product(rows, cols):
+                mask[sigma, delta, p, a, q, b] = True
+    return out, mask
+
+
 # -- half-braidings ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ZOO)
 def test_half_braidings_unitary(pipes, name):
-    _, _, _, hbs, resid = pipes[name]
+    alg, _, reps, hbs, resid = pipes[name]
     assert resid["solve"] < 1e-9
     assert resid["unitary"] < 1e-9
-    for hb in hbs:
-        for E in hb.mats.values():
-            assert E.shape[0] == E.shape[1]
-            assert np.max(np.abs(E @ E.conj().T - np.eye(E.shape[0]))) < 1e-9
+    for rep, E in zip(reps, hbs):
+        sq, mask = squares(alg.cat, rep, E)
+        assert not E[~mask].any()
+        for M in sq:
+            assert M.shape[0] == M.shape[1]
+            assert np.max(np.abs(M @ M.conj().T - np.eye(M.shape[0]))) < 1e-9
 
 
 def test_vec_z2_half_braidings_are_signs(pipes):
     # the four blocks of the Z/2 double braid by +-1 scalars
-    _, _, _, hbs, _ = pipes["vec_z2"]
+    alg, _, reps, hbs, _ = pipes["vec_z2"]
     seen = set()
-    for hb in hbs:
-        for E in hb.mats.values():
-            assert E.shape == (1, 1)
-            val = complex(E[0, 0])
+    for rep, E in zip(reps, hbs):
+        for M in squares(alg.cat, rep, E)[0]:
+            assert M.shape == (1, 1)
+            val = complex(M[0, 0])
             assert min(abs(val - 1), abs(val + 1)) < 1e-12
             seen.add(int(np.sign(val.real)))
     assert seen == {1, -1}
@@ -67,15 +91,28 @@ def test_vec_z2_half_braidings_are_signs(pipes):
 
 def test_fibonacci_two_dim_braiding_block(mds):
     md = mds["fibonacci"]
-    two = [hb for hb, n in zip(md.braidings, md.block_dims) if n == 2]
+    two = [(rep, E) for rep, E, n in zip(md.reps, md.braidings, md.block_dims)
+           if n == 2]
     assert len(two) == 1
-    assert any(E.shape == (2, 2) for E in two[0].mats.values())
+    assert any(M.shape == (2, 2) for M in squares(md.alg.cat, *two[0])[0])
 
 
 @pytest.mark.parametrize("name", ZOO)
 def test_composition_law(pipes, name):
     alg, _, reps, hbs, _ = pipes[name]
     assert half_braiding_multiplicativity(alg.cat, reps, hbs) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["vec_z3", "fibonacci", "ising"])
+def test_composition_law_detects_a_sign_flip(pipes, name):
+    # flip one (strand, charge) slice of the last block's E; not on vec_z2,
+    # where flipping strand 1 of a block gives the other character of Z/2
+    alg, _, reps, hbs, _ = pipes[name]
+    E = hbs[-1].copy()
+    sigma = alg.cat.n - 1
+    delta = next(d for d in range(alg.cat.n) if E[sigma, d].any())
+    E[sigma, delta] *= -1
+    assert half_braiding_multiplicativity(alg.cat, reps, hbs[:-1] + [E]) > 1e-3
 
 
 # -- twists --------------------------------------------------------------------
@@ -207,12 +244,19 @@ def test_fusion_unit_row(mds, name):
     assert np.all(N >= 0)
 
 
-@pytest.mark.parametrize("name", ZOO)
+@pytest.mark.parametrize("name", ZOO + ["vec_z4"])
 def test_pants_dims_equal_verlinde(pipes, name):
     alg, dec, reps, hbs, _ = pipes[name]
     S = compute_S(alg, dec, reps, hbs)
     Nv, _ = verlinde_fusion(S)
     assert np.array_equal(pants_dims(alg, dec, reps, hbs), Nv)
+
+
+@pytest.mark.parametrize("name", ZOO + ["vec_z4"])
+def test_S_equals_the_termwise_hopf_trace(mds, name):
+    md = mds[name]
+    assert np.array_equal(md.S, hopf_link_S(md.alg.cat, md.reps, md.braidings,
+                                            md.alg.lam))
 
 
 @pytest.mark.parametrize("name", ZOO)
@@ -242,6 +286,20 @@ def test_vec_z3_group_fusion(mds):
             g = ((lab[i][0] + lab[j][0]) % 3, (lab[i][1] + lab[j][1]) % 3)
             want = [1 if lab[k] == g else 0 for k in range(9)]
             assert md.N[i, j].tolist() == want
+
+
+def test_noncommutative_double_of_s3():
+    # no zoo ring is noncommutative; here N_ab != N_ba, so a swapped index in
+    # the half-braiding, S or pants arrays would show
+    md = compute_modular_data(_category_from_dict(vec_s3_document()))
+    assert md.block_dims == [1, 1, 2, 2, 2, 2, 3, 3]
+    assert np.max(np.abs(np.array(md.qdims) - md.block_dims)) < 1e-9
+    # twists: trivial class 1, 1, 1; 3-cycles 1, w, w^2; transpositions 1, -1
+    w = np.exp(2j * np.pi / 3)
+    key = lambda z: (round(z.real, 9), round(z.imag, 9))
+    assert sorted(map(key, md.T)) == sorted(map(key, [1, 1, 1, 1, w, w * w, 1, -1]))
+    assert md.residuals["multiplicative"] < 1e-12
+    assert np.array_equal(pants_dims(md.alg, md.dec, md.reps, md.braidings), md.N)
 
 
 # -- group-double oracle -------------------------------------------------------

@@ -13,7 +13,7 @@ from doubletop.tube import (
     center_decompose,
     conditional_expectation,
 )
-from oracles import star_antihom_residual
+from oracles import associativity_residual, star_antihom_residual
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 DIMS = {"vec_z2": 4, "vec_z3": 9, "fibonacci": 7, "ising": 12}
@@ -68,6 +68,16 @@ def test_basis_counts_fusion_pairs(algs, name):
 def test_associativity_exhaustive(algs, name):
     # every zoo algebra is small enough for the full check
     assert algs[name].associativity_residual() < 1e-12
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_associativity_residual_matches_oracle(algs, name):
+    alg = algs[name]
+    assert alg.associativity_residual() == associativity_residual(alg.C)
+    broken = copy.copy(alg)
+    broken.C = alg.C + 0.5 * np.random.default_rng(3).normal(size=alg.C.shape)
+    assert broken.associativity_residual() > 0.1
+    assert associativity_residual(broken.C) > 0.1
 
 
 @pytest.mark.parametrize("name", ZOO)

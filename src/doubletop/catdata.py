@@ -70,12 +70,15 @@ class CategoryData:
         self.dual = list(dual)
         self.N = np.asarray(N, dtype=np.int64)
         self.d = np.asarray(qdims, dtype=float)
-        self._fblocks = {}
-        self._build_blocks(fentries)
         self.rsymbols = dict(rsymbols) if rsymbols else None
         self.residuals = None  # {"pentagon", "unitarity"}, set by validate()
         if validate:
-            self.validate()
+            # the block sizes come from N: check the ring before building them
+            self._check_ring()
+        self._fblocks = {}
+        self._build_blocks(fentries)
+        if validate:
+            self._check_f()
 
     # -- block assembly -----------------------------------------------------
 
@@ -165,7 +168,18 @@ class CategoryData:
     # -- validation -----------------------------------------------------------
 
     def validate(self):
+        self._check_ring()
+        self._check_f()
+
+    def _check_ring(self):
+        """Everything but the F-symbols: labels, N, quantum dimensions, R."""
         n, N, dual, d = self.n, self.N, self.dual, self.d
+        bad = np.flatnonzero(~np.isfinite(d))
+        if bad.size:
+            raise CategoryError("non-finite quantum dimension at label %d" % bad[0])
+        for key, v in (self.rsymbols or {}).items():
+            if not np.isfinite(v):
+                raise CategoryError("non-finite R-symbol at (%d,%d,%d)" % key)
         if n < 1:
             raise CategoryError("need at least the unit label")
         if N.shape != (n, n, n):
@@ -211,6 +225,13 @@ class CategoryData:
             for (a, b, c) in self.rsymbols:
                 if N[a, b, c] == 0:
                     raise CategoryError("R-symbol on empty space (%d,%d,%d)" % (a, b, c))
+
+    def _check_f(self):
+        """Unitarity and pentagon of the F-blocks, then the hexagon."""
+        finite = np.isfinite(self.F)
+        if not finite.all():
+            raise CategoryError("non-finite F-symbol in block (%d,%d,%d;%d)"
+                                % tuple(np.argwhere(~finite)[0][:4]))
         unitarity = 0.0
         for key, blk in self._fblocks.items():
             m = blk.mat
@@ -252,7 +273,8 @@ def _category_from_dict(doc, validate=True):
         parts = _category_parts(doc)
     except CategoryError:
         raise
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise CategoryError("malformed category document: %s" % exc) from exc
     return CategoryData(*parts, validate=validate)
 

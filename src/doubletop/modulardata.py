@@ -64,22 +64,18 @@ class BlockRep:
     """Irreducible *-representation of one central block.
 
     `V` has orthonormal columns spanning a minimal left ideal of the
-    block; `rho(x) = V+ L_x V`.  `comps` lists the grading basis as
+    block; x acts as `V+ L_x V`.  `comps` lists the grading basis as
     (simple, copy) pairs in ascending simple order, `labels` their
     simples as an array; `m[xi]` counts the copies of simple xi.
     """
 
-    def __init__(self, alg, V, comps, m):
-        self.alg = alg
+    def __init__(self, V, comps, m):
         self.V = V
         self.n = V.shape[1]
         self.comps = comps
         self.labels = np.array([xi for xi, _ in comps], dtype=np.int64)
         self.m = m
         self.slot = {ct: i for i, ct in enumerate(comps)}
-
-    def rho(self, x):
-        return self.V.conj().T @ self.alg.left_mult(x) @ self.V
 
 
 def _minimal_projection(alg, dec, i, rng):
@@ -156,7 +152,7 @@ def block_irreps(alg, dec):
         if abs(qd - dec.qdims[i]) > 1e-8:
             raise ModularDataError("block %d grading disagrees with its "
                                    "quantum dimension" % i)
-        reps.append(BlockRep(alg, V, comps, m))
+        reps.append(BlockRep(V, comps, m))
     return reps
 
 
@@ -285,10 +281,10 @@ def twist_element(alg):
 
 def compute_T(alg, dec, reps, braidings):
     """Twist eigenvalues per block (the T diagonal), with E cross-check."""
-    tw = twist_element(alg)
+    L = alg.left_mult(twist_element(alg))
     tvals = []
     for i, rep in enumerate(reps):
-        M = rep.rho(tw)
+        M = rep.V.conj().T @ L @ rep.V
         off = float(np.max(np.abs(M - M[0, 0] * np.eye(rep.n))))
         if off > _AXIOM_TOL:
             raise ModularDataError("twist tube is not scalar on block %d "

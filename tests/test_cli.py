@@ -193,6 +193,22 @@ def _vec_s3_with_one_r_symbol():
     return doc
 
 
+def _ising_with_nan(field):
+    doc = dump_category(zoo("ising"))
+    if field == "qdims":
+        doc["qdims"][1] = float("nan")
+    else:
+        doc[field][0]["re"] = float("nan")
+    return doc
+
+
+def _ising_with_sigma_sigma_psi_mult(mult):
+    doc = dump_category(zoo("ising"))
+    ent = next(e for e in doc["fusion"] if (e["i"], e["j"], e["k"]) == (1, 1, 2))
+    ent["mult"] = mult
+    return doc
+
+
 def _multiplicity_ring_with_r_symbol():
     doc = dump_category(multiplicity_ring())
     doc["rsymbols"] = [{"a": 1, "b": 1, "c": 0, "re": 1.0}]
@@ -223,6 +239,12 @@ _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
     (_CATEGORY, _multiplicity_ring_with_r_symbol()),
     (_STATESUM, {"tets": [{"v": [[0]] * 4, "sign": 1}, {"v": [[0]] * 4, "sign": -1}],
                  "gluings": [[[0, f], [1, f]] for f in range(4)]}),
+    (_CATEGORY, _ising_with_nan("sixj")),
+    (_CATEGORY, _ising_with_nan("qdims")),
+    (_CATEGORY, _ising_with_nan("rsymbols")),
+    # rejected by the ring checks before any F-block of that size is built
+    (_CATEGORY, _ising_with_sigma_sigma_psi_mult(10 ** 8)),
+    (_CATEGORY, _ising_with_sigma_sigma_psi_mult(10 ** 19)),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
@@ -230,7 +252,9 @@ _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
         "plumbing-list-id", "plumbing-list-endpoint",
         "triangulation-mixed-ids", "category-fractional-mult",
         "category-noncommutative-braided", "category-multiplicity-braided",
-        "triangulation-list-ids-with-gluings"])
+        "triangulation-list-ids-with-gluings", "category-nan-sixj",
+        "category-nan-qdim", "category-nan-r-symbol", "category-huge-mult",
+        "category-mult-beyond-int64"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -248,6 +272,24 @@ def test_r_symbols_name_the_ring_they_need(capsys, tmp_path, doc, named):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "validate", "--category", str(path))
     assert code == 1 and named in err
+
+
+@pytest.mark.parametrize("field,named", [
+    ("sixj", "non-finite F-symbol in block (1,1,1;1)"),
+    ("qdims", "non-finite quantum dimension at label 1"),
+    ("rsymbols", "non-finite R-symbol at (1,1,0)"),
+])
+@pytest.mark.parametrize("argv", [
+    ["validate", "--category"],
+    ["modular-data", "--category"],
+    ["invariant", "--statesum", "builtin:s3", "--category"],
+])
+def test_non_finite_numbers_are_named(capsys, tmp_path, field, named, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_ising_with_nan(field)))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out is None
+    assert err == "error: %s\n" % named
 
 
 def test_bad_seed_variable_exits_1(capsys, monkeypatch):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from doubletop.catdata import dump_category, zoo, _category_from_dict
-from doubletop.trees import hexagon_residual, pentagon_residual, shape_moves
-from oracles import multiplicity_ring
+from doubletop.trees import hexagon_residual, pentagon_residual
+import oracles
+from oracles import multiplicity_ring, shape_moves, vec_s3_document
 
 
 def _with_rsymbols(doc, rsymbols):
@@ -53,6 +54,56 @@ def test_pentagon_residual_with_multiplicity():
     assert abs(pentagon_residual(multiplicity_ring()) - 16.420478210515512) < 1e-12
 
 
+def _semion_f_document():
+    # vec_z2 fusion with F^{ggg}_g = -1
+    doc = dump_category(zoo("vec_z2"))
+    for ent in doc["sixj"]:
+        if ent["labels"][:3] == [1, 1, 1]:
+            ent["re"] = -1.0
+    return doc
+
+
+def _fibonacci_with_flipped_f_sign():
+    doc = dump_category(zoo("fibonacci"))
+    for ent in doc["sixj"]:
+        if ent["labels"] == [1, 1, 1, 1, 1, 1]:
+            ent["re"] = -ent["re"]
+    return doc
+
+
+_ORACLE_CATEGORIES = {
+    **{name: lambda name=name: zoo(name)
+       for name in ("vec_z1", "vec_z2", "vec_z3", "vec_z4", "fibonacci", "ising")},
+    "multiplicity-ring": multiplicity_ring,
+    "vec-s3": lambda: _category_from_dict(vec_s3_document(), validate=False),
+    "semion-f": lambda: _category_from_dict(_semion_f_document(), validate=False),
+    "fibonacci-flipped-sign": lambda: _category_from_dict(
+        _fibonacci_with_flipped_f_sign(), validate=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CATEGORIES))
+def test_pentagon_matches_oracle(name):
+    cat = _ORACLE_CATEGORIES[name]()
+    assert pentagon_residual(cat) == oracles.pentagon_residual(cat)
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_pentagon_matches_oracle_on_perturbed_multiplicity_slot(slot):
+    # one F entry with basis index 1 in the given slot (alpha, beta, mu or
+    # nu) moved far enough to set the residual: a swapped multiplicity axis
+    # would show.  With two copies of x, a product sums three or more
+    # nonzero terms, whose order differs between the einsum and the
+    # oracle's matrix products, so the two may differ in the last bit.
+    doc = dump_category(multiplicity_ring())
+    ent = next(e for e in doc["sixj"] if e["basis"][slot] == 1)
+    ent["re"] += 10.0
+    cat = _category_from_dict(doc, validate=False)
+    got = pentagon_residual(cat)
+    assert got == pytest.approx(oracles.pentagon_residual(cat), rel=1e-14, abs=0)
+    assert abs(got - pentagon_residual(multiplicity_ring())) > 1.0
+
+
 def test_moves_with_multiplicity_cover_both_copies():
     # x^4 = 5 + 12x: every shape of (x, x, x, x; x) has 12 states, and
     # they use both copies of x in x (x) x
@@ -80,10 +131,7 @@ def test_hexagon_detects_wrong_r():
 
 def test_semion_hexagon():
     # vec_z2 fusion with F^{ggg}_g = -1 admits the semion braiding R = +/- i
-    doc = dump_category(zoo("vec_z2"))
-    for ent in doc["sixj"]:
-        if ent["labels"][:3] == [1, 1, 1]:
-            ent["re"] = -1.0
+    doc = _semion_f_document()
     assert pentagon_residual(_category_from_dict(doc, validate=False)) < 1e-12
     assert hexagon_residual(_with_rsymbols(doc, {(1, 1, 0): 1.0j})) < 1e-12
     assert hexagon_residual(_with_rsymbols(doc, {(1, 1, 0): -1.0j})) < 1e-12

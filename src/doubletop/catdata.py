@@ -82,43 +82,57 @@ class CategoryData:
 
     # -- block assembly -----------------------------------------------------
 
-    def row_basis(self, a, b, c, dd):
-        out = []
-        for e in range(self.n):
-            m1, m2 = self.N[a, b, e], self.N[e, c, dd]
-            for al in range(m1):
-                for be in range(m2):
-                    out.append((e, al, be))
-        return out
+    @staticmethod
+    def _bases(N, first, second):
+        """(a,b,c,d) key and basis (x, alpha, beta) of every F-block basis
+        vector, in lex order of (a,b,c,d, x, alpha, beta), by joins on N.
 
-    def col_basis(self, a, b, c, dd):
-        out = []
-        for f in range(self.n):
-            m1, m2 = self.N[b, c, f], self.N[a, f, dd]
-            for mu in range(m1):
-                for nu in range(m2):
-                    out.append((f, mu, nu))
-        return out
+        Over the columns (a, b, c, x, d), x joins on N[first] and then d on
+        N[second]; alpha and beta run below those two multiplicities.  The
+        rows (e, alpha, beta) take first = (0, 1), second = (3, 2), the
+        columns (f, mu, nu) first = (1, 2), second = (0, 3).
+        """
+        rows = np.indices((len(N),) * 3).reshape(3, -1).T
+        for i, j in (first, second):
+            t, o = np.nonzero(N[rows[:, i], rows[:, j]])
+            rows = np.column_stack([rows[t], o])
+        m1 = N[rows[:, first[0]], rows[:, first[1]], rows[:, 3]]
+        m2 = N[rows[:, second[0]], rows[:, second[1]], rows[:, 4]]
+        size = m1 * m2
+        t = np.repeat(np.arange(len(rows)), size)
+        k = np.arange(len(t)) - np.repeat(np.cumsum(size) - size, size)
+        a, b, c, x, dd = rows[t].T
+        al, be = k // m2[t], k % m2[t]
+        order = np.lexsort((be, al, x, dd, c, b, a))
+        return (np.column_stack([a, b, c, dd])[order],
+                np.column_stack([x, al, be])[order])
 
     def _build_blocks(self, fentries):
-        n = self.n
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for dd in range(n):
-                        rows = self.row_basis(a, b, c, dd)
-                        if not rows:
-                            continue
-                        cols = self.col_basis(a, b, c, dd)
-                        if len(rows) != len(cols):
-                            raise CategoryError(
-                                "associativity violation: F-block (%d,%d,%d;%d) "
-                                "is %dx%d" % (a, b, c, dd, len(rows), len(cols))
-                            )
-                        mat = np.zeros((len(rows), len(cols)), dtype=complex)
-                        if 0 in (a, b, c):
-                            np.fill_diagonal(mat, 1.0)
-                        self._fblocks[(a, b, c, dd)] = FBlock(rows, cols, mat)
+        # a negative multiplicity (only unvalidated data has one) counts as zero
+        n, N = self.n, np.maximum(self.N, 0)
+        nrows = np.einsum("abe,ecd->abcd", N, N)
+        ncols = np.einsum("bcf,afd->abcd", N, N)
+        bad = np.argwhere((nrows > 0) & (nrows != ncols))
+        if len(bad):
+            a, b, c, dd = bad[0]
+            raise CategoryError(
+                "associativity violation: F-block (%d,%d,%d;%d) "
+                "is %dx%d" % (a, b, c, dd, nrows[a, b, c, dd], ncols[a, b, c, dd])
+            )
+        _, rows = self._bases(N, (0, 1), (3, 2))
+        keys, cols = self._bases(N, (1, 2), (0, 3))
+        # a block without rows has no FBlock, whatever its columns
+        rows = list(map(tuple, rows.tolist()))
+        cols = list(map(tuple, cols[nrows[tuple(keys.T)] > 0].tolist()))
+        start = 0
+        for a, b, c, dd in np.argwhere(nrows).tolist():
+            stop = start + int(nrows[a, b, c, dd])
+            mat = np.zeros((stop - start,) * 2, dtype=complex)
+            if 0 in (a, b, c):
+                np.fill_diagonal(mat, 1.0)
+            self._fblocks[(a, b, c, dd)] = FBlock(rows[start:stop],
+                                                  cols[start:stop], mat)
+            start = stop
         for (labels, basis, val) in fentries:
             a, b, c, dd, e, f = labels
             al, be, mu, nu = basis

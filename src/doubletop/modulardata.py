@@ -19,7 +19,10 @@ The tube action determines E_i linearly: acting with X(xi,eta,zeta,...)
 on the graded representation space equals an F-sandwich of
 E_i(zeta*, .).  We solve that linear system per (block, strand) by least
 squares, then verify unitarity and the two-strand composition law the
-solution never saw, as one contraction of E with slices of cat.F.
+solution never saw.  The law is checked on the admissible label tuples
+of all blocks at once, built by numpy joins on N: cat.F and the stacked
+E arrays are gathered at those tuples and contracted by one einsum over
+the multiplicity axes.
 
 The twist is the eigenvalue of the central twist tube on each block,
 and S is the normalized trace of the double braiding of two blocks.
@@ -172,24 +175,33 @@ def extract_half_braidings(alg, dec, reps):
     N, F, n = cat.N, cat.F, cat.n
     slot = np.arange(F.shape[-1])
     residuals = {"solve": 0.0, "unitary": 0.0}
+    layouts = {}
+
+    def layout(labels, sigma):
+        # admissible rows (delta, p, a) and columns (delta, q, b) of E[sigma],
+        # and the unknowns: the admissible entries of E[sigma], in C order
+        rows = slot < N[sigma][labels].T[:, :, None]
+        cols = slot < N[labels, sigma].T[:, :, None]
+        nrows, ncols = rows.sum(axis=(1, 2)), cols.sum(axis=(1, 2))
+        if (nrows != ncols).any():
+            raise ModularDataError("half-braiding block (%d,%d) is not "
+                                   "square" % (sigma, np.argmax(nrows != ncols)))
+        free = rows[:, :, :, None, None] & cols[:, None, None, :, :]
+        varix = np.cumsum(free).reshape(free.shape) - 1
+        return rows, cols, nrows, free, int(free.sum()), varix
+
     out = []
     for bi, rep in enumerate(reps):
         E = np.zeros((n, n, rep.n, slot.size, rep.n, slot.size), dtype=complex)
         for sigma in range(n):
             zeta = cat.dual[sigma]
-            # admissible rows (delta, p, a) and columns (delta, q, b) of E[sigma]
-            rows = slot < N[sigma][rep.labels].T[:, :, None]
-            cols = slot < N[rep.labels, sigma].T[:, :, None]
-            nrows, ncols = rows.sum(axis=(1, 2)), cols.sum(axis=(1, 2))
-            if (nrows != ncols).any():
-                raise ModularDataError("half-braiding block (%d,%d) is not "
-                                       "square" % (sigma, np.argmax(nrows != ncols)))
-            # unknowns: the admissible entries of E[sigma], in C order
-            free = rows[:, :, :, None, None] & cols[:, None, None, :, :]
-            if not free.any():
+            # blocks with the same component labels share the layout
+            key = (tuple(rep.labels.tolist()), sigma)
+            if key not in layouts:
+                layouts[key] = layout(rep.labels, sigma)
+            rows, cols, nrows, free, nvar, varix = layouts[key]
+            if not nvar:
                 continue
-            nvar = int(free.sum())
-            varix = np.cumsum(free).reshape(free.shape) - 1
             eqs, rhs = [], []
             for tube_i, (xi, eta, zt, delta, a, b) in enumerate(alg.basis):
                 if zt != zeta or xi not in rep.m or eta not in rep.m:
@@ -248,21 +260,80 @@ def half_braiding_multiplicativity(cat, reps, braidings):
 
     The extracted E never saw this equation: composing the strand-a and
     strand-b half-braidings through three F-moves must reproduce E on
-    each fusion channel nu of a x b, for every (a, b, delta) at once.
+    each fusion channel nu of a x b.  With xi_p, eta_q the labels of the
+    row and column components p, q of block i, the law reads
+
+        sum_{e,r,f} conj(F[eta_q,a,b,delta,e,nu]) E_i[a,e,r,.,q,.]
+                    F[a,xi_r,b,delta,e,f] E_i[b,f,p,.,r,.]
+                    conj(F[a,b,xi_p,delta,z,f])
+          = [z == nu] [U == T] [T < N[a,b,nu]] E_i[nu,delta,p,y,q,m]
+
+    over the multiplicity axes (U: z|ab, y: delta|z xi_p, T: nu|ab,
+    m: delta|eta_q nu).  The outer tuples (i, p, q, a, b, z, nu, delta)
+    are built by numpy joins on N[a,b,z], N[a,b,nu] and N[z,xi_p,delta]
+    and a filter on N[eta_q,nu,delta]; the summed labels join on top of
+    them: e on N[eta_q,a,e] and N[e,b,delta], r on N[a,xi_r,e], f on
+    N[xi_r,b,f], N[a,f,delta] and N[b,xi_p,f].  cat.F and the stacked E
+    (zero-padded to the widest block) are gathered at the inner tuples,
+    one einsum runs over the multiplicity axes, and a segment sum takes
+    the products back to the outer tuples.
+
+    The check stays exact: an entry of the left side is nonzero only
+    where its first and last F are, which needs all four outer N
+    factors; an entry of the right side only where z = nu, N[a,b,nu] and
+    E's admissible slots (N[nu,xi_p,delta], N[eta_q,nu,delta]) hold,
+    which is again an outer tuple.  So the outer tuples cover every entry
+    where either side can be nonzero, for E zero outside its admissible
+    slots as extract_half_braidings returns it, and nothing is sampled.
     """
-    F = cat.F
+    N, F = cat.N, cat.F
     n, msize = cat.n, F.shape[-1]
-    channel = np.arange(msize) < cat.N[:, :, :, None]  # T < N[a, b, nu]
-    worst = 0.0
-    for rep, E in zip(reps, braidings):
-        lab = rep.labels
-        got = np.einsum("qabdenABTm,aersqA,arbdefsBut,bfpcru,abpdzfUyct"
-                        "->abdzUpynTqm", F[lab].conj(), E, F[:, lab], E,
-                        F[:, :, lab].conj(), optimize=True)
-        want = np.einsum("zn,UT,abnT,ndpyqm->abdzUpynTqm",
-                         np.eye(n), np.eye(msize), channel, E)
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    return worst
+    r1, width = len(reps), max(rep.n for rep in reps)
+    E = np.zeros((r1, n, n, width, msize, width, msize), dtype=complex)
+    lab = np.full((r1, width), -1, dtype=np.int64)
+    for i, (rep, Ei) in enumerate(zip(reps, braidings)):
+        E[i, :, :, :rep.n, :, :rep.n] = Ei
+        lab[i, :rep.n] = rep.labels
+
+    def join(rows, x, y):
+        # every row once per label o with N[x, y, o] > 0, o appended
+        t, o = np.nonzero(N[rows[:, x], rows[:, y]])
+        return np.column_stack([rows[t], o])
+
+    # columns: 0 i, 1 p, 2 q, 3 xi_p, 4 eta_q, 5 a, 6 b, 7 z, 8 nu, 9 delta
+    pq = (lab >= 0)[:, :, None] & (lab >= 0)[:, None, :]
+    blk, p, q, a, b = np.nonzero(np.broadcast_to(
+        pq[:, :, :, None, None], pq.shape + (n, n)))
+    rows = np.column_stack([blk, p, q, lab[blk, p], lab[blk, q], a, b])
+    for x, y in ((5, 6), (5, 6), (7, 3)):
+        rows = join(rows, x, y)
+    outer = rows[N[rows[:, 4], rows[:, 8], rows[:, 9]] > 0]
+    # inner columns: 10 outer row, 11 e, 12 r, 13 xi_r, 14 f
+    rows = join(np.column_stack([outer, np.arange(len(outer))]), 4, 5)
+    rows = rows[N[rows[:, 11], rows[:, 6], rows[:, 9]] > 0]
+    t, r = np.nonzero(lab[rows[:, 0]] >= 0)
+    rows = np.column_stack([rows[t], r, lab[rows[t, 0], r]])
+    rows = join(rows[N[rows[:, 5], rows[:, 13], rows[:, 11]] > 0], 13, 6)
+    rows = rows[(N[rows[:, 5], rows[:, 14], rows[:, 9]] > 0)
+                & (N[rows[:, 6], rows[:, 3], rows[:, 14]] > 0)]
+    i, p, q, xi, eta, a, b, z, nu, d, o, e, r, xr, f = rows.T
+    terms = np.einsum("JABTm,JsA,JsBut,Jcu,JUyct->JUyTm",
+                      F[eta, a, b, d, e, nu].conj(), E[i, a, e, r, :, q],
+                      F[a, xr, b, d, e, f], E[i, b, f, p, :, r],
+                      F[a, b, xi, d, z, f].conj(), optimize=True)
+    # o is never empty: the vacuum tuples a = b = 0, p = q, e = eta_q,
+    # r = q pass every join; an outer tuple with no inner tuple keeps got 0
+    got = np.zeros((len(outer),) + terms.shape[1:], dtype=complex)
+    start = np.flatnonzero(np.r_[True, o[1:] != o[:-1]])
+    got[o[start]] = np.add.reduceat(terms, start, axis=0)
+    # the identity channel z = nu, U = T < N[a, b, nu]
+    i, p, q, xi, eta, a, b, z, nu, d = outer.T
+    k = np.flatnonzero(z == nu)
+    T = np.arange(msize)
+    want = np.zeros_like(got)
+    want[k[:, None], T, :, T] = ((T < N[a[k], b[k], nu[k], None])[:, :, None, None]
+                                 * E[i[k], nu[k], d[k], p[k], :, q[k]][:, None])
+    return float(np.max(np.abs(got - want)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +427,8 @@ def verlinde_fusion(S):
     """
     r1 = S.shape[0]
     s0 = S[:, 0]
-    raw = np.einsum("il,jl,kl->ijk", S, S, np.conj(S) / s0[None, :])
+    raw = np.einsum("il,jl,kl->ijk", S, S, np.conj(S) / s0[None, :],
+                    optimize=True)
     N = np.real(raw)
     rounded = np.round(N)
     resid = float(np.max(np.abs(N - rounded)) + np.max(np.abs(np.imag(raw))))

@@ -419,3 +419,38 @@ def pentagon_residual(cat):
         diff = np.max(np.abs(left - right)) if left.size else 0.0
         worst = max(worst, float(diff))
     return worst
+
+
+def composition_law_residual(cat, reps, braidings):
+    """Residual of the two-strand half-braiding composition law, one block at
+    a time, as dense arrays over every label; the reference for the gathered
+    contraction in `modulardata.half_braiding_multiplicativity`.
+
+    Composing the strand-a and strand-b half-braidings through three F-moves
+    must give E on each fusion channel nu of a x b, for every (a, b, delta).
+    """
+    F = cat.F
+    n, msize = cat.n, F.shape[-1]
+    channel = np.arange(msize) < cat.N[:, :, :, None]  # T < N[a, b, nu]
+    worst = 0.0
+    for rep, E in zip(reps, braidings):
+        lab = rep.labels
+        got = np.einsum("qabdenABTm,aersqA,arbdefsBut,bfpcru,abpdzfUyct"
+                        "->abdzUpynTqm", F[lab].conj(), E, F[:, lab], E,
+                        F[:, :, lab].conj(), optimize=True)
+        want = np.einsum("zn,UT,abnT,ndpyqm->abdzUpynTqm",
+                         np.eye(n), np.eye(msize), channel, E)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst
+
+
+def fblock_bases(cat, a, b, c, dd):
+    """Row basis (e, alpha, beta) and column basis (f, mu, nu) of the F-block
+    (a,b,c;d), in lex order, one label and multiplicity at a time; the
+    reference for the joins in `CategoryData._build_blocks`."""
+    N = cat.N
+    rows = [(e, al, be) for e in range(cat.n)
+            for al in range(N[a, b, e]) for be in range(N[e, c, dd])]
+    cols = [(f, mu, nu) for f in range(cat.n)
+            for mu in range(N[b, c, f]) for nu in range(N[a, f, dd])]
+    return rows, cols

@@ -11,7 +11,7 @@ from doubletop.catdata import (
     CategoryData, CategoryError, dump_category, global_dim, load_category,
     zoo, _category_from_dict,
 )
-from oracles import multiplicity_ring
+from oracles import fblock_bases, multiplicity_ring, vec_s3_document
 
 ZOO = ["vec_z1", "vec_z2", "vec_z3", "vec_z4", "fibonacci", "ising"]
 
@@ -90,6 +90,31 @@ def test_dense_f_holds_the_blocks(name):
                 assert cat.F[a, b, c, dd, e, f, al, be, mu, nu] == blk.mat[i, j]
                 seen[a, b, c, dd, e, f, al, be, mu, nu] = True
     assert not cat.F[~seen].any()
+
+
+@pytest.mark.parametrize("name", ZOO + ["multiplicity_ring", "vec_s3"])
+def test_block_bases_match_oracle(name):
+    if name == "multiplicity_ring":
+        cat = multiplicity_ring()
+    elif name == "vec_s3":
+        cat = _category_from_dict(vec_s3_document())
+    else:
+        cat = zoo(name)
+    want = [key for key in np.ndindex((cat.n,) * 4) if fblock_bases(cat, *key)[0]]
+    assert list(cat._fblocks) == want
+    for key, blk in cat._fblocks.items():
+        assert (blk.rows, blk.cols) == fblock_bases(cat, *key)
+
+
+def test_non_square_f_block_rejected():
+    # (x x) x = y x = 1 but x (x x) = x y = x: the block (x,x,x;1) is 1x0
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    for k in range(3):
+        N[0, k, k] = N[k, 0, k] = 1
+    N[1, 1, 2] = N[2, 1, 0] = N[1, 2, 1] = 1
+    with pytest.raises(CategoryError, match=r"F-block \(1,1,1;0\) is 1x0"):
+        CategoryData(["1", "x", "y"], [0, 1, 2], N, [1.0] * 3, [],
+                     validate=False)
 
 
 def test_unit_blocks_are_identity():

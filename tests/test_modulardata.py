@@ -9,6 +9,7 @@ import doubletop as dt
 from doubletop.catdata import CategoryError, _category_from_dict
 from doubletop.modulardata import (
     STAGES,
+    BlockRep,
     ModularData,
     ModularDataError,
     braiding_st,
@@ -24,7 +25,9 @@ from doubletop.modulardata import (
     twist_element,
     verlinde_fusion,
 )
-from oracles import hopf_link_S, vec_s3_document
+from oracles import (
+    composition_law_residual, hopf_link_S, multiplicity_ring, vec_s3_document,
+)
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 PHI = (1 + np.sqrt(5)) / 2
@@ -33,6 +36,11 @@ PHI = (1 + np.sqrt(5)) / 2
 @pytest.fixture(scope="module")
 def mds():
     return {name: compute_modular_data(dt.zoo(name)) for name in ZOO + ["vec_z4"]}
+
+
+@pytest.fixture(scope="module")
+def vec_s3_md():
+    return compute_modular_data(_category_from_dict(vec_s3_document()))
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +121,64 @@ def test_composition_law_detects_a_sign_flip(pipes, name):
     delta = next(d for d in range(alg.cat.n) if E[sigma, d].any())
     E[sigma, delta] *= -1
     assert half_braiding_multiplicativity(alg.cat, reps, hbs[:-1] + [E]) > 1e-3
+
+
+def _law_pipes(mds, vec_s3_md, name):
+    md = vec_s3_md if name == "vec_s3" else mds[name]
+    return md.alg.cat, md.reps, md.braidings
+
+
+@pytest.mark.parametrize("name", ZOO + ["vec_z4", "vec_s3"])
+def test_composition_law_matches_dense_oracle(mds, vec_s3_md, name):
+    cat, reps, hbs = _law_pipes(mds, vec_s3_md, name)
+    got = half_braiding_multiplicativity(cat, reps, hbs)
+    assert abs(got - composition_law_residual(cat, reps, hbs)) < 1e-14
+
+
+def test_composition_law_matches_dense_oracle_with_multiplicity():
+    # no category with N > 1 runs through the pipeline; both sides of the
+    # law are defined for any E, so random E on x (x) x = 1 + 2x fill every
+    # multiplicity axis of the contraction
+    cat = multiplicity_ring()
+    rng = np.random.default_rng(5)
+    N, msize = cat.N, cat.F.shape[-1]
+    reps, hbs = [], []
+    for comps in ([(0, 0), (1, 0)], [(1, 0), (1, 1)], [(1, 0)]):
+        rep = BlockRep(np.zeros((1, len(comps))), comps, {})
+        lab = rep.labels
+        # admissible slots: a < N[sigma, xi_p, delta], b < N[eta_q, sigma, delta]
+        rows = np.arange(msize) < N[:, lab].transpose(0, 2, 1)[..., None]
+        cols = np.arange(msize) < N[lab].transpose(1, 2, 0)[..., None]
+        mask = rows[:, :, :, :, None, None] & cols[:, :, None, None]
+        E = rng.normal(size=mask.shape) + 1j * rng.normal(size=mask.shape)
+        reps.append(rep)
+        hbs.append(np.where(mask, E, 0))
+    want = composition_law_residual(cat, reps, hbs)
+    assert want > 1.0
+    assert abs(half_braiding_multiplicativity(cat, reps, hbs) - want) < 1e-12 * want
+
+
+@pytest.mark.parametrize("name", ["ising", "vec_s3"])
+def test_composition_law_matches_dense_oracle_on_broken_blocks(
+        mds, vec_s3_md, name):
+    # on the last strand of every block (psi for ising, a transposition for
+    # S3; no character of the fusion ring is -1 on that strand alone, so no
+    # sign flip there gives another half-braiding): (a) negate one admissible
+    # entry, (b) zero one (strand, charge) slice, so that each side of the
+    # law vanishes at entries where the other does not
+    cat, reps, hbs = _law_pipes(mds, vec_s3_md, name)
+    sigma = cat.n - 1
+    for bi, rep in enumerate(reps):
+        mask = squares(cat, rep, hbs[bi])[1]
+        entry = tuple(np.argwhere(mask[sigma] & (np.abs(hbs[bi][sigma]) > 0.1))[0])
+        negated, zeroed = hbs[bi].copy(), hbs[bi].copy()
+        negated[(sigma,) + entry] *= -1
+        zeroed[sigma, entry[0]] = 0
+        for E in (negated, zeroed):
+            broken = hbs[:bi] + [E] + hbs[bi + 1:]
+            got = half_braiding_multiplicativity(cat, reps, broken)
+            assert got > 1e-3
+            assert abs(got - composition_law_residual(cat, reps, broken)) < 1e-12
 
 
 # -- twists --------------------------------------------------------------------
@@ -288,10 +354,10 @@ def test_vec_z3_group_fusion(mds):
             assert md.N[i, j].tolist() == want
 
 
-def test_noncommutative_double_of_s3():
+def test_noncommutative_double_of_s3(vec_s3_md):
     # no zoo ring is noncommutative; here N_ab != N_ba, so a swapped index in
     # the half-braiding, S or pants arrays would show
-    md = compute_modular_data(_category_from_dict(vec_s3_document()))
+    md = vec_s3_md
     assert md.block_dims == [1, 1, 2, 2, 2, 2, 3, 3]
     assert np.max(np.abs(np.array(md.qdims) - md.block_dims)) < 1e-9
     # twists: trivial class 1, 1, 1; 3-cycles 1, w, w^2; transpositions 1, -1

@@ -6,10 +6,10 @@ A category is described combinatorially by
 * an involution ``dual`` with ``dual[0] == 0``,
 * fusion multiplicities ``N[i, j, k] = dim Hom(k, i (x) j)``,
 * positive quantum dimensions ``d`` solving ``d[i] d[j] = sum_k N[i,j,k] d[k]``,
-* F-symbols, stored per block ``(a, b, c; d)`` as a unitary matrix between the
-  two parenthesizations of ``Hom(d, a (x) b (x) c)``, and once more as one dense
-  array ``F[a, b, c, d, e, f, alpha, beta, mu, nu]`` (basis axes of length
-  ``max N``; zero outside admissible slots) for array code.
+* F-symbols, stored once, as the dense array
+  ``F[a, b, c, d, e, f, alpha, beta, mu, nu]`` (basis axes of length ``max N``;
+  zero outside admissible slots).  Each block ``F[a, b, c, d]`` holds a unitary
+  matrix between the two parenthesizations of ``Hom(d, a (x) b (x) c)``.
 
 F-matrix convention.  For fixed outer labels the left tree ``((ab)c)`` has basis
 ``(e, alpha, beta)`` with ``alpha`` in an orthonormal basis of ``Hom(e, ab)`` and
@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,21 +45,6 @@ def _is_perm_involution(dual, n):
     return sorted(dual) == list(range(n)) and all(dual[dual[i]] == i for i in range(n))
 
 
-@dataclass
-class FBlock:
-    """One F-move block (a,b,c;d): unitary matrix plus its two basis enumerations."""
-
-    rows: list          # [(e, alpha, beta), ...] lex sorted
-    cols: list          # [(f, mu, nu), ...] lex sorted
-    mat: np.ndarray     # complex, shape (len(rows), len(cols))
-    row_index: dict = field(default_factory=dict)
-    col_index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.row_index = {t: i for i, t in enumerate(self.rows)}
-        self.col_index = {t: i for i, t in enumerate(self.cols)}
-
-
 class CategoryData:
     """Validated fusion-category data; immutable after construction."""
 
@@ -75,7 +59,6 @@ class CategoryData:
         if validate:
             # the block sizes come from N: check the ring before building them
             self._check_ring()
-        self._fblocks = {}
         self._build_blocks(fentries)
         if validate:
             self._check_f()
@@ -119,30 +102,26 @@ class CategoryData:
                 "associativity violation: F-block (%d,%d,%d;%d) "
                 "is %dx%d" % (a, b, c, dd, nrows[a, b, c, dd], ncols[a, b, c, dd])
             )
-        _, rows = self._bases(N, (0, 1), (3, 2))
-        keys, cols = self._bases(N, (1, 2), (0, 3))
-        # a block without rows has no FBlock, whatever its columns
-        rows = list(map(tuple, rows.tolist()))
-        cols = list(map(tuple, cols[nrows[tuple(keys.T)] > 0].tolist()))
-        start = 0
-        for a, b, c, dd in np.argwhere(nrows).tolist():
-            stop = start + int(nrows[a, b, c, dd])
-            mat = np.zeros((stop - start,) * 2, dtype=complex)
-            if 0 in (a, b, c):
-                np.fill_diagonal(mat, 1.0)
-            self._fblocks[(a, b, c, dd)] = FBlock(rows[start:stop],
-                                                  cols[start:stop], mat)
-            start = stop
+        keys, rows = self._bases(N, (0, 1), (3, 2))
+        ckeys, cols = self._bases(N, (1, 2), (0, 3))
+        # a block without rows stays empty, whatever its columns; in the
+        # others the i-th row and the i-th column line up
+        cols = cols[nrows[tuple(ckeys.T)] > 0]
+        unit = (keys[:, :3] == 0).any(axis=1)
+        (a, b, c, dd), (e, al, be), (f, mu, nu) = keys[unit].T, rows[unit].T, cols[unit].T
+        self.F = F = np.zeros((n,) * 6 + (int(self.N.max(initial=1)),) * 4, dtype=complex)
+        F[a, b, c, dd, e, f, al, be, mu, nu] = 1.0
         for (labels, basis, val) in fentries:
             a, b, c, dd, e, f = labels
             al, be, mu, nu = basis
-            blk = self._fblocks.get((a, b, c, dd))
-            if blk is None:
+            if not (0 <= min(a, b, c, dd) and max(a, b, c, dd) < n and nrows[a, b, c, dd]):
                 raise CategoryError(
                     "multiplicity/F-tensor shape mismatch: entry for empty "
                     "block (%d,%d,%d;%d)" % (a, b, c, dd)
                 )
-            if (e, al, be) not in blk.row_index or (f, mu, nu) not in blk.col_index:
+            if not (0 <= e < n and 0 <= f < n
+                    and 0 <= al < N[a, b, e] and 0 <= be < N[e, c, dd]
+                    and 0 <= mu < N[b, c, f] and 0 <= nu < N[a, f, dd]):
                 raise CategoryError(
                     "multiplicity/F-tensor shape mismatch: entry (%d,%d,%d;%d) "
                     "basis (%d,%d|%d,%d) outside admissible ranges"
@@ -150,24 +129,14 @@ class CategoryData:
                 )
             if 0 in (a, b, c):
                 # unit gauge: ignore provided values after checking consistency
-                want = 1.0 if blk.row_index[(e, al, be)] == blk.col_index[(f, mu, nu)] else 0.0
-                if abs(val - want) > STRUCT_TOL:
+                if abs(val - F[a, b, c, dd, e, f, al, be, mu, nu]) > STRUCT_TOL:
                     raise CategoryError(
                         "unit-gauge violation at (%d,%d,%d;%d)" % (a, b, c, dd)
                     )
                 continue
-            blk.mat[blk.row_index[(e, al, be)], blk.col_index[(f, mu, nu)]] = val
-        self.F = np.zeros((n,) * 6 + (int(self.N.max(initial=1)),) * 4, dtype=complex)
-        for (a, b, c, dd), blk in self._fblocks.items():
-            e, al, be = np.array(blk.rows).T[:, :, None]
-            f, mu, nu = np.array(blk.cols).T[:, None, :]
-            self.F[a, b, c, dd, e, f, al, be, mu, nu] = blk.mat
+            F[a, b, c, dd, e, f, al, be, mu, nu] = val
 
     # -- accessors ------------------------------------------------------------
-
-    def fblock(self, a, b, c, dd):
-        """F-move block matrix, or None when Hom(d,(ab)c) = 0."""
-        return self._fblocks.get((a, b, c, dd))
 
     def rsym(self, a, b, c):
         """Mult-free R-symbol for c in a(x)b; unit-involving R is 1."""
@@ -239,6 +208,9 @@ class CategoryData:
             for (a, b, c) in self.rsymbols:
                 if N[a, b, c] == 0:
                     raise CategoryError("R-symbol on empty space (%d,%d,%d)" % (a, b, c))
+            for key in map(tuple, (np.argwhere(N[1:, 1:]) + (1, 1, 0)).tolist()):
+                if key not in self.rsymbols:
+                    raise CategoryError("missing R-symbol at (%d,%d,%d)" % key)
 
     def _check_f(self):
         """Unitarity and pentagon of the F-blocks, then the hexagon."""
@@ -246,15 +218,20 @@ class CategoryData:
         if not finite.all():
             raise CategoryError("non-finite F-symbol in block (%d,%d,%d;%d)"
                                 % tuple(np.argwhere(~finite)[0][:4]))
-        unitarity = 0.0
-        for key, blk in self._fblocks.items():
-            m = blk.mat
-            u = float(np.max(np.abs(m @ m.conj().T - np.eye(len(blk.rows)))))
-            if u > STRUCT_TOL:
-                raise CategoryError(
-                    "F-block (%d,%d,%d;%d) not unitary: residual %.3e" % (key + (u,))
-                )
-            unitarity = max(unitarity, u)
+        keys, M = _block_view(self)
+        a, b, c, dd = keys.T
+        T = np.arange(self.F.shape[-1])
+        # the identity on each block's admissible rows (e, alpha, beta)
+        live = ((T[:, None] < self.N[a, b][:, :, None, None])
+                & (T < self.N[:, c, dd].T[:, :, None, None])).reshape(len(keys), -1)
+        M = M.reshape(live.shape + (-1,))
+        resid = np.abs(M @ M.conj().transpose(0, 2, 1)
+                       - live[:, :, None] * np.eye(live.shape[1])).max(axis=(1, 2))
+        bad = np.flatnonzero(resid > STRUCT_TOL)
+        if bad.size:
+            raise CategoryError("F-block (%d,%d,%d;%d) not unitary: residual %.3e"
+                                % (*keys[bad[0]], resid[bad[0]]))
+        unitarity = float(resid.max())
         pentagon = trees.pentagon_residual(self)
         if pentagon > STRUCT_TOL:
             raise CategoryError("pentagon residual %.3e above tolerance" % pentagon)
@@ -323,8 +300,11 @@ def _category_parts(doc):
     for ent in doc.get("sixj", []):
         if len(ent["labels"]) != 6 or len(ent["basis"]) != 4:
             raise CategoryError("sixj entry needs 6 labels and 4 basis indices")
+        if not all(isinstance(x, numbers.Real) and x % 1 == 0
+                   for x in list(ent["labels"]) + list(ent["basis"])):
+            raise CategoryError("sixj labels and basis indices must be integers")
         fentries.append(
-            (tuple(ent["labels"]), tuple(ent["basis"]),
+            (tuple(map(int, ent["labels"])), tuple(map(int, ent["basis"])),
              complex(ent["re"], ent.get("im", 0.0)))
         )
     rsymbols = None
@@ -350,6 +330,15 @@ def load_category(path):
     return _category_from_dict(doc)
 
 
+def _block_view(cat):
+    """Keys (a,b,c,d) of the nonempty F-blocks in lex order, and the blocks
+    gathered from cat.F with axes (block, e, alpha, beta, f, mu, nu)."""
+    N = np.maximum(cat.N, 0)
+    keys = np.argwhere(np.einsum("abe,ecd->abcd", N, N))
+    a, b, c, dd = keys.T
+    return keys, cat.F[a, b, c, dd].transpose(0, 1, 3, 4, 2, 5, 6)
+
+
 def dump_category(cat):
     """Serialize back to the JSON schema (unit-gauge blocks omitted)."""
     doc = {
@@ -363,18 +352,17 @@ def dump_category(cat):
         "qdims": [float(x) for x in cat.d],
         "sixj": [],
     }
-    for (a, b, c, dd), blk in sorted(cat._fblocks.items()):
-        if 0 in (a, b, c):
-            continue
-        for (e, al, be) in blk.rows:
-            for (f, mu, nu) in blk.cols:
-                v = blk.mat[blk.row_index[(e, al, be)], blk.col_index[(f, mu, nu)]]
-                if v != 0:
-                    doc["sixj"].append({
-                        "labels": [a, b, c, dd, e, f],
-                        "basis": [al, be, mu, nu],
-                        "re": float(v.real), "im": float(v.imag),
-                    })
+    keys, M = _block_view(cat)
+    keep = keys[:, :3].all(axis=1)
+    keys, M = keys[keep], M[keep]
+    at = np.nonzero(M)
+    slots = np.column_stack((keys[at[0]],) + at[1:]).tolist()
+    for (a, b, c, dd, e, al, be, f, mu, nu), v in zip(slots, M[at].tolist()):
+        doc["sixj"].append({
+            "labels": [a, b, c, dd, e, f],
+            "basis": [al, be, mu, nu],
+            "re": v.real, "im": v.imag,
+        })
     if cat.rsymbols is not None:
         doc["rsymbols"] = [
             {"a": a, "b": b, "c": c, "basis": [0, 0],

@@ -263,9 +263,9 @@ def half_braiding_multiplicativity(cat, reps, braidings):
     each fusion channel nu of a x b.  With xi_p, eta_q the labels of the
     row and column components p, q of block i, the law reads
 
-        sum_{e,r,f} conj(F[eta_q,a,b,delta,e,nu]) E_i[a,e,r,.,q,.]
-                    F[a,xi_r,b,delta,e,f] E_i[b,f,p,.,r,.]
-                    conj(F[a,b,xi_p,delta,z,f])
+        sum_{e,r,f} F[eta_q,a,b,delta,e,nu] E_i[a,e,r,.,q,.]
+                    conj(F[a,xi_r,b,delta,e,f]) E_i[b,f,p,.,r,.]
+                    F[a,b,xi_p,delta,z,f]
           = [z == nu] [U == T] [T < N[a,b,nu]] E_i[nu,delta,p,y,q,m]
 
     over the multiplicity axes (U: z|ab, y: delta|z xi_p, T: nu|ab,
@@ -318,9 +318,9 @@ def half_braiding_multiplicativity(cat, reps, braidings):
                 & (N[rows[:, 6], rows[:, 3], rows[:, 14]] > 0)]
     i, p, q, xi, eta, a, b, z, nu, d, o, e, r, xr, f = rows.T
     terms = np.einsum("JABTm,JsA,JsBut,Jcu,JUyct->JUyTm",
-                      F[eta, a, b, d, e, nu].conj(), E[i, a, e, r, :, q],
-                      F[a, xr, b, d, e, f], E[i, b, f, p, :, r],
-                      F[a, b, xi, d, z, f].conj(), optimize=True)
+                      F[eta, a, b, d, e, nu], E[i, a, e, r, :, q],
+                      F[a, xr, b, d, e, f].conj(), E[i, b, f, p, :, r],
+                      F[a, b, xi, d, z, f], optimize=True)
     # o is never empty: the vacuum tuples a = b = 0, p = q, e = eta_q,
     # r = q pass every join; an outer tuple with no inner tuple keeps got 0
     got = np.zeros((len(outer),) + terms.shape[1:], dtype=complex)

@@ -123,9 +123,8 @@ def tet_weight(cat, tri, t, coloring, labeling):
     if (f012 >= cat.N[c01, c12, c02] or f123 >= cat.N[c12, c23, c13]
             or f013 >= cat.N[c01, c13, c03] or f023 >= cat.N[c02, c23, c03]):
         return 0.0
-    blk = cat.fblock(c01, c12, c23, c03)  # the block form, not cat.F
-    val = blk.mat[blk.row_index[(c02, f012, f023)],
-                  blk.col_index[(c13, f123, f013)]]
+    rows, cols, mat = fblock(cat, c01, c12, c23, c03)  # the block form
+    val = mat[rows.index((c02, f012, f023)), cols.index((c13, f123, f013))]
     val = val / math.sqrt(cat.d[c02] * cat.d[c13])
     return complex(val.conjugate() if tri.signs[t] == -1 else val)
 
@@ -393,12 +392,12 @@ def shape_moves(cat, leaves, root):
         mat = np.zeros((len(states[src]), len(states[dst])), dtype=complex)
         for i, st in enumerate(states[src]):
             w = wires[:5] + st[3:]
-            blk = cat.fblock(*(w[k] for k in fwires))
-            ri = blk.row_index[tuple(st[k] for k in rows)]
+            brows, bcols, bmat = fblock(cat, *(w[k] for k in fwires))
+            ri = brows.index(tuple(st[k] for k in rows))
             new = [0] * 5
             for s, d in spect:
                 new[d] = st[s]
-            for col, val in zip(blk.cols, blk.mat[ri].tolist()):
+            for col, val in zip(bcols, bmat[ri].tolist()):
                 if val:
                     new[cols[0]], new[cols[1]], new[cols[2]] = col
                     mat[i, index[tuple(new)]] += val
@@ -436,8 +435,8 @@ def composition_law_residual(cat, reps, braidings):
     for rep, E in zip(reps, braidings):
         lab = rep.labels
         got = np.einsum("qabdenABTm,aersqA,arbdefsBut,bfpcru,abpdzfUyct"
-                        "->abdzUpynTqm", F[lab].conj(), E, F[:, lab], E,
-                        F[:, :, lab].conj(), optimize=True)
+                        "->abdzUpynTqm", F[lab], E, F[:, lab].conj(), E,
+                        F[:, :, lab], optimize=True)
         want = np.einsum("zn,UT,abnT,ndpyqm->abdzUpynTqm",
                          np.eye(n), np.eye(msize), channel, E)
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -447,10 +446,105 @@ def composition_law_residual(cat, reps, braidings):
 def fblock_bases(cat, a, b, c, dd):
     """Row basis (e, alpha, beta) and column basis (f, mu, nu) of the F-block
     (a,b,c;d), in lex order, one label and multiplicity at a time; the
-    reference for the joins in `CategoryData._build_blocks`."""
+    reference for the joins in `CategoryData._bases`."""
     N = cat.N
     rows = [(e, al, be) for e in range(cat.n)
             for al in range(N[a, b, e]) for be in range(N[e, c, dd])]
     cols = [(f, mu, nu) for f in range(cat.n)
             for mu in range(N[b, c, f]) for nu in range(N[a, f, dd])]
     return rows, cols
+
+
+def fblock(cat, a, b, c, dd):
+    """The F-block (a,b,c;d) as (rows, cols, mat): the bases of fblock_bases
+    and one scalar read of cat.F per entry."""
+    rows, cols = fblock_bases(cat, a, b, c, dd)
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    for i, (e, al, be) in enumerate(rows):
+        for j, (f, mu, nu) in enumerate(cols):
+            mat[i, j] = cat.F[a, b, c, dd, e, f, al, be, mu, nu]
+    return rows, cols, mat
+
+
+def unitarity_residual(cat):
+    """max |M M^H - 1| of every nonempty F-block M, one block at a time, as
+    {(a, b, c, d): residual} in lex order; the reference for the batched
+    check in `CategoryData._check_f`."""
+    out = {}
+    for key in itertools.product(range(cat.n), repeat=4):
+        rows, _, mat = fblock(cat, *key)
+        if rows:
+            out[key] = float(np.max(np.abs(mat @ mat.conj().T - np.eye(len(rows)))))
+    return out
+
+
+def hexagon_residual(cat):
+    """Max deviation of both hexagon identities, one block (a,b,c;d) at a
+    time as a matrix equation over (f, f'):
+
+        delta_{f f'} R^{a f}_d =
+            sum_{e,g} conj(F^{abc}[e,f]) R^{ab}_e F^{bac}[e,g] R^{ac}_g conj(F^{bca}[f',g])
+
+    and the mirror identity with R^{xy}_z replaced by conj(R^{yx}_z); the
+    reference for the einsum in `trees.hexagon_residual`.
+    """
+    if (cat.N > 1).any():
+        raise NotImplementedError("hexagon check requires multiplicity-free fusion")
+    if not np.array_equal(cat.N, np.swapaxes(cat.N, 0, 1)):
+        raise ValueError("fusion ring not commutative; no braiding possible")
+    n = cat.n
+    worst = 0.0
+
+    def rme(x, y, z, mirror):
+        return np.conj(cat.rsym(y, x, z)) if mirror else cat.rsym(x, y, z)
+
+    for mirror in (False, True):
+        for a, b, c, dd in itertools.product(range(n), repeat=4):
+            rows_abc, cols_abc, abc = fblock(cat, a, b, c, dd)
+            if not rows_abc:
+                continue
+            _, cols_bac, bac = fblock(cat, b, a, c, dd)
+            rows_bca, _, bca = fblock(cat, b, c, a, dd)
+            fs = [f for (f, _, _) in cols_abc]
+            f2s = [f for (f, _, _) in rows_bca]
+            lhs = np.zeros((len(fs), len(f2s)), dtype=complex)
+            for i, f in enumerate(fs):
+                for j, f2 in enumerate(f2s):
+                    if f == f2:
+                        lhs[i, j] = rme(a, f, dd, mirror)
+            mid = (np.conj(abc).T
+                   @ np.diag([rme(a, b, e, mirror) for (e, _, _) in rows_abc])
+                   @ bac
+                   @ np.diag([rme(a, c, g, mirror) for (g, _, _) in cols_bac])
+                   @ np.conj(bca).T)
+            worst = max(worst, float(np.max(np.abs(lhs - mid))))
+    return worst
+
+
+def gauge_transform(cat, rng):
+    """A multiplicity-free category with its F-symbols in a random vertex
+    gauge, validated, R-symbols dropped.
+
+    Each admissible vertex (a, b; c) gets a phase u(a,b;c), with u = 1 on
+    unit vertices (so unit blocks stay the identity) and u(a,dual a;0) = 1.
+    Rescaling the trees' vertex bases by u turns F^{abc}_d[e, f] into
+
+        F[e, f] u(a,b;e) u(e,c;d) / (u(b,c;f) u(a,f;d)),
+
+    an equivalent category: every invariant must come out the same.
+    """
+    from doubletop.catdata import _category_from_dict, dump_category
+
+    assert (cat.N <= 1).all(), "vertex phases need a multiplicity-free ring"
+    n = cat.n
+    u = np.exp(2j * np.pi * rng.random((n, n, n)))
+    u[0, :, :] = u[:, 0, :] = 1.0
+    u[np.arange(n), cat.dual, 0] = 1.0
+    doc = dump_category(cat)
+    doc.pop("rsymbols", None)
+    for ent in doc["sixj"]:
+        a, b, c, dd, e, f = ent["labels"]
+        v = (complex(ent["re"], ent["im"]) * u[a, b, e] * u[e, c, dd]
+             / (u[b, c, f] * u[a, f, dd]))
+        ent["re"], ent["im"] = v.real, v.imag
+    return _category_from_dict(doc)

@@ -9,9 +9,9 @@ import pytest
 from doubletop import trees
 from doubletop.catdata import (
     CategoryData, CategoryError, dump_category, global_dim, load_category,
-    zoo, _category_from_dict,
+    zoo, _block_view, _category_from_dict,
 )
-from oracles import fblock_bases, multiplicity_ring, vec_s3_document
+from oracles import fblock, fblock_bases, multiplicity_ring, vec_s3_document
 
 ZOO = ["vec_z1", "vec_z2", "vec_z3", "vec_z4", "fibonacci", "ising"]
 
@@ -78,32 +78,60 @@ def test_f_unitarity_detects_scaling():
         _category_from_dict(doc)
 
 
+def _named(name):
+    """A zoo category, `multiplicity_ring` or Vec(S3), with its document."""
+    if name == "vec_s3":
+        doc = vec_s3_document()
+        return _category_from_dict(doc), doc
+    cat = multiplicity_ring() if name == "multiplicity_ring" else zoo(name)
+    return cat, dump_category(cat)
+
+
 @pytest.mark.parametrize("name", ZOO + ["multiplicity_ring"])
 def test_dense_f_holds_the_blocks(name):
-    cat = multiplicity_ring() if name == "multiplicity_ring" else zoo(name)
+    # F has one basis axis per multiplicity and nothing outside the
+    # admissible rows and columns of the nonempty blocks
+    cat, _ = _named(name)
     m = int(cat.N.max())
     assert cat.F.shape == (cat.n,) * 6 + (m,) * 4
     seen = np.zeros(cat.F.shape, dtype=bool)
-    for (a, b, c, dd), blk in cat._fblocks.items():
-        for i, (e, al, be) in enumerate(blk.rows):
-            for j, (f, mu, nu) in enumerate(blk.cols):
-                assert cat.F[a, b, c, dd, e, f, al, be, mu, nu] == blk.mat[i, j]
-                seen[a, b, c, dd, e, f, al, be, mu, nu] = True
+    for key in np.ndindex((cat.n,) * 4):
+        rows, cols = fblock_bases(cat, *key)
+        for (e, al, be) in rows:
+            for (f, mu, nu) in cols:
+                seen[key + (e, f, al, be, mu, nu)] = True
     assert not cat.F[~seen].any()
 
 
 @pytest.mark.parametrize("name", ZOO + ["multiplicity_ring", "vec_s3"])
+def test_dense_f_matches_document(name):
+    # every sixj entry at its slot, the identity on the unit blocks, and
+    # nothing else
+    cat, doc = _named(name)
+    m = int(cat.N.max())
+    want = np.zeros((cat.n,) * 6 + (m,) * 4, dtype=complex)
+    for ent in doc["sixj"]:
+        a, b, c, dd, e, f = ent["labels"]
+        al, be, mu, nu = ent["basis"]
+        want[a, b, c, dd, e, f, al, be, mu, nu] = complex(ent["re"], ent.get("im", 0.0))
+    for key in np.ndindex((cat.n,) * 4):
+        if 0 in key[:3]:
+            for (e, al, be), (f, mu, nu) in zip(*fblock_bases(cat, *key)):
+                want[key + (e, f, al, be, mu, nu)] = 1.0
+    assert np.array_equal(cat.F, want)
+
+
+@pytest.mark.parametrize("name", ZOO + ["multiplicity_ring", "vec_s3"])
 def test_block_bases_match_oracle(name):
-    if name == "multiplicity_ring":
-        cat = multiplicity_ring()
-    elif name == "vec_s3":
-        cat = _category_from_dict(vec_s3_document())
-    else:
-        cat = zoo(name)
+    cat, _ = _named(name)
+    N = cat.N
     want = [key for key in np.ndindex((cat.n,) * 4) if fblock_bases(cat, *key)[0]]
-    assert list(cat._fblocks) == want
-    for key, blk in cat._fblocks.items():
-        assert (blk.rows, blk.cols) == fblock_bases(cat, *key)
+    assert list(map(tuple, _block_view(cat)[0].tolist())) == want
+    for first, second, side in (((0, 1), (3, 2), 0), ((1, 2), (0, 3), 1)):
+        keys, basis = CategoryData._bases(N, first, second)
+        got = list(map(tuple, np.column_stack([keys, basis]).tolist()))
+        assert got == [key + v for key in np.ndindex((cat.n,) * 4)
+                       for v in fblock_bases(cat, *key)[side]]
 
 
 def test_non_square_f_block_rejected():
@@ -118,13 +146,15 @@ def test_non_square_f_block_rejected():
 
 
 def test_unit_blocks_are_identity():
-    cat = zoo("ising")
-    checked = 0
-    for (a, b, c, dd), blk in cat._fblocks.items():
-        if 0 in (a, b, c):
-            assert np.allclose(blk.mat, np.eye(blk.mat.shape[0]))
-            checked += 1
-    assert checked > 0
+    for name in ZOO + ["vec_s3"]:
+        cat, _ = _named(name)
+        checked = 0
+        for key in np.ndindex((cat.n,) * 4):
+            rows, _, mat = fblock(cat, *key)
+            if 0 in key[:3] and rows:
+                assert np.array_equal(mat, np.eye(len(rows))), (name, key)
+                checked += 1
+        assert checked > 0
 
 
 def test_qdim_eigenvector_property():
@@ -226,8 +256,50 @@ def test_rsym_requires_braiding_data():
         cat.rsym(1, 1, 2)
 
 
+def test_missing_r_symbol_named():
+    doc = dump_category(zoo("ising"))
+    doc["rsymbols"] = [e for e in doc["rsymbols"] if (e["a"], e["b"]) != (2, 1)]
+    with pytest.raises(CategoryError, match=r"^missing R-symbol at \(2,1,1\)$"):
+        _category_from_dict(doc)
+
+
+def test_sixj_indices_must_be_integers():
+    for bad in ("x", 1.5, None, float("inf")):
+        doc = dump_category(zoo("fibonacci"))
+        doc["sixj"][0]["basis"][0] = bad
+        with pytest.raises(CategoryError, match="must be integers"):
+            _category_from_dict(doc)
+    doc = dump_category(zoo("fibonacci"))
+    doc["sixj"][0]["labels"] = [float(x) for x in doc["sixj"][0]["labels"]]
+    assert _category_from_dict(doc).fingerprint() == zoo("fibonacci").fingerprint()
+
+
 def test_fingerprint_stable_and_sensitive():
     a = zoo("fibonacci").fingerprint()
     b = zoo("fibonacci").fingerprint()
     assert a == b
     assert a != zoo("ising").fingerprint()
+
+
+# sha256 of the canonical serialization: pins the document format
+FINGERPRINTS = {
+    "vec_z1": "754ad022a4e65132e0dfda2d2f5dd5ee2c2f3b5916789c9d3ba1a0f192879a1d",
+    "vec_z2": "2aa0dc5a24ca513cc1b6dfbd77ef09b359c4c2344e6d4460aa1593412466b749",
+    "vec_z3": "abcde6ec566c8b93ebf0edf2233feabd69f595e3e088da7cbb373ac8b58e2e82",
+    "vec_z4": "9ae658ebd72fa5bd41ae676aa12880a49cd9d69a346076780f9ae98e4396c77e",
+    "vec_z7": "ce0e1045e45a508ec36c32ce6e841dd1a1e4d0fafd4375854296c24eda6553d7",
+    "fibonacci": "3e4277ae1010cad9f294f38f7b58bd5d427f3b582a6d363aa35444c5ce326109",
+    "ising": "a17c56c2d643040c2a6df9feaa02618938c71efcd965bac62b2bb3f3011cc6d7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_fingerprint_pinned(name):
+    assert zoo(name).fingerprint() == FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", ["multiplicity_ring", "vec_s3"])
+def test_dump_roundtrip_keeps_f(name):
+    cat, _ = _named(name)
+    again = _category_from_dict(dump_category(cat), validate=False)
+    assert np.array_equal(again.F, cat.F)

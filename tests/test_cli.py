@@ -209,6 +209,12 @@ def _ising_with_sigma_sigma_psi_mult(mult):
     return doc
 
 
+def _ising_without_r_symbol(key=(1, 1, 0)):
+    doc = dump_category(zoo("ising"))
+    doc["rsymbols"] = [e for e in doc["rsymbols"] if (e["a"], e["b"], e["c"]) != key]
+    return doc
+
+
 def _multiplicity_ring_with_r_symbol():
     doc = dump_category(multiplicity_ring())
     doc["rsymbols"] = [{"a": 1, "b": 1, "c": 0, "re": 1.0}]
@@ -245,6 +251,7 @@ _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
     # rejected by the ring checks before any F-block of that size is built
     (_CATEGORY, _ising_with_sigma_sigma_psi_mult(10 ** 8)),
     (_CATEGORY, _ising_with_sigma_sigma_psi_mult(10 ** 19)),
+    (_CATEGORY, _ising_without_r_symbol()),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
@@ -254,7 +261,7 @@ _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
         "category-noncommutative-braided", "category-multiplicity-braided",
         "triangulation-list-ids-with-gluings", "category-nan-sixj",
         "category-nan-qdim", "category-nan-r-symbol", "category-huge-mult",
-        "category-mult-beyond-int64"])
+        "category-mult-beyond-int64", "category-missing-r-symbol"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -266,6 +273,7 @@ def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
 @pytest.mark.parametrize("doc,named", [
     (_vec_s3_with_one_r_symbol(), "noncommutative fusion ring"),
     (_multiplicity_ring_with_r_symbol(), "multiplicity-free fusion ring"),
+    (_ising_without_r_symbol(), "missing R-symbol at (1,1,0)"),
 ])
 def test_r_symbols_name_the_ring_they_need(capsys, tmp_path, doc, named):
     path = tmp_path / "doc.json"

@@ -25,8 +25,10 @@ from doubletop.modulardata import (
     twist_element,
     verlinde_fusion,
 )
+from doubletop.statesum import builtin_triangulation, state_sum
 from oracles import (
-    composition_law_residual, hopf_link_S, multiplicity_ring, vec_s3_document,
+    composition_law_residual, gauge_transform, hopf_link_S, multiplicity_ring,
+    vec_s3_document,
 )
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
@@ -496,3 +498,22 @@ def test_braiding_st_fibonacci():
 def test_braiding_st_requires_r_symbols():
     with pytest.raises(CategoryError):
         braiding_st(dt.zoo("vec_z2"))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["ising", "vec_z4", "vec_z3", "fibonacci"])
+def test_gauge_transform_keeps_invariants(name, seed):
+    # complex F in a random vertex gauge: the composition law must hold and
+    # the modular data and state sums must not move
+    cat = dt.zoo(name)
+    gauged = gauge_transform(cat, np.random.default_rng(seed))
+    assert not np.allclose(gauged.F, cat.F)
+    want, got = compute_modular_data(cat), compute_modular_data(gauged)
+    law = composition_law_residual(gauged, got.reps, got.braidings)
+    assert abs(got.residuals["multiplicative"] - law) < 1e-14
+    assert np.allclose(got.S, want.S, rtol=0, atol=1e-12)
+    assert np.allclose(got.T, want.T, rtol=0, atol=1e-12)
+    assert np.array_equal(got.N, want.N)
+    for tri in ("s3", "lens_3_1", "rp3"):
+        tri = builtin_triangulation(tri)
+        assert abs(state_sum(gauged, tri) - state_sum(cat, tri)) < 1e-12

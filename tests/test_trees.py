@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from doubletop.catdata import dump_category, zoo, _category_from_dict
+from doubletop.catdata import CategoryError, dump_category, zoo, _category_from_dict
 from doubletop.trees import hexagon_residual, pentagon_residual
 import oracles
 from oracles import multiplicity_ring, shape_moves, vec_s3_document
@@ -136,3 +136,50 @@ def test_semion_hexagon():
     assert hexagon_residual(_with_rsymbols(doc, {(1, 1, 0): 1.0j})) < 1e-12
     assert hexagon_residual(_with_rsymbols(doc, {(1, 1, 0): -1.0j})) < 1e-12
     assert hexagon_residual(_with_rsymbols(doc, {(1, 1, 0): 1.0})) > 0.1
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CATEGORIES))
+def test_unitarity_matches_oracle(name):
+    # the batched check reports the worst block residual, or names the first
+    # non-unitary block in lex order, exactly as the per-block loop does
+    cat = _ORACLE_CATEGORIES[name]()
+    want = oracles.unitarity_residual(cat)
+    bad = [key for key, u in want.items() if u > 1e-9]
+    if bad:
+        msg = "F-block (%d,%d,%d;%d) not unitary: residual %.3e" % (*bad[0], want[bad[0]])
+        with pytest.raises(CategoryError) as exc:
+            cat.validate()
+        assert str(exc.value) == msg
+    else:
+        cat.validate()
+        assert cat.residuals["unitarity"] == max(want.values())
+
+
+def _ising_with_wrong_psi_braiding():
+    cat = zoo("ising")
+    return _with_rsymbols(dump_category(cat), {**cat.rsymbols, (2, 2, 0): 1.0})
+
+
+_HEXAGON_CATEGORIES = {
+    "fibonacci": lambda: zoo("fibonacci"),
+    "ising": lambda: zoo("ising"),
+    "semion-f": lambda: _with_rsymbols(_semion_f_document(), {(1, 1, 0): 1.0j}),
+    "semion-f-wrong-r": lambda: _with_rsymbols(_semion_f_document(), {(1, 1, 0): 1.0}),
+    "ising-wrong-r": _ising_with_wrong_psi_braiding,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HEXAGON_CATEGORIES))
+def test_hexagon_matches_oracle(name):
+    cat = _HEXAGON_CATEGORIES[name]()
+    got = hexagon_residual(cat)
+    assert abs(got - oracles.hexagon_residual(cat)) < 1e-14
+    assert (got > 0.1) == name.endswith("wrong-r")
+
+
+def test_hexagon_refuses_multiplicity_like_oracle():
+    doc = dump_category(multiplicity_ring())
+    cat = _with_rsymbols(doc, {(1, 1, 0): 1.0, (1, 1, 1): 1.0})
+    for check in (hexagon_residual, oracles.hexagon_residual):
+        with pytest.raises(NotImplementedError, match="multiplicity-free"):
+            check(cat)

@@ -12,8 +12,10 @@ between identical runs.
 
 import argparse
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -112,8 +114,47 @@ def _load_plumbing_arg(uri):
     return load_plumbing(uri)
 
 
+_SMALL_INTS = {i: str(i) for i in range(256)}
+
+
+def _dumps(o, pad=""):
+    """json.dumps(o, indent=2, sort_keys=True), with str-keyed dicts, str,
+    int, finite float and lists of them written here; a list of only ints
+    or only finite floats is joined at C level.  Everything else (bool,
+    None, NaN, infinities, subclasses such as np.float64, empty containers)
+    goes to json.dumps, re-indented to its depth."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is float and math.isfinite(o):
+        return float.__repr__(o)
+    inner = pad + "  "
+    if t is dict and o and set(map(type, o)) == {str}:
+        return "{\n%s\n%s}" % (",\n".join([
+            inner + encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(o.items())]), pad)
+    if (t is list or t is tuple) and o:
+        kinds = set(map(type, o))
+        sep = ",\n" + inner
+        if kinds == {int}:
+            try:
+                body = sep.join(map(_SMALL_INTS.__getitem__, o))
+            except KeyError:
+                body = sep.join(map(int.__repr__, o))
+        elif kinds == {float} and math.isfinite(sum(o)):
+            body = sep.join(map(float.__repr__, o))  # a finite sum: all finite
+        else:
+            body = sep.join([_dumps(v, inner) for v in o])
+        return "[\n%s%s\n%s]" % (inner, body, pad)
+    # json.dumps escapes newlines inside strings, so each "\n" is a line break
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _emit(doc):
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    """Print doc byte-identical to json.dumps(indent=2, sort_keys=True)."""
+    print(_dumps(doc))
 
 
 def _envelope(command, argv, timings, category=None, residuals=None,

@@ -448,8 +448,26 @@ def check_U_condition(alg, dec):
     return worst
 
 
-def _ent(z, ndig=9):
-    return (round(float(np.real(z)), ndig), round(float(np.imag(z)), ndig))
+def _round9(x):
+    """round(v, 9) of every entry of a real array, bit for bit as Python's
+    round gives it.  rint(x * 1e9) / 1e9 agrees with it unless x * 1e9 lies
+    within one float step of a half-integer; those entries go to round."""
+    y = x * 1e9
+    out = np.rint(y) / 1e9
+    near = np.abs(y - np.floor(y) - 0.5) <= np.spacing(np.abs(y))
+    if near.any():
+        out[near] = [round(float(v), 9) for v in x[near]]
+    return out
+
+
+def _row_ranks(M):
+    """Dense rank of each row of M in lexicographic row order."""
+    o = np.lexsort(M.T[::-1])
+    M = M[o]
+    out = np.empty(len(o), dtype=np.int64)
+    out[o[0]] = 0
+    out[o[1:]] = np.cumsum(np.any(M[1:] != M[:-1], axis=1))
+    return out
 
 
 def canonical_permutation(qdims, T, S, vacuum_index=0):
@@ -459,57 +477,66 @@ def canonical_permutation(qdims, T, S, vacuum_index=0):
     signatures.  Residual ties are branched exhaustively and the order
     whose (T, S) value stream is lexicographically smallest wins, so two
     runs producing the same data up to permutation serialize identically.
+
+    Everything runs on integer ids.  Each S and T entry is rounded to 9
+    digits once and replaced by the dense rank of its (re, im) pair.  A
+    class signature is a dense rank; a refinement round ranks, per block,
+    its class followed by its sorted row of sig[j] * width + E[i, j], which
+    orders like the (sig[j], E[i, j]) pairs.  Leaf streams compare as id
+    arrays.  Since every id keeps the order of the value it stands for,
+    the ranks, branches and chosen order are those of the same algorithm
+    run on the rounded tuples (tests/oracles.py::canonical_permutation).
     """
     r1 = len(qdims)
-    E = [[_ent(S[i, j]) for j in range(r1)] for i in range(r1)]  # rounded once
-
-    def rank(sig):
-        keys = sorted(set(sig.values()))
-        return {i: keys.index(sig[i]) for i in range(r1)}
+    T = np.asarray(T, dtype=complex)
+    z = np.concatenate((np.asarray(S, dtype=complex).ravel(), T))
+    # complex values sort and compare as (re, im) pairs
+    ids = np.unique(_round9(z.view(float)).view(complex),
+                    return_inverse=True)[1]
+    E, Tid = ids[:-r1].reshape(r1, r1), ids[-r1:]
+    width = len(z)  # more than any id
+    M = np.empty((r1, r1 + 1), dtype=np.int64)
 
     def refine(sig):
-        sig = rank(sig)
-        while True:
-            prof = {i: (sig[i], tuple(sorted((sig[j], E[i][j])
-                                             for j in range(r1))))
-                    for i in range(r1)}
-            new = rank(prof)
-            if len(set(new.values())) == len(set(sig.values())):
-                return new
-            sig = new
+        top = sig.max()
+        while top < r1 - 1:  # a discrete partition cannot split further
+            M[:, 0] = sig
+            M[:, 1:] = sig * width + E
+            M[:, 1:].sort(axis=1)
+            new = _row_ranks(M)
+            if new.max() == top:
+                break
+            sig, top = new, new.max()
+        return sig
 
-    start = {}
-    for i in range(r1):
-        ang = float(np.angle(T[i])) % (2 * np.pi)
-        if ang > 2 * np.pi - 1e-9:
-            ang = 0.0
-        start[i] = (int(i != vacuum_index), round(float(qdims[i]), 9),
-                    round(ang, 9))
-
-    def stream(order):
-        head = tuple(_ent(T[i]) for i in order)
-        body = tuple(E[i][j] for i in order for j in order)
-        return head + body
-
-    best = [None]
+    best = [None, None]
 
     def descend(sig):
-        groups = {}
-        for i, c in sig.items():
-            groups.setdefault(c, []).append(i)
-        classes = [groups[c] for c in sorted(groups)]
-        tied = next((cl for cl in classes if len(cl) > 1), None)
-        if tied is None:
-            order = [cl[0] for cl in classes]
-            st = stream(order)
-            if best[0] is None or st < best[0][0]:
-                best[0] = (st, order)
+        tied = np.flatnonzero(np.bincount(sig) > 1)
+        if not tied.size:
+            order = np.argsort(sig)
+            st = np.concatenate((Tid[order], E[order][:, order].ravel()))
+            if best[0] is not None:
+                diff = np.flatnonzero(st != best[0])
+                if not diff.size or st[diff[0]] > best[0][diff[0]]:
+                    return
+            best[0], best[1] = st, order
             return
-        for pick in tied:
-            descend(refine({i: (sig[i], int(i != pick)) for i in range(r1)}))
+        # individualize each member of the first tied class c in turn:
+        # it keeps rank c, the rest of c and every class above move up one
+        c = tied[0]
+        split = sig + (sig >= c)
+        for pick in np.flatnonzero(sig == c):
+            split[pick] = c
+            descend(refine(split))
+            split[pick] = c + 1
 
-    descend(refine(start))
-    return best[0][1]
+    ang = np.angle(T) % (2 * np.pi)
+    ang[ang > 2 * np.pi - 1e-9] = 0.0
+    start = np.column_stack((np.arange(r1) != vacuum_index,
+                             _round9(np.array([qdims, ang], dtype=float)).T))
+    descend(refine(_row_ranks(start)))
+    return best[1].tolist()
 
 
 class ModularData:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +140,12 @@ class Triangulation:
             self.gluings = [((ta, fa), (tb, fb)) for (ta, fa), (tb, fb) in gluings]
         except (TypeError, ValueError) as exc:
             raise TriangulationError("malformed gluing list: %s" % exc) from exc
+        if not all(isinstance(x, numbers.Integral)
+                   for pair in self.gluings for slot in pair for x in slot):
+            raise TriangulationError("gluing slots must be integer (tet, face) pairs")
+        if n_vertices is not None and (not isinstance(n_vertices, numbers.Real)
+                                       or n_vertices % 1 != 0):
+            raise TriangulationError("vertex count must be an integer")
         self._validate_pairing()
         self._orientation_check()
         self._build_classes()

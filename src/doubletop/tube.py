@@ -245,7 +245,7 @@ class TubeAlgebra:
     def _star_antihom_residual(self):
         # star(e_i e_j) = star(e_j) star(e_i) for every (i, j), coordinate k
         St, C = self.St, self.C
-        lhs = np.einsum("kl,ijl->ijk", St, np.conj(C))
+        lhs = np.conj(C) @ St.T
         rhs = np.einsum("aj,bi,abk->ijk", St, St, C, optimize=True)
         return float(np.max(np.abs(lhs - rhs)))
 

@@ -283,6 +283,68 @@ def star_antihom_residual(St, C):
     return worst
 
 
+def canonical_permutation(qdims, T, S, vacuum_index=0):
+    """Block order of `modulardata.canonical_permutation`, on Python tuples.
+
+    The same individualization-refinement and smallest-(T, S)-stream
+    choice, with each S and T entry a (round(re, 9), round(im, 9)) tuple
+    and each signature a tuple sorted in Python.
+    """
+    def ent(z):
+        return (round(float(np.real(z)), 9), round(float(np.imag(z)), 9))
+
+    r1 = len(qdims)
+    E = [[ent(S[i, j]) for j in range(r1)] for i in range(r1)]
+
+    def rank(sig):
+        keys = sorted(set(sig.values()))
+        return {i: keys.index(sig[i]) for i in range(r1)}
+
+    def refine(sig):
+        sig = rank(sig)
+        while True:
+            prof = {i: (sig[i], tuple(sorted((sig[j], E[i][j])
+                                             for j in range(r1))))
+                    for i in range(r1)}
+            new = rank(prof)
+            if len(set(new.values())) == len(set(sig.values())):
+                return new
+            sig = new
+
+    start = {}
+    for i in range(r1):
+        ang = float(np.angle(T[i])) % (2 * np.pi)
+        if ang > 2 * np.pi - 1e-9:
+            ang = 0.0
+        start[i] = (int(i != vacuum_index), round(float(qdims[i]), 9),
+                    round(ang, 9))
+
+    def stream(order):
+        head = tuple(ent(T[i]) for i in order)
+        body = tuple(E[i][j] for i in order for j in order)
+        return head + body
+
+    best = [None]
+
+    def descend(sig):
+        groups = {}
+        for i, c in sig.items():
+            groups.setdefault(c, []).append(i)
+        classes = [groups[c] for c in sorted(groups)]
+        tied = next((cl for cl in classes if len(cl) > 1), None)
+        if tied is None:
+            order = [cl[0] for cl in classes]
+            st = stream(order)
+            if best[0] is None or st < best[0][0]:
+                best[0] = (st, order)
+            return
+        for pick in tied:
+            descend(refine({i: (sig[i], int(i != pick)) for i in range(r1)}))
+
+    descend(refine(start))
+    return best[0][1]
+
+
 def associativity_residual(C):
     """max |(e_i e_j) e_k - e_i (e_j e_k)| over all (i, j, k), coordinate b.
 

@@ -9,6 +9,7 @@ from doubletop.catdata import dump_category, zoo
 from doubletop import cli, modulardata
 from doubletop.cli import main
 from doubletop.modulardata import STAGES
+from doubletop.statesum import builtin_triangulation
 from oracles import multiplicity_ring, vec_s3_document
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -224,6 +225,13 @@ def _multiplicity_ring_with_r_symbol():
 _CATEGORY = ["validate", "--category"]
 _STATESUM = ["invariant", "--category", "zoo:vec_z2", "--statesum"]
 _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
+_S3_TWOTET = builtin_triangulation("s3_twotet").to_dict()
+
+
+def _s3_twotet_with_face(face):
+    doc = json.loads(json.dumps(_S3_TWOTET))
+    doc["gluings"][0][1][1] = face
+    return doc
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -252,6 +260,10 @@ _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
     (_CATEGORY, _ising_with_sigma_sigma_psi_mult(10 ** 8)),
     (_CATEGORY, _ising_with_sigma_sigma_psi_mult(10 ** 19)),
     (_CATEGORY, _ising_without_r_symbol()),
+    (_STATESUM, _s3_twotet_with_face("1")),
+    (_STATESUM, _s3_twotet_with_face(1.0)),
+    (_STATESUM, dict(_S3_TWOTET, vertices=[2])),
+    (_STATESUM, dict(_S3_TWOTET, vertices=float("nan"))),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
@@ -261,7 +273,9 @@ _SURGERY = ["invariant", "--category", "zoo:vec_z2", "--surgery"]
         "category-noncommutative-braided", "category-multiplicity-braided",
         "triangulation-list-ids-with-gluings", "category-nan-sixj",
         "category-nan-qdim", "category-nan-r-symbol", "category-huge-mult",
-        "category-mult-beyond-int64", "category-missing-r-symbol"])
+        "category-mult-beyond-int64", "category-missing-r-symbol",
+        "triangulation-string-face", "triangulation-float-face",
+        "triangulation-list-vertex-count", "triangulation-nan-vertex-count"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -366,3 +380,42 @@ def test_selftest_passes(capsys):
     assert all(row["pass"] for row in res["criteria"])
     assert err.count("PASS") == 12
     assert len(doc["timings_ms"]) == 12
+
+
+def _short_selftest(monkeypatch):
+    """A selftest of one passing and one failing criterion, so that the
+    report of a failing run is written without running the real twelve."""
+    monkeypatch.setattr(cli, "SELFTEST_CRITERIA", (
+        (1, "passes", lambda ctx: (True, "ok")),
+        (2, "fails", lambda ctx: (False, "worst %.3e" % float("nan"))),
+    ))
+    return ("selftest",)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("zoo",), 0),
+    (("validate", "--category", "zoo:ising"), 0),
+    (("validate", "--category", "zoo:fibonacci", "--tolerance", "1e-20"), 1),
+    (("center", "--category", "zoo:vec_z4"), 0),
+    (("modular-data", "--category", "zoo:fibonacci"), 0),
+    (("modular-data", "--category", "zoo:vec_z5"), 0),
+    (("invariant", "--category", "zoo:ising", "--statesum", "builtin:lens_3_1"), 0),
+    (("invariant", "--category", "zoo:vec_z3", "--surgery", "builtin:lens_3_1"), 0),
+    (("compare", "--category", "zoo:vec_z2", "--statesum", "builtin:rp3",
+      "--surgery", "builtin:lens_2_1"), 0),
+    (("compare", "--category", "zoo:vec_z2", "--statesum", "builtin:rp3",
+      "--surgery", "builtin:lens_3_1"), 2),
+    (_short_selftest, 2),
+], ids=["zoo", "validate", "validate-failing", "center", "modular-data-fibonacci",
+        "modular-data-vec_z5", "invariant-statesum", "invariant-surgery",
+        "compare", "compare-failing", "selftest-failing"])
+def test_report_writer_matches_json_dumps(capsys, monkeypatch, argv, want):
+    if callable(argv):
+        argv = argv(monkeypatch)
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc: (docs.append(doc), emit(doc)))
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == want and len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2, sort_keys=True) + "\n"

@@ -1,4 +1,5 @@
-"""Hypothesis fuzz tests of the document loaders, run through the CLI."""
+"""Hypothesis fuzz tests of the document loaders, run through the CLI, and
+of the report writer against json.dumps."""
 
 import contextlib
 import copy
@@ -8,10 +9,13 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from doubletop.catdata import dump_category, zoo
-from doubletop.cli import main
+from doubletop.cli import _dumps, main
+from doubletop.statesum import builtin_triangulation
+from doubletop.surgery import chain, lens_chain
 
 _CATEGORY_DOCS = {name: dump_category(zoo(name)) for name in ("ising", "vec_z3")}
 
@@ -38,6 +42,14 @@ def _run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_document(doc, *argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        fname = os.path.join(tmp, "doc.json")
+        with open(fname, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return _run(*argv, fname)
+
+
 @settings(derandomize=True, deadline=None, database=None)
 @given(case=_CASES, value=st.one_of(st.floats(), st.integers()))
 def test_category_with_one_number_replaced(case, value):
@@ -47,11 +59,7 @@ def test_category_with_one_number_replaced(case, value):
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        fname = os.path.join(tmp, "doc.json")
-        with open(fname, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        code, out, err = _run("validate", "--category", fname)
+    code, out, err = _run_document(doc, "validate", "--category")
     if code == 0:
         # a document that validates holds finite numbers only
         assert isinstance(value, int) or math.isfinite(value)
@@ -61,3 +69,115 @@ def test_category_with_one_number_replaced(case, value):
     else:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- triangulation and plumbing documents ------------------------------------
+
+_TRIANGULATION_DOCS = {name: builtin_triangulation(name).to_dict()
+                       for name in ("s3_twotet", "lens_3_1", "s2xs1")}
+_PLUMBING_DOCS = {
+    "lens_5_2": lens_chain(5, 2).to_dict(),
+    "chain": chain([1, -2, 0]).to_dict(),
+    "cycle": {"vertices": [{"id": v, "framing": f}
+                           for v, f in (("a", 0), ("b", 1), ("c", -1))],
+              "edges": [["a", "b"], ["b", "c"], ["a", "c"]]},
+}
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-8, 8),
+                          st.integers(), st.floats(), st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=5),
+                           st.dictionaries(st.text(max_size=4), kids,
+                                           max_size=4)),
+    max_leaves=12)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document: the root and each key or index."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+_DELETE = object()
+
+
+def _mutations(docs):
+    return st.sampled_from(sorted(docs)).flatmap(
+        lambda name: st.tuples(st.just(name),
+                               st.sampled_from(list(_paths(docs[name]))),
+                               st.one_of(st.just(_DELETE), _JSON_VALUES)))
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    if not path:
+        return None if value is _DELETE else value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+def _assert_ok_or_named(code, err):
+    if code != 0:
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(case=_mutations(_TRIANGULATION_DOCS))
+def test_triangulation_with_one_part_replaced(case):
+    name, path, value = case
+    doc = _mutated(_TRIANGULATION_DOCS[name], path, value)
+    code, _, err = _run_document(doc, "invariant", "--category", "zoo:vec_z2",
+                                 "--statesum")
+    _assert_ok_or_named(code, err)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(case=_mutations(_PLUMBING_DOCS))
+def test_plumbing_with_one_part_replaced(case):
+    name, path, value = case
+    doc = _mutated(_PLUMBING_DOCS[name], path, value)
+    code, _, err = _run_document(doc, "invariant", "--category", "zoo:vec_z2",
+                                 "--surgery")
+    _assert_ok_or_named(code, err)
+
+
+# -- the report writer ---------------------------------------------------------
+
+_WRITER_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10, 300),
+    st.just(10 ** 400), st.just(-(10 ** 400)), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
+    st.floats().map(np.float64), st.text())
+_WRITER_DOCS = st.recursive(
+    _WRITER_SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=5),
+        st.lists(st.integers(-10, 300), max_size=6),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        st.lists(st.floats(), max_size=6),
+        st.lists(st.floats().map(np.float64), max_size=4),
+        st.just([[], {}, [[]], [{}], {"": []}])),
+    max_leaves=25)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(doc=_WRITER_DOCS)
+@example(doc=[list(range(256)), [-1, 0, 256]])  # the int table and past it
+@example(doc={"N": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]],
+              "S": [[{"re": 0.5, "im": -0.0}]], "ok": [True, 1, 1.0]})
+def test_report_writer_equals_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)

@@ -27,6 +27,7 @@ from doubletop.modulardata import (
 )
 from doubletop.statesum import builtin_triangulation, state_sum
 from oracles import (
+    canonical_permutation as canonical_permutation_oracle,
     composition_law_residual, gauge_transform, hopf_link_S, multiplicity_ring,
     vec_s3_document,
 )
@@ -440,6 +441,58 @@ def test_canonical_permutation_is_relabeling_invariant(mds):
         order = canonical_permutation(qp, Tp, Sp, vacuum_index=vac)
         assert np.max(np.abs(Sp[np.ix_(order, order)] - ref_S)) < 1e-12
         assert np.max(np.abs(Tp[np.asarray(order)] - ref_T)) < 1e-12
+
+
+def _order_cases():
+    """(name, make) with make() -> (S, T, qdims), vacuum at index 0."""
+    def from_md(md):
+        return md.S, md.T, md.qdims
+
+    for name in ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7"]:
+        yield name, lambda name=name: from_md(compute_modular_data(dt.zoo(name)))
+    yield "vec_s3", lambda: from_md(compute_modular_data(
+        _category_from_dict(vec_s3_document())))
+    for nmod in range(2, 9):
+        yield "D(Z_%d)" % nmod, lambda nmod=nmod: (
+            *group_double_oracle(nmod)[:2], [1.0] * nmod ** 2)
+    for seed, lengths in enumerate([(6, 3), (5, 4), (8, 4)]):
+        yield ("cycles-" + "-".join(map(str, lengths)),
+               lambda seed=seed, lengths=lengths: _cycles(lengths, seed))
+
+
+def _cycles(lengths, seed):
+    """S, T and qdims that colour refinement cannot split: a vacuum linked
+    to nothing, then disjoint cycles (S = 1 + i/2 on their edges, plus
+    noise below the rounding digit), T and qdims constant.  Cycles of
+    different lengths give branches with different streams."""
+    r1 = 1 + sum(lengths)
+    S = np.zeros((r1, r1), dtype=complex)
+    S[0, 0] = 1
+    lo = 1
+    for n in lengths:
+        for k in range(n):
+            i, j = lo + k, lo + (k + 1) % n
+            S[i, j] = S[j, i] = 1 + 0.5j
+        lo += n
+    S += 1e-12 * np.random.default_rng(seed).standard_normal((r1, r1))
+    return S, np.ones(r1, dtype=complex), [1.0] * r1
+
+
+@pytest.mark.parametrize("name,make", list(_order_cases()),
+                         ids=[name for name, _ in _order_cases()])
+def test_canonical_permutation_matches_oracle(name, make):
+    S, T, qdims = make()
+    r1 = len(T)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(5):
+        p = rng.permutation(r1)
+        while p[0] == 0:  # move the vacuum off index 0
+            p = rng.permutation(r1)
+        Sp, Tp = S[np.ix_(p, p)], T[p]
+        qp = [qdims[i] for i in p]
+        vac = int(np.flatnonzero(p == 0)[0])
+        assert (canonical_permutation(qp, Tp, Sp, vacuum_index=vac)
+                == canonical_permutation_oracle(qp, Tp, Sp, vacuum_index=vac))
 
 
 # -- container and validation --------------------------------------------------

@@ -114,15 +114,12 @@ def _load_plumbing_arg(uri):
     return load_plumbing(uri)
 
 
-_SMALL_INTS = {i: str(i) for i in range(256)}
-
-
 def _dumps(o, pad=""):
     """json.dumps(o, indent=2, sort_keys=True), with str-keyed dicts, str,
     int, finite float and lists of them written here; a list of only ints
-    or only finite floats is joined at C level.  Everything else (bool,
-    None, NaN, infinities, subclasses such as np.float64, empty containers)
-    goes to json.dumps, re-indented to its depth."""
+    is joined at C level.  Everything else (bool, None, NaN, infinities,
+    subclasses such as np.float64, empty containers) goes to json.dumps,
+    re-indented to its depth."""
     t = type(o)
     if t is str:
         return encode_basestring_ascii(o)
@@ -139,12 +136,7 @@ def _dumps(o, pad=""):
         kinds = set(map(type, o))
         sep = ",\n" + inner
         if kinds == {int}:
-            try:
-                body = sep.join(map(_SMALL_INTS.__getitem__, o))
-            except KeyError:
-                body = sep.join(map(int.__repr__, o))
-        elif kinds == {float} and math.isfinite(sum(o)):
-            body = sep.join(map(float.__repr__, o))  # a finite sum: all finite
+            body = sep.join(map(int.__repr__, o))
         else:
             body = sep.join([_dumps(v, inner) for v in o])
         return "[\n%s%s\n%s]" % (inner, body, pad)

@@ -449,15 +449,8 @@ def check_U_condition(alg, dec):
 
 
 def _round9(x):
-    """round(v, 9) of every entry of a real array, bit for bit as Python's
-    round gives it.  rint(x * 1e9) / 1e9 agrees with it unless x * 1e9 lies
-    within one float step of a half-integer; those entries go to round."""
-    y = x * 1e9
-    out = np.rint(y) / 1e9
-    near = np.abs(y - np.floor(y) - 0.5) <= np.spacing(np.abs(y))
-    if near.any():
-        out[near] = [round(float(v), 9) for v in x[near]]
-    return out
+    """round(v, 9) of every entry of a real array."""
+    return np.array([round(v, 9) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _row_ranks(M):

@@ -17,12 +17,12 @@ unitary.
 
 The tube action determines E_i linearly: acting with X(xi,eta,zeta,...)
 on the graded representation space equals an F-sandwich of
-E_i(zeta*, .).  We solve that linear system per (block, strand) by least
-squares, then verify unitarity and the two-strand composition law the
-solution never saw.  The law is checked on the admissible label tuples
-of all blocks at once, built by numpy joins on N: cat.F and the stacked
-E arrays are gathered at those tuples and contracted by one einsum over
-the multiplicity axes.
+E_i(zeta*, .).  Its coefficients, gathered from cat.F once per algebra, fill
+the rows of each (block, strand) system, solved by least squares; then we
+verify unitarity and the two-strand composition law the solution never saw.
+The law is checked on the admissible label tuples of all blocks at once,
+built by numpy joins on N: cat.F and the stacked E arrays are gathered at
+those tuples and contracted by one einsum over the multiplicity axes.
 
 The twist is the eigenvalue of the central twist tube on each block,
 and S is the normalized trace of the double braiding of two blocks.
@@ -34,7 +34,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .tube import _newton_idempotent, build_tube_algebra, center_decompose
+from .catdata import join
+from .tube import _cluster, _newton_idempotent, build_tube_algebra, center_decompose
 
 _EXTRACT_TOL = 1e-6
 _AXIOM_TOL = 1e-8
@@ -78,7 +79,6 @@ class BlockRep:
         self.comps = comps
         self.labels = np.array([xi for xi, _ in comps], dtype=np.int64)
         self.m = m
-        self.slot = {ct: i for i, ct in enumerate(comps)}
 
 
 def _minimal_projection(alg, dec, i, rng):
@@ -93,17 +93,10 @@ def _minimal_projection(alg, dec, i, rng):
                  + 1j * rng.standard_normal(B.shape[1]))
         h = 0.5 * (h + alg.star(h))
         M = B.conj().T @ alg.left_mult(h) @ B
-        evals = np.sort(np.linalg.eigvalsh(M))
+        evals = np.linalg.eigvalsh(M)  # ascending
         # matrix spectrum of h repeats each eigenvalue n times under L_h
         spread = float(evals[-1] - evals[0]) or 1.0
-        mus, run = [], [evals[0]]
-        for v in evals[1:]:
-            if v - run[-1] <= 1e-6 * spread:
-                run.append(v)
-            else:
-                mus.append(float(np.mean(run)))
-                run = [v]
-        mus.append(float(np.mean(run)))
+        mus = [float(np.mean(evals[g])) for g in _cluster(evals, 1e-6 * spread)]
         if len(mus) != n:
             continue
         q = pi
@@ -134,7 +127,7 @@ def block_irreps(alg, dec):
         # grade by the corner idempotents; left multiplication by basis k is C[k].T
         blocks_W, comps, m = [], [], {}
         for xi in range(cat.n):
-            k = alg.index[(xi, xi, 0, xi, 0, 0)]
+            k = alg.index[xi, xi, 0, xi, 0, 0]
             P = V.conj().T @ (alg.scale[k] * alg.C[k].T) @ V
             mult = int(round(np.trace(P).real))
             if mult == 0:
@@ -177,9 +170,23 @@ def extract_half_braidings(alg, dec, reps):
     residuals = {"solve": 0.0, "unitary": 0.0}
     layouts = {}
 
+    # coef[tube, k, mp, mm]: the coefficient of the unknown E[sigma, k, p, mp,
+    # q, mm] in the equation of tube X(xi,eta,zeta,delta,a,b), sigma = zeta*,
+    # and components p of xi, q of eta; it depends on no block
+    xi, eta, zeta, dl, a, b = alg.basis.T
+    sig = np.asarray(cat.dual)[zeta]
+    coef = np.einsum("Tu,Tkumw,Tkpw->Tkpm", F[xi, zeta, sig, xi, dl, 0, a, :, 0, 0],
+                     F[zeta, eta, sig, xi, dl, :, b].conj(),
+                     F[zeta, sig, xi, xi, 0, :, 0, 0])
+    # the graded rep basis is orthonormal; the half-braiding component
+    # convention weighs grade xi by sqrt(d_xi)
+    grade = np.sqrt(cat.d[eta] / cat.d[xi])
+
     def layout(labels, sigma):
-        # admissible rows (delta, p, a) and columns (delta, q, b) of E[sigma],
-        # and the unknowns: the admissible entries of E[sigma], in C order
+        # admissible rows (delta, p, a) and columns (delta, q, b) of E[sigma];
+        # the unknowns, the admissible entries of E[sigma] in C order; and the
+        # equations (tube, p, q) of the tubes X(xi,eta,sigma*,...) with components
+        # p of xi and q of eta, in tube, then p, then q order, as the matrix A
         rows = slot < N[sigma][labels].T[:, :, None]
         cols = slot < N[labels, sigma].T[:, :, None]
         nrows, ncols = rows.sum(axis=(1, 2)), cols.sum(axis=(1, 2))
@@ -188,52 +195,30 @@ def extract_half_braidings(alg, dec, reps):
                                    "square" % (sigma, np.argmax(nrows != ncols)))
         free = rows[:, :, :, None, None] & cols[:, None, None, :, :]
         varix = np.cumsum(free).reshape(free.shape) - 1
-        return rows, cols, nrows, free, int(free.sum()), varix
+        comp = labels == np.arange(n)[:, None]
+        eqs = np.column_stack([xi, eta, np.arange(alg.dim)])[sig == sigma]
+        tube, p, q = join(comp, join(comp, eqs, 0), 1)[:, 2:].T
+        e, k, mp, mm = np.nonzero(free[:, p, :, q, :])
+        A = np.zeros((len(tube), int(free.sum())), dtype=complex)
+        A[e, varix[:, p, :, q, :][e, k, mp, mm]] += coef[tube[e], k, mp, mm]
+        tubes, at = np.unique(tube, return_inverse=True)
+        return rows, cols, nrows, free, A, tubes, (at, p, q), grade[tube]
 
     out = []
     for bi, rep in enumerate(reps):
         E = np.zeros((n, n, rep.n, slot.size, rep.n, slot.size), dtype=complex)
         for sigma in range(n):
-            zeta = cat.dual[sigma]
             # blocks with the same component labels share the layout
             key = (tuple(rep.labels.tolist()), sigma)
             if key not in layouts:
                 layouts[key] = layout(rep.labels, sigma)
-            rows, cols, nrows, free, nvar, varix = layouts[key]
-            if not nvar:
+            rows, cols, nrows, free, A, tubes, ix, g = layouts[key]
+            if not A.shape[1]:
                 continue
-            eqs, rhs = [], []
-            for tube_i, (xi, eta, zt, delta, a, b) in enumerate(alg.basis):
-                if zt != zeta or xi not in rep.m or eta not in rep.m:
-                    continue
-                # rho of the basis tube; left multiplication by it is C[tube_i].T
-                rho = alg.scale[tube_i] * (rep.V.conj().T @ alg.C[tube_i].T @ rep.V)
-                # the graded rep basis is orthonormal; the half-braiding
-                # component convention weighs grade xi by sqrt(d_xi)
-                grade = np.sqrt(cat.d[eta] / cat.d[xi])
-                for t in range(rep.m[xi]):
-                    for s in range(rep.m[eta]):
-                        p, q = rep.slot[(xi, t)], rep.slot[(eta, s)]
-                        row = np.zeros(nvar, dtype=complex)
-                        for k in range(n):
-                            if N[eta, sigma, k] == 0 or N[zeta, k, xi] == 0:
-                                continue
-                            for mm in range(N[eta, sigma, k]):
-                                for mp in range(N[sigma, xi, k]):
-                                    coef = 0.0 + 0.0j
-                                    for w in range(N[zeta, k, xi]):
-                                        for u2 in range(N[delta, sigma, xi]):
-                                            coef += (
-                                                F[xi, zeta, sigma, xi, delta, 0, a, u2, 0, 0]
-                                                * np.conj(F[zeta, eta, sigma, xi,
-                                                            delta, k, b, u2, mm, w])
-                                                * F[zeta, sigma, xi, xi, 0, k, 0, 0, mp, w]
-                                            )
-                                    row[varix[k, p, mp, q, mm]] += coef
-                        eqs.append(row)
-                        rhs.append(grade * rho[p, q])
-            A = np.array(eqs)
-            y = np.array(rhs)
+            # rho of each tube; left multiplication by basis k is C[k].T
+            rho = np.array([alg.scale[t] * (rep.V.conj().T @ alg.C[t].T @ rep.V)
+                            for t in tubes.tolist()])
+            y = g * rho[ix]
             sol, *_ = np.linalg.lstsq(A, y, rcond=None)
             fit = float(np.max(np.abs(A @ sol - y))) if len(y) else 0.0
             residuals["solve"] = max(residuals["solve"], fit)
@@ -295,25 +280,20 @@ def half_braiding_multiplicativity(cat, reps, braidings):
         E[i, :, :, :rep.n, :, :rep.n] = Ei
         lab[i, :rep.n] = rep.labels
 
-    def join(rows, x, y):
-        # every row once per label o with N[x, y, o] > 0, o appended
-        t, o = np.nonzero(N[rows[:, x], rows[:, y]])
-        return np.column_stack([rows[t], o])
-
     # columns: 0 i, 1 p, 2 q, 3 xi_p, 4 eta_q, 5 a, 6 b, 7 z, 8 nu, 9 delta
     pq = (lab >= 0)[:, :, None] & (lab >= 0)[:, None, :]
     blk, p, q, a, b = np.nonzero(np.broadcast_to(
         pq[:, :, :, None, None], pq.shape + (n, n)))
     rows = np.column_stack([blk, p, q, lab[blk, p], lab[blk, q], a, b])
     for x, y in ((5, 6), (5, 6), (7, 3)):
-        rows = join(rows, x, y)
+        rows = join(N, rows, x, y)
     outer = rows[N[rows[:, 4], rows[:, 8], rows[:, 9]] > 0]
     # inner columns: 10 outer row, 11 e, 12 r, 13 xi_r, 14 f
-    rows = join(np.column_stack([outer, np.arange(len(outer))]), 4, 5)
+    rows = join(N, np.column_stack([outer, np.arange(len(outer))]), 4, 5)
     rows = rows[N[rows[:, 11], rows[:, 6], rows[:, 9]] > 0]
     t, r = np.nonzero(lab[rows[:, 0]] >= 0)
     rows = np.column_stack([rows[t], r, lab[rows[t, 0], r]])
-    rows = join(rows[N[rows[:, 5], rows[:, 13], rows[:, 11]] > 0], 13, 6)
+    rows = join(N, rows[N[rows[:, 5], rows[:, 13], rows[:, 11]] > 0], 13, 6)
     rows = rows[(N[rows[:, 5], rows[:, 14], rows[:, 9]] > 0)
                 & (N[rows[:, 6], rows[:, 3], rows[:, 14]] > 0)]
     i, p, q, xi, eta, a, b, z, nu, d, o, e, r, xr, f = rows.T
@@ -343,11 +323,9 @@ def half_braiding_multiplicativity(cat, reps, braidings):
 
 def twist_element(alg):
     """Coordinates of the central twist tube sum_{xi,delta,a} d_xi X(xi,xi,xi,delta,a,a)."""
-    t = np.zeros(alg.dim, dtype=complex)
-    for i, (xi, eta, zeta, delta, a, b) in enumerate(alg.basis):
-        if xi == eta == zeta and a == b:
-            t[i] += alg.cat.d[xi] * alg.scale[i]
-    return t
+    xi, eta, zeta, _, a, b = alg.basis.T
+    on = (xi == eta) & (eta == zeta) & (a == b)
+    return np.where(on, alg.cat.d[xi] * alg.scale, 0.0).astype(complex)
 
 
 def compute_T(alg, dec, reps, braidings):

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import catdata
+
 
 def pentagon_residual(cat):
     """Max deviation between the two F-move paths ((ab)c)d -> a(b(cd)).
@@ -36,8 +38,7 @@ def pentagon_residual(cat):
     N, F = cat.N, cat.F
     rows = np.indices((cat.n,) * 4).reshape(4, -1).T
     for i, j in ((0, 1), (4, 2), (5, 3), (2, 3), (1, 7)):
-        r, o = np.nonzero(N[rows[:, i], rows[:, j]])
-        rows = np.column_stack([rows[r], o])
+        rows = catdata.join(N, rows, i, j)
     a, b, c, d, x, y, t, k, w = rows[N[rows[:, 0], rows[:, 8], rows[:, 6]] > 0].T
     if not len(a):
         return 0.0

@@ -3,12 +3,14 @@
 Basis elements are pairs of fusion trees sharing a middle strand: a tube
 X(xi, eta, zeta, delta, a, b) carries boundary sectors xi (top) and eta
 (bottom), connecting strand zeta, total charge delta, and basis choices
-a in Hom(delta, xi.zeta), b in Hom(delta, zeta.eta).  The basis is listed
-in lexicographic order of (xi, eta, zeta, delta, a, b).
+a in Hom(delta, xi.zeta), b in Hom(delta, zeta.eta).  The basis is a (dim, 6)
+int array in lexicographic order of (xi, eta, zeta, delta, a, b), built by
+joins on N.
 
 Multiplication stacks tubes: X(xi,eta,...) . Y(eta',...) vanishes unless
 eta == xi(Y); the middle strands fuse and three F-moves reduce the stack
-back to basis form.  The exposed basis is rescaled so that each element
+back to basis form.  C and the star are gathered from cat.F at joined label
+tuples, one einsum each.  The exposed basis is rescaled so that each element
 has unit norm for the trace form <X,Y> = Tr(L_{Y*X}) (trace of left
 multiplication on the algebra); in these coordinates star is the matrix
 adjoint of left multiplication, so the algebra acts on itself as a
@@ -24,7 +26,7 @@ import os
 
 import numpy as np
 
-from .catdata import global_dim
+from .catdata import global_dim, join
 
 CENTER_SEED = 0x5EED
 SEED_ENV = "DOUBLETOP_SEED"
@@ -42,84 +44,61 @@ class CenterError(RuntimeError):
     """Center decomposition failed (degeneracy or non-integer block data)."""
 
 
-def _tube_basis(cat):
-    N, n = cat.N, cat.n
-    basis = []
-    for xi in range(n):
-        for eta in range(n):
-            for zeta in range(n):
-                for delta in range(n):
-                    for a in range(N[xi, zeta, delta]):
-                        for b in range(N[zeta, eta, delta]):
-                            basis.append((xi, eta, zeta, delta, a, b))
-    return basis
+def _basis(cat):
+    """The basis as a (dim, 6) int array in lex order, (xi, eta, zeta) joined
+    with delta on N[xi,zeta,delta] and with a, b on the slots of Hom(delta,
+    xi.zeta), Hom(delta, zeta.eta); and index[xi,eta,zeta,delta,a,b], -1 off it."""
+    N, m = cat.N, cat.F.shape[-1]
+    slots = np.arange(m) < N[..., None]
+    rows = join(N, np.indices((cat.n,) * 3).reshape(3, -1).T, 0, 2)
+    basis = join(slots, join(slots, rows, 0, 2, 3), 2, 1, 3)
+    index = np.full((cat.n,) * 4 + (m, m), -1)
+    index[tuple(basis.T)] = np.arange(len(basis))
+    return basis, index
 
 
-def _raw_structure(cat, basis, index):
-    """C[i,j,k] = coefficient of basis[k] in basis[i].basis[j]."""
-    N, d, n, F = cat.N, cat.d, cat.n, cat.F
+def _structure(cat, basis, index):
+    """C[i,j,k] = coefficient of basis[k] in basis[i].basis[j].
+
+    X(xi,eta,zeta,delta,a,b) . X(eta,eta2,zeta2,delta2,a2,b2) lands on
+    X(xi,eta2,nu,tau,c,dd): j joins on its first label eta, nu on N[zeta,zeta2,nu],
+    tau on N[xi,nu,tau].  Three F-moves gathered there are contracted over
+    (v, T, w); each (i, j, k) is written once, and zero F-slots add zeros.
+    """
+    N, d, F = cat.N, cat.d, cat.F
     dim = len(basis)
+    rows = np.column_stack([basis, np.arange(dim)])
+    rows = join(basis[:, 0] == np.arange(cat.n)[:, None], rows, 1)
+    rows = join(N, join(N, np.column_stack([rows, basis[rows[:, 7]]]), 2, 10), 0, 14)
+    xi, eta, zeta, delta, a, b, i, j, _, eta2, zeta2, delta2, a2, b2, nu, tau = rows.T
+    s = np.einsum("Rvtc,Rvw,Rtdw->Rcd", F[xi, zeta, zeta2, tau, delta, nu, a],
+                  F[zeta, eta, zeta2, tau, delta, delta2, b, :, a2].conj(),
+                  F[zeta, zeta2, eta2, tau, nu, delta2, :, :, b2])
+    pref = d[nu] * (1.0 / (d[zeta] * d[zeta2]))
+    k = index[xi, eta2, nu, tau]
+    r, c, dd = np.nonzero(k >= 0)
     C = np.zeros((dim, dim, dim), dtype=complex)
-    for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
-        for j, (xi2, eta2, zeta2, delta2, a2, b2) in enumerate(basis):
-            if xi2 != eta:
-                continue
-            pref0 = 1.0 / (d[zeta] * d[zeta2])
-            for nu in range(n):
-                if N[zeta, zeta2, nu] == 0:
-                    continue
-                pref = d[nu] * pref0
-                for tau in range(n):
-                    mc = N[xi, nu, tau]
-                    md = N[nu, eta2, tau]
-                    if mc == 0 or md == 0:
-                        continue
-                    mv = N[delta, zeta2, tau]
-                    mw = N[zeta, delta2, tau]
-                    if mv == 0 or mw == 0:
-                        continue
-                    for T in range(N[zeta, zeta2, nu]):
-                        for c in range(mc):
-                            for dd in range(md):
-                                k = index[(xi, eta2, nu, tau, c, dd)]
-                                s = 0.0 + 0.0j
-                                for v in range(mv):
-                                    for w in range(mw):
-                                        s += (
-                                            F[xi, zeta, zeta2, tau, delta, nu, a, v, T, c]
-                                            * np.conj(F[zeta, eta, zeta2, tau,
-                                                        delta, delta2, b, v, a2, w])
-                                            * F[zeta, zeta2, eta2, tau,
-                                                nu, delta2, T, dd, b2, w]
-                                        )
-                                C[i, j, k] += pref * s
+    C[i[r], j[r], k[r, c, dd]] += pref[r] * s[r, c, dd]
     return C
 
 
-def _raw_star(cat, basis, index):
-    """St with star(x) = St @ conj(x); maps sector (xi,eta,zeta) to (eta,xi,zeta*)."""
-    N, d, n, F = cat.N, cat.d, cat.n, cat.F
+def _star(cat, basis, index):
+    """St with star(x) = St @ conj(x); maps sector (xi,eta,zeta) to (eta,xi,zeta*).
+
+    The star of X(xi,eta,zeta,delta,a,b) lands on X(eta,xi,zeta*,tau,c,dd), tau
+    joined on N[eta,zeta*,tau]; three F-moves gathered there are contracted over (u, w).
+    """
+    N, F = cat.N, cat.F
     dim = len(basis)
+    rows = np.column_stack([basis, np.arange(dim), np.asarray(cat.dual)[basis[:, 2]]])
+    xi, eta, zeta, delta, a, b, i, zb, tau = join(N, rows, 1, 7).T
+    s = np.einsum("Ru,Rdwu,Rwc->Rcd", F[zb, zeta, eta, eta, 0, delta, 0, 0, b].conj(),
+                  F[zb, xi, zeta, eta, tau, delta, :, :, a],
+                  F[tau, zeta, zb, tau, eta, 0, :, :, 0, 0].conj())
+    k = index[eta, xi, zb, tau]
+    r, c, dd = np.nonzero(k >= 0)
     St = np.zeros((dim, dim), dtype=complex)
-    for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
-        zb = cat.dual[zeta]
-        for tau in range(n):
-            mc = N[eta, zb, tau]
-            md = N[zb, xi, tau]
-            if mc == 0 or md == 0:
-                continue
-            for c in range(mc):
-                for dd in range(md):
-                    k = index[(eta, xi, zb, tau, c, dd)]
-                    s = 0.0 + 0.0j
-                    for u in range(N[zb, delta, eta]):
-                        for w2 in range(N[tau, zeta, eta]):
-                            s += (
-                                np.conj(F[zb, zeta, eta, eta, 0, delta, 0, 0, b, u])
-                                * F[zb, xi, zeta, eta, tau, delta, dd, w2, a, u]
-                                * np.conj(F[tau, zeta, zb, tau, eta, 0, w2, c, 0, 0])
-                            )
-                    St[k, i] += d[zeta] * s
+    St[k[r, c, dd], i[r]] += cat.d[zeta[r]] * s[r, c, dd]
     return St
 
 
@@ -127,31 +106,26 @@ class TubeAlgebra:
     """Finite-dimensional *-algebra presented by structure constants.
 
     Elements are coordinate vectors over `basis` (already normalized to
-    unit trace-form norm).  `C[i,j,k]` is the coefficient of basis k in
-    the product of basis i and j.
+    unit trace-form norm), the (dim, 6) array of tubes; `index` maps a tube
+    (xi, eta, zeta, delta, a, b) to its row, -1 off the basis.  `C[i,j,k]`
+    is the coefficient of basis k in the product of basis i and j.
     """
 
     def __init__(self, cat):
         self.cat = cat
         self.lam = global_dim(cat)
-        self.basis = _tube_basis(cat)
+        self.basis, self.index = _basis(cat)
         self.dim = len(self.basis)
-        self.index = {t: i for i, t in enumerate(self.basis)}
-        C = _raw_structure(cat, self.basis, self.index)
-        St = _raw_star(cat, self.basis, self.index)
-
-        raw_ident = np.zeros(self.dim, dtype=complex)
-        for xi in range(cat.n):
-            key = (xi, xi, 0, xi, 0, 0)
-            raw_ident[self.index[key]] = 1.0
+        C = _structure(cat, self.basis, self.index)
+        St = _star(cat, self.basis, self.index)
+        xi, eta, zeta = self.basis[:, :3].T
+        # the corner identities X(xi,xi,e,xi,0,0), summing to the identity
+        corner = ((xi == eta) & (zeta == 0)).astype(complex)
 
         # trace of left multiplication, as a functional on raw coordinates
         tvec = np.einsum("ibb->i", C)
         # Markov trace functional on raw coordinates
-        mraw = np.zeros(self.dim, dtype=complex)
-        for i, (xi, eta, zeta, delta, a, b) in enumerate(self.basis):
-            if xi == eta and zeta == 0:
-                mraw[i] = self.lam * cat.d[xi]
+        mraw = corner * (self.lam * cat.d[xi])
         gram = np.einsum("cB,cbk,k->bB", St, C, mraw)
         herm = np.max(np.abs(gram - gram.conj().T))
         if herm > _BUILD_TOL:
@@ -169,14 +143,10 @@ class TubeAlgebra:
         self.scale = scale
         self.C = C * scale[None, None, :] / (scale[:, None, None] * scale[None, :, None])
         self.St = St * scale[:, None] / scale[None, :]
-        self.identity = raw_ident * scale
+        self.identity = corner * scale
         self._treg = tvec / scale
         self._tmark = mraw / scale
-        evec = np.zeros(self.dim, dtype=complex)
-        for i, (xi, eta, zeta, delta, a, b) in enumerate(self.basis):
-            if xi == 0 and eta == 0:
-                evec[i] = 1.0
-        self._tvac = evec / scale
+        self._tvac = ((xi == 0) & (eta == 0)).astype(complex) / scale
 
         self.residuals = {
             "identity": self._identity_residual(),
@@ -297,14 +267,9 @@ def _center_basis(alg):
 
 
 def _cluster(vals, tol):
+    """Indices of vals in ascending runs whose consecutive gaps are <= tol."""
     order = np.argsort(vals)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if vals[idx] - vals[groups[-1][-1]] <= tol:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
+    return np.split(order, np.flatnonzero(np.diff(vals[order]) > tol) + 1)
 
 
 def _newton_idempotent(alg, pi):

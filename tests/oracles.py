@@ -610,3 +610,191 @@ def gauge_transform(cat, rng):
              / (u[b, c, f] * u[a, f, dd]))
         ent["re"], ent["im"] = v.real, v.imag
     return _category_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# tube algebra and half-braiding equations, one entry at a time
+# ---------------------------------------------------------------------------
+# Entry-by-entry references for tube._basis, tube._structure, tube._star
+# and the equations of modulardata.extract_half_braidings, which gather
+# cat.F at joined label tuples instead.  `basis` is a sequence of 6-tuples
+# and `index` anything that maps such a tuple to its position (a dict, or
+# the dense position array of TubeAlgebra).
+
+
+def tube_basis(cat):
+    """The tube basis as a list of (xi, eta, zeta, delta, a, b), by a 6-deep loop."""
+    N, n = cat.N, cat.n
+    basis = []
+    for xi in range(n):
+        for eta in range(n):
+            for zeta in range(n):
+                for delta in range(n):
+                    for a in range(N[xi, zeta, delta]):
+                        for b in range(N[zeta, eta, delta]):
+                            basis.append((xi, eta, zeta, delta, a, b))
+    return basis
+
+
+def raw_structure(cat, basis, index):
+    """C[i,j,k] = coefficient of basis[k] in basis[i].basis[j]."""
+    N, d, n, F = cat.N, cat.d, cat.n, cat.F
+    dim = len(basis)
+    C = np.zeros((dim, dim, dim), dtype=complex)
+    for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
+        for j, (xi2, eta2, zeta2, delta2, a2, b2) in enumerate(basis):
+            if xi2 != eta:
+                continue
+            pref0 = 1.0 / (d[zeta] * d[zeta2])
+            for nu in range(n):
+                if N[zeta, zeta2, nu] == 0:
+                    continue
+                pref = d[nu] * pref0
+                for tau in range(n):
+                    mc = N[xi, nu, tau]
+                    md = N[nu, eta2, tau]
+                    if mc == 0 or md == 0:
+                        continue
+                    mv = N[delta, zeta2, tau]
+                    mw = N[zeta, delta2, tau]
+                    if mv == 0 or mw == 0:
+                        continue
+                    for T in range(N[zeta, zeta2, nu]):
+                        for c in range(mc):
+                            for dd in range(md):
+                                k = index[(xi, eta2, nu, tau, c, dd)]
+                                s = 0.0 + 0.0j
+                                for v in range(mv):
+                                    for w in range(mw):
+                                        s += (
+                                            F[xi, zeta, zeta2, tau, delta, nu, a, v, T, c]
+                                            * np.conj(F[zeta, eta, zeta2, tau,
+                                                        delta, delta2, b, v, a2, w])
+                                            * F[zeta, zeta2, eta2, tau,
+                                                nu, delta2, T, dd, b2, w]
+                                        )
+                                C[i, j, k] += pref * s
+    return C
+
+
+def raw_star(cat, basis, index):
+    """St with star(x) = St @ conj(x); maps sector (xi,eta,zeta) to (eta,xi,zeta*)."""
+    N, d, n, F = cat.N, cat.d, cat.n, cat.F
+    dim = len(basis)
+    St = np.zeros((dim, dim), dtype=complex)
+    for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
+        zb = cat.dual[zeta]
+        for tau in range(n):
+            mc = N[eta, zb, tau]
+            md = N[zb, xi, tau]
+            if mc == 0 or md == 0:
+                continue
+            for c in range(mc):
+                for dd in range(md):
+                    k = index[(eta, xi, zb, tau, c, dd)]
+                    s = 0.0 + 0.0j
+                    for u in range(N[zb, delta, eta]):
+                        for w2 in range(N[tau, zeta, eta]):
+                            s += (
+                                np.conj(F[zb, zeta, eta, eta, 0, delta, 0, 0, b, u])
+                                * F[zb, xi, zeta, eta, tau, delta, dd, w2, a, u]
+                                * np.conj(F[tau, zeta, zb, tau, eta, 0, w2, c, 0, 0])
+                            )
+                    St[k, i] += d[zeta] * s
+    return St
+
+
+def extract_half_braidings(alg, dec, reps):
+    """Solve the tube action for the half-braiding of every block, with the
+    equations assembled entry by entry: for each (block, strand) a loop over
+    the tube basis, the grading copies and the F-symbols of every unknown.
+
+    Returns (one array E[sigma, delta, p, a, q, b] per block, residual
+    dict) and raises when the least-squares fit or the unitarity of any
+    solved (sigma, delta) square is worse than 1e-6.
+    """
+    from doubletop.modulardata import _EXTRACT_TOL, ModularDataError
+
+    cat = alg.cat
+    N, F, n = cat.N, cat.F, cat.n
+    slot = np.arange(F.shape[-1])
+    residuals = {"solve": 0.0, "unitary": 0.0}
+    layouts = {}
+
+    def layout(labels, sigma):
+        # admissible rows (delta, p, a) and columns (delta, q, b) of E[sigma],
+        # and the unknowns: the admissible entries of E[sigma], in C order
+        rows = slot < N[sigma][labels].T[:, :, None]
+        cols = slot < N[labels, sigma].T[:, :, None]
+        nrows, ncols = rows.sum(axis=(1, 2)), cols.sum(axis=(1, 2))
+        if (nrows != ncols).any():
+            raise ModularDataError("half-braiding block (%d,%d) is not "
+                                   "square" % (sigma, np.argmax(nrows != ncols)))
+        free = rows[:, :, :, None, None] & cols[:, None, None, :, :]
+        varix = np.cumsum(free).reshape(free.shape) - 1
+        return rows, cols, nrows, free, int(free.sum()), varix
+
+    out = []
+    for bi, rep in enumerate(reps):
+        E = np.zeros((n, n, rep.n, slot.size, rep.n, slot.size), dtype=complex)
+        slots = {ct: i for i, ct in enumerate(rep.comps)}
+        for sigma in range(n):
+            zeta = cat.dual[sigma]
+            # blocks with the same component labels share the layout
+            key = (tuple(rep.labels.tolist()), sigma)
+            if key not in layouts:
+                layouts[key] = layout(rep.labels, sigma)
+            rows, cols, nrows, free, nvar, varix = layouts[key]
+            if not nvar:
+                continue
+            eqs, rhs = [], []
+            for tube_i, (xi, eta, zt, delta, a, b) in enumerate(alg.basis.tolist()):
+                if zt != zeta or xi not in rep.m or eta not in rep.m:
+                    continue
+                # rho of the basis tube; left multiplication by it is C[tube_i].T
+                rho = alg.scale[tube_i] * (rep.V.conj().T @ alg.C[tube_i].T @ rep.V)
+                # the graded rep basis is orthonormal; the half-braiding
+                # component convention weighs grade xi by sqrt(d_xi)
+                grade = np.sqrt(cat.d[eta] / cat.d[xi])
+                for t in range(rep.m[xi]):
+                    for s in range(rep.m[eta]):
+                        p, q = slots[(xi, t)], slots[(eta, s)]
+                        row = np.zeros(nvar, dtype=complex)
+                        for k in range(n):
+                            if N[eta, sigma, k] == 0 or N[zeta, k, xi] == 0:
+                                continue
+                            for mm in range(N[eta, sigma, k]):
+                                for mp in range(N[sigma, xi, k]):
+                                    coef = 0.0 + 0.0j
+                                    for w in range(N[zeta, k, xi]):
+                                        for u2 in range(N[delta, sigma, xi]):
+                                            coef += (
+                                                F[xi, zeta, sigma, xi, delta, 0, a, u2, 0, 0]
+                                                * np.conj(F[zeta, eta, sigma, xi,
+                                                            delta, k, b, u2, mm, w])
+                                                * F[zeta, sigma, xi, xi, 0, k, 0, 0, mp, w]
+                                            )
+                                    row[varix[k, p, mp, q, mm]] += coef
+                        eqs.append(row)
+                        rhs.append(grade * rho[p, q])
+            A = np.array(eqs)
+            y = np.array(rhs)
+            sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+            fit = float(np.max(np.abs(A @ sol - y))) if len(y) else 0.0
+            residuals["solve"] = max(residuals["solve"], fit)
+            if fit > _EXTRACT_TOL:
+                raise ModularDataError("half-braiding solve for block %d, "
+                                       "strand %d has residual %.3e"
+                                       % (bi, sigma, fit))
+            E[sigma][free] = sol
+            for delta in np.flatnonzero(nrows):
+                sq = E[sigma, delta].reshape(rep.n * slot.size, -1)[
+                    np.ix_(rows[delta].ravel(), cols[delta].ravel())]
+                uni = float(np.max(np.abs(sq.conj().T @ sq - np.eye(len(sq)))))
+                residuals["unitary"] = max(residuals["unitary"], uni)
+                if uni > _EXTRACT_TOL:
+                    raise ModularDataError("half-braiding (%d, strand %d, "
+                                           "charge %d) is not unitary (%.3e)"
+                                           % (bi, sigma, delta, uni))
+        out.append(E)
+    return out, residuals

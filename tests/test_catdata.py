@@ -9,7 +9,7 @@ import pytest
 from doubletop import trees
 from doubletop.catdata import (
     CategoryData, CategoryError, dump_category, global_dim, load_category,
-    zoo, _block_view, _category_from_dict,
+    zoo, _block_keys, _category_from_dict,
 )
 from oracles import fblock, fblock_bases, multiplicity_ring, vec_s3_document
 
@@ -126,7 +126,7 @@ def test_block_bases_match_oracle(name):
     cat, _ = _named(name)
     N = cat.N
     want = [key for key in np.ndindex((cat.n,) * 4) if fblock_bases(cat, *key)[0]]
-    assert list(map(tuple, _block_view(cat)[0].tolist())) == want
+    assert list(map(tuple, _block_keys(cat).tolist())) == want
     for first, second, side in (((0, 1), (3, 2), 0), ((1, 2), (0, 3), 1)):
         keys, basis = CategoryData._bases(N, first, second)
         got = list(map(tuple, np.column_stack([keys, basis]).tolist()))

@@ -1,10 +1,14 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import doubletop
 from doubletop.catdata import dump_category, zoo
 from doubletop import cli, modulardata
 from doubletop.cli import main
@@ -282,6 +286,35 @@ def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     code, _, err = run(capsys, *argv, str(path))
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _huge(doc, part, entries):
+    for i, (re, im) in enumerate(entries):
+        doc[part][i]["re"], doc[part][i]["im"] = re, im
+    return doc
+
+
+@pytest.mark.parametrize("entries,part,want", [
+    ([(1e200, 0.0)], "sixj", "F-block (1,1,1;1) not unitary: residual inf"),
+    # every entry of F^{sigma sigma sigma}_sigma huge and complex: inf - inf
+    # makes the unitarity residual nan, which must fail the gate as well
+    ([(1e200, 1e200), (1e200, -1e200), (-1e200, 1e200), (1e200, 1e200)], "sixj",
+     "F-block (1,1,1;1) not unitary: residual nan"),
+    ([(1e200, 0.0)], "rsymbols", "hexagon residual inf above tolerance"),
+], ids=["f-inf", "f-nan", "r-inf"])
+def test_overflowing_symbols_leave_only_the_error_on_stderr(tmp_path, entries, part, want):
+    # the validation products overflow on huge finite symbols; run as a
+    # process, so that a numpy RuntimeWarning would reach stderr as it does
+    # for a user, ahead of the named error
+    path = tmp_path / "ising.json"
+    path.write_text(json.dumps(_huge(dump_category(zoo("ising")), part, entries)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(doubletop.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    res = subprocess.run([sys.executable, "-m", "doubletop.cli", "validate",
+                          "--category", str(path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "error: %s\n" % want
 
 
 @pytest.mark.parametrize("doc,named", [

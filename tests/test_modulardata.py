@@ -1,11 +1,13 @@
 """Half-braidings, S/T matrices, Verlinde fusion, and their oracles."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import doubletop as dt
+from doubletop import modulardata
 from doubletop.catdata import CategoryError, _category_from_dict
 from doubletop.modulardata import (
     STAGES,
@@ -26,10 +28,11 @@ from doubletop.modulardata import (
     verlinde_fusion,
 )
 from doubletop.statesum import builtin_triangulation, state_sum
+from doubletop.tube import _basis, _structure
 from oracles import (
     canonical_permutation as canonical_permutation_oracle,
-    composition_law_residual, gauge_transform, hopf_link_S, multiplicity_ring,
-    vec_s3_document,
+    composition_law_residual, extract_half_braidings, gauge_transform,
+    hopf_link_S, multiplicity_ring, vec_s3_document,
 )
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
@@ -72,6 +75,41 @@ def squares(cat, rep, E):
 
 
 # -- half-braidings ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"])
+def test_half_braidings_equal_loop(mds, vec_s3_md, name):
+    # the equations gathered once per algebra give the same A and y, so
+    # lstsq returns the same bits as the per-entry loop
+    md = vec_s3_md if name == "vec_s3" else (
+        mds[name] if name in mds else compute_modular_data(dt.zoo(name)))
+    loop, resid = extract_half_braidings(md.alg, md.dec, md.reps)
+    assert len(loop) == len(md.braidings)
+    assert all(np.array_equal(a, b) for a, b in zip(loop, md.braidings))
+    assert resid == {k: md.residuals[k] for k in resid}
+
+
+def test_half_braiding_equations_match_loop_with_multiplicity(monkeypatch):
+    # no category with N > 1 runs through the pipeline; with the fit and
+    # unitarity gates open, random representations on x (x) x = 1 + 2x fill
+    # every multiplicity axis of the equations, and both assemblies must
+    # hand lstsq the same systems
+    cat = multiplicity_ring()
+    basis, index = _basis(cat)
+    alg = SimpleNamespace(cat=cat, basis=basis, dim=len(basis), scale=np.ones(len(basis)),
+                          C=_structure(cat, basis, index))
+    rng = np.random.default_rng(5)
+    reps = []
+    for comps, m in (([(0, 0), (1, 0)], {0: 1, 1: 1}), ([(1, 0), (1, 1)], {1: 2})):
+        V = rng.normal(size=(alg.dim, len(comps))) + 1j * rng.normal(size=(alg.dim, len(comps)))
+        reps.append(BlockRep(V, comps, m))
+    monkeypatch.setattr(modulardata, "_EXTRACT_TOL", np.inf)
+    got = modulardata.extract_half_braidings(alg, None, reps)[0]
+    want = extract_half_braidings(alg, None, reps)[0]
+    assert max(np.max(np.abs(E)) for E in want) > 0.1
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ZOO)
@@ -564,6 +602,9 @@ def test_gauge_transform_keeps_invariants(name, seed):
     want, got = compute_modular_data(cat), compute_modular_data(gauged)
     law = composition_law_residual(gauged, got.reps, got.braidings)
     assert abs(got.residuals["multiplicative"] - law) < 1e-14
+    loop = extract_half_braidings(got.alg, got.dec, got.reps)[0]
+    for a, b in zip(loop, got.braidings):
+        assert np.max(np.abs(a - b)) < 1e-14
     assert np.allclose(got.S, want.S, rtol=0, atol=1e-12)
     assert np.allclose(got.T, want.T, rtol=0, atol=1e-12)
     assert np.array_equal(got.N, want.N)

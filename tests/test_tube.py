@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 import doubletop as dt
+from doubletop.catdata import _category_from_dict
 from doubletop.tube import (
     CenterError,
     TubeAlgebra,
+    _basis,
+    _star,
+    _structure,
     build_tube_algebra,
     center_decompose,
     conditional_expectation,
 )
-from oracles import associativity_residual, star_antihom_residual
+from oracles import (
+    associativity_residual, gauge_transform, multiplicity_ring, raw_star,
+    raw_structure, star_antihom_residual, tube_basis, vec_s3_document,
+)
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 DIMS = {"vec_z2": 4, "vec_z3": 9, "fibonacci": 7, "ising": 12}
@@ -46,8 +53,50 @@ def test_dimension(algs, name):
 @pytest.mark.parametrize("name", ZOO)
 def test_basis_is_lexicographic(algs, name):
     alg = algs[name]
-    assert alg.basis == sorted(alg.basis)
-    assert all(alg.index[t] == i for i, t in enumerate(alg.basis))
+    assert np.array_equal(np.lexsort(alg.basis.T[::-1]), np.arange(alg.dim))
+    assert all(alg.index[tuple(row)] == i for i, row in enumerate(alg.basis))
+    assert np.count_nonzero(alg.index >= 0) == alg.dim
+
+
+def _loop_category(name):
+    if name == "vec_s3":
+        return _category_from_dict(vec_s3_document())
+    if name == "multiplicity_ring":
+        return multiplicity_ring()
+    if name.startswith("gauged_"):
+        return gauge_transform(dt.zoo(name[len("gauged_"):]), np.random.default_rng(1))
+    return dt.zoo(name)
+
+
+def _loop_builds(cat):
+    basis = tube_basis(cat)
+    index = {t: i for i, t in enumerate(basis)}
+    return basis, raw_structure(cat, basis, index), raw_star(cat, basis, index)
+
+
+@pytest.mark.parametrize(
+    "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"])
+def test_structure_and_star_equal_loops(name):
+    alg = TubeAlgebra(_loop_category(name))
+    basis, C, St = _loop_builds(alg.cat)
+    assert alg.basis.tolist() == list(map(list, basis))
+    s = alg.scale
+    assert np.array_equal(alg.C, C * s[None, None, :] / (s[:, None, None] * s[None, :, None]))
+    assert np.array_equal(alg.St, St * s[:, None] / s[None, :])
+
+
+@pytest.mark.parametrize(
+    "name", ["multiplicity_ring", "gauged_ising", "gauged_vec_z4"])
+def test_raw_builders_match_loops(name):
+    # x (x) x = 1 + 2x fills every multiplicity axis of both contractions
+    # (unvalidated, so only the raw builders run); the gauged copies carry
+    # complex F, so every conjugation counts
+    cat = _loop_category(name)
+    basis, index = _basis(cat)
+    want_basis, C, St = _loop_builds(cat)
+    assert basis.tolist() == list(map(list, want_basis))
+    assert np.max(np.abs(_structure(cat, basis, index) - C)) < 1e-14
+    assert np.max(np.abs(_star(cat, basis, index) - St)) < 1e-14
 
 
 @pytest.mark.parametrize("name", ZOO)

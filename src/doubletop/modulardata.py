@@ -35,7 +35,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .catdata import join
-from .tube import _cluster, _newton_idempotent, build_tube_algebra, center_decompose
+from .tube import _cluster, build_tube_algebra, center_decompose
 
 _EXTRACT_TOL = 1e-6
 _AXIOM_TOL = 1e-8
@@ -81,48 +81,34 @@ class BlockRep:
         self.m = m
 
 
-def _minimal_projection(alg, dec, i, rng):
-    """Rank-one projection inside block i, by Lagrange interpolation."""
-    pi = dec.projections[i]
-    n = dec.n[i]
-    if n == 1:
-        return pi
-    B = dec.block_spaces[i]
-    for _ in range(8):
-        h = B @ (rng.standard_normal(B.shape[1])
-                 + 1j * rng.standard_normal(B.shape[1]))
-        h = 0.5 * (h + alg.star(h))
-        M = B.conj().T @ alg.left_mult(h) @ B
-        evals = np.linalg.eigvalsh(M)  # ascending
-        # matrix spectrum of h repeats each eigenvalue n times under L_h
-        spread = float(evals[-1] - evals[0]) or 1.0
-        mus = [float(np.mean(evals[g])) for g in _cluster(evals, 1e-6 * spread)]
-        if len(mus) != n:
-            continue
-        q = pi
-        for b in range(1, n):
-            q = alg.product(q, h - mus[b] * pi) / (mus[0] - mus[b])
-        q = 0.5 * (q + alg.star(q))
-        q = _newton_idempotent(alg, q)  # same refinement as the center pass
-        if abs(alg.reg_trace(q).real - n) < 1e-6:
-            return q
-    raise ModularDataError("no minimal projection found in block %d" % i)
-
-
 def block_irreps(alg, dec):
-    """One irreducible representation per central block."""
+    """One irreducible representation per central block.
+
+    Block i is a full matrix algebra M_n.  For n = 1 its space B_i is the
+    irrep; otherwise right multiplication by a random Hermitian h of the
+    block has each of the n eigenvalues of h n times on B_i, and the
+    eigenspace of the lowest is the minimal left ideal A q, q the spectral
+    projection of h there.  Draws with another spectrum are reseeded, up
+    to 8 times.
+    """
     cat = alg.cat
     reps = []
     for i in range(dec.r_plus_1):
         rng = np.random.default_rng([dec.seed, i])
-        n = dec.n[i]
-        q = _minimal_projection(alg, dec, i, rng)
-        U, sv, _ = np.linalg.svd(alg.right_mult(q))
-        rank = int(np.sum(sv > 1e-8 * sv[0]))
-        if rank != n:
-            raise ModularDataError(
-                "left ideal of block %d has rank %d, expected %d" % (i, rank, n))
-        V = U[:, :n]
+        n, B = dec.n[i], dec.block_spaces[i]
+        V = B if n == 1 else None
+        for _ in range(8 if n > 1 else 0):
+            h = B @ (rng.standard_normal(B.shape[1])
+                     + 1j * rng.standard_normal(B.shape[1]))
+            h = 0.5 * (h + alg.star(h))
+            evals, W = np.linalg.eigh(B.conj().T @ alg.right_mult(h) @ B)
+            spread = float(evals[-1] - evals[0]) or 1.0
+            groups = _cluster(evals, 1e-6 * spread)
+            if len(groups) == n and all(len(g) == n for g in groups):
+                V = B @ W[:, groups[0]]
+                break
+        if V is None:
+            raise ModularDataError("no minimal left ideal found in block %d" % i)
 
         # grade by the corner idempotents; left multiplication by basis k is C[k].T
         blocks_W, comps, m = [], [], {}
@@ -202,7 +188,7 @@ def extract_half_braidings(alg, dec, reps):
         A = np.zeros((len(tube), int(free.sum())), dtype=complex)
         A[e, varix[:, p, :, q, :][e, k, mp, mm]] += coef[tube[e], k, mp, mm]
         tubes, at = np.unique(tube, return_inverse=True)
-        return rows, cols, nrows, free, A, tubes, (at, p, q), grade[tube]
+        return free, A, tubes, (at, p, q), grade[tube]
 
     out = []
     for bi, rep in enumerate(reps):
@@ -212,7 +198,7 @@ def extract_half_braidings(alg, dec, reps):
             key = (tuple(rep.labels.tolist()), sigma)
             if key not in layouts:
                 layouts[key] = layout(rep.labels, sigma)
-            rows, cols, nrows, free, A, tubes, ix, g = layouts[key]
+            free, A, tubes, ix, g = layouts[key]
             if not A.shape[1]:
                 continue
             # rho of each tube; left multiplication by basis k is C[k].T
@@ -227,15 +213,18 @@ def extract_half_braidings(alg, dec, reps):
                                        "strand %d has residual %.3e"
                                        % (bi, sigma, fit))
             E[sigma][free] = sol
-            for delta in np.flatnonzero(nrows):
-                sq = E[sigma, delta].reshape(rep.n * slot.size, -1)[
-                    np.ix_(rows[delta].ravel(), cols[delta].ravel())]
-                uni = float(np.max(np.abs(sq.conj().T @ sq - np.eye(len(sq)))))
-                residuals["unitary"] = max(residuals["unitary"], uni)
-                if uni > _EXTRACT_TOL:
-                    raise ModularDataError("half-braiding (%d, strand %d, "
-                                           "charge %d) is not unitary (%.3e)"
-                                           % (bi, sigma, delta, uni))
+        # one E^H E per (sigma, delta): E is zero off the admissible slots, so
+        # each product is the identity on the admissible columns, zero elsewhere
+        Es = E.reshape(n * n, rep.n * slot.size, -1)
+        eye = (slot < N[rep.labels].transpose(1, 2, 0)[..., None]).reshape(n * n, -1)
+        uni = np.max(np.abs(Es.conj().transpose(0, 2, 1) @ Es
+                            - eye[:, :, None] * np.eye(eye.shape[1])), axis=(1, 2))
+        residuals["unitary"] = max(residuals["unitary"], float(uni.max()))
+        bad = np.flatnonzero(uni > _EXTRACT_TOL)
+        if bad.size:
+            sigma, delta = divmod(int(bad[0]), n)
+            raise ModularDataError("half-braiding (%d, strand %d, charge %d) is "
+                                   "not unitary (%.3e)" % (bi, sigma, delta, uni[bad[0]]))
         out.append(E)
     return out, residuals
 

@@ -18,21 +18,17 @@ adjoint of left multiplication, so the algebra acts on itself as a
 
 The center of the algebra is semisimple: 1 = sum_i pi_i with pi_i central
 projections, block dims n_i, and sum n_i^2 = dim.  `center_decompose`
-finds the pi_i by splitting a random Hermitian central element and
-refines them to machine precision.
+finds the pi_i by splitting a random Hermitian central element.
 """
-
-import os
 
 import numpy as np
 
 from .catdata import global_dim, join
 
 CENTER_SEED = 0x5EED
-SEED_ENV = "DOUBLETOP_SEED"
 
 _BUILD_TOL = 1e-9
-_NEWTON_TOL = 1e-12
+_IDEMPOTENT_TOL = 1e-12  # max |pi.pi - pi| of an accepted spectral projector
 _MAX_RESEEDS = 8
 
 
@@ -126,7 +122,7 @@ class TubeAlgebra:
         tvec = np.einsum("ibb->i", C)
         # Markov trace functional on raw coordinates
         mraw = corner * (self.lam * cat.d[xi])
-        gram = np.einsum("cB,cbk,k->bB", St, C, mraw)
+        gram = (C @ mraw).T @ St
         herm = np.max(np.abs(gram - gram.conj().T))
         if herm > _BUILD_TOL:
             raise TubeError("Markov form is not Hermitian (residual %.3e)" % herm)
@@ -160,7 +156,7 @@ class TubeAlgebra:
     # -- arithmetic on coordinate vectors --------------------------------------
 
     def product(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.C)
+        return y @ (x @ self.C.reshape(self.dim, -1)).reshape(self.dim, self.dim)
 
     def star(self, x):
         return self.St @ np.conj(x)
@@ -272,35 +268,20 @@ def _cluster(vals, tol):
     return np.split(order, np.flatnonzero(np.diff(vals[order]) > tol) + 1)
 
 
-def _newton_idempotent(alg, pi):
-    for _ in range(60):
-        err = np.max(np.abs(alg.product(pi, pi) - pi))
-        if err < _NEWTON_TOL:
-            return pi
-        sq = alg.product(pi, pi)
-        pi = 3.0 * sq - 2.0 * alg.product(sq, pi)
-        pi = 0.5 * (pi + alg.star(pi))
-    raise CenterError("projection refinement stalled (residual %.3e)" % err)
-
-
 def center_decompose(alg, seed=None):
     """Split the identity into the central projections of the tube algebra.
 
-    A random Hermitian central element (seeded; DOUBLETOP_SEED overrides)
-    is diagonalized and its spectral projectors applied to the identity.
-    Degenerate draws are reseeded up to 8 times.
+    A random Hermitian central element (seeded) is diagonalized and its
+    spectral projectors applied to the identity.  A draw is reseeded, up to
+    8 times, when its spectrum is degenerate or a projector misses
+    idempotency by 1e-12.
     """
     if seed is None:
-        env = os.environ.get(SEED_ENV)
-        try:
-            seed = int(env, 0) if env else CENTER_SEED
-        except ValueError:
-            raise CenterError("%s=%r is not an integer" % (SEED_ENV, env)) from None
+        seed = CENTER_SEED
     Z = _center_basis(alg)
     r1 = Z.shape[1]
     rng = np.random.default_rng(seed)
 
-    pis = None
     for _ in range(_MAX_RESEEDS):
         coef = rng.standard_normal(r1) + 1j * rng.standard_normal(r1)
         h = Z @ coef
@@ -313,24 +294,17 @@ def center_decompose(alg, seed=None):
         groups = _cluster(evals, 1e-6 * spread)
         if len(groups) != r1:
             continue  # degenerate draw, reseed
-        cand = []
-        ok = True
+        pis = []
         for g in groups:
             V = evecs[:, g]
             pi = V @ (V.conj().T @ alg.identity)
-            pi = 0.5 * (pi + alg.star(pi))
-            try:
-                pi = _newton_idempotent(alg, pi)
-            except CenterError:
-                ok = False
-                break
-            cand.append((pi, V))
-        if not ok:
-            continue
-        pis = cand
-        break
-    if pis is None:
-        raise CenterError("degeneracy unresolved after %d reseeds" % _MAX_RESEEDS)
+            pis.append((0.5 * (pi + alg.star(pi)), V))
+        if all(np.max(np.abs(alg.product(pi, pi) - pi)) < _IDEMPOTENT_TOL
+               for pi, _ in pis):
+            break
+    else:
+        raise CenterError("no draw split the center into idempotents "
+                          "after %d reseeds" % _MAX_RESEEDS)
 
     resolved = sum(pi for pi, _ in pis)
     if np.max(np.abs(resolved - alg.identity)) > 1e-9:

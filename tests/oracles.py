@@ -798,3 +798,118 @@ def extract_half_braidings(alg, dec, reps):
                                            % (bi, sigma, delta, uni))
         out.append(E)
     return out, residuals
+
+
+# ---------------------------------------------------------------------------
+# center and irreps by refinement: Newton iteration on idempotents, a
+# Lagrange-interpolated minimal projection and an SVD of its left ideal.
+# The package now takes the spectral projectors of a draw as they come
+# and the irreps as eigenspaces of right multiplication; these are the
+# references they are compared against.
+# ---------------------------------------------------------------------------
+
+_NEWTON_TOL = 1e-12
+
+
+def newton_idempotent(alg, pi):
+    from doubletop.tube import CenterError
+
+    for _ in range(60):
+        err = np.max(np.abs(alg.product(pi, pi) - pi))
+        if err < _NEWTON_TOL:
+            return pi
+        sq = alg.product(pi, pi)
+        pi = 3.0 * sq - 2.0 * alg.product(sq, pi)
+        pi = 0.5 * (pi + alg.star(pi))
+    raise CenterError("projection refinement stalled (residual %.3e)" % err)
+
+
+def minimal_projection(alg, dec, i, rng):
+    """Rank-one projection inside block i, by Lagrange interpolation."""
+    from doubletop.modulardata import ModularDataError
+    from doubletop.tube import _cluster
+
+    pi = dec.projections[i]
+    n = dec.n[i]
+    if n == 1:
+        return pi
+    B = dec.block_spaces[i]
+    for _ in range(8):
+        h = B @ (rng.standard_normal(B.shape[1])
+                 + 1j * rng.standard_normal(B.shape[1]))
+        h = 0.5 * (h + alg.star(h))
+        M = B.conj().T @ alg.left_mult(h) @ B
+        evals = np.linalg.eigvalsh(M)  # ascending
+        # matrix spectrum of h repeats each eigenvalue n times under L_h
+        spread = float(evals[-1] - evals[0]) or 1.0
+        mus = [float(np.mean(evals[g])) for g in _cluster(evals, 1e-6 * spread)]
+        if len(mus) != n:
+            continue
+        q = pi
+        for b in range(1, n):
+            q = alg.product(q, h - mus[b] * pi) / (mus[0] - mus[b])
+        q = 0.5 * (q + alg.star(q))
+        q = newton_idempotent(alg, q)  # same refinement as the center pass
+        if abs(alg.reg_trace(q).real - n) < 1e-6:
+            return q
+    raise ModularDataError("no minimal projection found in block %d" % i)
+
+
+def block_irreps(alg, dec):
+    """One irreducible representation per central block."""
+    from doubletop.modulardata import BlockRep, ModularDataError
+
+    cat = alg.cat
+    reps = []
+    for i in range(dec.r_plus_1):
+        rng = np.random.default_rng([dec.seed, i])
+        n = dec.n[i]
+        q = minimal_projection(alg, dec, i, rng)
+        U, sv, _ = np.linalg.svd(alg.right_mult(q))
+        rank = int(np.sum(sv > 1e-8 * sv[0]))
+        if rank != n:
+            raise ModularDataError(
+                "left ideal of block %d has rank %d, expected %d" % (i, rank, n))
+        V = U[:, :n]
+
+        # grade by the corner idempotents; left multiplication by basis k is C[k].T
+        blocks_W, comps, m = [], [], {}
+        for xi in range(cat.n):
+            k = alg.index[xi, xi, 0, xi, 0, 0]
+            P = V.conj().T @ (alg.scale[k] * alg.C[k].T) @ V
+            mult = int(round(np.trace(P).real))
+            if mult == 0:
+                continue
+            w, Wv = np.linalg.eigh(P)
+            keep = Wv[:, w > 0.5]
+            if keep.shape[1] != mult:
+                raise ModularDataError("grading projector of block %d is not "
+                                       "a clean projection" % i)
+            blocks_W.append(keep)
+            comps.extend((xi, t) for t in range(mult))
+            m[xi] = mult
+        if len(comps) != n:
+            raise ModularDataError("grading of block %d sums to %d, not %d"
+                                   % (i, len(comps), n))
+        V = V @ np.hstack(blocks_W)
+        qd = sum(mult * cat.d[xi] for xi, mult in m.items())
+        if abs(qd - dec.qdims[i]) > 1e-8:
+            raise ModularDataError("block %d grading disagrees with its "
+                                   "quantum dimension" % i)
+        reps.append(BlockRep(V, comps, m))
+    return reps
+
+
+def degenerate_draws(monkeypatch, module, count):
+    """Make the first `count` calls of `module._cluster` lump every value
+    into one cluster, as a fully degenerate draw would; returns the list
+    of calls made so far (one entry per call)."""
+    real, calls = module._cluster, []
+
+    def cluster(vals, tol):
+        calls.append(len(vals))
+        groups = real(vals, tol)
+        return [np.concatenate(groups)] if len(calls) <= count else groups
+
+    monkeypatch.setattr(module, "_cluster", cluster)
+    return calls

@@ -347,13 +347,6 @@ def test_non_finite_numbers_are_named(capsys, tmp_path, field, named, argv):
     assert err == "error: %s\n" % named
 
 
-def test_bad_seed_variable_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("DOUBLETOP_SEED", "abc")
-    code, _, err = run(capsys, "center", "--category", "zoo:vec_z2")
-    assert code == 1
-    assert "DOUBLETOP_SEED" in err and "'abc'" in err
-
-
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariant", "--category", "zoo:vec_z2"])

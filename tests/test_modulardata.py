@@ -30,9 +30,10 @@ from doubletop.modulardata import (
 from doubletop.statesum import builtin_triangulation, state_sum
 from doubletop.tube import _basis, _structure
 from oracles import (
+    block_irreps as block_irreps_oracle,
     canonical_permutation as canonical_permutation_oracle,
-    composition_law_residual, extract_half_braidings, gauge_transform,
-    hopf_link_S, multiplicity_ring, vec_s3_document,
+    composition_law_residual, degenerate_draws, extract_half_braidings,
+    gauge_transform, hopf_link_S, multiplicity_ring, vec_s3_document,
 )
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
@@ -74,6 +75,49 @@ def squares(cat, rep, E):
     return out, mask
 
 
+# -- block irreps --------------------------------------------------------------
+
+
+def characters(alg, reps):
+    """Tr rho_i(e_k) for every block i and basis tube k; L_{e_k} is C[k].T."""
+    return np.array([np.einsum("ja,kij,ia->k", rep.V.conj(), alg.C, rep.V)
+                     for rep in reps])
+
+
+def _md(mds, vec_s3_md, name):
+    if name == "vec_s3":
+        return vec_s3_md
+    return mds[name] if name in mds else compute_modular_data(dt.zoo(name))
+
+
+@pytest.mark.parametrize(
+    "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"])
+def test_irreps_match_minimal_projection_oracle(mds, vec_s3_md, name):
+    md = _md(mds, vec_s3_md, name)
+    got = modulardata.block_irreps(md.alg, md.dec)
+    want = block_irreps_oracle(md.alg, md.dec)
+    assert [rep.comps for rep in got] == [rep.comps for rep in want]
+    assert np.max(np.abs(characters(md.alg, got) - characters(md.alg, want))) < 1e-12
+
+
+def test_irreps_reseed_degenerate_draw(mds, monkeypatch):
+    md = mds["ising"]
+    want = modulardata.block_irreps(md.alg, md.dec)
+    calls = degenerate_draws(monkeypatch, modulardata, 1)
+    got = modulardata.block_irreps(md.alg, md.dec)
+    assert len(calls) == sum(n > 1 for n in md.dec.n) + 1
+    assert [rep.comps for rep in got] == [rep.comps for rep in want]
+    assert np.max(np.abs(characters(md.alg, got) - characters(md.alg, want))) < 1e-12
+
+
+def test_irreps_degenerate_draws_raise(mds, monkeypatch):
+    md = mds["fibonacci"]
+    calls = degenerate_draws(monkeypatch, modulardata, np.inf)
+    with pytest.raises(ModularDataError, match="no minimal left ideal found in block 3"):
+        modulardata.block_irreps(md.alg, md.dec)
+    assert len(calls) == 8
+
+
 # -- half-braidings ------------------------------------------------------------
 
 
@@ -82,8 +126,7 @@ def squares(cat, rep, E):
 def test_half_braidings_equal_loop(mds, vec_s3_md, name):
     # the equations gathered once per algebra give the same A and y, so
     # lstsq returns the same bits as the per-entry loop
-    md = vec_s3_md if name == "vec_s3" else (
-        mds[name] if name in mds else compute_modular_data(dt.zoo(name)))
+    md = _md(mds, vec_s3_md, name)
     loop, resid = extract_half_braidings(md.alg, md.dec, md.reps)
     assert len(loop) == len(md.braidings)
     assert all(np.array_equal(a, b) for a, b in zip(loop, md.braidings))
@@ -450,15 +493,6 @@ def test_match_blocks_rejects_wrong_data():
 def test_seed_independence(name):
     md1 = compute_modular_data(dt.zoo(name), seed=1)
     md2 = compute_modular_data(dt.zoo(name), seed=20240817)
-    assert np.max(np.abs(md1.S - md2.S)) < 1e-9
-    assert np.max(np.abs(md1.T - md2.T)) < 1e-9
-
-
-def test_seed_env_override(monkeypatch):
-    monkeypatch.setenv("DOUBLETOP_SEED", "31337")
-    md1 = compute_modular_data(dt.zoo("vec_z3"))
-    monkeypatch.setenv("DOUBLETOP_SEED", "0x1234")
-    md2 = compute_modular_data(dt.zoo("vec_z3"))
     assert np.max(np.abs(md1.S - md2.S)) < 1e-9
     assert np.max(np.abs(md1.T - md2.T)) < 1e-9
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import doubletop as dt
+from doubletop import tube
 from doubletop.catdata import _category_from_dict
 from doubletop.tube import (
     CenterError,
@@ -18,8 +19,9 @@ from doubletop.tube import (
     conditional_expectation,
 )
 from oracles import (
-    associativity_residual, gauge_transform, multiplicity_ring, raw_star,
-    raw_structure, star_antihom_residual, tube_basis, vec_s3_document,
+    associativity_residual, degenerate_draws, gauge_transform, multiplicity_ring,
+    newton_idempotent, raw_star, raw_structure, star_antihom_residual, tube_basis,
+    vec_s3_document,
 )
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
@@ -392,11 +394,42 @@ def test_seed_override_gives_same_blocks(algs):
         assert dist < 1e-9
 
 
-def test_seed_env_variable(algs, monkeypatch):
-    monkeypatch.setenv("DOUBLETOP_SEED", "12345")
-    dec = center_decompose(algs["ising"])
-    assert dec.seed == 12345
-    assert sorted(dec.n) == sorted(BLOCKS["ising"])
+@pytest.mark.parametrize(
+    "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"])
+def test_center_equals_newton_refinement(monkeypatch, name):
+    # with the idempotency gate open, the first non-degenerate draw is taken
+    # as it comes; Newton refinement of those projectors is the reference,
+    # and the gated center must equal it bit for bit
+    alg = TubeAlgebra(_loop_category(name))
+    dec = center_decompose(alg)
+    monkeypatch.setattr(tube, "_IDEMPOTENT_TOL", np.inf)
+    raw = center_decompose(alg)
+    assert raw.n == dec.n
+    for pi, p0 in zip(dec.projections, raw.projections):
+        assert np.array_equal(pi, newton_idempotent(alg, p0))
+
+
+def test_degenerate_draw_is_reseeded(algs, decs, monkeypatch):
+    calls = degenerate_draws(monkeypatch, tube, 1)
+    got = center_decompose(algs["ising"])
+    assert len(calls) == 2
+    want = decs["ising"]
+    assert sorted(got.n) == sorted(want.n)
+    for pa in got.projections:
+        assert min(np.max(np.abs(pa - pb)) for pb in want.projections) < 1e-9
+
+
+def test_degenerate_draws_exhaust_reseeds(algs, monkeypatch):
+    calls = degenerate_draws(monkeypatch, tube, np.inf)
+    with pytest.raises(CenterError, match="after 8 reseeds"):
+        center_decompose(algs["ising"])
+    assert len(calls) == 8
+
+
+def test_idempotency_gate_rejects_draws(algs, monkeypatch):
+    monkeypatch.setattr(tube, "_IDEMPOTENT_TOL", 0.0)
+    with pytest.raises(CenterError, match="into idempotents after 8 reseeds"):
+        center_decompose(algs["fibonacci"])
 
 
 def test_block_spaces_orthonormal(decs):

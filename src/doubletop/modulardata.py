@@ -35,7 +35,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .catdata import join
-from .tube import _cluster, build_tube_algebra, center_decompose
+from .tube import build_tube_algebra, center_decompose
 
 _EXTRACT_TOL = 1e-6
 _AXIOM_TOL = 1e-8
@@ -84,31 +84,15 @@ class BlockRep:
 def block_irreps(alg, dec):
     """One irreducible representation per central block.
 
-    Block i is a full matrix algebra M_n.  For n = 1 its space B_i is the
-    irrep; otherwise right multiplication by a random Hermitian h of the
-    block has each of the n eigenvalues of h n times on B_i, and the
-    eigenspace of the lowest is the minimal left ideal A q, q the spectral
-    projection of h there.  Draws with another spectrum are reseeded, up
-    to 8 times.
+    The first n_i columns of `dec.block_spaces[i]` span a minimal left
+    ideal A q of block i, on which A acts by its irrep; the corner
+    idempotents X(xi,xi,e,xi,0,0) then grade that space by simple.
     """
     cat = alg.cat
     reps = []
     for i in range(dec.r_plus_1):
-        rng = np.random.default_rng([dec.seed, i])
-        n, B = dec.n[i], dec.block_spaces[i]
-        V = B if n == 1 else None
-        for _ in range(8 if n > 1 else 0):
-            h = B @ (rng.standard_normal(B.shape[1])
-                     + 1j * rng.standard_normal(B.shape[1]))
-            h = 0.5 * (h + alg.star(h))
-            evals, W = np.linalg.eigh(B.conj().T @ alg.right_mult(h) @ B)
-            spread = float(evals[-1] - evals[0]) or 1.0
-            groups = _cluster(evals, 1e-6 * spread)
-            if len(groups) == n and all(len(g) == n for g in groups):
-                V = B @ W[:, groups[0]]
-                break
-        if V is None:
-            raise ModularDataError("no minimal left ideal found in block %d" % i)
+        n = dec.n[i]
+        V = dec.block_spaces[i][:, :n]
 
         # grade by the corner idempotents; left multiplication by basis k is C[k].T
         blocks_W, comps, m = [], [], {}

@@ -10,15 +10,17 @@ joins on N.
 Multiplication stacks tubes: X(xi,eta,...) . Y(eta',...) vanishes unless
 eta == xi(Y); the middle strands fuse and three F-moves reduce the stack
 back to basis form.  C and the star are gathered from cat.F at joined label
-tuples, one einsum each.  The exposed basis is rescaled so that each element
-has unit norm for the trace form <X,Y> = Tr(L_{Y*X}) (trace of left
-multiplication on the algebra); in these coordinates star is the matrix
-adjoint of left multiplication, so the algebra acts on itself as a
-*-representation.
+tuples, one einsum each.  The exposed basis is rescaled so that it is
+orthonormal for the Markov form <X,Y> = markov_trace(Y* X), the
+waist-killing trace; since that trace is positive and tracial, star is the
+matrix adjoint of both left and right multiplication in these coordinates.
 
-The center of the algebra is semisimple: 1 = sum_i pi_i with pi_i central
-projections, block dims n_i, and sum n_i^2 = dim.  `center_decompose`
-finds the pi_i by splitting a random Hermitian central element.
+The algebra is semisimple: a sum of full matrix blocks M_{n_i}, with
+central projections pi_i, 1 = sum_i pi_i and sum n_i^2 = dim.
+`center_decompose` reads every minimal left ideal off the eigenspaces of
+right multiplication by one random Hermitian element, groups the ideals
+into blocks by the trace of left multiplication on them, and projects the
+identity onto each block.
 """
 
 import numpy as np
@@ -102,7 +104,7 @@ class TubeAlgebra:
     """Finite-dimensional *-algebra presented by structure constants.
 
     Elements are coordinate vectors over `basis` (already normalized to
-    unit trace-form norm), the (dim, 6) array of tubes; `index` maps a tube
+    unit Markov-form norm), the (dim, 6) array of tubes; `index` maps a tube
     (xi, eta, zeta, delta, a, b) to its row, -1 off the basis.  `C[i,j,k]`
     is the coefficient of basis k in the product of basis i and j.
     """
@@ -232,7 +234,10 @@ class CenterDecomposition:
     Blocks are ordered with the vacuum first, then by ascending quantum
     dimension (Markov trace of pi_i over n_i), then block dimension.
     `p[i] = projections[i] / n[i]` are the unit vectors the modular data
-    is written in; `block_spaces[i]` spans block i inside the algebra.
+    is written in.  `block_spaces[i]` has orthonormal columns spanning
+    block i, n_i minimal left ideals of n_i columns each; its first n_i
+    columns are one minimal left ideal, the space of the block's irrep.
+    `seed` seeds the draws that split the algebra.
     """
 
     def __init__(self, alg, projections, ns, qdims, block_spaces, seed):
@@ -247,78 +252,78 @@ class CenterDecomposition:
         self.p = [pi / ni for pi, ni in zip(projections, ns)]
 
 
-def _center_basis(alg):
-    """Orthonormal basis of the center, via the commutant null space."""
-    dim, C = alg.dim, alg.C
-    # row (b, k), column j: C[b,j,k] - C[j,b,k], the commutator with e_b
-    rows = (C.transpose(0, 2, 1) - C.transpose(1, 2, 0)).reshape(dim * dim, dim)
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    tol = max(dim, 8) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    null = int(np.sum(s <= max(tol, 1e-10)))
-    if null == 0:
-        raise CenterError("center is empty; identity not found")
-    if s.size > null and s[-null - 1] < 1e-6:
-        raise CenterError("center dimension is numerically ambiguous")
-    return np.conj(vh[-null:]).T  # columns orthonormal
-
-
 def _cluster(vals, tol):
     """Indices of vals in ascending runs whose consecutive gaps are <= tol."""
     order = np.argsort(vals)
     return np.split(order, np.flatnonzero(np.diff(vals[order]) > tol) + 1)
 
 
+def _spectral_blocks(alg, h):
+    """Block spaces of one Hermitian draw h, or None when it is degenerate.
+
+    The eigenspaces of right multiplication by h are minimal left ideals
+    A q, n_i vectors each for block i, and L_h has the same trace tr rho_i(h)
+    on each of them; clustering the traces groups the ideals by block.  The
+    draw is degenerate unless every group holds s ideals of s vectors each.
+    Each block space lists its ideals in ascending eigenvalue order, so which
+    ideal comes first does not hang on rounding in the traces.
+    """
+    rh = alg.right_mult(h)
+    if np.max(np.abs(rh - rh.conj().T)) > 1e-8:
+        raise CenterError("right multiplication by the draw is not Hermitian")
+    evals, W = np.linalg.eigh(rh)
+    spread = float(evals[-1] - evals[0]) or 1.0
+    ideals = _cluster(evals, 1e-6 * spread)
+    diag = np.real(np.sum(W.conj() * (alg.left_mult(h) @ W), axis=0))
+    traces = np.array([np.sum(diag[g]) for g in ideals])
+    spread = float(np.ptp(traces)) or 1.0
+    groups = [np.sort(g) for g in _cluster(traces, 1e-6 * spread)]
+    if any(len(ideals[j]) != len(g) for g in groups for j in g):
+        return None
+    return [W[:, np.concatenate([ideals[j] for j in g])] for g in groups]
+
+
 def center_decompose(alg, seed=None):
     """Split the identity into the central projections of the tube algebra.
 
-    A random Hermitian central element (seeded) is diagonalized and its
-    spectral projectors applied to the identity.  A draw is reseeded, up to
-    8 times, when its spectrum is degenerate or a projector misses
-    idempotency by 1e-12.
+    One seeded Hermitian draw h splits the algebra into its minimal left
+    ideals (`_spectral_blocks`); the ideals of block i span the block, and
+    pi_i is the orthogonal projection of the identity onto it.  A draw is
+    reseeded, up to 8 times, when its spectrum is degenerate or a projector
+    misses idempotency by 1e-12.
     """
     if seed is None:
         seed = CENTER_SEED
-    Z = _center_basis(alg)
-    r1 = Z.shape[1]
+    dim = alg.dim
     rng = np.random.default_rng(seed)
 
     for _ in range(_MAX_RESEEDS):
-        coef = rng.standard_normal(r1) + 1j * rng.standard_normal(r1)
-        h = Z @ coef
-        h = 0.5 * (h + alg.star(h))
-        lh = alg.left_mult(h)
-        if np.max(np.abs(lh - lh.conj().T)) > 1e-8:
-            raise CenterError("central element is not Hermitian as an operator")
-        evals, evecs = np.linalg.eigh(lh)
-        spread = float(evals[-1] - evals[0]) or 1.0
-        groups = _cluster(evals, 1e-6 * spread)
-        if len(groups) != r1:
+        h = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        spaces = _spectral_blocks(alg, 0.5 * (h + alg.star(h)))
+        if spaces is None:
             continue  # degenerate draw, reseed
-        pis = []
-        for g in groups:
-            V = evecs[:, g]
-            pi = V @ (V.conj().T @ alg.identity)
-            pis.append((0.5 * (pi + alg.star(pi)), V))
-        if all(np.max(np.abs(alg.product(pi, pi) - pi)) < _IDEMPOTENT_TOL
-               for pi, _ in pis):
+        P = np.array([B @ (B.conj().T @ alg.identity) for B in spaces])
+        P = 0.5 * (P + np.conj(P) @ alg.St.T)  # pi + star(pi), row by row
+        # pi.pi for every block at once, one pass over C
+        sq = np.einsum("rj,rjk->rk", P, (P @ alg.C.reshape(dim, -1)).reshape(-1, dim, dim))
+        if np.max(np.abs(sq - P)) < _IDEMPOTENT_TOL:
             break
     else:
         raise CenterError("no draw split the center into idempotents "
                           "after %d reseeds" % _MAX_RESEEDS)
 
-    resolved = sum(pi for pi, _ in pis)
-    if np.max(np.abs(resolved - alg.identity)) > 1e-9:
+    if np.max(np.abs(P.sum(axis=0) - alg.identity)) > 1e-9:
         raise CenterError("central projections do not resolve the identity")
 
     blocks = []
-    for pi, V in pis:
+    for pi, B in zip(P, spaces):
         nsq = alg.reg_trace(pi).real
         ni = int(round(np.sqrt(nsq)))
         if abs(ni * ni - nsq) > 1e-6 or ni < 1:
             raise CenterError("non-integer squared block dimension %.6f" % nsq)
         qdim = alg.markov_trace(pi).real / ni
         vac = alg.vacuum_functional(pi).real
-        blocks.append((pi, ni, qdim, vac, V))
+        blocks.append((pi, ni, qdim, vac, B))
 
     if sum(b[1] ** 2 for b in blocks) != alg.dim:
         raise CenterError("block dimensions do not sum to the algebra dimension")

@@ -801,12 +801,109 @@ def extract_half_braidings(alg, dec, reps):
 
 
 # ---------------------------------------------------------------------------
-# center and irreps by refinement: Newton iteration on idempotents, a
-# Lagrange-interpolated minimal projection and an SVD of its left ideal.
-# The package now takes the spectral projectors of a draw as they come
-# and the irreps as eigenspaces of right multiplication; these are the
-# references they are compared against.
+# center and irreps by older routes: the commutant null space and a random
+# central element, Newton iteration on idempotents, a Lagrange-interpolated
+# minimal projection and an SVD of its left ideal.  The package now reads
+# the center and every minimal left ideal off the eigenspaces of one right
+# multiplication; these are the references it is compared against.
 # ---------------------------------------------------------------------------
+
+
+def center_basis(alg):
+    """Orthonormal basis of the center, via the commutant null space."""
+    from doubletop.tube import CenterError
+
+    dim, C = alg.dim, alg.C
+    # row (b, k), column j: C[b,j,k] - C[j,b,k], the commutator with e_b
+    rows = (C.transpose(0, 2, 1) - C.transpose(1, 2, 0)).reshape(dim * dim, dim)
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    tol = max(dim, 8) * np.finfo(float).eps * (s[0] if s.size else 1.0)
+    null = int(np.sum(s <= max(tol, 1e-10)))
+    if null == 0:
+        raise CenterError("center is empty; identity not found")
+    if s.size > null and s[-null - 1] < 1e-6:
+        raise CenterError("center dimension is numerically ambiguous")
+    return np.conj(vh[-null:]).T  # columns orthonormal
+
+
+def center_by_commutant(alg, seed=None):
+    """Split the identity into the central projections of the tube algebra.
+
+    A random Hermitian central element (seeded) is diagonalized and its
+    spectral projectors applied to the identity.  A draw is reseeded, up to
+    8 times, when its spectrum is degenerate or a projector misses
+    idempotency by 1e-12.
+    """
+    from doubletop.tube import (
+        _IDEMPOTENT_TOL, _MAX_RESEEDS, CENTER_SEED, CenterDecomposition,
+        CenterError, _cluster,
+    )
+
+    if seed is None:
+        seed = CENTER_SEED
+    Z = center_basis(alg)
+    r1 = Z.shape[1]
+    rng = np.random.default_rng(seed)
+
+    for _ in range(_MAX_RESEEDS):
+        coef = rng.standard_normal(r1) + 1j * rng.standard_normal(r1)
+        h = Z @ coef
+        h = 0.5 * (h + alg.star(h))
+        lh = alg.left_mult(h)
+        if np.max(np.abs(lh - lh.conj().T)) > 1e-8:
+            raise CenterError("central element is not Hermitian as an operator")
+        evals, evecs = np.linalg.eigh(lh)
+        spread = float(evals[-1] - evals[0]) or 1.0
+        groups = _cluster(evals, 1e-6 * spread)
+        if len(groups) != r1:
+            continue  # degenerate draw, reseed
+        pis = []
+        for g in groups:
+            V = evecs[:, g]
+            pi = V @ (V.conj().T @ alg.identity)
+            pis.append((0.5 * (pi + alg.star(pi)), V))
+        if all(np.max(np.abs(alg.product(pi, pi) - pi)) < _IDEMPOTENT_TOL
+               for pi, _ in pis):
+            break
+    else:
+        raise CenterError("no draw split the center into idempotents "
+                          "after %d reseeds" % _MAX_RESEEDS)
+
+    resolved = sum(pi for pi, _ in pis)
+    if np.max(np.abs(resolved - alg.identity)) > 1e-9:
+        raise CenterError("central projections do not resolve the identity")
+
+    blocks = []
+    for pi, V in pis:
+        nsq = alg.reg_trace(pi).real
+        ni = int(round(np.sqrt(nsq)))
+        if abs(ni * ni - nsq) > 1e-6 or ni < 1:
+            raise CenterError("non-integer squared block dimension %.6f" % nsq)
+        qdim = alg.markov_trace(pi).real / ni
+        vac = alg.vacuum_functional(pi).real
+        blocks.append((pi, ni, qdim, vac, V))
+
+    if sum(b[1] ** 2 for b in blocks) != alg.dim:
+        raise CenterError("block dimensions do not sum to the algebra dimension")
+    vac_ids = [i for i, b in enumerate(blocks) if abs(b[3] - 1.0) < 1e-6]
+    stray = [i for i, b in enumerate(blocks)
+             if i not in vac_ids and abs(b[3]) > 1e-6]
+    if len(vac_ids) != 1 or stray:
+        raise CenterError("vacuum pairing did not single out one block")
+    if blocks[vac_ids[0]][1] != 1:
+        raise CenterError("vacuum block dimension is %d, expected 1"
+                          % blocks[vac_ids[0]][1])
+
+    def sort_key(b):
+        return (abs(b[3] - 1.0) < 1e-6 and -1 or 0, round(b[2], 9), b[1])
+
+    blocks.sort(key=sort_key)
+    projections = [b[0] for b in blocks]
+    ns = [b[1] for b in blocks]
+    qdims = [b[2] for b in blocks]
+    spaces = [b[4] for b in blocks]
+    return CenterDecomposition(alg, projections, ns, qdims, spaces, seed)
+
 
 _NEWTON_TOL = 1e-12
 
@@ -900,16 +997,28 @@ def block_irreps(alg, dec):
     return reps
 
 
-def degenerate_draws(monkeypatch, module, count):
-    """Make the first `count` calls of `module._cluster` lump every value
-    into one cluster, as a fully degenerate draw would; returns the list
-    of calls made so far (one entry per call)."""
+def degenerate_draws(monkeypatch, module, lumped):
+    """Make each call k (0-based) of `module._cluster` with lumped(k) true
+    put every value into one cluster, as a degenerate draw would; returns
+    the list of calls made so far (one entry per call)."""
     real, calls = module._cluster, []
 
     def cluster(vals, tol):
         calls.append(len(vals))
         groups = real(vals, tol)
-        return [np.concatenate(groups)] if len(calls) <= count else groups
+        return [np.concatenate(groups)] if lumped(len(calls) - 1) else groups
 
     monkeypatch.setattr(module, "_cluster", cluster)
+    return calls
+
+
+def count_calls(monkeypatch, obj, name):
+    """Wrap `obj.name` to record each call; returns the list of calls."""
+    real, calls = getattr(obj, name), []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, wrapped)
     return calls

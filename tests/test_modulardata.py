@@ -32,7 +32,7 @@ from doubletop.tube import _basis, _structure
 from oracles import (
     block_irreps as block_irreps_oracle,
     canonical_permutation as canonical_permutation_oracle,
-    composition_law_residual, degenerate_draws, extract_half_braidings,
+    composition_law_residual, extract_half_braidings,
     gauge_transform, hopf_link_S, multiplicity_ring, vec_s3_document,
 )
 
@@ -98,24 +98,6 @@ def test_irreps_match_minimal_projection_oracle(mds, vec_s3_md, name):
     want = block_irreps_oracle(md.alg, md.dec)
     assert [rep.comps for rep in got] == [rep.comps for rep in want]
     assert np.max(np.abs(characters(md.alg, got) - characters(md.alg, want))) < 1e-12
-
-
-def test_irreps_reseed_degenerate_draw(mds, monkeypatch):
-    md = mds["ising"]
-    want = modulardata.block_irreps(md.alg, md.dec)
-    calls = degenerate_draws(monkeypatch, modulardata, 1)
-    got = modulardata.block_irreps(md.alg, md.dec)
-    assert len(calls) == sum(n > 1 for n in md.dec.n) + 1
-    assert [rep.comps for rep in got] == [rep.comps for rep in want]
-    assert np.max(np.abs(characters(md.alg, got) - characters(md.alg, want))) < 1e-12
-
-
-def test_irreps_degenerate_draws_raise(mds, monkeypatch):
-    md = mds["fibonacci"]
-    calls = degenerate_draws(monkeypatch, modulardata, np.inf)
-    with pytest.raises(ModularDataError, match="no minimal left ideal found in block 3"):
-        modulardata.block_irreps(md.alg, md.dec)
-    assert len(calls) == 8
 
 
 # -- half-braidings ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tube algebra: structure constants, star, traces, center decomposition."""
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from doubletop.tube import (
     conditional_expectation,
 )
 from oracles import (
-    associativity_residual, degenerate_draws, gauge_transform, multiplicity_ring,
-    newton_idempotent, raw_star, raw_structure, star_antihom_residual, tube_basis,
-    vec_s3_document,
+    associativity_residual, center_by_commutant, count_calls, degenerate_draws,
+    gauge_transform, multiplicity_ring, newton_idempotent, raw_star, raw_structure,
+    star_antihom_residual, tube_basis, vec_s3_document,
 )
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
@@ -68,6 +69,11 @@ def _loop_category(name):
     if name.startswith("gauged_"):
         return gauge_transform(dt.zoo(name[len("gauged_"):]), np.random.default_rng(1))
     return dt.zoo(name)
+
+
+@functools.cache
+def _algebra(name):
+    return TubeAlgebra(_loop_category(name))
 
 
 def _loop_builds(cat):
@@ -400,7 +406,7 @@ def test_center_equals_newton_refinement(monkeypatch, name):
     # with the idempotency gate open, the first non-degenerate draw is taken
     # as it comes; Newton refinement of those projectors is the reference,
     # and the gated center must equal it bit for bit
-    alg = TubeAlgebra(_loop_category(name))
+    alg = _algebra(name)
     dec = center_decompose(alg)
     monkeypatch.setattr(tube, "_IDEMPOTENT_TOL", np.inf)
     raw = center_decompose(alg)
@@ -410,20 +416,35 @@ def test_center_equals_newton_refinement(monkeypatch, name):
 
 
 def test_degenerate_draw_is_reseeded(algs, decs, monkeypatch):
-    calls = degenerate_draws(monkeypatch, tube, 1)
-    got = center_decompose(algs["ising"])
-    assert len(calls) == 2
+    alg = algs["ising"]
+    degenerate_draws(monkeypatch, tube, lambda k: k == 0)  # first eigenvalue clustering
+    draws = count_calls(monkeypatch, alg, "right_mult")
+    got = center_decompose(alg)
+    assert len(draws) == 2
     want = decs["ising"]
     assert sorted(got.n) == sorted(want.n)
     for pa in got.projections:
         assert min(np.max(np.abs(pa - pb)) for pb in want.projections) < 1e-9
 
 
+def test_coincident_block_traces_are_reseeded(algs, decs, monkeypatch):
+    # the ideals come out right but their traces fall into one group
+    alg = algs["ising"]
+    calls = degenerate_draws(monkeypatch, tube, lambda k: k == 1)
+    draws = count_calls(monkeypatch, alg, "right_mult")
+    got = center_decompose(alg)
+    assert len(draws) == 2
+    assert calls[:2] == [alg.dim, sum(decs["ising"].n)]
+    assert got.n == decs["ising"].n
+
+
 def test_degenerate_draws_exhaust_reseeds(algs, monkeypatch):
-    calls = degenerate_draws(monkeypatch, tube, np.inf)
+    alg = algs["ising"]
+    degenerate_draws(monkeypatch, tube, lambda k: True)
+    draws = count_calls(monkeypatch, alg, "right_mult")
     with pytest.raises(CenterError, match="after 8 reseeds"):
-        center_decompose(algs["ising"])
-    assert len(calls) == 8
+        center_decompose(alg)
+    assert len(draws) == 8
 
 
 def test_idempotency_gate_rejects_draws(algs, monkeypatch):
@@ -437,6 +458,52 @@ def test_block_spaces_orthonormal(decs):
     for V, n in zip(dec.block_spaces, dec.n):
         assert V.shape == (12, n * n)
         assert np.allclose(V.conj().T @ V, np.eye(n * n), atol=1e-10)
+
+
+def test_idempotency_gate_checks_every_block(algs, decs, monkeypatch):
+    # tilt the last block space of the first draw only: its projector
+    # misses idempotency while the others stay exact, so the draw is reseeded
+    real, draws = tube._spectral_blocks, []
+
+    def tilted(alg, h):
+        spaces = real(alg, h)
+        draws.append(h)
+        if len(draws) == 1:
+            spaces[-1] = np.linalg.qr(spaces[-1] + 1e-6 * spaces[0][:, :1])[0]
+        return spaces
+
+    monkeypatch.setattr(tube, "_spectral_blocks", tilted)
+    got = center_decompose(algs["ising"])
+    assert len(draws) == 2
+    assert got.n == decs["ising"].n
+
+
+@pytest.mark.parametrize(
+    "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"])
+def test_center_matches_commutant_oracle(name):
+    alg = _algebra(name)
+    dec, want = center_decompose(alg), center_by_commutant(alg)
+    assert dec.n == want.n
+    assert np.max(np.abs(np.subtract(dec.qdims, want.qdims))) < 1e-12
+    # blocks that tie on (qdim, n) may come in another order
+    dist = np.array([[np.max(np.abs(pa - pb)) for pb in want.projections]
+                     for pa in dec.projections])
+    match = np.argmin(dist, axis=1)
+    assert sorted(match) == list(range(dec.r_plus_1))
+    assert np.max(dist[np.arange(dec.r_plus_1), match]) < 1e-12
+    assert [want.n[j] for j in match] == dec.n
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_s3"])
+def test_block_space_heads_are_left_ideals(name):
+    alg = _algebra(name)
+    dec = center_decompose(alg)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        lx = alg.left_mult(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
+        for B, n in zip(dec.block_spaces, dec.n):
+            V = B[:, :n]
+            assert np.linalg.norm(lx @ V - V @ (V.conj().T @ lx @ V)) < 1e-10
 
 
 # -- conditional expectation ---------------------------------------------------

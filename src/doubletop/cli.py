@@ -291,8 +291,9 @@ def _cmd_compare(args, argv):
     timings = {}
     with _stage(timings, "load"):
         cat = _load_category_arg(args.category)
-    with _stage(timings, "state_sum"):
+    with _stage(timings, "triangulation"):
         tri = _load_triangulation_arg(args.statesum)
+    with _stage(timings, "state_sum"):
         z_ss = complex(state_sum(cat, tri, budget=args.budget))
     md = compute_modular_data(cat)
     timings.update(md.timings_ms)

@@ -51,6 +51,9 @@ _CHUNK = 4096  # colorings per vectorised block of the DW oracle
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 EDGE_SLOTS = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
+_EDGE_INDEX = {pair: k for k, pair in enumerate(EDGE_SLOTS)}
+_FACE_EDGES = tuple(tuple(_EDGE_INDEX[e] for e in itertools.combinations(c, 2))
+                    for c in FACE_CORNERS)  # edge slots of face f
 _BOND_FACES = (3, 1, 0, 2)  # faces 012, 023, 123, 013: weight-table bond order
 
 
@@ -58,30 +61,22 @@ class TriangulationError(ValueError):
     """A triangulation invariant failed (non-manifold, orientation, ...)."""
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+def _classes(n, pairs):
+    """Class id of each slot 0..n-1 under the unions `pairs`, and the class
+    count; classes are numbered in order of their first slot."""
+    parent = list(range(n))
 
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            p = self.parent[p]
-        while self.parent[x] != p:
-            self.parent[x], x = p, self.parent[x]
-        return p
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
-
-    def classes(self, order):
-        """Map slot -> dense class id, ids in first-appearance order of `order`."""
-        out, nxt = {}, 0
-        for x in order:
-            r = self.find(x)
-            if r not in out:
-                out[r] = nxt
-                nxt += 1
-        return {x: out[self.find(x)] for x in self.parent}, nxt
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    number = {}
+    ids = [number.setdefault(find(x), len(number)) for x in range(n)]
+    return ids, len(number)
 
 
 def _derive_gluings(verts):
@@ -151,7 +146,6 @@ class Triangulation:
         self._build_classes()
         self._assign_vertices(vlists, n_vertices)
         self._euler_check()
-        self._vertex_link_check()
 
     # -- construction internals --------------------------------------------
 
@@ -184,54 +178,33 @@ class Triangulation:
                 )
 
     def _build_classes(self):
-        uf_v, uf_e, uf_f = _UnionFind(), _UnionFind(), _UnionFind()
-        for t in range(self.n_tets):
-            for c in range(4):
-                uf_v.find((t, c))
-            for p in EDGE_SLOTS:
-                uf_e.find((t, p))
-            for f in range(4):
-                uf_f.find((t, f))
+        # integer slots: corner 4t+c, edge 6t+k (k indexes EDGE_SLOTS), face 4t+f
+        v_pairs, e_pairs, f_pairs = [], [], []
         for (ta, fa), (tb, fb) in self.gluings:
-            ca, cb = FACE_CORNERS[fa], FACE_CORNERS[fb]
-            uf_f.union((ta, fa), (tb, fb))
-            for r in range(3):
-                uf_v.union((ta, ca[r]), (tb, cb[r]))
-            for r in range(3):
-                for s in range(r + 1, 3):
-                    uf_e.union((ta, (ca[r], ca[s])), (tb, (cb[r], cb[s])))
-        v_order = [(t, c) for t in range(self.n_tets) for c in range(4)]
-        e_order = [(t, p) for t in range(self.n_tets) for p in EDGE_SLOTS]
-        f_order = [(t, f) for t in range(self.n_tets) for f in range(4)]
-        self._vmap, self.n_vertex_classes = uf_v.classes(v_order)
-        self._emap, self.n_edges = uf_e.classes(e_order)
-        self._fmap, self.n_faces = uf_f.classes(f_order)
-        self.tet_edges = np.array(
-            [[self._emap[(t, p)] for p in EDGE_SLOTS] for t in range(self.n_tets)],
-            dtype=np.int64,
-        )
-        self.tet_faces = np.array(
-            [[self._fmap[(t, f)] for f in range(4)] for t in range(self.n_tets)],
-            dtype=np.int64,
-        )
-        self.face_reps = [None] * self.n_faces
-        for t in range(self.n_tets):
-            for f in range(4):
-                cid = self._fmap[(t, f)]
-                if self.face_reps[cid] is None:
-                    self.face_reps[cid] = (t, f)
+            f_pairs.append((4 * ta + fa, 4 * tb + fb))
+            v_pairs += [(4 * ta + ca, 4 * tb + cb)
+                        for ca, cb in zip(FACE_CORNERS[fa], FACE_CORNERS[fb])]
+            e_pairs += [(6 * ta + ka, 6 * tb + kb)
+                        for ka, kb in zip(_FACE_EDGES[fa], _FACE_EDGES[fb])]
+        vids, self.n_vertices = _classes(4 * self.n_tets, v_pairs)
+        eids, self.n_edges = _classes(6 * self.n_tets, e_pairs)
+        fids, self.n_faces = _classes(4 * self.n_tets, f_pairs)
+        self.tet_vertices = np.array(vids, dtype=np.int64).reshape(self.n_tets, 4)
+        self.tet_edges = np.array(eids, dtype=np.int64).reshape(self.n_tets, 6)
+        self.tet_faces = np.array(fids, dtype=np.int64).reshape(self.n_tets, 4)
+        # the first slot of each face class, in class order
+        firsts = np.unique(fids, return_index=True)[1]
+        self.face_reps = [divmod(int(x), 4) for x in firsts]
 
     def _assign_vertices(self, vlists, n_vertices):
-        derived = [[self._vmap[(t, c)] for c in range(4)] for t in range(self.n_tets)]
         if all(v is None for v in vlists):
-            self.verts = derived
+            self.verts = self.tet_vertices.tolist()
         else:
             ids = {}
             for t, v in enumerate(vlists):
                 if v is None or len(v) != 4:
                     raise TriangulationError("tet %d: need 4 vertex ids" % t)
-                for c in range(4):
-                    cls = self._vmap[(t, c)]
+                for c, cls in enumerate(self.tet_vertices[t].tolist()):
                     if ids.setdefault(cls, v[c]) != v[c]:
                         raise TriangulationError(
                             "vertex ids inconsistent with gluings at tet %d corner %d"
@@ -244,7 +217,6 @@ class Triangulation:
             if shared:
                 raise TriangulationError("distinct vertex classes share a vertex id")
             self.verts = [list(v) for v in vlists]
-        self.n_vertices = self.n_vertex_classes
         if n_vertices is not None and n_vertices != self.n_vertices:
             raise TriangulationError(
                 "file claims %d vertices, complex has %d"
@@ -252,74 +224,31 @@ class Triangulation:
             )
 
     def _euler_check(self):
+        """chi = V - E + F - T must vanish; this alone makes every link a sphere.
+
+        The pairing check leaves a closed pseudomanifold.  Each vertex link
+        is a closed surface: order-preserving gluings never reverse an
+        edge, so the link of each edge end is a circle.  It is connected,
+        because the gluings that join link triangles along their sides are
+        exactly the unions that define the vertex classes.  The links have
+        4T triangles, 6T sides and 2E vertices (edge ends) in all, so with
+        F = 2T
+
+            sum_v (2 - chi(L_v)) = 2V - 2E + 3F - 4T = 2 chi(M).
+
+        Every term is >= 0, since a connected closed surface has chi <= 2;
+        so chi(M) = 0 forces chi(L_v) = 2, a sphere, at every vertex
+        (Seifert-Threlfall).  `tests/oracles.py::vertex_link_euler` checks
+        the links directly.
+        """
         chi = self.n_vertices - self.n_edges + self.n_faces - self.n_tets
         if chi != 0:
             raise TriangulationError("Euler characteristic %d != 0" % chi)
 
-    def _vertex_link_check(self):
-        # link pieces: one triangle per tet corner; its sides are (t, corner, f)
-        # for the three faces f != corner; gluings pair sides.
-        uf_s = _UnionFind()
-        uf_conn = _UnionFind()
-        for t in range(self.n_tets):
-            for c in range(4):
-                for f in range(4):
-                    if f != c:
-                        uf_s.find((t, c, f))
-        for (ta, fa), (tb, fb) in self.gluings:
-            ca, cb = FACE_CORNERS[fa], FACE_CORNERS[fb]
-            for r in range(3):
-                uf_s.union((ta, ca[r], fa), (tb, cb[r], fb))
-                uf_conn.union((ta, ca[r]), (tb, cb[r]))
-        # link vertices: one per (tet corner, other corner) ordered pair
-        uf_lv = _UnionFind()
-        for t in range(self.n_tets):
-            for c in range(4):
-                for m in range(4):
-                    if m != c:
-                        uf_lv.find((t, c, m))
-        for (ta, fa), (tb, fb) in self.gluings:
-            ca, cb = FACE_CORNERS[fa], FACE_CORNERS[fb]
-            for r in range(3):
-                for s in range(3):
-                    if s != r:
-                        uf_lv.union((ta, ca[r], ca[s]), (tb, cb[r], cb[s]))
-        pieces = {}  # vertex class -> [corner count, side classes, lv classes]
-        for t in range(self.n_tets):
-            for c in range(4):
-                pieces.setdefault(self._vmap[(t, c)], [0, set(), set()])[0] += 1
-        for (t, c, f) in list(uf_s.parent):
-            cls = self._vmap[(t, c)]
-            pieces[cls][1].add(uf_s.find((t, c, f)))
-        for (t, c, m) in list(uf_lv.parent):
-            cls = self._vmap[(t, c)]
-            pieces[cls][2].add(uf_lv.find((t, c, m)))
-        for cls, (ntri, sides, lverts) in pieces.items():
-            chi = len(lverts) - len(sides) + ntri
-            if chi != 2:
-                raise TriangulationError(
-                    "vertex %d link has Euler characteristic %d (not a sphere)"
-                    % (cls, chi)
-                )
-        # connectivity of each link: corners of one class must be joined by sides
-        corner_roots = {}
-        for t in range(self.n_tets):
-            for c in range(4):
-                cls = self._vmap[(t, c)]
-                corner_roots.setdefault(cls, set()).add(uf_conn.find((t, c)))
-        for cls, roots in corner_roots.items():
-            if len(roots) != 1:
-                raise TriangulationError("vertex %d link is disconnected" % cls)
-
     # -- small accessors ------------------------------------------------------
 
     def edge_class(self, t, i, j):
-        if i > j:
-            i, j = j, i
-        return self._emap[(t, (i, j))]
-
-    def face_class(self, t, f):
-        return self._fmap[(t, f)]
+        return int(self.tet_edges[t, _EDGE_INDEX[(min(i, j), max(i, j))]])
 
     def expected_dw(self, nmod):
         """|Hom(pi1, Z/nmod)| / nmod from the bundled pi1 tag, if present."""
@@ -486,8 +415,9 @@ def lens_triangulation(p, q, pi1=None):
     (p,q)=(4,2) realizes the antipodal-quotient presentation of RP^3.
     Tet i has corners (N, S, P_i, P_{i+1}); all signs +1.
     """
-    if p < 1 or not (1 <= q <= p):
-        raise ValueError("need p >= 1 and 1 <= q <= p")
+    if not (isinstance(p, numbers.Integral) and isinstance(q, numbers.Integral)
+            and 1 <= q <= p):
+        raise TriangulationError("need integers p >= 1 and 1 <= q <= p")
     tets = [(None, 1) for _ in range(p)]
     gluings = []
     for i in range(p):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contract import contract
+from .statesum import _classes
 
 _MATCH_TOL = 1e-8
 
@@ -73,17 +74,8 @@ class PlumbingGraph:
         return self._components
 
     def _count_components(self):
-        parent = {v: v for v in self.ids}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, w in self.edges:
-            parent[find(u)] = find(w)
-        return len({find(v) for v in self.ids})
+        pos = {v: i for i, v in enumerate(self.ids)}
+        return _classes(self.m, [(pos[u], pos[w]) for u, w in self.edges])[1]
 
     @classmethod
     def from_dict(cls, doc, name=None):

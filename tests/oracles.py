@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def smith_diagonal(mat):
@@ -78,10 +79,10 @@ def first_homology(tri):
     for t in range(tri.n_tets):
         for (i, j) in EDGE_SLOTS:
             edge_rep.setdefault(tri.edge_class(t, i, j), (t, i, j))
-    d1 = [[0] * E for _ in range(tri.n_vertex_classes)]
+    d1 = [[0] * E for _ in range(tri.n_vertices)]
     for e, (t, i, j) in edge_rep.items():
-        d1[tri._vmap[(t, j)]][e] += 1
-        d1[tri._vmap[(t, i)]][e] -= 1
+        d1[tri.tet_vertices[t, j]][e] += 1
+        d1[tri.tet_vertices[t, i]][e] -= 1
     d2 = [[0] * F for _ in range(E)]
     for fc in range(F):
         t, f = tri.face_reps[fc]
@@ -119,7 +120,7 @@ def tet_weight(cat, tri, t, coloring, labeling):
         coloring[tri.edge_class(t, i, j)]
         for i, j in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)))
     # face f of a tetrahedron omits corner f
-    f123, f023, f013, f012 = (labeling[tri.face_class(t, f)] for f in range(4))
+    f123, f023, f013, f012 = (labeling[tri.tet_faces[t, f]] for f in range(4))
     if (f012 >= cat.N[c01, c12, c02] or f123 >= cat.N[c12, c23, c13]
             or f013 >= cat.N[c01, c13, c03] or f023 >= cat.N[c02, c23, c03]):
         return 0.0
@@ -266,6 +267,165 @@ def all_pairings(items):
         rest = items[1:k] + items[k + 1:]
         for sub in all_pairings(rest):
             yield [(first, items[k])] + sub
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != self.parent[p]:
+            p = self.parent[p]
+        while self.parent[x] != p:
+            self.parent[x], x = p, self.parent[x]
+        return p
+
+    def union(self, x, y):
+        self.parent[self.find(x)] = self.find(y)
+
+    def classes(self, order):
+        """Map slot -> dense class id, ids in first-appearance order of `order`."""
+        out, nxt = {}, 0
+        for x in order:
+            r = self.find(x)
+            if r not in out:
+                out[r] = nxt
+                nxt += 1
+        return {x: out[self.find(x)] for x in self.parent}, nxt
+
+
+def triangulation_classes(tri):
+    """Vertex, edge and face classes of `tri` from its gluings alone.
+
+    The tuple-keyed union-find over (t, corner), (t, (i, j)) and (t, f)
+    slots, numbering classes by first appearance in tet-major order.
+    Returns a dict of the per-tet class tables ("vertices", "edges",
+    "faces"), their counts, `face_reps`, and the slot -> class maps.
+    """
+    from doubletop.statesum import EDGE_SLOTS, FACE_CORNERS
+
+    uf_v, uf_e, uf_f = _UnionFind(), _UnionFind(), _UnionFind()
+    for t in range(tri.n_tets):
+        for c in range(4):
+            uf_v.find((t, c))
+        for p in EDGE_SLOTS:
+            uf_e.find((t, p))
+        for f in range(4):
+            uf_f.find((t, f))
+    for (ta, fa), (tb, fb) in tri.gluings:
+        ca, cb = FACE_CORNERS[fa], FACE_CORNERS[fb]
+        uf_f.union((ta, fa), (tb, fb))
+        for r in range(3):
+            uf_v.union((ta, ca[r]), (tb, cb[r]))
+        for r in range(3):
+            for s in range(r + 1, 3):
+                uf_e.union((ta, (ca[r], ca[s])), (tb, (cb[r], cb[s])))
+    v_order = [(t, c) for t in range(tri.n_tets) for c in range(4)]
+    e_order = [(t, p) for t in range(tri.n_tets) for p in EDGE_SLOTS]
+    f_order = [(t, f) for t in range(tri.n_tets) for f in range(4)]
+    vmap, n_vertices = uf_v.classes(v_order)
+    emap, n_edges = uf_e.classes(e_order)
+    fmap, n_faces = uf_f.classes(f_order)
+    face_reps = [None] * n_faces
+    for t in range(tri.n_tets):
+        for f in range(4):
+            cid = fmap[(t, f)]
+            if face_reps[cid] is None:
+                face_reps[cid] = (t, f)
+    return {
+        "vertices": [[vmap[(t, c)] for c in range(4)] for t in range(tri.n_tets)],
+        "edges": [[emap[(t, p)] for p in EDGE_SLOTS] for t in range(tri.n_tets)],
+        "faces": [[fmap[(t, f)] for f in range(4)] for t in range(tri.n_tets)],
+        "counts": (n_vertices, n_edges, n_faces),
+        "face_reps": face_reps,
+        "vmap": vmap,
+    }
+
+
+def vertex_link_euler(tri):
+    """Raise TriangulationError unless every vertex link is a connected
+    surface of Euler characteristic 2.
+
+    Builds each link from one triangle per tet corner, glued along the
+    sides that the face gluings pair, and counts its vertices, sides and
+    triangles directly.
+    """
+    from doubletop.statesum import FACE_CORNERS, TriangulationError
+
+    vmap = triangulation_classes(tri)["vmap"]
+    # link pieces: one triangle per tet corner; its sides are (t, corner, f)
+    # for the three faces f != corner; gluings pair sides.
+    uf_s = _UnionFind()
+    uf_conn = _UnionFind()
+    for t in range(tri.n_tets):
+        for c in range(4):
+            for f in range(4):
+                if f != c:
+                    uf_s.find((t, c, f))
+    for (ta, fa), (tb, fb) in tri.gluings:
+        ca, cb = FACE_CORNERS[fa], FACE_CORNERS[fb]
+        for r in range(3):
+            uf_s.union((ta, ca[r], fa), (tb, cb[r], fb))
+            uf_conn.union((ta, ca[r]), (tb, cb[r]))
+    # link vertices: one per (tet corner, other corner) ordered pair
+    uf_lv = _UnionFind()
+    for t in range(tri.n_tets):
+        for c in range(4):
+            for m in range(4):
+                if m != c:
+                    uf_lv.find((t, c, m))
+    for (ta, fa), (tb, fb) in tri.gluings:
+        ca, cb = FACE_CORNERS[fa], FACE_CORNERS[fb]
+        for r in range(3):
+            for s in range(3):
+                if s != r:
+                    uf_lv.union((ta, ca[r], ca[s]), (tb, cb[r], cb[s]))
+    pieces = {}  # vertex class -> [corner count, side classes, lv classes]
+    for t in range(tri.n_tets):
+        for c in range(4):
+            pieces.setdefault(vmap[(t, c)], [0, set(), set()])[0] += 1
+    for (t, c, f) in list(uf_s.parent):
+        cls = vmap[(t, c)]
+        pieces[cls][1].add(uf_s.find((t, c, f)))
+    for (t, c, m) in list(uf_lv.parent):
+        cls = vmap[(t, c)]
+        pieces[cls][2].add(uf_lv.find((t, c, m)))
+    for cls, (ntri, sides, lverts) in pieces.items():
+        chi = len(lverts) - len(sides) + ntri
+        if chi != 2:
+            raise TriangulationError(
+                "vertex %d link has Euler characteristic %d (not a sphere)"
+                % (cls, chi)
+            )
+    # connectivity of each link: corners of one class must be joined by sides
+    corner_roots = {}
+    for t in range(tri.n_tets):
+        for c in range(4):
+            cls = vmap[(t, c)]
+            corner_roots.setdefault(cls, set()).add(uf_conn.find((t, c)))
+    for cls, roots in corner_roots.items():
+        if len(roots) != 1:
+            raise TriangulationError("vertex %d link is disconnected" % cls)
+
+
+@st.composite
+def closed_pairings(draw, max_tets=8):
+    """(tets_signs, gluings) of a closed, orientation-coherent face pairing.
+
+    Draws the tet count and signs first.  Slot (t, f) has parity
+    sign_t (-1)^f, every tet has two slots of each parity, and each
+    gluing joins slots of opposite parity, which is the orientation
+    condition.  The pairing may still fail the Euler check.  Use with
+    ``settings(derandomize=True, database=None)`` for a reproducible run.
+    """
+    n = draw(st.integers(1, max_tets))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    slots = [(t, f) for t in range(n) for f in range(4)]
+    plus = [(t, f) for t, f in slots if signs[t] * (-1) ** f == 1]
+    minus = draw(st.permutations([(t, f) for t, f in slots
+                                  if signs[t] * (-1) ** f == -1]))
+    return [(None, s) for s in signs], list(zip(plus, minus))
 
 
 def star_antihom_residual(St, C):

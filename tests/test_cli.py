@@ -388,6 +388,19 @@ def test_modular_data_reports_its_stages(capsys):
     assert set(doc["timings_ms"]) == {"load", *STAGES}
 
 
+@pytest.mark.parametrize("argv, stages", [
+    (("invariant", "--statesum", "builtin:rp3"), ["triangulation", "state_sum"]),
+    (("invariant", "--surgery", "builtin:rp3"), [*STAGES, "plumbing", "surgery"]),
+    (("compare", "--statesum", "builtin:rp3", "--surgery", "builtin:rp3"),
+     ["triangulation", "state_sum", *STAGES, "plumbing", "surgery"]),
+])
+def test_two_route_commands_report_their_stages(capsys, argv, stages):
+    # the triangulation load is its own stage, never part of state_sum
+    code, doc, _ = run(capsys, argv[0], "--category", "zoo:vec_z2", *argv[1:])
+    assert code == 0
+    assert set(doc["timings_ms"]) == {"load", *stages}
+
+
 def test_report_determinism(capsys):
     docs = []
     for _ in range(2):

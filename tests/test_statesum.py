@@ -1,19 +1,22 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from doubletop.catdata import global_dim, zoo
 from doubletop.modulardata import compute_modular_data
 from doubletop.statesum import (
-    BudgetError, Triangulation, TriangulationError, boundary_4_simplex,
-    builtin_triangulation, cyclic_group_table, doubled_tetrahedron, dw_oracle,
-    lens_triangulation, load_triangulation, s2xs1_twotet, s3_twotet,
-    state_sum, t3_sixtet, _triangulation_from_dict,
+    BUILTIN_TRIANGULATIONS, BudgetError, Triangulation, TriangulationError,
+    boundary_4_simplex, builtin_triangulation, cyclic_group_table,
+    doubled_tetrahedron, dw_oracle, lens_triangulation, load_triangulation,
+    s2xs1_twotet, s3_twotet, state_sum, t3_sixtet, _triangulation_from_dict,
 )
 from doubletop.surgery import lens_chain, surgery_invariant
-from oracles import (all_pairings, brute_state_sum, expected_flat_fraction,
-                     first_homology, multiplicity_ring, tet_weight)
+from oracles import (all_pairings, brute_state_sum, closed_pairings,
+                     expected_flat_fraction, first_homology, multiplicity_ring,
+                     tet_weight, triangulation_classes, vertex_link_euler)
 
 BUILTINS = ["s3_boundary4simplex", "s3_twotet", "rp3_lens", "rp3_antipodal",
             "lens_3_1", "lens_4_1", "s2xs1", "t3_sixtet"]
@@ -239,10 +242,10 @@ def test_unknown_builtin():
 
 
 def test_lens_args_validated():
-    with pytest.raises(ValueError):
-        lens_triangulation(0, 1)
-    with pytest.raises(ValueError):
-        lens_triangulation(3, 4)
+    for p, q in ((0, 1), (3, 4), (3, 0), (2.5, 1), ("3", 1), (3, None)):
+        with pytest.raises(TriangulationError, match="need integers p >= 1"):
+            lens_triangulation(p, q)
+    assert issubclass(TriangulationError, ValueError)
 
 
 def test_roundtrip_via_dict():
@@ -258,6 +261,84 @@ def test_vertex_id_mode_roundtrip():
     assert tri.n_vertices == 5
     assert sorted(map(tuple, tri.verts)) == sorted(
         tuple(x for x in range(5) if x != i) for i in range(5))
+
+
+# -- class tables against the tuple-keyed union-find ---------------------------
+
+def _assert_classes_match(tri):
+    want = triangulation_classes(tri)
+    assert tri.tet_vertices.tolist() == want["vertices"]
+    assert tri.tet_edges.tolist() == want["edges"]
+    assert tri.tet_faces.tolist() == want["faces"]
+    assert (tri.n_vertices, tri.n_edges, tri.n_faces) == want["counts"]
+    assert tri.face_reps == want["face_reps"]
+    # vertex ids, given or derived, label the corners as the classes do
+    pairs = {(c, v) for cs, vs in zip(want["vertices"], tri.verts)
+             for c, v in zip(cs, vs)}
+    assert len(pairs) == len({c for c, _ in pairs}) == len({v for _, v in pairs})
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_TRIANGULATIONS))
+def test_builtin_classes_match_oracle(name):
+    tri = builtin_triangulation(name)
+    _assert_classes_match(tri)
+    vertex_link_euler(tri)
+
+
+def test_lens_classes_match_oracle():
+    for p in range(1, 41):
+        for q in range(1, p + 1):
+            tri = lens_triangulation(p, q)
+            _assert_classes_match(tri)
+            assert tri.verts == tri.tet_vertices.tolist()
+
+
+def test_small_pairings_have_sphere_links():
+    # every 1- and 2-tet face pairing with every sign: the Euler check alone
+    # must refuse each complex whose vertex links are not spheres
+    accepted = 0
+    for n in (1, 2):
+        slots = [(t, f) for t in range(n) for f in range(4)]
+        for pair in all_pairings(slots):
+            for signs in itertools.product((1, -1), repeat=n):
+                try:
+                    tri = Triangulation([(None, s) for s in signs], gluings=pair)
+                except TriangulationError:
+                    continue
+                accepted += 1
+                vertex_link_euler(tri)
+                _assert_classes_match(tri)
+    assert accepted > 0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(case=closed_pairings(max_tets=8))
+def test_closed_pairings_pass_both_oracles(case):
+    tets, gluings = case
+    try:
+        tri = Triangulation(tets, gluings=gluings)
+    except TriangulationError as exc:
+        # pairing and orientation hold by construction
+        assert str(exc).startswith("Euler characteristic")
+        return
+    vertex_link_euler(tri)
+    _assert_classes_match(tri)
+
+
+def test_first_homology_reads_integer_tables():
+    class Recorder:
+        def __init__(self, tri):
+            self.tri, self.read = tri, set()
+
+        def __getattr__(self, name):
+            self.read.add(name)
+            return getattr(self.tri, name)
+
+    tri = Recorder(lens_triangulation(5, 2))
+    assert first_homology(tri) == (0, [5])
+    assert {"tet_vertices", "n_vertices"} <= tri.read
+    for gone in ("_vmap", "_emap", "_fmap", "n_vertex_classes"):
+        assert not hasattr(tri.tri, gone)
 
 
 # -- searches (frozen results of the constructions) ----------------------------

@@ -203,8 +203,9 @@ def _cmd_center(args, argv):
         alg = build_tube_algebra(cat)
     with _stage(timings, "center"):
         dec = center_decompose(alg)
-    residuals = dict(cat.residuals,
-                     associativity=alg.associativity_residual())
+    with _stage(timings, "associativity"):
+        residuals = dict(cat.residuals,
+                         associativity=alg.associativity_residual())
     results = {
         "dim": alg.dim,
         "blocks": [{"n": int(n), "qdim": float(q)}

@@ -18,8 +18,10 @@ unitary.
 The tube action determines E_i linearly: acting with X(xi,eta,zeta,...)
 on the graded representation space equals an F-sandwich of
 E_i(zeta*, .).  Its coefficients, gathered from cat.F once per algebra, fill
-the rows of each (block, strand) system, solved by least squares; then we
-verify unitarity and the two-strand composition law the solution never saw.
+one system per label set and strand, which all blocks with those component
+labels share: one least-squares solve per label set and strand takes the
+stacked right sides of all of them.  Then we verify unitarity and the
+two-strand composition law the solution never saw.
 The law is checked on the admissible label tuples of all blocks at once,
 built by numpy joins on N: cat.F and the stacked E arrays are gathered at
 those tuples and contracted by one einsum over the multiplicity axes.
@@ -86,35 +88,34 @@ def block_irreps(alg, dec):
 
     The first n_i columns of `dec.block_spaces[i]` span a minimal left
     ideal A q of block i, on which A acts by its irrep; the corner
-    idempotents X(xi,xi,e,xi,0,0) then grade that space by simple.
+    idempotents X(xi,xi,e,xi,0,0) then grade that space by simple, with
+    one stacked product over all corners and one batched eigh per block.
     """
     cat = alg.cat
+    # left multiplication by basis k is C[k].T
+    x = np.arange(cat.n)
+    ks = alg.index[x, x, 0, x, 0, 0]
+    corners = alg.scale[ks, None, None] * alg.C[ks].transpose(0, 2, 1)
     reps = []
     for i in range(dec.r_plus_1):
         n = dec.n[i]
         V = dec.block_spaces[i][:, :n]
-
-        # grade by the corner idempotents; left multiplication by basis k is C[k].T
-        blocks_W, comps, m = [], [], {}
-        for xi in range(cat.n):
-            k = alg.index[xi, xi, 0, xi, 0, 0]
-            P = V.conj().T @ (alg.scale[k] * alg.C[k].T) @ V
-            mult = int(round(np.trace(P).real))
-            if mult == 0:
-                continue
-            w, Wv = np.linalg.eigh(P)
-            keep = Wv[:, w > 0.5]
-            if keep.shape[1] != mult:
-                raise ModularDataError("grading projector of block %d is not "
-                                       "a clean projection" % i)
-            blocks_W.append(keep)
-            comps.extend((xi, t) for t in range(mult))
-            m[xi] = mult
+        P = V.conj().T @ corners @ V
+        mult = np.round(np.trace(P, axis1=1, axis2=2).real).astype(np.int64)
+        occ = np.flatnonzero(mult)
+        w, Wv = np.linalg.eigh(P[occ])
+        keep = w > 0.5
+        if (keep.sum(axis=1) != mult[occ]).any():
+            raise ModularDataError("grading projector of block %d is not "
+                                   "a clean projection" % i)
+        m = {xi: int(mult[xi]) for xi in occ.tolist()}
+        comps = [(xi, t) for xi, k in m.items() for t in range(k)]
         if len(comps) != n:
             raise ModularDataError("grading of block %d sums to %d, not %d"
                                    % (i, len(comps), n))
-        V = V @ np.hstack(blocks_W)
-        qd = sum(mult * cat.d[xi] for xi, mult in m.items())
+        # the kept eigenvectors of each occurring simple, in simple order
+        V = V @ Wv.transpose(0, 2, 1)[keep].T
+        qd = sum(k * cat.d[xi] for xi, k in m.items())
         if abs(qd - dec.qdims[i]) > 1e-8:
             raise ModularDataError("block %d grading disagrees with its "
                                    "quantum dimension" % i)
@@ -130,15 +131,18 @@ def block_irreps(alg, dec):
 def extract_half_braidings(alg, dec, reps):
     """Solve the tube action for the half-braiding of every block.
 
-    Returns (one array E[sigma, delta, p, a, q, b] per block, residual
-    dict) and raises when the least-squares fit or the unitarity of any
-    solved (sigma, delta) square is worse than 1e-6.
+    Blocks with the same component labels share the equations, so there
+    is one least-squares solve per (label set, strand), on the stacked
+    right sides of all blocks of the set.  Returns (one array E[sigma,
+    delta, p, a, q, b] per block, residual dict) and raises when the fit
+    or the unitarity of any solved (sigma, delta) square is worse than
+    1e-6; of several failures, the first one in block, then strand order,
+    a block's fits before its unitarity.
     """
     cat = alg.cat
     N, F, n = cat.N, cat.F, cat.n
     slot = np.arange(F.shape[-1])
     residuals = {"solve": 0.0, "unitary": 0.0}
-    layouts = {}
 
     # coef[tube, k, mp, mm]: the coefficient of the unknown E[sigma, k, p, mp,
     # q, mm] in the equation of tube X(xi,eta,zeta,delta,a,b), sigma = zeta*,
@@ -152,64 +156,77 @@ def extract_half_braidings(alg, dec, reps):
     # convention weighs grade xi by sqrt(d_xi)
     grade = np.sqrt(cat.d[eta] / cat.d[xi])
 
-    def layout(labels, sigma):
-        # admissible rows (delta, p, a) and columns (delta, q, b) of E[sigma];
-        # the unknowns, the admissible entries of E[sigma] in C order; and the
-        # equations (tube, p, q) of the tubes X(xi,eta,sigma*,...) with components
-        # p of xi and q of eta, in tube, then p, then q order, as the matrix A
-        rows = slot < N[sigma][labels].T[:, :, None]
-        cols = slot < N[labels, sigma].T[:, :, None]
-        nrows, ncols = rows.sum(axis=(1, 2)), cols.sum(axis=(1, 2))
-        if (nrows != ncols).any():
-            raise ModularDataError("half-braiding block (%d,%d) is not "
-                                   "square" % (sigma, np.argmax(nrows != ncols)))
-        free = rows[:, :, :, None, None] & cols[:, None, None, :, :]
-        varix = np.cumsum(free).reshape(free.shape) - 1
-        comp = labels == np.arange(n)[:, None]
-        eqs = np.column_stack([xi, eta, np.arange(alg.dim)])[sig == sigma]
-        tube, p, q = join(comp, join(comp, eqs, 0), 1)[:, 2:].T
-        e, k, mp, mm = np.nonzero(free[:, p, :, q, :])
-        A = np.zeros((len(tube), int(free.sum())), dtype=complex)
-        A[e, varix[:, p, :, q, :][e, k, mp, mm]] += coef[tube[e], k, mp, mm]
-        tubes, at = np.unique(tube, return_inverse=True)
-        return free, A, tubes, (at, p, q), grade[tube]
-
-    out = []
+    # the tubes X(xi,eta,sigma*,...) strand by strand, in tube order within one
+    eqs = np.column_stack([xi, eta, np.arange(alg.dim)])
+    eqs = eqs[np.argsort(sig, kind="stable")]
+    groups = {}
     for bi, rep in enumerate(reps):
-        E = np.zeros((n, n, rep.n, slot.size, rep.n, slot.size), dtype=complex)
+        groups.setdefault(tuple(rep.labels.tolist()), []).append(bi)
+    out, fails = [None] * len(reps), []
+    for blocks in groups.values():
+        labels, rn, nb = reps[blocks[0]].labels, reps[blocks[0]].n, len(blocks)
+        # admissible rows (delta, p, a) and columns (delta, q, b) of each
+        # E[sigma]; its unknowns are its admissible entries in C order
+        rows = slot < N[:, labels].transpose(0, 2, 1)[..., None]
+        cols = slot < N[labels].transpose(1, 2, 0)[..., None]
+        square = rows.sum(axis=(2, 3)) == cols.sum(axis=(2, 3))
+        free = rows[..., None, None] & cols[:, :, None, None]
+        varix = np.cumsum(free.reshape(n, -1), axis=1).reshape(free.shape) - 1
+        nvar = free.reshape(n, -1).sum(axis=1)
+        # the equations (tube, p, q) with components p of xi and q of eta, in
+        # strand, tube, p, q order, as the rows of A; strand sigma's are
+        # rows cut[sigma]:cut[sigma + 1], its unknowns the first nvar[sigma]
+        # columns
+        comp = labels == np.arange(n)[:, None]
+        tube, p, q = join(comp, join(comp, eqs, 0), 1)[:, 2:].T
+        s = sig[tube]
+        cut = np.searchsorted(s, np.arange(n + 1))
+        e, k, mp, mm = np.nonzero(free[s, :, p, :, q, :])
+        A = np.zeros((len(tube), nvar.max()), dtype=complex)
+        A[e, varix[s[e], k, p[e], mp, q[e], mm]] += coef[tube[e], k, mp, mm]
+        # rho[block, tube]; left multiplication by basis k is C[k].T
+        tubes, at = np.unique(tube, return_inverse=True)
+        Vs = np.array([reps[bi].V for bi in blocks])
+        rho = alg.scale[tubes, None, None] * (Vs.conj().transpose(0, 2, 1)[:, None]
+                                              @ alg.C[tubes].transpose(0, 2, 1)
+                                              @ Vs[:, None])
+        Y = (grade[tube] * rho[:, at, p, q]).T
+        E = np.zeros((nb, n, n, rn, slot.size, rn, slot.size), dtype=complex)
         for sigma in range(n):
-            # blocks with the same component labels share the layout
-            key = (tuple(rep.labels.tolist()), sigma)
-            if key not in layouts:
-                layouts[key] = layout(rep.labels, sigma)
-            free, A, tubes, ix, g = layouts[key]
-            if not A.shape[1]:
+            if not square[sigma].all():
+                fails.append(((blocks[0], 0, sigma), "half-braiding block (%d,%d) is "
+                              "not square" % (sigma, np.argmax(~square[sigma]))))
+                break
+            if not nvar[sigma]:
                 continue
-            # rho of each tube; left multiplication by basis k is C[k].T
-            rho = np.array([alg.scale[t] * (rep.V.conj().T @ alg.C[t].T @ rep.V)
-                            for t in tubes.tolist()])
-            y = g * rho[ix]
-            sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-            fit = float(np.max(np.abs(A @ sol - y))) if len(y) else 0.0
-            residuals["solve"] = max(residuals["solve"], fit)
-            if fit > _EXTRACT_TOL:
-                raise ModularDataError("half-braiding solve for block %d, "
-                                       "strand %d has residual %.3e"
-                                       % (bi, sigma, fit))
-            E[sigma][free] = sol
-        # one E^H E per (sigma, delta): E is zero off the admissible slots, so
-        # each product is the identity on the admissible columns, zero elsewhere
-        Es = E.reshape(n * n, rep.n * slot.size, -1)
-        eye = (slot < N[rep.labels].transpose(1, 2, 0)[..., None]).reshape(n * n, -1)
-        uni = np.max(np.abs(Es.conj().transpose(0, 2, 1) @ Es
-                            - eye[:, :, None] * np.eye(eye.shape[1])), axis=(1, 2))
+            eq = slice(cut[sigma], cut[sigma + 1])
+            At, Yt = A[eq, :nvar[sigma]], Y[eq]
+            sol, *_ = np.linalg.lstsq(At, Yt, rcond=None)
+            # one matrix-vector product per block rounds as the unstacked fit
+            fit = np.max(np.abs((At @ sol.T[:, :, None])[:, :, 0] - Yt.T),
+                         axis=1, initial=0.0).tolist()
+            residuals["solve"] = max(residuals["solve"], *fit)
+            fails += [((bi, 0, sigma), "half-braiding solve for block %d, strand %d "
+                       "has residual %.3e" % (bi, sigma, f))
+                      for bi, f in zip(blocks, fit) if f > _EXTRACT_TOL]
+            E[:, sigma, free[sigma]] = sol.T
+        # one E^H E per (block, sigma, delta): E is zero off the admissible
+        # slots, so each product is the identity on the admissible columns
+        Es = E.reshape(nb * n * n, rn * slot.size, -1)
+        eye = cols.reshape(n * n, -1)
+        w = eye.shape[1]
+        uni = np.max(np.abs((Es.conj().transpose(0, 2, 1) @ Es).reshape(nb, n * n, w, w)
+                            - eye[:, :, None] * np.eye(w)), axis=(2, 3))
         residuals["unitary"] = max(residuals["unitary"], float(uni.max()))
-        bad = np.flatnonzero(uni > _EXTRACT_TOL)
-        if bad.size:
-            sigma, delta = divmod(int(bad[0]), n)
-            raise ModularDataError("half-braiding (%d, strand %d, charge %d) is "
-                                   "not unitary (%.3e)" % (bi, sigma, delta, uni[bad[0]]))
-        out.append(E)
+        for bi, row, Ei in zip(blocks, uni, E):
+            bad = np.flatnonzero(row > _EXTRACT_TOL)
+            if bad.size:
+                sigma, delta = divmod(int(bad[0]), n)
+                fails.append(((bi, 1, 0), "half-braiding (%d, strand %d, charge %d) is "
+                              "not unitary (%.3e)" % (bi, sigma, delta, row[bad[0]])))
+            out[bi] = Ei
+    if fails:
+        raise ModularDataError(min(fails)[1])
     return out, residuals
 
 

@@ -388,6 +388,13 @@ def test_modular_data_reports_its_stages(capsys):
     assert set(doc["timings_ms"]) == {"load", *STAGES}
 
 
+def test_center_reports_its_stages(capsys):
+    # the associativity check is its own stage, not time outside any stage
+    code, doc, _ = run(capsys, "center", "--category", "zoo:ising")
+    assert code == 0
+    assert set(doc["timings_ms"]) == {"load", "tube", "center", "associativity"}
+
+
 @pytest.mark.parametrize("argv, stages", [
     (("invariant", "--statesum", "builtin:rp3"), ["triangulation", "state_sum"]),
     (("invariant", "--surgery", "builtin:rp3"), [*STAGES, "plumbing", "surgery"]),

@@ -31,8 +31,10 @@ from doubletop.statesum import builtin_triangulation, state_sum
 from doubletop.tube import _basis, _structure
 from oracles import (
     block_irreps as block_irreps_oracle,
+    block_irreps_per_simple,
     canonical_permutation as canonical_permutation_oracle,
-    composition_law_residual, extract_half_braidings,
+    composition_law_residual, count_calls, extract_half_braidings,
+    extract_half_braidings_per_block,
     gauge_transform, hopf_link_S, multiplicity_ring, vec_s3_document,
 )
 
@@ -113,6 +115,129 @@ def test_half_braidings_equal_loop(mds, vec_s3_md, name):
     assert len(loop) == len(md.braidings)
     assert all(np.array_equal(a, b) for a, b in zip(loop, md.braidings))
     assert resid == {k: md.residuals[k] for k in resid}
+
+
+@pytest.mark.parametrize(
+    "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_z8", "vec_s3"])
+def test_grouped_routes_equal_per_block_oracles(mds, vec_s3_md, name):
+    # one stacked grading per block and one solve per (label set, strand)
+    # hand LAPACK the same products and systems as the block-by-block routes
+    md = _md(mds, vec_s3_md, name)
+    got = modulardata.block_irreps(md.alg, md.dec)
+    want = block_irreps_per_simple(md.alg, md.dec)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.V, b.V)
+        assert a.comps == b.comps and a.m == b.m
+    E, resid = modulardata.extract_half_braidings(md.alg, md.dec, got)
+    E0, resid0 = extract_half_braidings_per_block(md.alg, md.dec, want)
+    assert len(E) == len(E0)
+    assert all(np.array_equal(a, b) for a, b in zip(E, E0))
+    assert resid == resid0
+    assert np.array_equal(compute_T(md.alg, md.dec, got, E),
+                          compute_T(md.alg, md.dec, want, E0))
+
+
+def _label_groups(reps):
+    groups = {}
+    for i, rep in enumerate(reps):
+        groups.setdefault(tuple(rep.labels.tolist()), []).append(i)
+    return list(groups.values())
+
+
+def _raises(alg, reps):
+    """The messages of the grouped solve and of the per-block oracle."""
+    msgs = []
+    for solve in (modulardata.extract_half_braidings, extract_half_braidings_per_block):
+        with pytest.raises(ModularDataError) as err:
+            solve(alg, None, reps)
+        msgs.append(str(err.value))
+    return msgs
+
+
+@pytest.mark.parametrize("name, tamper, kind", [
+    # vec_z4: every fit is one equation in one unknown, so a random V fits
+    # and fails unitarity; its group of four holds the other blocks
+    ("vec_z4", {(0, 1): "random"}, "unitary"),
+    ("vec_z4", {(1, 1): "random", (0, 2): "random"}, "unitary"),
+    # Vec(S3): label groups [0, 1], [2, 4, 5], [3], [6, 7].  A V stretched
+    # by 1.5 fits and fails unitarity; one stretched by 1e6 lifts the
+    # fit's rounding error past the gate, here on blocks 4 and 7
+    ("vec_s3", {(1, 1): "huge"}, "solve"),
+    ("vec_s3", {(1, 0): "stretch", (1, 1): "huge"}, "unitary"),
+    ("vec_s3", {(3, 1): "huge", (1, 1): "huge"}, "solve"),
+    ("vec_s3", {(3, 1): "huge", (1, 0): "stretch"}, "unitary"),
+    # ising, label groups [0, 1], [2, 3], [4, 5, 6, 7], [8]: block 4 stretched
+    # by 1e6 still fits within 1e-6 when each fit is one matrix-vector
+    # product, as in the per-block route, but not as one matrix product
+    ("ising", {(2, 0): "huge"}, "unitary"),
+])
+def test_grouped_solve_raises_first_failure(mds, vec_s3_md, name, tamper, kind):
+    # the first failure in block order, a block's fits before its
+    # unitarity, whichever group it falls in; the message names the block
+    md = _md(mds, vec_s3_md, name)
+    groups = _label_groups(md.reps)  # in order of their first block
+    rng = np.random.default_rng(11)
+    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in md.reps]
+    for (g, j), how in tamper.items():
+        rep = reps[groups[g][j]]
+        assert len(groups[g]) >= 2
+        if how == "random":
+            V = rng.normal(size=rep.V.shape) + 1j * rng.normal(size=rep.V.shape)
+            rep.V = V / np.linalg.norm(V, axis=0)
+        else:
+            rep.V = {"stretch": 1.5, "huge": 1e6}[how] * rep.V
+    got, want = _raises(md.alg, reps)
+    assert got == want
+    blame = min(groups[g][j] for g, j in tamper)
+    word = "solve for block %d," if kind == "solve" else "half-braiding (%d, strand"
+    assert (word % blame) in got
+
+
+@pytest.mark.parametrize("block", range(9))
+def test_grouped_solve_residuals_equal_per_block_oracle(mds, block):
+    # a V nudged by 1e-9 moves the fit's rounding; the residual dict must
+    # still equal the per-block route's, bit for bit
+    md = mds["ising"]
+    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in md.reps]
+    reps[block].V = (1 + 1e-9) * reps[block].V
+    E, resid = modulardata.extract_half_braidings(md.alg, None, reps)
+    E0, resid0 = extract_half_braidings_per_block(md.alg, None, reps)
+    assert all(np.array_equal(a, b) for a, b in zip(E, E0, strict=True))
+    assert resid == resid0
+
+
+def test_grouped_solve_raises_first_layout_failure(vec_s3_md):
+    # a block graded by the one simple 1 alone: strands 0 and 1 solve (its
+    # V, the vacuum's, sees no tube on simple 1), strand 2 is not square
+    md = vec_s3_md
+    fake = BlockRep(md.reps[0].V, [(1, 0)], {1: 1})
+    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in md.reps]
+    reps[-1] = fake
+    got, want = _raises(md.alg, reps)
+    assert got == want
+    assert got.startswith("half-braiding block (2,") and "is not square" in got
+    # a failure in an earlier block comes first
+    reps[-2].V = 1.5 * reps[-2].V
+    got, want = _raises(md.alg, reps)
+    assert got == want
+    assert got.startswith("half-braiding (%d, strand" % (len(reps) - 2))
+    # and the layout failure of block 1, the first of its group of two,
+    # before the failing fit of block 4
+    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in md.reps]
+    reps[1], reps[5], reps[4].V = fake, fake, 1e6 * reps[4].V
+    got, want = _raises(md.alg, reps)
+    assert got == want
+    assert "is not square" in got
+
+
+def test_one_solve_per_label_set_and_strand(monkeypatch):
+    # vec_z7: 49 blocks of one component each, on 7 label sets, 7 strands
+    md = compute_modular_data(dt.zoo("vec_z7"))
+    calls = count_calls(monkeypatch, np.linalg, "lstsq")
+    modulardata.extract_half_braidings(md.alg, md.dec, md.reps)
+    assert len(calls) == 7 * 7
+    extract_half_braidings_per_block(md.alg, md.dec, md.reps)
+    assert len(calls) == 7 * 7 + 49 * 7
 
 
 def test_half_braiding_equations_match_loop_with_multiplicity(monkeypatch):

@@ -76,26 +76,6 @@ class CategoryData:
 
     # -- block assembly -----------------------------------------------------
 
-    @staticmethod
-    def _bases(N, first, second):
-        """(a,b,c,d) key and basis (x, alpha, beta) of every F-block basis
-        vector, in lex order of (a,b,c,d, x, alpha, beta), by joins on N.
-
-        Over the columns (a, b, c, x, d), x joins on N[first] and then d on
-        N[second]; alpha and beta join on the slots below those two
-        multiplicities.  The rows (e, alpha, beta) take first = (0, 1),
-        second = (3, 2), the columns (f, mu, nu) first = (1, 2), second = (0, 3).
-        """
-        slots = np.arange(N.max(initial=1)) < N[..., None]
-        rows = np.indices((len(N),) * 3).reshape(3, -1).T
-        for i, j in (first, second):
-            rows = join(N, rows, i, j)
-        rows = join(slots, join(slots, rows, *first, 3), *second, 4)
-        a, b, c, x, dd, al, be = rows.T
-        order = np.lexsort((be, al, x, dd, c, b, a))
-        return (np.column_stack([a, b, c, dd])[order],
-                np.column_stack([x, al, be])[order])
-
     def _build_blocks(self, fentries):
         # a negative multiplicity (only unvalidated data has one) counts as zero
         n, N = self.n, np.maximum(self.N, 0)
@@ -108,15 +88,15 @@ class CategoryData:
                 "associativity violation: F-block (%d,%d,%d;%d) "
                 "is %dx%d" % (a, b, c, dd, nrows[a, b, c, dd], ncols[a, b, c, dd])
             )
-        keys, rows = self._bases(N, (0, 1), (3, 2))
-        ckeys, cols = self._bases(N, (1, 2), (0, 3))
-        # a block without rows stays empty, whatever its columns; in the
-        # others the i-th row and the i-th column line up
-        cols = cols[nrows[tuple(ckeys.T)] > 0]
-        unit = (keys[:, :3] == 0).any(axis=1)
-        (a, b, c, dd), (e, al, be), (f, mu, nu) = keys[unit].T, rows[unit].T, cols[unit].T
-        self.F = F = np.zeros((n,) * 6 + (int(self.N.max(initial=1)),) * 4, dtype=complex)
-        F[a, b, c, dd, e, f, al, be, mu, nu] = 1.0
+        m = int(self.N.max(initial=1))
+        self.F = F = np.zeros((n,) * 6 + (m,) * 4, dtype=complex)
+        # unit gauge: each block with a unit among a, b, c is the identity,
+        # row (e, alpha, beta) on column (f, mu, nu), over the slots s of
+        # Hom(z, x (x) y)
+        x, y, z, s = np.nonzero(np.arange(m) < N[..., None])
+        F[0, x, y, z, x, z, 0, s, s, 0] = 1.0
+        F[x, 0, y, z, x, y, 0, s, 0, s] = 1.0
+        F[x, y, 0, z, z, y, s, 0, 0, s] = 1.0
         for (labels, basis, val) in fentries:
             a, b, c, dd, e, f = labels
             al, be, mu, nu = basis

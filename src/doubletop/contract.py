@@ -1,8 +1,9 @@
 """Scalar contraction of a network of small tensors by variable elimination.
 
-Both invariant routes are sums, over shared labels, of products of small
+Every invariant here is a sum, over shared labels, of products of small
 tensors: tetrahedron weights and edge dimensions for the state sum, vertex
-weights and clasp S-matrices for the surgery formula.  Summing out one index
+weights and clasp S-matrices for the surgery formula, and 0/1 face
+relations for the Dijkgraaf-Witten count.  Summing out one index
 at a time costs time exponential only in the width of the elimination order,
 not in the number of indices.  The budget bounds that cost where it is
 spent: the index space of the largest elimination step.
@@ -39,8 +40,10 @@ def contract(factors, budget=None):
     exceeds `budget` (default DEFAULT_BUDGET) raises BudgetError before it
     runs.
 
-    Returns (value, largest_step): the complex sum and the index space of
-    the largest step (1 when no index is summed).
+    Returns (value, largest_step): the sum, unrounded, in the factors'
+    arithmetic (a Python int for object arrays of Python ints, so counts
+    stay exact), and the index space of the largest step (1 when no index
+    is summed).
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     factors = [(np.asarray(a), tuple(map(int, ids))) for a, ids in factors]
@@ -69,7 +72,7 @@ def contract(factors, budget=None):
             hit.append((_einsum(batch, keep), keep))
         out = tuple(sorted(nbrs[v] - {v}))
         factors.append((_einsum(hit, out), out))
-    result = 1.0
+    result = 1
     for a, _ in factors:
         result = result * a
-    return complex(result), largest
+    return result, largest

@@ -30,8 +30,11 @@ with a the vertex count and lambda the global dimension.
 `state_sum` never lists colorings: the sum is a tensor network with one
 weight table per tetrahedron (indexed by its six edge labels, plus its four
 face-basis indices when some multiplicity exceeds 1) and one ``d`` vector per
-edge, contracted by variable elimination (`doubletop.contract`).  Only the
-Dijkgraaf-Witten oracle enumerates, so that it stays independent.
+edge, contracted by variable elimination (`doubletop.contract`).  The
+Dijkgraaf-Witten count `dw_oracle` is the same contraction over a group
+table, with one 0/1 relation tensor per face class.  Its independent
+references live in the tests: the Smith-form first homology and a brute
+enumeration of all |G|^E colorings.
 """
 
 from __future__ import annotations
@@ -45,9 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .catdata import global_dim
-from .contract import DEFAULT_BUDGET, BudgetError, contract
-
-_CHUNK = 4096  # colorings per vectorised block of the DW oracle
+from .contract import BudgetError, contract
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 EDGE_SLOTS = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
@@ -313,24 +314,6 @@ def _weight_tables(cat):
     return W, np.conj(W)
 
 
-def _chunks(total):
-    lo = 0
-    while lo < total:
-        hi = min(lo + _CHUNK, total)
-        yield (lo, hi)
-        lo = hi
-
-
-def _decode(idx, n, n_edges):
-    """Mixed-radix digits, edge 0 most significant (lexicographic order)."""
-    out = np.empty((n_edges, idx.shape[0]), dtype=np.int64)
-    work = idx.copy()
-    for e in range(n_edges - 1, -1, -1):
-        out[e] = work % n
-        work //= n
-    return out
-
-
 def state_sum(cat, tri, budget=None):
     """6j-symbol state sum Z(V) for a validated category and complex.
 
@@ -348,7 +331,7 @@ def state_sum(cat, tri, budget=None):
             ids += [tri.n_edges + tri.tet_faces[t, f] for f in _BOND_FACES]
         factors.append((Wp if tri.signs[t] == 1 else Wn, ids))
     value, _ = contract(factors, budget)
-    return value * global_dim(cat) ** (-tri.n_vertices)
+    return complex(value) * global_dim(cat) ** (-tri.n_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -361,35 +344,44 @@ def cyclic_group_table(nmod):
     return [[(i + j) % nmod for j in range(nmod)] for i in range(nmod)]
 
 
+def _check_group(tab):
+    """ValueError, naming the failure, unless the array `tab` is the
+    multiplication table of a group with identity 0."""
+    if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.size == 0:
+        raise ValueError("group table must be square")
+    if tab.dtype.kind not in "iu":
+        raise ValueError("group table entries must be integers")
+    ids = np.arange(len(tab))
+    if tab.min() < 0 or tab.max() >= len(tab):
+        raise ValueError("group table entry outside 0..%d" % (len(tab) - 1))
+    if not ((np.sort(tab, axis=1) == ids).all()
+            and (np.sort(tab, axis=0).T == ids).all()):
+        raise ValueError("group table row or column is not a permutation")
+    if not ((tab[0] == ids).all() and (tab[:, 0] == ids).all()):
+        raise ValueError("group table: 0 is not the identity")
+    if not np.array_equal(tab[tab], tab[:, tab]):  # (ab)c against a(bc)
+        raise ValueError("group table is not associative")
+
+
 def dw_oracle(table, tri, budget=None):
     """Count flat G-colorings: (1/|G|^a) #{g: E->G with g_ij g_jk = g_ik}.
 
-    Returns an exact Fraction equal to |Hom(pi1(V), G)| / |G|.
+    The count is one contraction (`doubletop.contract`) of a 0/1 relation
+    tensor [g_ij g_jk = g_ik] per face class, in Python ints, so it is
+    exact; `budget` bounds its largest elimination step.  Returns an exact
+    Fraction equal to |Hom(pi1(V), G)| / |G|.  ValueError names the
+    failure when `table` is not a group with identity 0.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    tab = np.asarray(table, dtype=np.int64)
+    tab = np.asarray(table)
+    _check_group(tab)
     ng = tab.shape[0]
-    if tab.shape != (ng, ng):
-        raise ValueError("group table must be square")
-    total = ng ** tri.n_edges
-    if total > budget:
-        raise BudgetError(
-            "oracle needs %d colorings, budget is %d" % (total, budget)
-        )
-    rels = []
-    for cid in range(tri.n_faces):
-        t, f = tri.face_reps[cid]
+    rel = (tab[:, :, None] == np.arange(ng)).astype(np.int64).astype(object)
+    factors = []
+    for t, f in tri.face_reps:
         i, j, k = FACE_CORNERS[f]
-        rels.append((tri.edge_class(t, i, j), tri.edge_class(t, j, k),
-                     tri.edge_class(t, i, k)))
-    count = 0
-    for lo, hi in _chunks(total):
-        idx = np.arange(lo, hi, dtype=np.int64)
-        dig = _decode(idx, ng, tri.n_edges)
-        ok = np.ones(hi - lo, dtype=bool)
-        for (ea, eb, ec) in rels:
-            ok &= tab[dig[ea], dig[eb]] == dig[ec]
-        count += int(np.sum(ok))
+        factors.append((rel, (tri.edge_class(t, i, j), tri.edge_class(t, j, k),
+                              tri.edge_class(t, i, k))))
+    count, _ = contract(factors, budget)
     return Fraction(count, ng ** tri.n_vertices)
 
 

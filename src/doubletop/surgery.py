@@ -196,7 +196,7 @@ def colored_invariant(md, g, coloring):
     S, T = md.S, md.T
     colors = _coloring_list(g, coloring)
     idx = dict(zip(g.ids, colors))
-    val = S[0, 0] ** (1 - g.components()) if g.m else S[0, 0]
+    val = S[0, 0] ** (1 - g.components())
     for v in g.ids:
         i = idx[v]
         val *= T[i] ** (-g.framing[v]) * S[0, i] ** (1 - g.degree(v))
@@ -222,16 +222,11 @@ def _colored_sum(S, T, g, extra_vertex_weight, budget):
 def surgery_invariant(md, g, budget=None):
     """Z(M(g)) = sum over colorings of prod_v S_{i_v, 0} times J (Dehn
     surgery), M(g) the plumbed manifold of any graph, every clasp positive."""
-    S, T = md.S, md.T
-    if g.m == 0:
-        return complex(S[0, 0])
-    val, _ = _colored_sum(S, T, g, S[:, 0], budget)
+    val, _ = _colored_sum(md.S, md.T, g, md.S[:, 0], budget)
     return complex(val)
 
 
 def _tau(S, T, g, budget):
-    if g.m == 0:
-        raise SurgeryError("empty plumbing graph has no surgery formula")
     dims = S[0] / S[0, 0]
     D = 1.0 / S[0, 0]
     delta = np.sum(dims ** 2 * T)

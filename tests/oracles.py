@@ -110,6 +110,64 @@ def expected_flat_fraction(tri, nmod):
     return Fraction(hom_count_to_cyclic(rank, torsion, nmod), nmod)
 
 
+_CHUNK = 4096  # colorings per vectorised block of dw_brute
+
+
+def _chunks(total):
+    lo = 0
+    while lo < total:
+        hi = min(lo + _CHUNK, total)
+        yield (lo, hi)
+        lo = hi
+
+
+def _decode(idx, n, n_edges):
+    """Mixed-radix digits, edge 0 most significant (lexicographic order)."""
+    out = np.empty((n_edges, idx.shape[0]), dtype=np.int64)
+    work = idx.copy()
+    for e in range(n_edges - 1, -1, -1):
+        out[e] = work % n
+        work //= n
+    return out
+
+
+def dw_brute(table, tri, budget=None):
+    """Count flat G-colorings: (1/|G|^a) #{g: E->G with g_ij g_jk = g_ik}.
+
+    Lists all |G|^E edge colorings in blocks and tests every face relation
+    on each; the reference for `statesum.dw_oracle`, also for non-abelian
+    tables.  Returns an exact Fraction equal to |Hom(pi1(V), G)| / |G|.
+    """
+    from doubletop.contract import DEFAULT_BUDGET, BudgetError
+    from doubletop.statesum import FACE_CORNERS
+
+    budget = DEFAULT_BUDGET if budget is None else budget
+    tab = np.asarray(table, dtype=np.int64)
+    ng = tab.shape[0]
+    if tab.shape != (ng, ng):
+        raise ValueError("group table must be square")
+    total = ng ** tri.n_edges
+    if total > budget:
+        raise BudgetError(
+            "oracle needs %d colorings, budget is %d" % (total, budget)
+        )
+    rels = []
+    for cid in range(tri.n_faces):
+        t, f = tri.face_reps[cid]
+        i, j, k = FACE_CORNERS[f]
+        rels.append((tri.edge_class(t, i, j), tri.edge_class(t, j, k),
+                     tri.edge_class(t, i, k)))
+    count = 0
+    for lo, hi in _chunks(total):
+        idx = np.arange(lo, hi, dtype=np.int64)
+        dig = _decode(idx, ng, tri.n_edges)
+        ok = np.ones(hi - lo, dtype=bool)
+        for (ea, eb, ec) in rels:
+            ok &= tab[dig[ea], dig[eb]] == dig[ec]
+        count += int(np.sum(ok))
+    return Fraction(count, ng ** tri.n_vertices)
+
+
 def tet_weight(cat, tri, t, coloring, labeling):
     """Weight of tetrahedron `t` under an edge coloring and face labeling.
 
@@ -293,6 +351,14 @@ class _UnionFind:
                 out[r] = nxt
                 nxt += 1
         return {x: out[self.find(x)] for x in self.parent}, nxt
+
+
+def tet_components(tri):
+    """Number of connected components of the complex, by union over gluings."""
+    uf = _UnionFind()
+    for (ta, _), (tb, _) in tri.gluings:
+        uf.union(ta, tb)
+    return len({uf.find(t) for t in range(tri.n_tets)})
 
 
 def triangulation_classes(tri):
@@ -667,8 +733,7 @@ def composition_law_residual(cat, reps, braidings):
 
 def fblock_bases(cat, a, b, c, dd):
     """Row basis (e, alpha, beta) and column basis (f, mu, nu) of the F-block
-    (a,b,c;d), in lex order, one label and multiplicity at a time; the
-    reference for the joins in `CategoryData._bases`."""
+    (a,b,c;d), in lex order, one label and multiplicity at a time."""
     N = cat.N
     rows = [(e, al, be) for e in range(cat.n)
             for al in range(N[a, b, e]) for be in range(N[e, c, dd])]

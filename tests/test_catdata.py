@@ -124,14 +124,8 @@ def test_dense_f_matches_document(name):
 @pytest.mark.parametrize("name", ZOO + ["multiplicity_ring", "vec_s3"])
 def test_block_bases_match_oracle(name):
     cat, _ = _named(name)
-    N = cat.N
     want = [key for key in np.ndindex((cat.n,) * 4) if fblock_bases(cat, *key)[0]]
     assert list(map(tuple, _block_keys(cat).tolist())) == want
-    for first, second, side in (((0, 1), (3, 2), 0), ((1, 2), (0, 3), 1)):
-        keys, basis = CategoryData._bases(N, first, second)
-        got = list(map(tuple, np.column_stack([keys, basis]).tolist()))
-        assert got == [key + v for key in np.ndindex((cat.n,) * 4)
-                       for v in fblock_bases(cat, *key)[side]]
 
 
 def test_non_square_f_block_rejected():

@@ -24,6 +24,14 @@ def test_empty_and_scalar_networks():
     assert contract([(np.array(2.5), ())]) == (2.5, 1)
 
 
+def test_object_ints_stay_exact():
+    # 2^80 + 3 is past float and int64; object arrays of Python ints keep it
+    a = np.array([2 ** 40, 1], dtype=object)
+    b = np.array([2 ** 40, 3], dtype=object)
+    value, _ = contract([(a, (0,)), (b, (0,))])
+    assert type(value) is int and value == 2 ** 80 + 3
+
+
 def test_more_factors_than_one_einsum_takes():
     # 70 factors on one pair of indices; np.einsum takes at most 63 operands
     rng = np.random.default_rng(7)

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ from doubletop.statesum import (
     s2xs1_twotet, s3_twotet, state_sum, t3_sixtet, _triangulation_from_dict,
 )
 from doubletop.surgery import lens_chain, surgery_invariant
-from oracles import (all_pairings, brute_state_sum, closed_pairings,
+from oracles import (all_pairings, brute_state_sum, closed_pairings, dw_brute,
                      expected_flat_fraction, first_homology, multiplicity_ring,
-                     tet_weight, triangulation_classes, vertex_link_euler)
+                     tet_components, tet_weight, triangulation_classes,
+                     vertex_link_euler)
 
 BUILTINS = ["s3_boundary4simplex", "s3_twotet", "rp3_lens", "rp3_antipodal",
             "lens_3_1", "lens_4_1", "s2xs1", "t3_sixtet"]
@@ -60,6 +63,85 @@ def test_dw_oracle_matches_homology(name, nmod):
 def test_dw_oracle_z4_lens():
     tri = builtin_triangulation("lens_4_1")
     assert dw_oracle(cyclic_group_table(4), tri) == 1
+
+
+@pytest.mark.parametrize("p, q, nmod", [(13, 5, 3), (21, 8, 3), (40, 13, 3),
+                                        (13, 5, 5)])
+def test_dw_oracle_contracts_past_enumeration(p, q, nmod):
+    # nmod^E is 3^15 to 3^42 colorings, each beyond the default budget
+    tri = lens_triangulation(p, q)
+    assert nmod ** tri.n_edges > 5_000_000
+    got = dw_oracle(cyclic_group_table(nmod), tri)
+    assert got == Fraction(math.gcd(p, nmod), nmod)
+    assert type(got.numerator) is int
+
+
+def _s3_table():
+    perms = sorted(itertools.permutations(range(3)))  # the identity first
+    index = {g: k for k, g in enumerate(perms)}
+    return [[index[tuple(g[i] for i in h)] for h in perms] for g in perms]
+
+
+def test_dw_oracle_nonabelian_matches_brute():
+    table = _s3_table()
+    assert table != [list(col) for col in zip(*table)]  # S3 is not abelian
+    compared = {}
+    for name in sorted(BUILTIN_TRIANGULATIONS):
+        tri = builtin_triangulation(name)
+        if 6 ** tri.n_edges <= 5_000_000:
+            compared[name] = dw_oracle(table, tri)
+            assert compared[name] == dw_brute(table, tri), name
+    # commuting triples of S3: |Hom(Z^3, S3)| / 6 = 8
+    assert compared["t3"] == 8 and len(compared) == 10
+
+
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+          [4, 3, 1, 2, 0]]  # a Latin square with identity 0, not associative
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1, 5]], "entry outside 0..1"),
+    ([[0, 1], [1, -1]], "entry outside 0..1"),
+    ([[0, 1], [1, 1]], "row or column is not a permutation"),
+    ([[0, 1], [0, 1]], "row or column is not a permutation"),
+    ([[1, 0], [0, 1]], "0 is not the identity"),
+    (_LOOP5, "not associative"),
+    ([[0, 1]], "must be square"),
+    ([[0, 1.5], [1.5, 0]], "entries must be integers"),
+    ([[0, "1"], ["1", 0]], "entries must be integers"),
+])
+def test_dw_oracle_rejects_non_group(table, message):
+    with pytest.raises(ValueError, match=message):
+        dw_oracle(table, builtin_triangulation("t3"))
+
+
+def test_dw_routes_multiply_over_components():
+    # two self-glued tets, S^3 each: 1/2 per component for Z2
+    gl = [((0, 0), (0, 1)), ((0, 2), (0, 3)), ((1, 0), (1, 1)), ((1, 2), (1, 3))]
+    tri = Triangulation([(None, 1), (None, 1)], gluings=gl)
+    assert tet_components(tri) == 2
+    table = cyclic_group_table(2)
+    assert dw_oracle(table, tri) == dw_brute(table, tri) == Fraction(1, 4)
+    assert expected_flat_fraction(tri, 2) == Fraction(1, 2)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(case=closed_pairings(max_tets=8))
+def test_dw_oracle_matches_brute_and_homology(case):
+    tets, gluings = case
+    try:
+        tri = Triangulation(tets, gluings=gluings)
+    except TriangulationError:
+        return
+    # expected_flat_fraction divides by nmod once for the whole complex; the
+    # DW count is a product over components, each divided by nmod
+    extra = tet_components(tri) - 1
+    for nmod in (2, 3, 4):
+        table = cyclic_group_table(nmod)
+        got = dw_oracle(table, tri)
+        if nmod ** tri.n_edges <= 5_000_000:
+            assert got == dw_brute(table, tri)
+        assert got == expected_flat_fraction(tri, nmod) / nmod ** extra
 
 
 # -- state sums ---------------------------------------------------------------

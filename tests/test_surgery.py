@@ -280,11 +280,16 @@ def test_hand_values_fibonacci_ising(mds):
 
 
 def test_empty_graph(mds):
-    md = mds["vec_z2"]
+    # no components: the general formula gives S^3, Z = tau = S_00
     empty = PlumbingGraph([], [])
-    assert surgery_invariant(md, empty) == pytest.approx(md.S[0, 0])
-    with pytest.raises(SurgeryError, match="empty plumbing"):
-        rt_invariant(md, empty)
+    for name in ZOO:
+        md = mds[name]
+        assert surgery_invariant(md, empty) == pytest.approx(md.S[0, 0])
+        assert rt_invariant(md, empty) == pytest.approx(md.S[0, 0])
+        z = state_sum(md.alg.cat, builtin_triangulation("s3"))
+        assert evaluate(md, empty).Z == pytest.approx(z, abs=1e-12)
+    S, theta = braiding_st(zoo("ising"))
+    assert modular_tau(S, theta, empty) == pytest.approx(0.5)  # 1/D
 
 
 def test_rt_equals_surgery_random(mds):

@@ -7,6 +7,13 @@ relations for the Dijkgraaf-Witten count.  Summing out one index
 at a time costs time exponential only in the width of the elimination order,
 not in the number of indices.  The budget bounds that cost where it is
 spent: the index space of the largest elimination step.
+
+The elimination depends only on the factors' shapes and ids, so it is
+planned apart from the arithmetic: `plan` fixes the order, checks every
+step against the budget and writes out each step's einsum; `run` makes
+those einsum calls on arrays of the planned shapes.  A network that is
+summed with several sets of weights (the two surgery routes) is planned
+once.  A BudgetError therefore comes before any einsum runs.
 """
 
 import numpy as np
@@ -19,60 +26,120 @@ class BudgetError(RuntimeError):
     """An elimination step would sum over more labels than the budget allows."""
 
 
-def _einsum(factors, out):
-    """One np.einsum over `factors`, keeping the ids `out`, labels local."""
-    ids = sorted({i for _, f_ids in factors for i in f_ids})
-    local = {i: k for k, i in enumerate(ids)}
-    args = [x for a, f_ids in factors for x in (a, [local[i] for i in f_ids])]
-    return np.einsum(*args, [local[i] for i in out])
+def plan(shapes, budget=None):
+    """Plan the contraction of factors with the given (shape, ids) pairs.
+
+    ids holds one integer id per axis; an id repeated within one factor
+    takes the diagonal, as in ``np.einsum``.  Indices are eliminated in
+    min-degree order, ties broken by the smaller id, so the summation
+    order, and hence the result, is fixed.  Each step is one einsum over
+    the factors touching that index (batched when there are too many for
+    one call); its index space is the product of the label counts of the
+    index and its neighbours.  A step whose index space exceeds `budget`
+    (default DEFAULT_BUDGET) raises BudgetError.  A factor whose ids do
+    not match its shape raises ValueError.
+
+    Returns (steps, rest, largest_step).  steps: one (slots, subscripts,
+    out) per np.einsum call, in call order; slots 0..n-1 are the factors,
+    and the result of each call takes the next free slot.  rest: the slots
+    of the 0-d factors left at the end, multiplied in that order.
+    largest_step: the index space of the largest elimination step (1 when
+    no index is summed).
+    """
+    budget = DEFAULT_BUDGET if budget is None else budget
+    size = {}
+    nbrs = {}  # neighbours of each index, itself included, kept up to date
+    factors = []
+    for k, (shape, ids) in enumerate(shapes):
+        ids = tuple(map(int, ids))
+        if len(ids) != len(shape):
+            raise ValueError("factor %d has %d ids %r for %d axes"
+                             % (k, len(ids), ids, len(shape)))
+        for i, n in zip(ids, shape):
+            if size.setdefault(i, n) != n:
+                raise ValueError("factor %d gives id %d size %d, an earlier "
+                                 "axis gave it size %d" % (k, i, n, size[i]))
+            if i in nbrs:
+                nbrs[i].update(ids)
+            else:
+                nbrs[i] = set(ids)
+        factors.append((k, ids))
+    free = len(factors)  # the slot of the next einsum result
+    steps = []
+    largest = 1
+    while nbrs:
+        v = min(nbrs, key=lambda i: (len(nbrs[i]), i))
+        out = nbrs.pop(v)
+        ids = sorted(out)
+        step = 1
+        for i in ids:
+            step *= size[i]
+        if step > budget:
+            raise BudgetError("budget exceeded: eliminating an index sums over "
+                              "%d labels, budget is %d" % (step, budget))
+        if step > largest:
+            largest = step
+        hit, rest = [], []
+        for f in factors:
+            (hit if v in f[1] else rest).append(f)
+        factors = rest
+        while len(hit) > _MAX_OPERANDS:
+            batch, hit = hit[:_MAX_OPERANDS], hit[_MAX_OPERANDS:]
+            keep = sorted({i for _, f_ids in batch for i in f_ids})
+            steps.append(_step(batch, keep, keep))
+            hit.append((free, tuple(keep)))
+            free += 1
+        out.discard(v)
+        for i in out:
+            nbrs[i] |= out
+            nbrs[i].discard(v)
+        p = ids.index(v)
+        kept = ids[:p] + ids[p + 1:]
+        steps.append(_step(hit, ids, kept))
+        factors.append((free, tuple(kept)))
+        free += 1
+    return steps, [s for s, _ in factors], largest
+
+
+def _step(hit, ids, out):
+    """One einsum over the factors `hit` (slot, ids), whose ids are the
+    sorted `ids`, keeping `out`; labels are the positions in `ids`."""
+    label = ids.index
+    slots, f_ids = zip(*hit)
+    return slots, [list(map(label, f)) for f in f_ids], list(map(label, out))
+
+
+def run(planned, arrays):
+    """The value of the planned network on `arrays`, one per planned factor.
+
+    Makes the planned np.einsum calls in order, dropping each operand as
+    its step consumes it.  Returns the sum, unrounded, in the arrays'
+    arithmetic (a Python int for object arrays of Python ints, so counts
+    stay exact).
+    """
+    steps, rest, _ = planned
+    slots = list(arrays)
+    for operands, subscripts, out in steps:
+        args = []
+        for s, sub in zip(operands, subscripts):
+            args += (slots[s], sub)
+            slots[s] = None
+        slots.append(np.einsum(*args, out))
+    result = 1
+    for s in rest:
+        result = result * slots[s]
+    return result
 
 
 def contract(factors, budget=None):
     """Sum over every index of the product of `factors`.
 
-    factors: iterable of (array, ids), one integer id per axis; an id
-    repeated within one factor takes the diagonal, as in ``np.einsum``.
-    Indices are eliminated in min-degree order, ties broken by the smaller
-    id, so the summation order, and hence the result, is fixed.  Each step
-    is one ``np.einsum`` over the factors touching that index (batched when
-    there are too many for one call); its index space is the product of the
-    label counts of the index and its neighbours.  A step whose index space
-    exceeds `budget` (default DEFAULT_BUDGET) raises BudgetError before it
-    runs.
+    factors: iterable of (array, ids); the order of elimination, the budget
+    and the arithmetic are those of `plan` and `run`.
 
     Returns (value, largest_step): the sum, unrounded, in the factors'
-    arithmetic (a Python int for object arrays of Python ints, so counts
-    stay exact), and the index space of the largest step (1 when no index
-    is summed).
+    arithmetic, and the index space of the largest step.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    factors = [(np.asarray(a), tuple(map(int, ids))) for a, ids in factors]
-    size = {i: n for a, ids in factors for i, n in zip(ids, a.shape)}
-    todo = set(size)
-    largest = 1
-    while todo:
-        nbrs = {i: set() for i in todo}
-        for _, ids in factors:
-            for i in ids:
-                nbrs[i].update(ids)
-        v = min(todo, key=lambda i: (len(nbrs[i]), i))
-        step = 1
-        for i in nbrs[v]:
-            step *= size[i]
-        if step > budget:
-            raise BudgetError("budget exceeded: eliminating an index sums over "
-                              "%d labels, budget is %d" % (step, budget))
-        largest = max(largest, step)
-        todo.discard(v)
-        hit = [f for f in factors if v in f[1]]
-        factors = [f for f in factors if v not in f[1]]
-        while len(hit) > _MAX_OPERANDS:
-            batch, hit = hit[:_MAX_OPERANDS], hit[_MAX_OPERANDS:]
-            keep = tuple(sorted({i for _, ids in batch for i in ids}))
-            hit.append((_einsum(batch, keep), keep))
-        out = tuple(sorted(nbrs[v] - {v}))
-        factors.append((_einsum(hit, out), out))
-    result = 1
-    for a, _ in factors:
-        result = result * a
-    return result, largest
+    factors = [(np.asarray(a), ids) for a, ids in factors]
+    planned = plan([(a.shape, ids) for a, ids in factors], budget)
+    return run(planned, [a for a, _ in factors]), planned[2]

@@ -10,12 +10,11 @@ evaluation formula is forced by the axioms of the modular data.
 
 import json
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import contract
+from .contract import plan, run
 from .statesum import _classes
 
 _MATCH_TOL = 1e-8
@@ -168,9 +167,9 @@ def signature(g):
     B = g.linking_matrix()
     if B.shape[0] == 0:
         return 0
-    eig = np.linalg.eigvalsh(B.astype(float))
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(eig))))
-    return int(np.sum(eig > tol)) - int(np.sum(eig < -tol))
+    eig = np.linalg.eigvalsh(B.astype(float)).tolist()
+    tol = 1e-9 * max(1.0, max(map(abs, eig)))
+    return sum(e > tol for e in eig) - sum(e < -tol for e in eig)
 
 
 def _coloring_list(g, coloring):
@@ -205,35 +204,54 @@ def colored_invariant(md, g, coloring):
     return complex(val)
 
 
-def _colored_sum(S, T, g, extra_vertex_weight, budget):
-    """Sum of prod_v weight_v(i_v) * J(g, colors) over all colorings.
+def _colored_sums(S, T, g, vertex_weights, budget):
+    """Sum of prod_v w(i_v) * J(g, colors) over all colorings, for each
+    vertex weight w, from one elimination plan.
 
-    Returns (sum, largest_step), the latter from `doubletop.contract`.
+    Returns (sums, largest_step), the latter from `doubletop.contract`.
     """
     pos = {v: k for k, v in enumerate(g.ids)}
-    deg = Counter(v for edge in g.edges for v in edge)
-    factors = [(extra_vertex_weight * T ** (-g.framing[v])
-                * S[0] ** (1 - deg[v]), [pos[v]]) for v in g.ids]
-    factors += [(S, [pos[u], pos[w]]) for u, w in g.edges]
-    core, step = contract(factors, budget)
-    return S[0, 0] ** (1 - g.components()) * core, step
+    clasps = [(pos[u], pos[w]) for u, w in g.edges]
+    deg = [0] * g.m
+    for u, w in clasps:
+        deg[u] += 1
+        deg[w] += 1
+    # t^(-f) and S_0^(1-deg) once per distinct exponent: lens chains repeat
+    # both, and this keeps a one-weight call as cheap as before the split
+    s0, twist, valence, local, shapes = S[0], {}, {}, [], []
+    for k, v in enumerate(g.ids):
+        f, d = g.framing[v], deg[k]
+        if f not in twist:
+            twist[f] = T ** (-f)
+        if d not in valence:
+            valence[d] = s0 ** (1 - d)
+        local.append((twist[f], valence[d]))
+        shapes.append((s0.shape, (k,)))
+    planned = plan(shapes + [(S.shape, ids) for ids in clasps], budget)
+    scale = S[0, 0] ** (1 - g.components())
+    clasp_factors = [S] * len(clasps)
+    sums = []
+    for w in vertex_weights:
+        sums.append(scale * run(planned, [w * t * s for t, s in local]
+                                + clasp_factors))
+    return sums, planned[2]  # the largest step
 
 
 def surgery_invariant(md, g, budget=None):
     """Z(M(g)) = sum over colorings of prod_v S_{i_v, 0} times J (Dehn
     surgery), M(g) the plumbed manifold of any graph, every clasp positive."""
-    val, _ = _colored_sum(md.S, md.T, g, md.S[:, 0], budget)
+    (val,), _ = _colored_sums(md.S, md.T, g, [md.S[:, 0]], budget)
     return complex(val)
 
 
-def _tau(S, T, g, budget):
-    dims = S[0] / S[0, 0]
+def _tau(S, T, g, dims, core):
+    """tau of M(g) and the signature, from the colored sum `core` weighted
+    by the quantum dimensions `dims`."""
     D = 1.0 / S[0, 0]
     delta = np.sum(dims ** 2 * T)
     sig = signature(g)
-    core, step = _colored_sum(S, T, g, dims, budget)
     tau = delta ** sig * D ** (-sig - g.m - 1) * core / S[0, 0]
-    return complex(tau), sig, step
+    return complex(tau), sig
 
 
 def rt_invariant(md, g, budget=None):
@@ -258,8 +276,9 @@ def modular_tau(S, T, g, budget=None):
         raise SurgeryError("supplied S is not unitary (residual %.3e)" % uni)
     if float(np.max(np.abs(np.abs(T) - 1.0))) > _MATCH_TOL:
         raise SurgeryError("supplied T is not unimodular")
-    tau, _, _ = _tau(S, T, g, budget)
-    return tau
+    dims = S[0] / S[0, 0]
+    (core,), _ = _colored_sums(S, T, g, [dims], budget)
+    return _tau(S, T, g, dims, core)[0]
 
 
 @dataclass
@@ -274,11 +293,15 @@ class SurgeryResult:
 def evaluate(md, g, budget=None):
     """Both invariant routes for M(g), every clasp positive, equality asserted.
 
-    largest_step is the index space of the largest elimination step of the
-    tau contraction, the quantity the budget bounds.
+    Both routes sum the same network with different vertex weights, so
+    they share one elimination plan; largest_step is the index space of
+    its largest step, the quantity the budget bounds.
     """
-    tau, sig, step = _tau(md.S, md.T, g, budget)
-    z = surgery_invariant(md, g, budget=budget)
+    S, T = md.S, md.T
+    dims = S[0] / S[0, 0]
+    (core, z), step = _colored_sums(S, T, g, [dims, S[:, 0]], budget)
+    tau, sig = _tau(S, T, g, dims, core)
+    z = complex(z)
     if abs(tau - z) >= _MATCH_TOL:
         raise ToleranceError("tau = %r disagrees with the surgery sum %r "
                              "(|diff| = %.3e)" % (tau, z, abs(tau - z)))

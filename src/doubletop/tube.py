@@ -139,7 +139,9 @@ class TubeAlgebra:
 
         # pass to the orthonormal basis: X~_k = X_k / scale_k
         self.scale = scale
-        self.C = C * scale[None, None, :] / (scale[:, None, None] * scale[None, :, None])
+        C *= scale[None, None, :]
+        C /= scale[:, None, None] * scale[None, :, None]
+        self.C = C
         self.St = St * scale[:, None] / scale[None, :]
         self.identity = corner * scale
         self._treg = tvec / scale

@@ -1388,3 +1388,94 @@ def count_calls(monkeypatch, obj, name):
 
     monkeypatch.setattr(obj, name, wrapped)
     return calls
+
+
+def _reference_einsum(factors, out):
+    """One np.einsum over `factors`, keeping the ids `out`, labels local."""
+    ids = sorted({i for _, f_ids in factors for i in f_ids})
+    local = {i: k for k, i in enumerate(ids)}
+    args = [x for a, f_ids in factors for x in (a, [local[i] for i in f_ids])]
+    return np.einsum(*args, [local[i] for i in out])
+
+
+def contract_reference(factors, budget=None):
+    """`doubletop.contract.contract` as it was before the plan/run split:
+    the neighbour sets rebuilt from every factor at each step, and each
+    step's einsum run as soon as it is chosen.  Returns (value,
+    largest_step)."""
+    from doubletop.contract import _MAX_OPERANDS, DEFAULT_BUDGET, BudgetError
+
+    budget = DEFAULT_BUDGET if budget is None else budget
+    factors = [(np.asarray(a), tuple(map(int, ids))) for a, ids in factors]
+    size = {i: n for a, ids in factors for i, n in zip(ids, a.shape)}
+    todo = set(size)
+    largest = 1
+    while todo:
+        nbrs = {i: set() for i in todo}
+        for _, ids in factors:
+            for i in ids:
+                nbrs[i].update(ids)
+        v = min(todo, key=lambda i: (len(nbrs[i]), i))
+        step = 1
+        for i in nbrs[v]:
+            step *= size[i]
+        if step > budget:
+            raise BudgetError("budget exceeded: eliminating an index sums over "
+                              "%d labels, budget is %d" % (step, budget))
+        largest = max(largest, step)
+        todo.discard(v)
+        hit = [f for f in factors if v in f[1]]
+        factors = [f for f in factors if v not in f[1]]
+        while len(hit) > _MAX_OPERANDS:
+            batch, hit = hit[:_MAX_OPERANDS], hit[_MAX_OPERANDS:]
+            keep = tuple(sorted({i for _, ids in batch for i in ids}))
+            hit.append((_reference_einsum(batch, keep), keep))
+        out = tuple(sorted(nbrs[v] - {v}))
+        factors.append((_reference_einsum(hit, out), out))
+    result = 1
+    for a, _ in factors:
+        result = result * a
+    return result, largest
+
+
+def char_poly(B):
+    """Coefficients c_0..c_n of det(x I - B), exact, by Faddeev-LeVerrier.
+
+    M_1 = I, c_n = 1, and for k = 1..n: c_{n-k} = -tr(B M_k) / k and
+    M_{k+1} = B M_k + c_{n-k} I.  Each division is taken as a Fraction; for
+    an integer B it is an integer (checked), so M stays an object array of
+    Python ints.  B M_k runs over the nonzero entries of B only, so a
+    banded B costs n^3 instead of n^4.
+    """
+    B = np.asarray(B)
+    n = B.shape[0]
+    nonzero = [(i, j, int(B[i, j])) for i, j in zip(*np.nonzero(B))]
+    c = [Fraction(0)] * n + [Fraction(1)]
+    M = np.eye(n, dtype=np.int64).astype(object)
+    for k in range(1, n + 1):
+        BM = np.zeros((n, n), dtype=np.int64).astype(object)
+        for i, j, b in nonzero:
+            BM[i] += b * M[j]
+        c[n - k] = Fraction(-sum(BM.diagonal()), k)
+        if c[n - k].denominator != 1:
+            raise ValueError("B is not an integer matrix")
+        M = BM
+        M[range(n), range(n)] += int(c[n - k])
+    return c
+
+
+def _sign_changes(coeffs):
+    signs = [x > 0 for x in coeffs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def signature_exact(B):
+    """Signature of the symmetric integer matrix B, exactly.
+
+    Every root of the characteristic polynomial p of a symmetric matrix is
+    real, so Descartes' rule of signs is exact: the sign changes of p(x)
+    count the positive eigenvalues and those of p(-x) the negative ones.
+    """
+    c = char_poly(B)
+    flipped = [x if k % 2 == 0 else -x for k, x in enumerate(c)]
+    return _sign_changes(c) - _sign_changes(flipped)

@@ -1,10 +1,12 @@
 """Plumbing graphs, the colored surgery formula, and Kirby moves."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import doubletop.surgery as surgery
 from doubletop import zoo
 from doubletop.catdata import CategoryError
 from doubletop.contract import BudgetError
@@ -28,7 +30,13 @@ from doubletop.surgery import (
     signature,
     surgery_invariant,
 )
-from oracles import dw_plumbed, dw_plumbing, torus_bundle_count
+from oracles import (
+    count_calls,
+    dw_plumbed,
+    dw_plumbing,
+    signature_exact,
+    torus_bundle_count,
+)
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -149,6 +157,18 @@ def test_signature():
     assert signature(chain([2, 2])) == 2
     assert signature(chain([2, -2])) == 0
     assert signature(PlumbingGraph([], [])) == 0
+
+
+def test_signature_matches_exact_oracle():
+    graphs = [lens_chain(p, q) for p in range(2, 61) for q in range(1, p)
+              if math.gcd(p, q) == 1]
+    rng = np.random.default_rng(31)
+    graphs += [random_plumbing(rng, max_vertices=7) for _ in range(300)]
+    # singular linking matrices: a zero eigenvalue counts for neither sign
+    graphs += [chain([0]), builtin_plumbing("s2xs1"), chain([1, 1]),
+               chain([2, 1, 2]), chain([0, 0, 0])]
+    for g in graphs:
+        assert signature(g) == signature_exact(g.linking_matrix())
 
 
 def test_random_plumbing_reproducible():
@@ -301,6 +321,32 @@ def test_rt_equals_surgery_random(mds):
             tau = rt_invariant(md, g)
             z = surgery_invariant(md, g)
             assert abs(tau - z) < 1e-8
+
+
+def test_evaluate_routes_equal_single_route_calls(mds):
+    # evaluate plans once for both routes; each route's value must be the
+    # one its own entry point computes, exactly
+    rng = np.random.default_rng(77)
+    graphs = [lens_chain(p, q) for p, q in [(2, 1), (5, 2), (7, 3), (11, 4)]]
+    graphs += [random_forest(rng) for _ in range(8)]
+    graphs += [random_plumbing(rng) for _ in range(8)]
+    graphs += [PlumbingGraph([(0, 1), (1, -2), (2, 0)],
+                             [(0, 1), (1, 2), (2, 0), (0, 1)]),  # cycle
+               PlumbingGraph([(0, 2), (1, -1), (2, 3)], [(0, 1)]),
+               PlumbingGraph([(0, 1), (1, 2)], []),  # disconnected
+               PlumbingGraph([], [])]
+    for md in mds.values():
+        for g in graphs:
+            res = evaluate(md, g)
+            assert res.Z == surgery_invariant(md, g)
+            assert res.tau == modular_tau(md.S, md.T, g)
+
+
+def test_evaluate_plans_once(mds, monkeypatch):
+    plans = count_calls(monkeypatch, surgery, "plan")
+    runs = count_calls(monkeypatch, surgery, "run")
+    evaluate(mds["ising"], lens_chain(7, 2))
+    assert len(plans) == 1 and len(runs) == 2
 
 
 def test_gauss_sums_collapse(mds):

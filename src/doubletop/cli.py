@@ -82,6 +82,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+def _positive_int(text):
+    """argparse type of --budget: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %d"
+                                         % value)
+    return value
+
+
 def _c(z):
     z = complex(z)
     return {"re": float(z.real), "im": float(z.imag)}
@@ -608,14 +621,14 @@ def _build_parser():
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--statesum", help="triangulation path or builtin:NAME")
     grp.add_argument("--surgery", help="plumbing path or builtin:NAME")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("compare", help="state sum vs surgery on one manifold")
     category_opt(p)
     p.add_argument("--statesum", required=True)
     p.add_argument("--surgery", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=_cmd_compare)
 
@@ -623,7 +636,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_zoo)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

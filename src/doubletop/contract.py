@@ -8,18 +8,28 @@ at a time costs time exponential only in the width of the elimination order,
 not in the number of indices.  The budget bounds that cost where it is
 spent: the index space of the largest elimination step.
 
-The elimination depends only on the factors' shapes and ids, so it is
-planned apart from the arithmetic: `plan` fixes the order, checks every
-step against the budget and writes out each step's einsum; `run` makes
-those einsum calls on arrays of the planned shapes.  A network that is
-summed with several sets of weights (the two surgery routes) is planned
-once.  A BudgetError therefore comes before any einsum runs.
+The elimination order depends only on the factors' ids, never on their
+label counts.  So `plan` works out the order, and each step's einsum, once
+per network structure (the ids of each factor) per process, and keeps it in
+a bounded cache; on every call it sizes each step from that call's shapes
+and checks it against the budget.  `run` makes the einsum calls on arrays
+of the planned shapes.  A network summed with several sets of weights (the
+two surgery routes) is planned once, and networks of one structure (lens
+chains of one length, in any category) share a plan.  A BudgetError
+therefore comes before any einsum runs.
 """
+
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 DEFAULT_BUDGET = 5_000_000
 _MAX_OPERANDS = 32  # np.einsum accepts at most 63 operands per call
+# network structures kept: a surgery plan holds a few KB and a state-sum
+# plan up to ~100 KB (L(80, 31)); one pass of many small surgery calls
+# meets a few hundred structures
+_PLAN_CACHE_SIZE = 1024
 
 
 class BudgetError(RuntimeError):
@@ -44,12 +54,12 @@ def plan(shapes, budget=None):
     and the result of each call takes the next free slot.  rest: the slots
     of the 0-d factors left at the end, multiplied in that order.
     largest_step: the index space of the largest elimination step (1 when
-    no index is summed).
+    no index is summed).  steps and rest are nested tuples, shared by every
+    call on a network of the same ids.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     size = {}
-    nbrs = {}  # neighbours of each index, itself included, kept up to date
-    factors = []
+    structure = []
     for k, (shape, ids) in enumerate(shapes):
         ids = tuple(map(int, ids))
         if len(ids) != len(shape):
@@ -59,26 +69,41 @@ def plan(shapes, budget=None):
             if size.setdefault(i, n) != n:
                 raise ValueError("factor %d gives id %d size %d, an earlier "
                                  "axis gave it size %d" % (k, i, n, size[i]))
-            if i in nbrs:
-                nbrs[i].update(ids)
-            else:
-                nbrs[i] = set(ids)
-        factors.append((k, ids))
-    free = len(factors)  # the slot of the next einsum result
-    steps = []
+        structure.append(ids)
+    steps, rest, spans = _plan_structure(tuple(structure))
     largest = 1
-    while nbrs:
-        v = min(nbrs, key=lambda i: (len(nbrs[i]), i))
-        out = nbrs.pop(v)
-        ids = sorted(out)
-        step = 1
-        for i in ids:
-            step *= size[i]
+    for span in spans:
+        step = prod(map(size.__getitem__, span))
         if step > budget:
             raise BudgetError("budget exceeded: eliminating an index sums over "
                               "%d labels, budget is %d" % (step, budget))
         if step > largest:
             largest = step
+    return steps, rest, largest
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan_structure(factor_ids):
+    """(steps, rest, spans) of the network whose factors carry `factor_ids`.
+
+    steps and rest are those of `plan`; spans holds, per elimination in
+    order, the sorted ids the step sums over, so that `plan` can size it.
+    """
+    nbrs = {}  # neighbours of each index, itself included, kept up to date
+    for ids in factor_ids:
+        for i in ids:
+            if i in nbrs:
+                nbrs[i].update(ids)
+            else:
+                nbrs[i] = set(ids)
+    factors = list(enumerate(factor_ids))
+    free = len(factors)  # the slot of the next einsum result
+    steps, spans = [], []
+    while nbrs:
+        v = min(nbrs, key=lambda i: (len(nbrs[i]), i))
+        out = nbrs.pop(v)
+        ids = sorted(out)
+        spans.append(tuple(ids))
         hit, rest = [], []
         for f in factors:
             (hit if v in f[1] else rest).append(f)
@@ -98,7 +123,7 @@ def plan(shapes, budget=None):
         steps.append(_step(hit, ids, kept))
         factors.append((free, tuple(kept)))
         free += 1
-    return steps, [s for s, _ in factors], largest
+    return tuple(steps), tuple(s for s, _ in factors), tuple(spans)
 
 
 def _step(hit, ids, out):
@@ -106,7 +131,8 @@ def _step(hit, ids, out):
     sorted `ids`, keeping `out`; labels are the positions in `ids`."""
     label = ids.index
     slots, f_ids = zip(*hit)
-    return slots, [list(map(label, f)) for f in f_ids], list(map(label, out))
+    return (slots, tuple(tuple(map(label, f)) for f in f_ids),
+            tuple(map(label, out)))
 
 
 def run(planned, arrays):

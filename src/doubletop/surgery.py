@@ -8,7 +8,9 @@ every lens space through negative continued fractions, and the closed
 evaluation formula is forced by the axioms of the modular data.
 """
 
+import cmath
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -18,6 +20,7 @@ from .contract import plan, run
 from .statesum import _classes
 
 _MATCH_TOL = 1e-8
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 class SurgeryError(RuntimeError):
@@ -39,6 +42,10 @@ class PlumbingGraph:
                 raise SurgeryError("duplicate vertex id %r" % (v,))
             if not isinstance(f, numbers.Real) or f % 1 != 0:
                 raise SurgeryError("framing of vertex %r must be an integer" % (v,))
+            if not _INT64_MIN <= f <= _INT64_MAX:
+                # the linking matrix is int64
+                raise SurgeryError("framing %d of vertex %r is outside the "
+                                   "int64 range" % (int(f), v))
             self.ids.append(v)
             self.framing[v] = int(f)
         self.edges = []
@@ -130,8 +137,6 @@ def builtin_plumbing(name):
 
 def lens_chain(p, q):
     """Chain presentation of L(p, q) via p/q = a1 - 1/(a2 - 1/(...))."""
-    import math
-
     if not (isinstance(p, int) and isinstance(q, int)):
         raise SurgeryError("lens parameters must be integers")
     if not (p > q >= 1) or math.gcd(p, q) != 1:
@@ -302,9 +307,14 @@ def evaluate(md, g, budget=None):
     (core, z), step = _colored_sums(S, T, g, [dims, S[:, 0]], budget)
     tau, sig = _tau(S, T, g, dims, core)
     z = complex(z)
-    if abs(tau - z) >= _MATCH_TOL:
+    d = tau - z
+    # a NaN difference compares false with everything, and abs() of a
+    # complex NaN raises OverflowError when an earlier overflow left errno
+    # set: only a finite difference below tolerance passes
+    diff = abs(d) if cmath.isfinite(d) else math.hypot(d.real, d.imag)
+    if not diff < _MATCH_TOL:
         raise ToleranceError("tau = %r disagrees with the surgery sum %r "
-                             "(|diff| = %.3e)" % (tau, z, abs(tau - z)))
+                             "(|diff| = %.3e)" % (tau, z, diff))
     return SurgeryResult(Z=z, tau=tau, sigma=sig, m=g.m,
                          largest_step=step)
 

@@ -151,6 +151,36 @@ def test_budget_exits_3(capsys, tmp_path):
     assert code == 3 and "budget exceeded" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["invariant", "--category", "zoo:ising", "--statesum", "builtin:t3"],
+    ["compare", "--category", "zoo:vec_z2", "--statesum", "builtin:rp3",
+     "--surgery", "builtin:lens_2_1"],
+    ["selftest"],
+], ids=["invariant", "compare", "selftest"])
+def test_budget_below_one_is_a_usage_error(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", budget])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument --budget: must be a positive "
+                        "integer, got %s\n" % budget)
+
+
+def test_nan_surgery_value_is_a_tolerance_failure(capsys, tmp_path):
+    # T ** (-f) overflows at f = 2^62 and both routes come out NaN, which
+    # compares false with everything: the gate must not let it through
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [{"id": 0, "framing": 2 ** 62}],
+                                "edges": []}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(capsys, "invariant", "--category", "zoo:ising",
+                           "--surgery", str(path))
+    assert code == 2 and err.startswith("tolerance error: ")
+    assert "|diff| = nan" in err
+
+
 def test_invariant_surgery_on_a_cycle(capsys, tmp_path):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({
@@ -268,6 +298,7 @@ def _s3_twotet_with_face(face):
     (_STATESUM, _s3_twotet_with_face(1.0)),
     (_STATESUM, dict(_S3_TWOTET, vertices=[2])),
     (_STATESUM, dict(_S3_TWOTET, vertices=float("nan"))),
+    (_SURGERY, {"vertices": [{"id": 0, "framing": 10 ** 20}], "edges": []}),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
@@ -279,7 +310,8 @@ def _s3_twotet_with_face(face):
         "category-nan-qdim", "category-nan-r-symbol", "category-huge-mult",
         "category-mult-beyond-int64", "category-missing-r-symbol",
         "triangulation-string-face", "triangulation-float-face",
-        "triangulation-list-vertex-count", "triangulation-nan-vertex-count"])
+        "triangulation-list-vertex-count", "triangulation-nan-vertex-count",
+        "plumbing-framing-beyond-int64"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from doubletop import contract as contract_module
 from doubletop.contract import BudgetError, contract, plan, run
 from oracles import contract_reference
 
@@ -67,14 +68,59 @@ def test_plan_once_run_many():
         assert (run(planned, arrays), planned[2]) == want
 
 
+def _clear_plans():
+    contract_module._plan_structure.cache_clear()
+
+
+def test_cached_structure_is_sized_on_every_call():
+    # a chain planned at 2 labels per id comes back at 4: the plan is
+    # shared, the budget check and largest_step are this call's
+    ids = [(k, k + 1) for k in range(6)]
+    _clear_plans()
+    with pytest.raises(BudgetError) as cold:
+        plan([((4, 4), f) for f in ids], budget=15)
+    _clear_plans()
+    small = plan([((2, 2), f) for f in ids], budget=15)
+    assert small[2] == 4
+    with pytest.raises(BudgetError) as warm:
+        plan([((4, 4), f) for f in ids], budget=15)
+    assert str(warm.value) == str(cold.value) == (
+        "budget exceeded: eliminating an index sums over 16 labels, "
+        "budget is 15")
+    big = plan([((4, 4), f) for f in ids], budget=16)
+    assert big[2] == 16 and big[:2] == small[:2]
+    assert contract_module._plan_structure.cache_info().currsize == 1
+
+
+def test_plans_are_immutable_and_shared():
+    ids = [(0, 1), (1, 2), (2, 0), (2,), ()]
+    steps, rest, _ = plan([((3,) * len(f), f) for f in ids])
+    again = plan([((2,) * len(f), f) for f in ids])
+    assert again[0] is steps and again[1] is rest
+
+    def nested_tuples(x):
+        return type(x) is int or (type(x) is tuple
+                                  and all(map(nested_tuples, x)))
+
+    assert nested_tuples(steps) and nested_tuples(rest)
+    with pytest.raises(TypeError):
+        steps[0][1][0][0] = 5
+
+
 def test_refused_network_runs_no_einsum(monkeypatch):
     def einsum(*args):
         raise AssertionError("einsum ran before the budget check")
 
     factors = [(np.ones((4, 4)), (k, k + 1)) for k in range(6)]
+    _clear_plans()
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", einsum)
+        with pytest.raises(BudgetError, match="budget exceeded"):
+            contract(factors, budget=15)  # cold cache
+    contract(factors, budget=16)
     monkeypatch.setattr(np, "einsum", einsum)
     with pytest.raises(BudgetError, match="budget exceeded"):
-        contract(factors, budget=15)
+        contract(factors, budget=15)  # the plan comes from the cache
 
 
 @pytest.mark.parametrize("factors, message", [
@@ -88,6 +134,13 @@ def test_refused_network_runs_no_einsum(monkeypatch):
     ([(np.array(1.0), (3,))], r"factor 0 has 1 ids \(3,\) for 0 axes"),
 ])
 def test_malformed_factor_is_named(factors, message):
+    _clear_plans()
+    with pytest.raises(ValueError, match=message):
+        contract(factors)
+    with pytest.raises(ValueError, match=message):
+        plan([(a.shape, ids) for a, ids in factors])
+    # the same ids, well formed, planned first: the messages do not change
+    plan([((2,) * len(ids), ids) for _, ids in factors])
     with pytest.raises(ValueError, match=message):
         contract(factors)
     with pytest.raises(ValueError, match=message):
@@ -156,4 +209,6 @@ def test_contract_matches_reference(net):
     kind, sizes, nets, budget = net
     factors = _arrays(kind, sizes, nets)
     want = _outcome(contract_reference, factors, budget)
-    assert _outcome(contract, factors, budget) == want
+    _clear_plans()
+    assert _outcome(contract, factors, budget) == want  # planned here
+    assert _outcome(contract, factors, budget) == want  # from the cache

@@ -107,6 +107,13 @@ def test_validation_errors():
         PlumbingGraph([(0, 1)], [(0, 1)])
     with pytest.raises(SurgeryError, match="integer"):
         PlumbingGraph([(0, 1.5)], [])
+    # the linking matrix is int64: its range is accepted, one past is named
+    for f in [2 ** 63 - 1, -2 ** 63]:
+        assert PlumbingGraph([(0, f)], []).linking_matrix()[0, 0] == f
+    for v, f in [(0, 2 ** 63), ("a", -2 ** 63 - 1), (7, 1e20)]:
+        with pytest.raises(SurgeryError, match="framing %d of vertex %r is "
+                           "outside the int64 range" % (f, v)):
+            PlumbingGraph([(v, f)], [])
 
 
 def test_dict_roundtrip(tmp_path):

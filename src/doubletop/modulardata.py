@@ -1,34 +1,24 @@
 """Modular data of the tube-algebra center: S and T matrices and fusion rules.
 
-Each central block i of the tube algebra carries an irreducible
-*-representation rho_i of dimension n_i.  The underlying object of the
-block decomposes over the simples of the input category with
-multiplicities m_{i,xi} (sum m = n_i); the representation space is
-graded accordingly and the grading is read off from the corner
-idempotents X(xi,xi,e,xi,0,0).
-
-A half-braiding for block i is one array E_i[sigma, delta, p, a, q, b]:
-sigma is the strand and delta the total charge; p is the row component
-(a slot of rep.comps) and a its basis in Hom(delta, sigma.xi_p), q the
-column component and b its basis in Hom(delta, eta_q.sigma).  The basis
-axes have length max N, and E_i is zero outside admissible slots, so
-for each (sigma, delta) the admissible rows and columns form a square
-unitary.
-
-The tube action determines E_i linearly: acting with X(xi,eta,zeta,...)
-on the graded representation space equals an F-sandwich of
-E_i(zeta*, .).  Its coefficients, gathered from cat.F once per algebra, fill
-one system per label set and strand, which all blocks with those component
-labels share: one least-squares solve per label set and strand takes the
-stacked right sides of all of them.  Then we verify unitarity and the
-two-strand composition law the solution never saw.
-The law is checked on the admissible label tuples of all blocks at once,
-built by numpy joins on N: cat.F and the stacked E arrays are gathered at
-those tuples and contracted by one einsum over the multiplicity axes.
-
-The twist is the eigenvalue of the central twist tube on each block,
-and S is the normalized trace of the double braiding of two blocks.
+S and T are read off the Verlinde basis, the minimal central projections
+pi_i of the tube algebra: block i acts by an irreducible *-representation
+rho_i of dimension n_i, with character chi_i = Tr_reg(pi_i .) / n_i.  T is
+the scalar by which the central twist tube acts on each block; S, the trace
+of the double braiding of two blocks, is solved for from the characters.
 All Verlinde-type axioms are asserted before a ModularData is returned.
+
+The half-braidings give the fusion rules a second time, as pair-of-pants
+intertwiner dimensions (pants_dims).  block_irreps grades each block's
+representation space by the simples xi of the input category, m_{i,xi}
+copies each, with the corner idempotents X(xi,xi,e,xi,0,0).  The
+half-braiding of block i is one array E_i[sigma, delta, p, a, q, b]:
+strand sigma, total charge delta, row component p (a slot of rep.comps)
+with a in Hom(delta, sigma.xi_p), column component q with b in
+Hom(delta, eta_q.sigma).  The basis axes have length max N and E_i is
+zero outside admissible slots, so for each (sigma, delta) the admissible
+rows and columns form a square unitary.  The tube action determines E_i
+linearly (extract_half_braidings), and the two-strand composition law,
+which the solve never saw, checks it (half_braiding_multiplicativity).
 """
 
 import time
@@ -37,7 +27,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .catdata import join
-from .tube import build_tube_algebra, center_decompose
+from .tube import CenterDecomposition, build_tube_algebra, center_decompose
 
 _EXTRACT_TOL = 1e-6
 _AXIOM_TOL = 1e-8
@@ -46,8 +36,8 @@ _U_TOL = 1e-9  # self-adjointness of the Verlinde vectors
 _PANTS_GAP = 1e6  # singular-value ratio that separates a pants null space
 
 # ModularData.timings_ms keys in run order; "axioms" is ModularData and 1/S_00.
-STAGES = ("tube", "center", "irreps", "half_braidings", "composition_law",
-          "u_condition", "T", "S", "canonical_order", "axioms")
+STAGES = ("tube", "center", "characters", "u_condition", "T", "S",
+          "canonical_order", "axioms")
 
 
 @contextmanager
@@ -128,6 +118,17 @@ def block_irreps(alg, dec):
 # ---------------------------------------------------------------------------
 
 
+def _tube_coefficients(cat, tubes):
+    """coef[t, k, mp, mm]: the coefficient of E[zeta*, k, p, mp, q, mm] in the equation
+    of tube t = X(xi,eta,zeta,...) and components p of xi, q of eta; no block's."""
+    F = cat.F
+    xi, eta, zeta, dl, a, b = tubes.T
+    sig = np.asarray(cat.dual)[zeta]
+    return np.einsum("Tu,Tkumw,Tkpw->Tkpm", F[xi, zeta, sig, xi, dl, 0, a, :, 0, 0],
+                     F[zeta, eta, sig, xi, dl, :, b].conj(),
+                     F[zeta, sig, xi, xi, 0, :, 0, 0])
+
+
 def extract_half_braidings(alg, dec, reps):
     """Solve the tube action for the half-braiding of every block.
 
@@ -144,14 +145,9 @@ def extract_half_braidings(alg, dec, reps):
     slot = np.arange(F.shape[-1])
     residuals = {"solve": 0.0, "unitary": 0.0}
 
-    # coef[tube, k, mp, mm]: the coefficient of the unknown E[sigma, k, p, mp,
-    # q, mm] in the equation of tube X(xi,eta,zeta,delta,a,b), sigma = zeta*,
-    # and components p of xi, q of eta; it depends on no block
-    xi, eta, zeta, dl, a, b = alg.basis.T
+    xi, eta, zeta = alg.basis[:, :3].T
     sig = np.asarray(cat.dual)[zeta]
-    coef = np.einsum("Tu,Tkumw,Tkpw->Tkpm", F[xi, zeta, sig, xi, dl, 0, a, :, 0, 0],
-                     F[zeta, eta, sig, xi, dl, :, b].conj(),
-                     F[zeta, sig, xi, xi, 0, :, 0, 0])
+    coef = _tube_coefficients(cat, alg.basis)
     # the graded rep basis is orthonormal; the half-braiding component
     # convention weighs grade xi by sqrt(d_xi)
     grade = np.sqrt(cat.d[eta] / cat.d[xi])
@@ -318,67 +314,67 @@ def twist_element(alg):
     return np.where(on, alg.cat.d[xi] * alg.scale, 0.0).astype(complex)
 
 
-def compute_T(alg, dec, reps, braidings):
-    """Twist eigenvalues per block (the T diagonal), with E cross-check."""
+def characters(alg, dec):
+    """chi[i, t] = Tr rho_i(X_t) = Tr_reg(pi_i X_t) / n_i on the raw torus tubes
+    X_t = X(xi, xi, ...), in basis order; Tr_reg(e_j e_t) is one product of C
+    with the regular trace.  pi_i is first purified to 3 pi_i^2 - 2 pi_i^3: exact
+    to first order at a central idempotent, so chi rounds as the irreps do."""
+    dim, torus = alg.dim, np.flatnonzero(alg.basis[:, 0] == alg.basis[:, 1])
+    P = []
+    for pi in dec.projections:  # products over the nonzeros only
+        s = np.flatnonzero(pi)
+        sq = np.einsum("a,b,abk->k", pi[s], pi[s], alg.C[np.ix_(s, s)])
+        t = np.flatnonzero(sq)
+        P.append(3 * sq - 2 * np.einsum("a,b,abk->k", sq[t], pi[s], alg.C[np.ix_(t, s)]))
+    K = (alg.C.reshape(-1, dim) @ alg._treg).reshape(dim, dim)
+    return np.array(P) @ K[:, torus] * alg.scale[torus] / np.array(dec.n)[:, None]
+
+
+def compute_T(alg, dec):
+    """Twist eigenvalues per block (the T diagonal): the central twist tube
+    L acts on each block space B_i as t_i = Tr(B_i^+ L B_i) / n_i^2, and T
+    is conj(t)."""
     L = alg.left_mult(twist_element(alg))
-    tvals = []
-    for i, rep in enumerate(reps):
-        M = rep.V.conj().T @ L @ rep.V
-        off = float(np.max(np.abs(M - M[0, 0] * np.eye(rep.n))))
+    t = []
+    for i, (B, n) in enumerate(zip(dec.block_spaces, dec.n)):
+        LB = L @ B
+        t.append(np.trace(B.conj().T @ LB) / (n * n))
+        off = float(np.max(np.abs(LB - t[i] * B)))
         if off > _AXIOM_TOL:
             raise ModularDataError("twist tube is not scalar on block %d "
                                    "(residual %.3e)" % (i, off))
-        t = np.conj(M[0, 0])
-        if abs(abs(t) - 1.0) > _AXIOM_TOL:
-            raise ModularDataError("non-unimodular twist eigenvalue %r on "
-                                   "block %d" % (t, i))
-        tvals.append(t)
-    T = np.array(tvals)
-    resid = _twist_from_braiding_residual(alg.cat, reps, braidings, T)
-    if resid > _AXIOM_TOL:
-        raise ModularDataError("twist disagrees with half-braiding "
-                               "trace (%.3e)" % resid)
-    return T
+    return np.conj(t)
 
 
-def _twist_from_braiding_residual(cat, reps, braidings, T):
-    """theta_i from the E-diagonal over the first graded component."""
-    worst = 0.0
-    for i, (rep, E) in enumerate(zip(reps, braidings)):
-        c = rep.labels[0]
-        theta = cat.d @ np.trace(E[c, :, 0, :, 0, :], axis1=1, axis2=2) / cat.d[c]
-        worst = max(worst, abs(theta - T[i]))
-    return worst
-
-
-def compute_S(alg, dec, reps, braidings):
+def compute_S(alg, chi):
     """S matrix from the double-braiding (Hopf link) trace.
+
+    The trace reads only Q_i[sigma, xi, delta, u, w] = sum over p of grade
+    xi of E_i[sigma, delta, p, u, p, w].  On the torus tubes, so traced over
+    those p, the equations of extract_half_braidings have Q_i as unknowns
+    and chi_i as right side: one square solve, block diagonal in (sigma, xi).
 
     The raw trace is the right-handed Hopf link; the twist convention
     (dyon (g, chi) has twist chi(g)) pairs with the left-handed one, so
     the result is conjugated to make (ST)^3 = S^2 hold.
     """
     cat = alg.cat
-    n, msize = cat.n, cat.F.shape[-1]
-    r1, width = len(reps), max(rep.n for rep in reps)
-    # D[i, sigma, delta, p, u, w] = E_i[sigma, delta, p, u, p, w], zero-padded
-    D = np.zeros((r1, n, n, width, msize, msize), dtype=complex)
-    lab = np.zeros((r1, width), dtype=np.int64)
-    for i, (rep, E) in enumerate(zip(reps, braidings)):
-        D[i, :, :, :rep.n] = np.einsum("sdpupw->sdpuw", E)
-        lab[i, :rep.n] = rep.labels
-    blk = np.arange(r1)
-    # term[i, j, delta]: sum over components p of i, q of j and slots u, w
-    # of E_j(xi_p)[q,u; q,w] E_i(eta_q)[p,w; p,u], added in that order
-    # (einsum's product rounds like scalar complex arithmetic)
-    term = np.zeros((r1, r1, n), dtype=complex)
-    for p, q, u, w in np.ndindex(width, width, msize, msize):
-        term += np.einsum("ijd,ijd->ijd",
-                          D[blk[None, :], lab[:, p, None], :, q, u, w],
-                          D[blk[:, None], lab[None, :, q], :, p, w, u])
-    stilde = np.zeros((r1, r1), dtype=complex)
-    for delta in range(n):
-        stilde += cat.d[delta] * term[:, :, delta]
+    N, slot = cat.N, np.arange(cat.F.shape[-1])
+    torus = np.flatnonzero(alg.basis[:, 0] == alg.basis[:, 1])
+    xi, sig = alg.basis[torus, 0], np.asarray(cat.dual)[alg.basis[torus, 2]]
+    # the unknowns: the admissible Q[sigma, xi, k, u, w], u < N[sigma, xi, k]
+    # and w < N[xi, sigma, k], in C order; one equation per torus tube
+    free = ((slot < N[..., None])[..., None]
+            & (slot < N.transpose(1, 0, 2)[..., None])[..., None, :])
+    A = np.zeros((len(torus),) + free.shape, dtype=complex)
+    e, k, u, w = np.nonzero(free[sig, xi])
+    A[e, sig[e], xi[e], k, u, w] = _tube_coefficients(cat, alg.basis[torus])[e, k, u, w]
+    A = A.reshape(len(torus), -1)[:, free.ravel()]
+    if A.shape[0] != A.shape[1]:
+        raise ModularDataError("the torus-tube system of S is not square")
+    Q = np.zeros((len(chi),) + free.shape, dtype=complex)
+    Q[:, free] = np.linalg.solve(A, chi.T).T
+    stilde = np.einsum("d,jxyduw,iyxdwu->ij", cat.d, Q, Q, optimize=True)
     return np.conj(stilde) / alg.lam
 
 
@@ -502,9 +498,7 @@ def canonical_permutation(qdims, T, S, vacuum_index=0):
 
 class ModularData:
     """S, T, fusion rules and Gauss sums of a center, axiom-checked; from
-    compute_modular_data also its parts alg, dec, reps, braidings (reps and
-    the half-braiding arrays E, in the canonical order of S, while dec keeps
-    its own block order) and timings_ms, else None and {}."""
+    compute_modular_data also alg, dec (in S's order) and timings_ms."""
 
     def __init__(self, S, T, qdims, block_dims, lam, residuals=None):
         self.S = np.asarray(S, dtype=complex)
@@ -513,7 +507,7 @@ class ModularData:
         self.block_dims = list(block_dims)
         self.lam = float(lam)
         self.residuals = dict(residuals or {})
-        self.alg = self.dec = self.reps = self.braidings = None
+        self.alg = self.dec = None
         self.timings_ms = {}
         self._validate()
         self.N, fresid = verlinde_fusion(self.S)
@@ -562,42 +556,33 @@ class ModularData:
 
 
 def compute_modular_data(cat, seed=None):
-    """Full pipeline: tube algebra, center, half-braidings, S and T, each
-    of STAGES timed; the result keeps the parts (see ModularData)."""
-    timings = {}
+    """Full pipeline: tube algebra, center, characters, S and T, each of
+    STAGES timed; the result keeps the parts (see ModularData)."""
+    timings, resid = {}, {}
     with _stage(timings, "tube"):
         alg = build_tube_algebra(cat)
     with _stage(timings, "center"):
         dec = center_decompose(alg, seed=seed)
-    with _stage(timings, "irreps"):
-        reps = block_irreps(alg, dec)
-    with _stage(timings, "half_braidings"):
-        braidings, resid = extract_half_braidings(alg, dec, reps)
-    with _stage(timings, "composition_law"):
-        worst = resid["multiplicative"] = half_braiding_multiplicativity(
-            cat, reps, braidings)
-        if worst > _EXTRACT_TOL:
-            raise ModularDataError("half-braiding composition law fails at "
-                                   "%.3e" % worst)
+    with _stage(timings, "characters"):
+        chi = characters(alg, dec)
     with _stage(timings, "u_condition"):
         resid["u_condition"] = check_U_condition(alg, dec)
     with _stage(timings, "T"):
-        T = compute_T(alg, dec, reps, braidings)
+        T = compute_T(alg, dec)
     with _stage(timings, "S"):
-        S = compute_S(alg, dec, reps, braidings)
+        S = compute_S(alg, chi)
     with _stage(timings, "canonical_order"):
         order = canonical_permutation(dec.qdims, T, S)
+        dec = CenterDecomposition(alg, *([x[i] for i in order] for x in (
+            dec.projections, dec.n, dec.qdims, dec.block_spaces)), dec.seed)
     with _stage(timings, "axioms"):
         md = ModularData(S[np.ix_(order, order)], T[np.asarray(order)],
-                         [dec.qdims[i] for i in order], [dec.n[i] for i in order],
-                         alg.lam, resid)
+                         dec.qdims, dec.n, alg.lam, resid)
         lam_err = abs(1.0 / md.S[0, 0] - alg.lam)
         if lam_err > _AXIOM_TOL:
             raise ModularDataError("1/S_00 disagrees with the global "
                                    "dimension (%.3e)" % lam_err)
     md.alg, md.dec = alg, dec
-    md.reps = [reps[i] for i in order]
-    md.braidings = [braidings[i] for i in order]
     md.timings_ms = timings
     return md
 

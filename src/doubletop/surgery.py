@@ -209,11 +209,13 @@ def colored_invariant(md, g, coloring):
     return complex(val)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _colored_sums(S, T, g, vertex_weights, budget):
     """Sum of prod_v w(i_v) * J(g, colors) over all colorings, for each
     vertex weight w, from one elimination plan.
 
     Returns (sums, largest_step), the latter from `doubletop.contract`.
+    A huge framing overflows T^(-f) to a NaN, which the callers' gates name.
     """
     pos = {v: k for k, v in enumerate(g.ids)}
     clasps = [(pos[u], pos[w]) for u, w in g.edges]

@@ -588,8 +588,8 @@ def hopf_link_S(cat, reps, braidings, lam):
     For blocks i, j: conj(sum_delta d_delta sum_{p, q, u, w}
     E_j[xi_p, delta, q, u, q, w] E_i[eta_q, delta, p, w, p, u]) / lambda,
     with p over the components xi_p of block i and q over the components
-    eta_q of block j, summed in that order; the reference for the array
-    form in `modulardata.compute_S`.
+    eta_q of block j, summed in that order; the half-braiding reference for
+    `modulardata.compute_S`.
     """
     N, d = cat.N, cat.d
     r1 = len(reps)
@@ -608,6 +608,27 @@ def hopf_link_S(cat, reps, braidings, lam):
                 acc += d[delta] * term
             S[i, j] = np.conj(acc) / lam
     return S
+
+
+def block_twists(alg, reps):
+    """T from the twist tube's action V^+ L V on each block irrep, checked to
+    be a scalar there; the per-block reference for `modulardata.compute_T`."""
+    from doubletop.modulardata import twist_element
+
+    L = alg.left_mult(twist_element(alg))
+    T = []
+    for rep in reps:
+        M = rep.V.conj().T @ L @ rep.V
+        assert np.max(np.abs(M - M[0, 0] * np.eye(rep.n))) < 1e-8
+        T.append(np.conj(M[0, 0]))
+    return np.array(T)
+
+
+def braiding_twists(cat, reps, braidings):
+    """theta_i from the E-diagonal over the first graded component c of each
+    block: sum_delta d_delta tr E_i[xi_c, delta, c, ., c, .] / d_{xi_c}."""
+    return np.array([cat.d @ np.trace(E[rep.labels[0], :, 0, :, 0, :], axis1=1, axis2=2)
+                     / cat.d[rep.labels[0]] for rep, E in zip(reps, braidings)])
 
 
 # Fusion-tree recoupling on up to four strands, one elementary F-move at a

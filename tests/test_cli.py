@@ -174,11 +174,26 @@ def test_nan_surgery_value_is_a_tolerance_failure(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"vertices": [{"id": 0, "framing": 2 ** 62}],
                                 "edges": []}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, _, err = run(capsys, "invariant", "--category", "zoo:ising",
-                           "--surgery", str(path))
+    code, _, err = run(capsys, "invariant", "--category", "zoo:ising",
+                       "--surgery", str(path))
     assert code == 2 and err.startswith("tolerance error: ")
     assert "|diff| = nan" in err
+
+
+def test_overflowing_framing_leaves_only_the_error_on_stderr(tmp_path):
+    # run as a process, so that a numpy RuntimeWarning from T ** (-f) would
+    # reach stderr as it does for a user, ahead of the tolerance error
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [{"id": 0, "framing": 2 ** 62}],
+                                "edges": []}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(doubletop.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    res = subprocess.run([sys.executable, "-m", "doubletop.cli", "invariant",
+                          "--category", "zoo:ising", "--surgery", str(path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == ("tolerance error: tau = (nan+nanj) disagrees with the "
+                          "surgery sum (nan+nanj) (|diff| = nan)\n")
 
 
 def test_invariant_surgery_on_a_cycle(capsys, tmp_path):
@@ -412,6 +427,39 @@ def test_selftest_computes_S_once_per_category(capsys, monkeypatch):
     code, _, _ = run(capsys, "selftest")
     assert code == 0
     assert len(calls) == 12
+
+
+def _no_spectral_gap(*args):
+    raise modulardata.ModularDataError("pants nullity for (0,0,0) has no spectral gap")
+
+
+def _stretched_irreps(alg, dec):
+    reps = modulardata.block_irreps(alg, dec)
+    reps[-1].V = 1.5 * reps[-1].V
+    return reps
+
+
+@pytest.mark.parametrize("name, broken, detail", [
+    ("half_braiding_multiplicativity", lambda *args: 1.0,
+     "vec_z2: half-braiding composition law fails at 1.000e+00"),
+    ("pants_dims", lambda *args: np.zeros((4, 4, 4), dtype=np.int64),
+     "vec_z2: pants dims differ from Verlinde fusion"),
+    ("pants_dims", _no_spectral_gap,
+     "vec_z2: pants nullity for (0,0,0) has no spectral gap"),
+    ("block_irreps", _stretched_irreps,
+     "vec_z2: half-braiding (3, strand 0, charge 1) is not unitary (4.062e+00)"),
+], ids=["composition-law", "pants-dims", "pants-gap", "unitarity"])
+def test_pants_criterion_fails_by_name(capsys, monkeypatch, name, broken, detail):
+    # the half-braiding route runs in criterion 5 only; a broken step is a
+    # named FAIL of that criterion, not a traceback
+    monkeypatch.setattr(cli, name, broken)
+    monkeypatch.setattr(cli, "SELFTEST_CRITERIA", (
+        (5, "pants equals verlinde", cli._crit_pants_equals_verlinde),))
+    code, doc, err = run(capsys, "selftest")
+    assert code == 2 and doc["status"] == "tolerance_failure"
+    assert doc["results"]["criteria"] == [
+        {"id": 5, "name": "pants equals verlinde", "pass": False, "detail": detail}]
+    assert err == "[ 5/12] FAIL pants equals verlinde (%s)\n" % detail
 
 
 def test_modular_data_reports_its_stages(capsys):

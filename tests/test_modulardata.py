@@ -1,4 +1,4 @@
-"""Half-braidings, S/T matrices, Verlinde fusion, and their oracles."""
+"""S/T matrices, half-braidings, Verlinde fusion, and their oracles."""
 
 import itertools
 from types import SimpleNamespace
@@ -16,9 +16,9 @@ from doubletop.modulardata import (
     ModularDataError,
     braiding_st,
     canonical_permutation,
+    characters,
     check_U_condition,
     compute_S,
-    compute_T,
     compute_modular_data,
     group_double_oracle,
     half_braiding_multiplicativity,
@@ -28,10 +28,10 @@ from doubletop.modulardata import (
     verlinde_fusion,
 )
 from doubletop.statesum import builtin_triangulation, state_sum
-from doubletop.tube import _basis, _structure
+from doubletop.tube import _basis, _structure, build_tube_algebra, center_decompose
 from oracles import (
     block_irreps as block_irreps_oracle,
-    block_irreps_per_simple,
+    block_irreps_per_simple, block_twists, braiding_twists,
     canonical_permutation as canonical_permutation_oracle,
     composition_law_residual, count_calls, extract_half_braidings,
     extract_half_braidings_per_block,
@@ -52,10 +52,16 @@ def vec_s3_md():
     return compute_modular_data(_category_from_dict(vec_s3_document()))
 
 
+def half_braidings(md):
+    """Block irreps, half-braidings and the solve's residuals of md's blocks,
+    in the order of md.S: the pipeline no longer builds them."""
+    reps = modulardata.block_irreps(md.alg, md.dec)
+    return (reps, *modulardata.extract_half_braidings(md.alg, md.dec, reps))
+
+
 @pytest.fixture(scope="module")
 def pipes(mds):
-    return {name: (md.alg, md.dec, md.reps, md.braidings, md.residuals)
-            for name, md in mds.items()}
+    return {name: (md.alg, md.dec, *half_braidings(md)) for name, md in mds.items()}
 
 
 def squares(cat, rep, E):
@@ -80,7 +86,7 @@ def squares(cat, rep, E):
 # -- block irreps --------------------------------------------------------------
 
 
-def characters(alg, reps):
+def irrep_characters(alg, reps):
     """Tr rho_i(e_k) for every block i and basis tube k; L_{e_k} is C[k].T."""
     return np.array([np.einsum("ja,kij,ia->k", rep.V.conj(), alg.C, rep.V)
                      for rep in reps])
@@ -99,7 +105,22 @@ def test_irreps_match_minimal_projection_oracle(mds, vec_s3_md, name):
     got = modulardata.block_irreps(md.alg, md.dec)
     want = block_irreps_oracle(md.alg, md.dec)
     assert [rep.comps for rep in got] == [rep.comps for rep in want]
-    assert np.max(np.abs(characters(md.alg, got) - characters(md.alg, want))) < 1e-12
+    assert np.max(np.abs(irrep_characters(md.alg, got)
+                         - irrep_characters(md.alg, want))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ZOO + ["vec_z4", "vec_z6", "vec_z9", "vec_s3"])
+def test_characters_are_traces_of_the_irreps(mds, vec_s3_md, name):
+    # chi_i(X_t) = scale_t Tr rho_i(e_t) on the torus tubes, read from the
+    # central projections without an irrep.  Unpurified projections miss
+    # the irreps' traces by up to 3e-13 on vec_z6 and vec_z9; purified, by
+    # 3e-15 at most
+    md = _md(mds, vec_s3_md, name)
+    alg = md.alg
+    torus = np.flatnonzero(alg.basis[:, 0] == alg.basis[:, 1])
+    want = irrep_characters(alg, modulardata.block_irreps(alg, md.dec))
+    got = characters(alg, md.dec)
+    assert np.max(np.abs(got - want[:, torus] * alg.scale[torus])) < 2e-14
 
 
 # -- half-braidings ------------------------------------------------------------
@@ -111,10 +132,11 @@ def test_half_braidings_equal_loop(mds, vec_s3_md, name):
     # the equations gathered once per algebra give the same A and y, so
     # lstsq returns the same bits as the per-entry loop
     md = _md(mds, vec_s3_md, name)
-    loop, resid = extract_half_braidings(md.alg, md.dec, md.reps)
-    assert len(loop) == len(md.braidings)
-    assert all(np.array_equal(a, b) for a, b in zip(loop, md.braidings))
-    assert resid == {k: md.residuals[k] for k in resid}
+    reps, E, resid0 = half_braidings(md)
+    loop, resid = extract_half_braidings(md.alg, md.dec, reps)
+    assert len(loop) == len(E)
+    assert all(np.array_equal(a, b) for a, b in zip(loop, E))
+    assert resid == resid0
 
 
 @pytest.mark.parametrize(
@@ -133,8 +155,7 @@ def test_grouped_routes_equal_per_block_oracles(mds, vec_s3_md, name):
     assert len(E) == len(E0)
     assert all(np.array_equal(a, b) for a, b in zip(E, E0))
     assert resid == resid0
-    assert np.array_equal(compute_T(md.alg, md.dec, got, E),
-                          compute_T(md.alg, md.dec, want, E0))
+    assert np.array_equal(block_twists(md.alg, got), block_twists(md.alg, want))
 
 
 def _label_groups(reps):
@@ -175,9 +196,9 @@ def test_grouped_solve_raises_first_failure(mds, vec_s3_md, name, tamper, kind):
     # the first failure in block order, a block's fits before its
     # unitarity, whichever group it falls in; the message names the block
     md = _md(mds, vec_s3_md, name)
-    groups = _label_groups(md.reps)  # in order of their first block
+    reps = half_braidings(md)[0]
+    groups = _label_groups(reps)  # in order of their first block
     rng = np.random.default_rng(11)
-    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in md.reps]
     for (g, j), how in tamper.items():
         rep = reps[groups[g][j]]
         assert len(groups[g]) >= 2
@@ -198,7 +219,7 @@ def test_grouped_solve_residuals_equal_per_block_oracle(mds, block):
     # a V nudged by 1e-9 moves the fit's rounding; the residual dict must
     # still equal the per-block route's, bit for bit
     md = mds["ising"]
-    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in md.reps]
+    reps = half_braidings(md)[0]
     reps[block].V = (1 + 1e-9) * reps[block].V
     E, resid = modulardata.extract_half_braidings(md.alg, None, reps)
     E0, resid0 = extract_half_braidings_per_block(md.alg, None, reps)
@@ -210,8 +231,9 @@ def test_grouped_solve_raises_first_layout_failure(vec_s3_md):
     # a block graded by the one simple 1 alone: strands 0 and 1 solve (its
     # V, the vacuum's, sees no tube on simple 1), strand 2 is not square
     md = vec_s3_md
-    fake = BlockRep(md.reps[0].V, [(1, 0)], {1: 1})
-    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in md.reps]
+    ok = half_braidings(md)[0]
+    fake = BlockRep(ok[0].V, [(1, 0)], {1: 1})
+    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in ok]
     reps[-1] = fake
     got, want = _raises(md.alg, reps)
     assert got == want
@@ -223,7 +245,7 @@ def test_grouped_solve_raises_first_layout_failure(vec_s3_md):
     assert got.startswith("half-braiding (%d, strand" % (len(reps) - 2))
     # and the layout failure of block 1, the first of its group of two,
     # before the failing fit of block 4
-    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in md.reps]
+    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in ok]
     reps[1], reps[5], reps[4].V = fake, fake, 1e6 * reps[4].V
     got, want = _raises(md.alg, reps)
     assert got == want
@@ -233,10 +255,11 @@ def test_grouped_solve_raises_first_layout_failure(vec_s3_md):
 def test_one_solve_per_label_set_and_strand(monkeypatch):
     # vec_z7: 49 blocks of one component each, on 7 label sets, 7 strands
     md = compute_modular_data(dt.zoo("vec_z7"))
+    reps = modulardata.block_irreps(md.alg, md.dec)
     calls = count_calls(monkeypatch, np.linalg, "lstsq")
-    modulardata.extract_half_braidings(md.alg, md.dec, md.reps)
+    modulardata.extract_half_braidings(md.alg, md.dec, reps)
     assert len(calls) == 7 * 7
-    extract_half_braidings_per_block(md.alg, md.dec, md.reps)
+    extract_half_braidings_per_block(md.alg, md.dec, reps)
     assert len(calls) == 7 * 7 + 49 * 7
 
 
@@ -288,12 +311,12 @@ def test_vec_z2_half_braidings_are_signs(pipes):
     assert seen == {1, -1}
 
 
-def test_fibonacci_two_dim_braiding_block(mds):
-    md = mds["fibonacci"]
-    two = [(rep, E) for rep, E, n in zip(md.reps, md.braidings, md.block_dims)
+def test_fibonacci_two_dim_braiding_block(mds, pipes):
+    alg, _, reps, hbs, _ = pipes["fibonacci"]
+    two = [(rep, E) for rep, E, n in zip(reps, hbs, mds["fibonacci"].block_dims)
            if n == 2]
     assert len(two) == 1
-    assert any(M.shape == (2, 2) for M in squares(md.alg.cat, *two[0])[0])
+    assert any(M.shape == (2, 2) for M in squares(alg.cat, *two[0])[0])
 
 
 @pytest.mark.parametrize("name", ZOO)
@@ -316,7 +339,7 @@ def test_composition_law_detects_a_sign_flip(pipes, name):
 
 def _law_pipes(mds, vec_s3_md, name):
     md = vec_s3_md if name == "vec_s3" else mds[name]
-    return md.alg.cat, md.reps, md.braidings
+    return (md.alg.cat, *half_braidings(md)[:2])
 
 
 @pytest.mark.parametrize("name", ZOO + ["vec_z4", "vec_s3"])
@@ -473,10 +496,10 @@ def test_pipeline_keeps_parts_and_stage_times(mds):
     assert tuple(md.timings_ms) == STAGES
     assert all(t >= 0 for t in md.timings_ms.values())
     assert sum(n * n for n in md.dec.n) == md.alg.dim
-    assert len(md.reps) == len(md.braidings) == md.r_plus_1
-    assert sorted(md.block_dims) == sorted(md.dec.n)
+    assert not hasattr(md, "reps") and not hasattr(md, "braidings")
+    assert set(md.residuals).isdisjoint({"solve", "unitary", "multiplicative"})
     bare = ModularData(md.S, md.T, md.qdims, md.block_dims, md.lam)
-    assert bare.alg is None and bare.reps is None and bare.timings_ms == {}
+    assert bare.alg is None and bare.dec is None and bare.timings_ms == {}
     assert md.permuted(list(range(md.r_plus_1))).alg is None
 
 
@@ -504,24 +527,113 @@ def test_fusion_unit_row(mds, name):
 @pytest.mark.parametrize("name", ZOO + ["vec_z4"])
 def test_pants_dims_equal_verlinde(pipes, name):
     alg, dec, reps, hbs, _ = pipes[name]
-    S = compute_S(alg, dec, reps, hbs)
-    Nv, _ = verlinde_fusion(S)
+    Nv, _ = verlinde_fusion(hopf_link_S(alg.cat, reps, hbs, alg.lam))
     assert np.array_equal(pants_dims(alg, dec, reps, hbs), Nv)
 
 
-@pytest.mark.parametrize("name", ZOO + ["vec_z4"])
-def test_S_equals_the_termwise_hopf_trace(mds, name):
-    md = mds[name]
-    assert np.array_equal(md.S, hopf_link_S(md.alg.cat, md.reps, md.braidings,
-                                            md.alg.lam))
+def _references(md, cat):
+    """S and T by the half-braiding route, built from md.alg and md.dec,
+    which follow md.S: the termwise Hopf trace, the twist on each irrep and
+    the twist read off the E-diagonal."""
+    reps, E, _ = half_braidings(md)
+    return (hopf_link_S(cat, reps, E, md.alg.lam), block_twists(md.alg, reps),
+            braiding_twists(cat, reps, E))
+
+
+ROUTE_CASES = ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"]
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_S_equals_the_termwise_hopf_trace(mds, vec_s3_md, name):
+    # S comes from the characters now, so it meets the half-braidings' Hopf
+    # trace within rounding, not bit for bit
+    md = _md(mds, vec_s3_md, name)
+    S, _, _ = _references(md, md.alg.cat)
+    assert np.max(np.abs(md.S - S)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_T_equals_the_twist_of_each_irrep(mds, vec_s3_md, name):
+    md = _md(mds, vec_s3_md, name)
+    _, T, T_braiding = _references(md, md.alg.cat)
+    assert np.max(np.abs(md.T - T)) < 1e-12
+    assert np.max(np.abs(md.T - T_braiding)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ZOO)
 def test_parts_are_in_the_order_of_S(mds, name):
-    # reps and braidings follow S, so S and N need no permutation
+    # dec follows S, so S and N need no permutation; S from the permuted
+    # projections rounds like S permuted, not bit for bit
     md = mds[name]
-    assert [rep.n for rep in md.reps] == md.block_dims
-    assert np.array_equal(compute_S(md.alg, md.dec, md.reps, md.braidings), md.S)
+    assert md.dec.n == md.block_dims and md.dec.qdims == md.qdims
+    assert np.max(np.abs(compute_S(md.alg, characters(md.alg, md.dec)) - md.S)) < 1e-14
+
+
+def test_pipeline_solves_no_half_braiding(monkeypatch):
+    # irreps, half-braidings and their composition law left the pipeline
+    calls = [count_calls(monkeypatch, modulardata, name)
+             for name in ("block_irreps", "extract_half_braidings",
+                          "half_braiding_multiplicativity")]
+    compute_modular_data(dt.zoo("ising"))
+    assert calls == [[], [], []]
+
+
+def test_twist_gate_names_the_block(monkeypatch):
+    # a twist tube off the center by a non-central element of block j
+    cat = dt.zoo("fibonacci")
+    dec = center_decompose(build_tube_algebra(cat))
+    j = dec.n.index(2)
+    twist = modulardata.twist_element
+    monkeypatch.setattr(modulardata, "twist_element",
+                        lambda alg: twist(alg) + 1e-6 * dec.block_spaces[j][:, 0])
+    with pytest.raises(ModularDataError,
+                       match="twist tube is not scalar on block %d " % j):
+        compute_modular_data(cat)
+
+
+def test_u_condition_gate(monkeypatch):
+    # a Verlinde vector times i is anti-self-adjoint
+    real = modulardata.center_decompose
+
+    def tilted(alg, seed=None):
+        dec = real(alg, seed=seed)
+        dec.p[1] = 1j * dec.p[1]
+        return dec
+
+    monkeypatch.setattr(modulardata, "center_decompose", tilted)
+    with pytest.raises(ModularDataError, match="Verlinde vectors are not self-adjoint"):
+        compute_modular_data(dt.zoo("ising"))
+
+
+def test_global_dimension_gate(monkeypatch):
+    # S is built with the true lambda; one changed afterwards disagrees with 1/S_00
+    real = modulardata.compute_S
+
+    def compute_S(alg, chi):
+        S = real(alg, chi)
+        alg.lam *= 1 + 1e-6
+        return S
+
+    monkeypatch.setattr(modulardata, "compute_S", compute_S)
+    with pytest.raises(ModularDataError,
+                       match="1/S_00 disagrees with the global dimension"):
+        compute_modular_data(dt.zoo("ising"))
+
+
+def test_square_system_gate(monkeypatch):
+    # the torus tube X(0, 0, 1, 1, 0, 0) moved off the torus leaves the
+    # system of S one equation short
+    real = modulardata.build_tube_algebra
+
+    def build(cat):
+        alg = real(cat)
+        alg.basis = alg.basis.copy()
+        alg.basis[alg.index[0, 0, 1, 1, 0, 0], 1] = 1
+        return alg
+
+    monkeypatch.setattr(modulardata, "build_tube_algebra", build)
+    with pytest.raises(ModularDataError, match="the torus-tube system of S is not square"):
+        compute_modular_data(dt.zoo("ising"))
 
 
 def test_fibonacci_product_fusion(mds):
@@ -555,8 +667,9 @@ def test_noncommutative_double_of_s3(vec_s3_md):
     w = np.exp(2j * np.pi / 3)
     key = lambda z: (round(z.real, 9), round(z.imag, 9))
     assert sorted(map(key, md.T)) == sorted(map(key, [1, 1, 1, 1, w, w * w, 1, -1]))
-    assert md.residuals["multiplicative"] < 1e-12
-    assert np.array_equal(pants_dims(md.alg, md.dec, md.reps, md.braidings), md.N)
+    reps, E, _ = half_braidings(md)
+    assert half_braiding_multiplicativity(md.alg.cat, reps, E) < 1e-12
+    assert np.array_equal(pants_dims(md.alg, md.dec, reps, E), md.N)
 
 
 # -- group-double oracle -------------------------------------------------------
@@ -735,17 +848,23 @@ def test_braiding_st_requires_r_symbols():
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", ["ising", "vec_z4", "vec_z3", "fibonacci"])
 def test_gauge_transform_keeps_invariants(name, seed):
-    # complex F in a random vertex gauge: the composition law must hold and
-    # the modular data and state sums must not move
+    # complex F in a random vertex gauge: the composition law must hold, S
+    # and T must agree with the half-braiding route, and the modular data
+    # and state sums must not move
     cat = dt.zoo(name)
     gauged = gauge_transform(cat, np.random.default_rng(seed))
     assert not np.allclose(gauged.F, cat.F)
     want, got = compute_modular_data(cat), compute_modular_data(gauged)
-    law = composition_law_residual(gauged, got.reps, got.braidings)
-    assert abs(got.residuals["multiplicative"] - law) < 1e-14
-    loop = extract_half_braidings(got.alg, got.dec, got.reps)[0]
-    for a, b in zip(loop, got.braidings):
+    reps, E, _ = half_braidings(got)
+    law = composition_law_residual(gauged, reps, E)
+    assert abs(half_braiding_multiplicativity(gauged, reps, E) - law) < 1e-14
+    loop = extract_half_braidings(got.alg, got.dec, reps)[0]
+    for a, b in zip(loop, E):
         assert np.max(np.abs(a - b)) < 1e-14
+    S, T, T_braiding = _references(got, gauged)
+    assert np.max(np.abs(got.S - S)) < 1e-12
+    assert np.max(np.abs(got.T - T)) < 1e-12
+    assert np.max(np.abs(got.T - T_braiding)) < 1e-12
     assert np.allclose(got.S, want.S, rtol=0, atol=1e-12)
     assert np.allclose(got.T, want.T, rtol=0, atol=1e-12)
     assert np.array_equal(got.N, want.N)

@@ -27,12 +27,10 @@ from .catdata import (
 from .modulardata import (
     ModularDataError,
     _stage,
-    block_irreps,
     braiding_st,
+    checked_half_braidings,
     compute_modular_data,
-    extract_half_braidings,
     group_double_oracle,
-    half_braiding_multiplicativity,
     match_blocks,
     pants_dims,
 )
@@ -434,12 +432,8 @@ def _crit_pants_equals_verlinde(ctx):
     try:
         for name in ZOO_NAMES:
             md = ctx.md(name)
-            reps = block_irreps(md.alg, md.dec)
-            E, _ = extract_half_braidings(md.alg, md.dec, reps)
-            law = half_braiding_multiplicativity(md.alg.cat, reps, E)
-            if law > 1e-6:
-                raise ModularDataError("half-braiding composition law fails at %.3e" % law)
-            if not np.array_equal(pants_dims(md.alg, md.dec, reps, E), md.N):
+            pants = pants_dims(md.alg, md.dec, *checked_half_braidings(md.alg, md.dec))
+            if not np.array_equal(pants, md.N):
                 raise ModularDataError("pants dims differ from Verlinde fusion")
     except ModularDataError as exc:
         return False, "%s: %s" % (name, exc)

@@ -302,6 +302,16 @@ def half_braiding_multiplicativity(cat, reps, braidings):
     return float(np.max(np.abs(got - want)))
 
 
+def checked_half_braidings(alg, dec):
+    """Irreps and half-braidings of dec's blocks; the law is held to 1e-6 too."""
+    reps = block_irreps(alg, dec)
+    E = extract_half_braidings(alg, dec, reps)[0]
+    law = half_braiding_multiplicativity(alg.cat, reps, E)
+    if law > _EXTRACT_TOL:
+        raise ModularDataError("half-braiding composition law fails at %.3e" % law)
+    return reps, E
+
+
 # ---------------------------------------------------------------------------
 # T and S matrices
 # ---------------------------------------------------------------------------
@@ -315,19 +325,18 @@ def twist_element(alg):
 
 
 def characters(alg, dec):
-    """chi[i, t] = Tr rho_i(X_t) = Tr_reg(pi_i X_t) / n_i on the raw torus tubes
-    X_t = X(xi, xi, ...), in basis order; Tr_reg(e_j e_t) is one product of C
-    with the regular trace.  pi_i is first purified to 3 pi_i^2 - 2 pi_i^3: exact
-    to first order at a central idempotent, so chi rounds as the irreps do."""
-    dim, torus = alg.dim, np.flatnonzero(alg.basis[:, 0] == alg.basis[:, 1])
+    """chi[i, t] = Tr rho_i(X_t) = Tr_reg(pi_i X_t) / n_i on the raw tubes X_t,
+    in basis order; Tr_reg(e_j e_t) is one product of C with the regular trace.
+    pi_i is first purified to 3 pi_i^2 - 2 pi_i^3: exact to first order at a
+    central idempotent, so chi rounds as the irreps do."""
     P = []
     for pi in dec.projections:  # products over the nonzeros only
         s = np.flatnonzero(pi)
         sq = np.einsum("a,b,abk->k", pi[s], pi[s], alg.C[np.ix_(s, s)])
         t = np.flatnonzero(sq)
         P.append(3 * sq - 2 * np.einsum("a,b,abk->k", sq[t], pi[s], alg.C[np.ix_(t, s)]))
-    K = (alg.C.reshape(-1, dim) @ alg._treg).reshape(dim, dim)
-    return np.array(P) @ K[:, torus] * alg.scale[torus] / np.array(dec.n)[:, None]
+    K = (alg.C.reshape(-1, alg.dim) @ alg._treg).reshape(alg.dim, alg.dim)
+    return np.array(P) @ K * alg.scale / np.array(dec.n)[:, None]
 
 
 def compute_T(alg, dec):
@@ -350,9 +359,10 @@ def compute_S(alg, chi):
     """S matrix from the double-braiding (Hopf link) trace.
 
     The trace reads only Q_i[sigma, xi, delta, u, w] = sum over p of grade
-    xi of E_i[sigma, delta, p, u, p, w].  On the torus tubes, so traced over
-    those p, the equations of extract_half_braidings have Q_i as unknowns
-    and chi_i as right side: one square solve, block diagonal in (sigma, xi).
+    xi of E_i[sigma, delta, p, u, p, w].  On the torus tubes X(xi, xi, ...),
+    so traced over those p, the equations of extract_half_braidings have
+    Q_i as unknowns and the characters chi_i there as right side: one
+    square solve, block diagonal in (sigma, xi).
 
     The raw trace is the right-handed Hopf link; the twist convention
     (dyon (g, chi) has twist chi(g)) pairs with the left-handed one, so
@@ -373,7 +383,7 @@ def compute_S(alg, chi):
     if A.shape[0] != A.shape[1]:
         raise ModularDataError("the torus-tube system of S is not square")
     Q = np.zeros((len(chi),) + free.shape, dtype=complex)
-    Q[:, free] = np.linalg.solve(A, chi.T).T
+    Q[:, free] = np.linalg.solve(A, chi[:, torus].T).T
     stilde = np.einsum("d,jxyduw,iyxdwu->ij", cat.d, Q, Q, optimize=True)
     return np.conj(stilde) / alg.lam
 
@@ -389,7 +399,6 @@ def verlinde_fusion(S):
     Returns (N, rounding residual); raises when any entry is farther
     than 1e-6 from an integer.
     """
-    r1 = S.shape[0]
     s0 = S[:, 0]
     raw = np.einsum("il,jl,kl->ijk", S, S, np.conj(S) / s0[None, :],
                     optimize=True)
@@ -403,9 +412,7 @@ def verlinde_fusion(S):
 
 def check_U_condition(alg, dec):
     """Max deviation of the Verlinde vectors from self-adjointness."""
-    worst = 0.0
-    for p in dec.p:
-        worst = max(worst, float(np.max(np.abs(alg.star(p) - p))))
+    worst = max(float(np.max(np.abs(alg.star(p) - p))) for p in dec.p)
     if worst > _U_TOL:
         raise ModularDataError("Verlinde vectors are not self-adjoint "
                                "(%.3e)" % worst)
@@ -582,8 +589,7 @@ def compute_modular_data(cat, seed=None):
         if lam_err > _AXIOM_TOL:
             raise ModularDataError("1/S_00 disagrees with the global "
                                    "dimension (%.3e)" % lam_err)
-    md.alg, md.dec = alg, dec
-    md.timings_ms = timings
+    md.alg, md.dec, md.timings_ms = alg, dec, timings
     return md
 
 

@@ -433,8 +433,11 @@ def _no_spectral_gap(*args):
     raise modulardata.ModularDataError("pants nullity for (0,0,0) has no spectral gap")
 
 
+_block_irreps = modulardata.block_irreps
+
+
 def _stretched_irreps(alg, dec):
-    reps = modulardata.block_irreps(alg, dec)
+    reps = _block_irreps(alg, dec)
     reps[-1].V = 1.5 * reps[-1].V
     return reps
 
@@ -452,7 +455,7 @@ def _stretched_irreps(alg, dec):
 def test_pants_criterion_fails_by_name(capsys, monkeypatch, name, broken, detail):
     # the half-braiding route runs in criterion 5 only; a broken step is a
     # named FAIL of that criterion, not a traceback
-    monkeypatch.setattr(cli, name, broken)
+    monkeypatch.setattr(cli if name == "pants_dims" else modulardata, name, broken)
     monkeypatch.setattr(cli, "SELFTEST_CRITERIA", (
         (5, "pants equals verlinde", cli._crit_pants_equals_verlinde),))
     code, doc, err = run(capsys, "selftest")

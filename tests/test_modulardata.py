@@ -19,6 +19,7 @@ from doubletop.modulardata import (
     characters,
     check_U_condition,
     compute_S,
+    compute_T,
     compute_modular_data,
     group_double_oracle,
     half_braiding_multiplicativity,
@@ -111,16 +112,14 @@ def test_irreps_match_minimal_projection_oracle(mds, vec_s3_md, name):
 
 @pytest.mark.parametrize("name", ZOO + ["vec_z4", "vec_z6", "vec_z9", "vec_s3"])
 def test_characters_are_traces_of_the_irreps(mds, vec_s3_md, name):
-    # chi_i(X_t) = scale_t Tr rho_i(e_t) on the torus tubes, read from the
-    # central projections without an irrep.  Unpurified projections miss
-    # the irreps' traces by up to 3e-13 on vec_z6 and vec_z9; purified, by
-    # 3e-15 at most
+    # chi_i(X_t) = scale_t Tr rho_i(e_t), read from the central projections
+    # without an irrep.  Unpurified projections miss the irreps' traces by
+    # up to 3e-13 on vec_z6 and vec_z9; purified, by 3e-15 at most
     md = _md(mds, vec_s3_md, name)
     alg = md.alg
-    torus = np.flatnonzero(alg.basis[:, 0] == alg.basis[:, 1])
     want = irrep_characters(alg, modulardata.block_irreps(alg, md.dec))
     got = characters(alg, md.dec)
-    assert np.max(np.abs(got - want[:, torus] * alg.scale[torus])) < 2e-14
+    assert np.max(np.abs(got - want * alg.scale)) < 2e-14
 
 
 # -- half-braidings ------------------------------------------------------------
@@ -562,10 +561,12 @@ def test_T_equals_the_twist_of_each_irrep(mds, vec_s3_md, name):
 
 @pytest.mark.parametrize("name", ZOO)
 def test_parts_are_in_the_order_of_S(mds, name):
-    # dec follows S, so S and N need no permutation; S from the permuted
-    # projections rounds like S permuted, not bit for bit
+    # dec follows S, so S and N need no permutation.  T is read block by
+    # block, so from the permuted parts it is T permuted bit for bit; S from
+    # the permuted projections rounds like S permuted, not bit for bit
     md = mds[name]
     assert md.dec.n == md.block_dims and md.dec.qdims == md.qdims
+    assert np.array_equal(compute_T(md.alg, md.dec), md.T)
     assert np.max(np.abs(compute_S(md.alg, characters(md.alg, md.dec)) - md.S)) < 1e-14
 
 

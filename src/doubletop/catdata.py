@@ -468,10 +468,16 @@ def _zoo_ising():
 def zoo(name):
     """Built-in categories: vec_zN (any N >= 1), fibonacci, ising."""
     if name.startswith("vec_z"):
+        digits = name[len("vec_z"):]
         try:
-            nmod = int(name[len("vec_z"):])
+            nmod = int(digits)
         except ValueError:
-            raise CategoryError("unknown zoo name %r" % name) from None
+            nmod = None
+        # N in ASCII digits as str(N) writes it, so that a report echoes the
+        # canonical name: no sign, space, underscore or leading zero
+        if (nmod is None or not (digits.isascii() and digits.isdigit())
+                or str(nmod) != digits):
+            raise CategoryError("unknown zoo name %r" % name)
         if nmod < 1:
             raise CategoryError("vec_zN needs N >= 1")
         return _zoo_vec_zn(nmod)

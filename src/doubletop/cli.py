@@ -3,7 +3,7 @@
 Wires the pipeline validate -> center -> modular-data -> invariant/compare
 behind one executable with machine-readable JSON reports on stdout and
 diagnostics on stderr.  Exit codes: 0 success, 1 validation failure,
-2 tolerance failure, 3 budget exceeded.
+2 tolerance failure, 3 budget exceeded or out of memory.
 
 Reports serialize deterministically (sorted keys, fixed block order, fixed
 seeds); the wall-clock ``timings_ms`` field is the only value that varies
@@ -11,6 +11,7 @@ between identical runs.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -70,7 +71,7 @@ from .tube import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_TOLERANCE = 2
-EXIT_BUDGET = 3
+EXIT_BUDGET = 3  # a resource ran out: the contraction budget or memory
 
 ZOO_NAMES = ("vec_z2", "vec_z3", "fibonacci", "ising")
 
@@ -101,14 +102,6 @@ def _c(z):
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _cmat(M):
-    return [[_c(z) for z in row] for row in np.asarray(M)]
-
-
-def _cvec(v):
-    return [_c(z) for z in np.asarray(v).reshape(-1)]
-
-
 def _load_category_arg(uri):
     if uri.startswith("zoo:"):
         return zoo(uri[len("zoo:"):])
@@ -127,12 +120,67 @@ def _load_plumbing_arg(uri):
     return load_plumbing(uri)
 
 
+def _nested(shape, pad, cells):
+    """json.dumps(indent=2) of a nested list of this shape at indent pad,
+    whose entries are the rows of cells (ASCII bytes; NUL bytes dropped)."""
+    k, n = len(shape), len(cells)
+    ind = [pad + "  " * j for j in range(k + 1)]
+    # after each entry, the code byte 0x80 + the number of axes that end there
+    codes = np.full((n, 1), 0x80, np.uint8)
+    step = 1
+    for m in reversed(shape):
+        step *= m
+        codes[step - 1::step] += 1
+    data = "".join("[\n" + i for i in ind[1:]).encode()
+    data += np.hstack((cells, codes)).tobytes().replace(b"\0", b"")
+    for c in range(k, -1, -1):  # the rare codes first, while data is short
+        sep = "".join("\n" + ind[k - j] + "]" for j in range(1, c + 1))
+        if c < k:
+            sep += ("," + "".join("\n" + ind[k - j] + "[" for j in range(c, 0, -1))
+                    + "\n" + ind[k])
+        data = data.replace(bytes([0x80 + c]), sep.encode())
+    return data.decode("ascii")
+
+
+def _int_array(a, pad):
+    """A nonempty signed-int array: the digits of all entries at once."""
+    shape, a = a.shape, a.reshape(-1).astype(np.int64, copy=False)
+    mag = np.abs(a).view(np.uint64)  # abs(-2**63) wraps, and reads as 2**63
+    width = len(str(int(mag.max())))
+    sign = int((a < 0).any())
+    cells = np.zeros((a.size, sign + width), np.uint8)
+    if sign:
+        cells[:, 0] = np.where(a < 0, ord("-"), 0)
+    ten = np.uint64(10)
+    for j in range(width):
+        p = ten ** np.uint64(j)
+        # uint64 division is slow; single digits (as in most N) need none
+        digit = (mag // p % ten if width > 1 else mag) + ord("0")
+        cells[:, -1 - j] = np.where(mag >= p, digit, 0) if j else digit
+    return _nested(shape, pad, cells)
+
+
+def _complex_array(z, pad):
+    """A nonempty finite complex array: {"im", "re"} dicts, one template."""
+    ind = pad + "  " * z.ndim
+    entry = '{\n%s  "im": %%r,\n%s  "re": %%r\n%s}' % (ind, ind, ind)
+    cells = np.broadcast_to(np.frombuffer(entry.encode(), np.uint8),
+                            (z.size, len(entry)))
+    values = np.stack((z.imag, z.real), -1).ravel().tolist()
+    return _nested(z.shape, pad, cells) % tuple(values)
+
+
 def _dumps(o, pad=""):
-    """json.dumps(o, indent=2, sort_keys=True), with str-keyed dicts, str,
-    int, finite float and lists of them written here; a list of only ints
-    is joined at C level.  Everything else (bool, None, NaN, infinities,
-    subclasses such as np.float64, empty containers) goes to json.dumps,
-    re-indented to its depth."""
+    """json.dumps(o, indent=2, sort_keys=True), where a numpy array stands
+    for its nested lists, with complex entries as {"re", "im"} dicts.
+
+    Str-keyed dicts, str, int, finite float and lists of them are written
+    here; a list of only ints or only finite floats is joined at C level.
+    Nonempty signed-int arrays and finite complex arrays (S, T and N) are
+    written straight from their arrays, with no Python object per entry;
+    other arrays become lists first.  Everything else (bool, None, NaN,
+    infinities, subclasses such as np.float64, empty containers) goes to
+    json.dumps, re-indented to its depth."""
     t = type(o)
     if t is str:
         return encode_basestring_ascii(o)
@@ -140,6 +188,15 @@ def _dumps(o, pad=""):
         return int.__repr__(o)
     if t is float and math.isfinite(o):
         return float.__repr__(o)
+    if t is np.ndarray:
+        kind = o.dtype.kind
+        if o.ndim and o.size and kind == "i":
+            return _int_array(o, pad)
+        if o.ndim and o.size and kind == "c" and np.isfinite(o).all():
+            return _complex_array(o, pad)
+        if kind != "c" or not o.ndim:
+            return _dumps(o.tolist(), pad)
+        return _dumps([_c(z) for z in o] if o.ndim == 1 else list(o), pad)
     inner = pad + "  "
     if t is dict and o and set(map(type, o)) == {str}:
         return "{\n%s\n%s}" % (",\n".join([
@@ -150,6 +207,8 @@ def _dumps(o, pad=""):
         sep = ",\n" + inner
         if kinds == {int}:
             body = sep.join(map(int.__repr__, o))
+        elif kinds == {float} and all(map(math.isfinite, o)):
+            body = sep.join(map(float.__repr__, o))
         else:
             body = sep.join([_dumps(v, inner) for v in o])
         return "[\n%s%s\n%s]" % (inner, body, pad)
@@ -242,9 +301,9 @@ def _cmd_modular_data(args, argv):
     residuals = dict(cat.residuals, **md.residuals)
     cperm = [int(np.argmax(row)) for row in md.C]
     results = {
-        "S": _cmat(md.S),
-        "T": _cvec(md.T),
-        "N": md.N.tolist(),
+        "S": md.S,
+        "T": md.T,
+        "N": md.N,
         "C": cperm,
         "lambda": md.lam,
         "gauss": {
@@ -599,7 +658,9 @@ def _cmd_selftest(args, argv):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    # built once per process; parse_args returns a fresh Namespace per call
     parser = _Parser(prog="doubletop",
                      description="Tube-algebra modular data and 3-manifold "
                                  "invariants of finite fusion categories.")
@@ -650,8 +711,7 @@ def _build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args, argv)
     except BudgetError as exc:
@@ -664,6 +724,10 @@ def main(argv=None):
             ModularDataError, SurgeryError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; a bare one names none
+        sys.stderr.write("memory error: %s\n" % (str(exc) or "out of memory"))
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

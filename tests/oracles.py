@@ -1399,6 +1399,17 @@ def degenerate_draws(monkeypatch, module, lumped):
     return calls
 
 
+def plain(o):
+    """json.dumps default for a report's array leaves: the plain lists the
+    CLI built before it wrote arrays itself, a complex matrix or vector as
+    lists of {"re", "im"} dicts and any other array through tolist()."""
+    if isinstance(o, (complex, np.complexfloating)):
+        return {"re": float(o.real), "im": float(o.imag)}
+    if isinstance(o, np.ndarray):
+        return list(o) if o.dtype.kind == "c" else o.tolist()
+    raise TypeError("%s is not a report leaf" % type(o).__name__)
+
+
 def count_calls(monkeypatch, obj, name):
     """Wrap `obj.name` to record each call; returns the list of calls."""
     real, calls = getattr(obj, name), []

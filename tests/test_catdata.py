@@ -165,7 +165,7 @@ def test_qdim_eigenvector_property():
 def test_unknown_zoo_name():
     with pytest.raises(CategoryError, match="unknown"):
         zoo("socks")
-    with pytest.raises(CategoryError):
+    with pytest.raises(CategoryError, match="vec_zN needs N >= 1"):
         zoo("vec_z0")
 
 

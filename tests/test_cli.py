@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from doubletop import cli, modulardata
 from doubletop.cli import main
 from doubletop.modulardata import STAGES
 from doubletop.statesum import builtin_triangulation
-from oracles import multiplicity_ring, vec_s3_document
+from oracles import count_calls, multiplicity_ring, plain, vec_s3_document
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -216,6 +217,51 @@ def test_bad_inputs_exit_1(capsys):
     code, _, err = run(capsys, "invariant", "--category", "zoo:vec_z2",
                        "--statesum", "builtin:nope")
     assert code == 1 and "unknown builtin" in err
+
+
+@pytest.mark.parametrize("name", ["vec_z+3", "vec_z 3", "vec_z3 ", "vec_z3_0",
+                                  "vec_z\u0663", "vec_z03", "vec_z00", "vec_z-1",
+                                  "vec_z", "vec_z" + "1" * 5000],
+                         ids=["plus", "space", "trailing-space", "underscore",
+                              "arabic-indic-digit", "leading-zero", "two-zeros",
+                              "minus", "empty", "5000-digits"])
+def test_noncanonical_zoo_names_exit_1(capsys, name):
+    # int() reads most of these as a number; only str(N) itself names vec_zN
+    code, out, err = run(capsys, "modular-data", "--category", "zoo:" + name)
+    assert code == 1 and out is None
+    assert err.startswith("error: unknown zoo name") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 10.9 GiB for an array with shape "
+                 "(30, 30, 30, 30, 30, 30, 1, 1, 1, 1) and data type complex128"),
+     "memory error: Unable to allocate 10.9 GiB for an array with shape "
+     "(30, 30, 30, 30, 30, 30, 1, 1, 1, 1) and data type complex128\n"),
+    (MemoryError(), "memory error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_memory_exhaustion_exits_3_with_one_line(capsys, monkeypatch, exc, line):
+    # zoo("vec_z30") needs a 10.9 GiB F; the loader raises as it would
+    def exhausted(name):
+        raise exc
+    monkeypatch.setattr(cli, "zoo", exhausted)
+    code, out, err = run(capsys, "modular-data", "--category", "zoo:vec_z30")
+    assert code == 3 and out is None and err == line
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    parsers = []
+    parse = cli._Parser.parse_args
+    monkeypatch.setattr(cli._Parser, "parse_args",
+                        lambda self, *a: (parsers.append(self), parse(self, *a))[1])
+    for _ in range(2):
+        assert run(capsys, "zoo")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    # a usage error after a successful call still exits 1 with its message
+    with pytest.raises(SystemExit) as exc:
+        main(["modular-data"])
+    assert exc.value.code == 1
+    assert "the following arguments are required: --category" in capsys.readouterr().err
+    assert run(capsys, "validate", "--category", "zoo:ising")[0] == 0
 
 
 def _fibonacci_with_fusion_index_7():
@@ -528,6 +574,7 @@ def _short_selftest(monkeypatch):
     (("center", "--category", "zoo:vec_z4"), 0),
     (("modular-data", "--category", "zoo:fibonacci"), 0),
     (("modular-data", "--category", "zoo:vec_z5"), 0),
+    (("modular-data", "--category", "zoo:vec_z7"), 0),
     (("invariant", "--category", "zoo:ising", "--statesum", "builtin:lens_3_1"), 0),
     (("invariant", "--category", "zoo:vec_z3", "--surgery", "builtin:lens_3_1"), 0),
     (("compare", "--category", "zoo:vec_z2", "--statesum", "builtin:rp3",
@@ -536,7 +583,7 @@ def _short_selftest(monkeypatch):
       "--surgery", "builtin:lens_3_1"), 2),
     (_short_selftest, 2),
 ], ids=["zoo", "validate", "validate-failing", "center", "modular-data-fibonacci",
-        "modular-data-vec_z5", "invariant-statesum", "invariant-surgery",
+        "modular-data-vec_z5", "modular-data-vec_z7", "invariant-statesum", "invariant-surgery",
         "compare", "compare-failing", "selftest-failing"])
 def test_report_writer_matches_json_dumps(capsys, monkeypatch, argv, want):
     if callable(argv):
@@ -547,4 +594,20 @@ def test_report_writer_matches_json_dumps(capsys, monkeypatch, argv, want):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == want and len(docs) == 1
-    assert out == json.dumps(docs[0], indent=2, sort_keys=True) + "\n"
+    # S, T and N stay arrays in the document; plain gives their lists
+    assert out == json.dumps(docs[0], indent=2, sort_keys=True, default=plain) + "\n"
+
+
+def test_modular_data_report_is_written_from_its_arrays(capsys, monkeypatch):
+    # no json.dumps fallback, and no _dumps call per entry of S, T or N
+    def fallback(*args, **kwargs):
+        raise AssertionError("json.dumps fallback reached")
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=fallback))
+    calls = count_calls(monkeypatch, cli, "_dumps")
+    counts = []
+    for name in ("vec_z3", "vec_z7"):
+        calls.clear()
+        code, doc, _ = run(capsys, "modular-data", "--category", "zoo:" + name)
+        assert code == 0 and len(doc["results"]["N"]) == int(name[5:]) ** 2
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -11,11 +11,13 @@ import tempfile
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from doubletop.catdata import dump_category, zoo
 from doubletop.cli import _dumps, main
 from doubletop.statesum import builtin_triangulation
 from doubletop.surgery import chain, lens_chain
+from oracles import plain
 
 _CATEGORY_DOCS = {name: dump_category(zoo(name)) for name in ("ising", "vec_z3")}
 
@@ -181,3 +183,42 @@ _WRITER_DOCS = st.recursive(
               "S": [[{"re": 0.5, "im": -0.0}]], "ok": [True, 1, 1.0]})
 def test_report_writer_equals_json_dumps(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# -- array leaves: S, T and N are written straight from their arrays ----------
+
+_INT64 = np.iinfo(np.int64)
+_SIGNED = st.sampled_from([np.int8, np.int16, np.int32, np.int64])
+_INT_ARRAYS = _SIGNED.flatmap(lambda dtype: hnp.arrays(
+    dtype, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4),
+    elements=st.one_of(st.integers(-12, 12),
+                       st.integers(np.iinfo(dtype).min, np.iinfo(dtype).max))))
+_SPECIALS = st.sampled_from([-0.0, 0.0, float("nan"), float("inf"),
+                             float("-inf"), 5e-324, 1e22, -1.5])
+_COMPLEX_ARRAYS = hnp.arrays(
+    np.complex128, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+    elements=st.one_of(st.builds(complex, _SPECIALS, _SPECIALS),
+                       st.complex_numbers(allow_nan=False, allow_infinity=False),
+                       st.complex_numbers()))
+# other dtypes go through tolist() and the list path
+_OTHER_ARRAYS = hnp.arrays(
+    st.sampled_from([np.uint8, np.uint64, np.float64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(leaf=st.one_of(_INT_ARRAYS, _COMPLEX_ARRAYS, _OTHER_ARRAYS),
+       depth=st.integers(0, 2))
+@example(leaf=np.array([[_INT64.min, -1], [0, _INT64.max]]), depth=1)
+@example(leaf=np.array([-7, 10, 100, -1000, 5, 0]), depth=0)
+@example(leaf=np.zeros((2, 0, 3), np.int64), depth=1)
+@example(leaf=np.ones((1, 1, 1, 1), np.int32), depth=2)
+@example(leaf=np.arange(-3, 9).reshape(3, 4).T, depth=0)  # not C-contiguous
+@example(leaf=(np.arange(6) * (1 + 0.5j)).reshape(2, 3).T, depth=0)
+@example(leaf=np.array([[-0.0 - 0.0j, 5e-324 + 1e22j], [1j, -1.5 + 0j]]), depth=1)
+@example(leaf=np.array([complex("nan+infj"), -0.0j]), depth=0)
+def test_report_writer_writes_array_leaves_as_json_dumps(leaf, depth):
+    doc = leaf
+    for _ in range(depth):
+        doc = {"x": [doc, 1], "y": "z"}
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True, default=plain)

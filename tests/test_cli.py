@@ -583,8 +583,8 @@ def _short_selftest(monkeypatch):
       "--surgery", "builtin:lens_3_1"), 2),
     (_short_selftest, 2),
 ], ids=["zoo", "validate", "validate-failing", "center", "modular-data-fibonacci",
-        "modular-data-vec_z5", "modular-data-vec_z7", "invariant-statesum", "invariant-surgery",
-        "compare", "compare-failing", "selftest-failing"])
+        "modular-data-vec_z5", "modular-data-vec_z7", "invariant-statesum",
+        "invariant-surgery", "compare", "compare-failing", "selftest-failing"])
 def test_report_writer_matches_json_dumps(capsys, monkeypatch, argv, want):
     if callable(argv):
         argv = argv(monkeypatch)

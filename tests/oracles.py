@@ -1400,9 +1400,10 @@ def degenerate_draws(monkeypatch, module, lumped):
 
 
 def plain(o):
-    """json.dumps default for a report's array leaves: the plain lists the
-    CLI built before it wrote arrays itself, a complex matrix or vector as
-    lists of {"re", "im"} dicts and any other array through tolist()."""
+    """json.dumps default that turns a report's array leaves into the plain
+    lists they stand for: a complex array into nested lists of {"re", "im"}
+    dicts, any other array through tolist().  The reference for cli._dumps,
+    which writes the arrays without building these lists."""
     if isinstance(o, (complex, np.complexfloating)):
         return {"re": float(o.real), "im": float(o.imag)}
     if isinstance(o, np.ndarray):

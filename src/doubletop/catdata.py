@@ -266,23 +266,25 @@ def _category_parts(doc):
     """Constructor arguments (names, dual, N, qdims, fentries, rsymbols)."""
     labels = doc["labels"]
     ids = [l["id"] for l in labels]
-    if ids != list(range(len(ids))):
+    if ids != list(range(len(ids))) or any(isinstance(i, bool) for i in ids):
         raise CategoryError("label ids must be dense 0..n-1")
     names = [l["name"] for l in labels]
     n = len(names)
     dual = doc["dual"]
     if len(dual) != n:
         raise CategoryError("dual length != n")
+    if any(isinstance(x, bool) for x in dual):
+        raise CategoryError("dual is not an involution fixing the unit")
 
     def triple(a, b, c):
-        if not all(0 <= x < n for x in (a, b, c)):
+        if not all(0 <= x < n and not isinstance(x, bool) for x in (a, b, c)):
             raise CategoryError("label triple %s outside 0..%d" % ((a, b, c), n - 1))
         return a, b, c
 
     N = np.zeros((n, n, n), dtype=np.int64)
     for ent in doc["fusion"]:
         mult = ent["mult"]
-        if not isinstance(mult, numbers.Real) or mult % 1 != 0:
+        if not isinstance(mult, numbers.Real) or isinstance(mult, bool) or mult % 1 != 0:
             raise CategoryError("fusion multiplicity %r must be an integer" % (mult,))
         N[triple(ent["i"], ent["j"], ent["k"])] = mult
     qdims = [float(x) for x in doc["qdims"]]
@@ -292,7 +294,7 @@ def _category_parts(doc):
     for ent in doc.get("sixj", []):
         if len(ent["labels"]) != 6 or len(ent["basis"]) != 4:
             raise CategoryError("sixj entry needs 6 labels and 4 basis indices")
-        if not all(isinstance(x, numbers.Real) and x % 1 == 0
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and x % 1 == 0
                    for x in list(ent["labels"]) + list(ent["basis"])):
             raise CategoryError("sixj labels and basis indices must be integers")
         fentries.append(
@@ -372,6 +374,13 @@ def dump_category(cat):
 
 
 def _zoo_vec_zn(nmod):
+    # ask for F's nmod**6 entries before any per-label work, so that an nmod
+    # whose F cannot exist fails at once; numpy's own MemoryError names the
+    # size, and a size past its index range raises ValueError
+    try:
+        np.empty((nmod,) * 6, dtype=complex)
+    except ValueError as exc:
+        raise MemoryError("F of vec_z%d has %d**6 entries: %s" % (nmod, nmod, exc)) from exc
     names = ["e"] + ["g%d" % k for k in range(1, nmod)]
     dual = [(-k) % nmod for k in range(nmod)]
     N = np.zeros((nmod, nmod, nmod), dtype=np.int64)

@@ -326,17 +326,10 @@ def twist_element(alg):
 
 def characters(alg, dec):
     """chi[i, t] = Tr rho_i(X_t) = Tr_reg(pi_i X_t) / n_i on the raw tubes X_t,
-    in basis order; Tr_reg(e_j e_t) is one product of C with the regular trace.
-    pi_i is first purified to 3 pi_i^2 - 2 pi_i^3: exact to first order at a
-    central idempotent, so chi rounds as the irreps do."""
-    P = []
-    for pi in dec.projections:  # products over the nonzeros only
-        s = np.flatnonzero(pi)
-        sq = np.einsum("a,b,abk->k", pi[s], pi[s], alg.C[np.ix_(s, s)])
-        t = np.flatnonzero(sq)
-        P.append(3 * sq - 2 * np.einsum("a,b,abk->k", sq[t], pi[s], alg.C[np.ix_(t, s)]))
+    in basis order, from dec's purified pi_i; Tr_reg(e_j e_t) is one product
+    of C with the regular trace."""
     K = (alg.C.reshape(-1, alg.dim) @ alg._treg).reshape(alg.dim, alg.dim)
-    return np.array(P) @ K * alg.scale / np.array(dec.n)[:, None]
+    return np.array(dec.projections) @ K * alg.scale / np.array(dec.n)[:, None]
 
 
 def compute_T(alg, dec):

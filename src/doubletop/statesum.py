@@ -125,7 +125,7 @@ class Triangulation:
         self.pi1 = pi1
         if self.n_tets == 0:
             raise TriangulationError("empty triangulation")
-        if any(s not in (-1, 1) for (_, s) in tets_signs):
+        if any(s not in (-1, 1) or isinstance(s, bool) for (_, s) in tets_signs):
             raise TriangulationError("tetrahedron sign must be +1 or -1")
         self.signs = [int(s) for (_, s) in tets_signs]
         if gluings is None:
@@ -136,10 +136,11 @@ class Triangulation:
             self.gluings = [((ta, fa), (tb, fb)) for (ta, fa), (tb, fb) in gluings]
         except (TypeError, ValueError) as exc:
             raise TriangulationError("malformed gluing list: %s" % exc) from exc
-        if not all(isinstance(x, numbers.Integral)
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
                    for pair in self.gluings for slot in pair for x in slot):
             raise TriangulationError("gluing slots must be integer (tet, face) pairs")
         if n_vertices is not None and (not isinstance(n_vertices, numbers.Real)
+                                       or isinstance(n_vertices, bool)
                                        or n_vertices % 1 != 0):
             raise TriangulationError("vertex count must be an integer")
         self._validate_pairing()

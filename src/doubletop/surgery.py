@@ -40,7 +40,7 @@ class PlumbingGraph:
         for v, f in framings:
             if v in self.framing:
                 raise SurgeryError("duplicate vertex id %r" % (v,))
-            if not isinstance(f, numbers.Real) or f % 1 != 0:
+            if not isinstance(f, numbers.Real) or isinstance(f, bool) or f % 1 != 0:
                 raise SurgeryError("framing of vertex %r must be an integer" % (v,))
             if not _INT64_MIN <= f <= _INT64_MAX:
                 # the linking matrix is int64
@@ -91,7 +91,7 @@ class PlumbingGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise SurgeryError("malformed plumbing document: %s" % exc) from exc
         for v in [v for v, _ in framings] + [v for edge in edges for v in edge]:
-            if not isinstance(v, (int, str)):
+            if not isinstance(v, (int, str)) or isinstance(v, bool):
                 raise SurgeryError("vertex id %r must be an integer or a string" % (v,))
         return cls(framings, edges, name=name)
 

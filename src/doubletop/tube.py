@@ -20,7 +20,9 @@ central projections pi_i, 1 = sum_i pi_i and sum n_i^2 = dim.
 `center_decompose` reads every minimal left ideal off the eigenspaces of
 right multiplication by one random Hermitian element, groups the ideals
 into blocks by the trace of left multiplication on them, and projects the
-identity onto each block.
+identity onto each block.  One step pi -> 3 pi^2 - 2 pi^3 purifies each
+projection, with no star symmetrization: the result is idempotent and
+self-adjoint to rounding.
 """
 
 import numpy as np
@@ -233,6 +235,7 @@ def build_tube_algebra(cat):
 class CenterDecomposition:
     """Resolution of the identity into central projections.
 
+    The projections are purified, idempotent and self-adjoint to rounding.
     Blocks are ordered with the vacuum first, then by ascending quantum
     dimension (Markov trace of pi_i over n_i), then block dimension.
     `p[i] = projections[i] / n[i]` are the unit vectors the modular data
@@ -292,7 +295,8 @@ def center_decompose(alg, seed=None):
     ideals (`_spectral_blocks`); the ideals of block i span the block, and
     pi_i is the orthogonal projection of the identity onto it.  A draw is
     reseeded, up to 8 times, when its spectrum is degenerate or a projector
-    misses idempotency by 1e-12.
+    misses idempotency by 1e-12.  The accepted pi_i are purified once, to
+    3 pi_i^2 - 2 pi_i^3, which needs no star symmetrization.
     """
     if seed is None:
         seed = CENTER_SEED
@@ -305,10 +309,11 @@ def center_decompose(alg, seed=None):
         if spaces is None:
             continue  # degenerate draw, reseed
         P = np.array([B @ (B.conj().T @ alg.identity) for B in spaces])
-        P = 0.5 * (P + np.conj(P) @ alg.St.T)  # pi + star(pi), row by row
-        # pi.pi for every block at once, one pass over C
-        sq = np.einsum("rj,rjk->rk", P, (P @ alg.C.reshape(dim, -1)).reshape(-1, dim, dim))
+        # left multiplications by every pi_r, x @ M[r] = pi_r.x: one pass over C
+        M = (P @ alg.C.reshape(dim, -1)).reshape(-1, dim, dim)
+        sq = (P[:, None] @ M)[:, 0]
         if np.max(np.abs(sq - P)) < _IDEMPOTENT_TOL:
+            P = 3 * sq - 2 * (sq[:, None] @ M)[:, 0]  # 3 pi^2 - 2 pi^3
             break
     else:
         raise CenterError("no draw split the center into idempotents "

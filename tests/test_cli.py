@@ -248,6 +248,18 @@ def test_memory_exhaustion_exits_3_with_one_line(capsys, monkeypatch, exc, line)
     assert code == 3 and out is None and err == line
 
 
+@pytest.mark.parametrize("nmod", [10 ** 7, 500, 10 ** 21])
+def test_oversized_vec_zn_fails_fast(nmod):
+    # F has nmod**6 entries: numpy refuses it (past its index range, or 222
+    # PiB at 500) before any list of nmod labels or nmod**3 F-entries is built
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(doubletop.__file__)))
+    res = subprocess.run([sys.executable, "-m", "doubletop.cli", "modular-data",
+                          "--category", "zoo:vec_z%d" % nmod],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr.startswith("memory error: ") and res.stderr.count("\n") == 1
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     parsers = []
     parse = cli._Parser.parse_args
@@ -329,6 +341,19 @@ def _s3_twotet_with_face(face):
     return doc
 
 
+def _edited(doc, *path, value):
+    """A copy of doc with the entry at path set to value."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_ISING = dump_category(zoo("ising"))
+
+
 @pytest.mark.parametrize("argv,doc", [
     (_CATEGORY, [1, 2]),
     (_CATEGORY, _fibonacci_with_string_qdim()),
@@ -360,6 +385,19 @@ def _s3_twotet_with_face(face):
     (_STATESUM, dict(_S3_TWOTET, vertices=[2])),
     (_STATESUM, dict(_S3_TWOTET, vertices=float("nan"))),
     (_SURGERY, {"vertices": [{"id": 0, "framing": 10 ** 20}], "edges": []}),
+    # JSON booleans where an integer is wanted: true would pass as 1, false as 0
+    (_SURGERY, {"vertices": [{"id": 0, "framing": True}], "edges": []}),
+    (_SURGERY, {"vertices": [{"id": True, "framing": 1}], "edges": []}),
+    (_STATESUM, _edited(_S3_TWOTET, "tets", 0, "sign", value=True)),
+    (_STATESUM, _s3_twotet_with_face(True)),
+    (_STATESUM, dict(_S3_TWOTET, vertices=True)),
+    (_CATEGORY, _edited(_ISING, "fusion", 1, "mult", value=True)),
+    (_CATEGORY, _edited(_ISING, "fusion", 1, "j", value=True)),
+    (_CATEGORY, _edited(_ISING, "labels", 1, "id", value=True)),
+    (_CATEGORY, _edited(_ISING, "dual", 1, value=True)),
+    (_CATEGORY, _edited(_ISING, "sixj", 0, "labels", 0, value=True)),
+    (_CATEGORY, _edited(_ISING, "sixj", 0, "basis", 0, value=False)),
+    (_CATEGORY, _edited(_ISING, "rsymbols", 0, "a", value=True)),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
@@ -372,7 +410,12 @@ def _s3_twotet_with_face(face):
         "category-mult-beyond-int64", "category-missing-r-symbol",
         "triangulation-string-face", "triangulation-float-face",
         "triangulation-list-vertex-count", "triangulation-nan-vertex-count",
-        "plumbing-framing-beyond-int64"])
+        "plumbing-framing-beyond-int64", "plumbing-bool-framing", "plumbing-bool-id",
+        "triangulation-bool-sign", "triangulation-bool-face",
+        "triangulation-bool-vertex-count", "category-bool-mult",
+        "category-bool-fusion-label", "category-bool-id", "category-bool-dual",
+        "category-bool-sixj-label", "category-bool-sixj-basis",
+        "category-bool-r-symbol-label"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -515,6 +558,33 @@ def test_modular_data_reports_its_stages(capsys):
     code, doc, _ = run(capsys, "modular-data", "--category", "zoo:ising")
     assert code == 0
     assert set(doc["timings_ms"]) == {"load", *STAGES}
+
+
+@pytest.mark.parametrize("name", ["vec_z%d" % k for k in range(3, 13)] + ["vec_s3"])
+def test_qdims_and_projections_are_exact(capsys, monkeypatch, tmp_path, name):
+    # the center's projections come out purified: idempotent and self-adjoint
+    # to rounding, so the quantum dimensions (1, 2 or 3 here) are exact to
+    # 2e-15 in the decomposition and in the report.  Raw spectral projectors
+    # missed idempotency by 1.2e-13 and qdims by 3.0e-13 (vec_z6)
+    category = "zoo:" + name
+    if name == "vec_s3":
+        category = tmp_path / "vec_s3.json"
+        category.write_text(json.dumps(vec_s3_document()))
+    mds = []
+
+    def kept(cat):
+        mds.append(modulardata.compute_modular_data(cat))
+        return mds[-1]
+
+    monkeypatch.setattr(cli, "compute_modular_data", kept)
+    code, doc, _ = run(capsys, "modular-data", "--category", str(category))
+    assert code == 0
+    alg, dec = mds[0].alg, mds[0].dec
+    for qdims in (dec.qdims, doc["results"]["qdims"]):
+        assert np.max(np.abs(np.subtract(qdims, np.round(qdims)))) <= 2e-15
+    for pi in dec.projections:
+        assert np.max(np.abs(alg.product(pi, pi) - pi)) <= 1e-15
+        assert np.max(np.abs(alg.star(pi) - pi)) <= 1e-15
 
 
 def test_center_reports_its_stages(capsys):

@@ -1,5 +1,6 @@
 """S/T matrices, half-braidings, Verlinde fusion, and their oracles."""
 
+import copy
 import itertools
 from types import SimpleNamespace
 
@@ -114,12 +115,37 @@ def test_irreps_match_minimal_projection_oracle(mds, vec_s3_md, name):
 def test_characters_are_traces_of_the_irreps(mds, vec_s3_md, name):
     # chi_i(X_t) = scale_t Tr rho_i(e_t), read from the central projections
     # without an irrep.  Unpurified projections miss the irreps' traces by
-    # up to 3e-13 on vec_z6 and vec_z9; purified, by 3e-15 at most
+    # up to 3e-13 on vec_z6 and vec_z9; purified, by 2.2e-15 at most
     md = _md(mds, vec_s3_md, name)
     alg = md.alg
     want = irrep_characters(alg, modulardata.block_irreps(alg, md.dec))
     got = characters(alg, md.dec)
-    assert np.max(np.abs(got - want * alg.scale)) < 2e-14
+    assert np.max(np.abs(got - want * alg.scale)) < 5e-15
+
+
+class _CountedSlices(np.ndarray):
+    """An array that records every index taken of it or of its views."""
+
+    def __array_finalize__(self, obj):
+        self.slices = getattr(obj, "slices", [])
+
+    def __getitem__(self, key):
+        self.slices.append(key)
+        return super().__getitem__(key)
+
+
+def test_characters_are_one_product(mds):
+    # characters reads C through one product: no slice or gather of C, and
+    # no purification, which center_decompose has done already, so chi is
+    # linear in the projections
+    md = mds["ising"]
+    alg, dec = copy.copy(md.alg), copy.copy(md.dec)
+    alg.C = md.alg.C.view(_CountedSlices)
+    got = np.asarray(characters(alg, dec))
+    assert alg.C.slices == []
+    assert np.array_equal(got, characters(md.alg, md.dec))
+    dec.projections = [2 * pi for pi in dec.projections]
+    assert np.array_equal(characters(md.alg, dec), 2 * got)
 
 
 # -- half-braidings ------------------------------------------------------------
@@ -869,6 +895,9 @@ def test_gauge_transform_keeps_invariants(name, seed):
     assert np.allclose(got.S, want.S, rtol=0, atol=1e-12)
     assert np.allclose(got.T, want.T, rtol=0, atol=1e-12)
     assert np.array_equal(got.N, want.N)
+    # each side is within 1.1e-15 of the exact value; they differ by up to
+    # 2.0e-15 (fibonacci, seed 1), where raw projections gave up to 3.4e-14
+    assert np.max(np.abs(np.subtract(got.qdims, want.qdims))) < 3e-15
     for tri in ("s3", "lens_3_1", "rp3"):
         tri = builtin_triangulation(tri)
         assert abs(state_sum(gauged, tri) - state_sum(cat, tri)) < 1e-12

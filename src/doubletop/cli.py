@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -222,7 +223,10 @@ def _dumps(o, pad=""):
 
 def _emit(doc):
     """Print doc byte-identical to json.dumps(indent=2, sort_keys=True)."""
-    print(_dumps(doc))
+    try:
+        print(_dumps(doc), flush=True)
+    except BrokenPipeError:  # read by `| head -1`: keep the exit quiet and its code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _envelope(command, argv, timings, category=None, residuals=None,

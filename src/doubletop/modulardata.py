@@ -2,9 +2,13 @@
 
 S and T are read off the Verlinde basis, the minimal central projections
 pi_i of the tube algebra: block i acts by an irreducible *-representation
-rho_i of dimension n_i, with character chi_i = Tr_reg(pi_i .) / n_i.  T is
-the scalar by which the central twist tube acts on each block; S, the trace
-of the double braiding of two blocks, is solved for from the characters.
+rho_i of dimension n_i.  The tube basis is orthonormal for the Markov form
+<x, y> = tau(y* x); tau is tracial, q_i Tr rho_i on block i, so the pi_i
+are their own dual basis: Tr rho_i(x) = n_i <x, pi_i> / <pi_i, pi_i>.  The
+characters, T (the twist tube's center coordinates) and the conditional
+expectation are such inner products, so no stage after the center
+decomposition reads C.  S, the trace of the double braiding of two blocks,
+is solved for from the characters.
 All Verlinde-type axioms are asserted before a ModularData is returned.
 
 The half-braidings give the fusion rules a second time, as pair-of-pants
@@ -325,26 +329,24 @@ def twist_element(alg):
 
 
 def characters(alg, dec):
-    """chi[i, t] = Tr rho_i(X_t) = Tr_reg(pi_i X_t) / n_i on the raw tubes X_t,
-    in basis order, from dec's purified pi_i; Tr_reg(e_j e_t) is one product
-    of C with the regular trace."""
-    K = (alg.C.reshape(-1, alg.dim) @ alg._treg).reshape(alg.dim, alg.dim)
-    return np.array(dec.projections) @ K * alg.scale / np.array(dec.n)[:, None]
+    """chi[i, t] = Tr rho_i(X_t) on the raw tubes X_t = scale_t e_t, in basis
+    order: Tr rho_i(e_t) = n_i <e_t, pi_i> / <pi_i, pi_i> is n_i conj(pi_i[t])
+    over the Markov weight of pi_i, so no product is taken and C is not read."""
+    return np.conj(dec.projections) * alg.scale * (np.array(dec.n) / dec.weights)[:, None]
 
 
 def compute_T(alg, dec):
-    """Twist eigenvalues per block (the T diagonal): the central twist tube
-    L acts on each block space B_i as t_i = Tr(B_i^+ L B_i) / n_i^2, and T
-    is conj(t)."""
-    L = alg.left_mult(twist_element(alg))
-    t = []
-    for i, (B, n) in enumerate(zip(dec.block_spaces, dec.n)):
-        LB = L @ B
-        t.append(np.trace(B.conj().T @ LB) / (n * n))
-        off = float(np.max(np.abs(LB - t[i] * B)))
-        if off > _AXIOM_TOL:
-            raise ModularDataError("twist tube is not scalar on block %d "
-                                   "(residual %.3e)" % (i, off))
+    """T = conj(t), the central twist tube being L = sum_i t_i pi_i: t_i is the
+    Markov inner product <L, pi_i> / <pi_i, pi_i>.  The gate on L - t @ P says
+    that L is central; a failure names the block space that holds most of it."""
+    L = twist_element(alg)
+    t = dec.coefficients(L)
+    rest = L - t @ dec.projections
+    off = float(np.max(np.abs(rest)))
+    if off > _AXIOM_TOL:
+        i = np.argmax([np.linalg.norm(B.conj().T @ rest) for B in dec.block_spaces])
+        raise ModularDataError("twist tube is not scalar on block %d "
+                               "(residual %.3e)" % (i, off))
     return np.conj(t)
 
 
@@ -405,10 +407,9 @@ def verlinde_fusion(S):
 
 def check_U_condition(alg, dec):
     """Max deviation of the Verlinde vectors from self-adjointness."""
-    worst = max(float(np.max(np.abs(alg.star(p) - p))) for p in dec.p)
+    worst = float(np.max(np.abs(np.conj(dec.p) @ alg.St.T - dec.p)))  # star of each row
     if worst > _U_TOL:
-        raise ModularDataError("Verlinde vectors are not self-adjoint "
-                               "(%.3e)" % worst)
+        raise ModularDataError("Verlinde vectors are not self-adjoint (%.3e)" % worst)
     return worst
 
 
@@ -573,8 +574,8 @@ def compute_modular_data(cat, seed=None):
         S = compute_S(alg, chi)
     with _stage(timings, "canonical_order"):
         order = canonical_permutation(dec.qdims, T, S)
-        dec = CenterDecomposition(alg, *([x[i] for i in order] for x in (
-            dec.projections, dec.n, dec.qdims, dec.block_spaces)), dec.seed)
+        dec = CenterDecomposition(alg, dec.projections[order], *([x[i] for i in order]
+                                  for x in (dec.n, dec.qdims, dec.block_spaces)), dec.seed)
     with _stage(timings, "axioms"):
         md = ModularData(S[np.ix_(order, order)], T[np.asarray(order)],
                          dec.qdims, dec.n, alg.lam, resid)

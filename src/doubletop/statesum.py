@@ -291,6 +291,8 @@ def _triangulation_from_dict(doc):
         n_vertices, pi1 = doc.get("vertices"), doc.get("pi1")
     except (AttributeError, KeyError, TypeError) as exc:
         raise TriangulationError("malformed triangulation document: %s" % exc) from exc
+    if any(type(v) not in (int, str) for vs, _ in tets for v in vs or ()):
+        raise TriangulationError("vertex ids must be JSON integers or strings")
     return Triangulation(tets, gluings=gluings, n_vertices=n_vertices, pi1=pi1)
 
 

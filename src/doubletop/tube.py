@@ -197,9 +197,9 @@ class TubeAlgebra:
 
     def associativity_residual(self):
         """max |(e_i e_j) e_k - e_i (e_j e_k)|, one slice of i at a time."""
-        C = self.C
-        return max(float(np.max(np.abs(np.einsum("ja,akb->jkb", Ci, C)
-                                       - np.einsum("jka,ab->jkb", C, Ci))))
+        C, dim = self.C, self.dim
+        return max(float(np.max(np.abs((Ci @ C.reshape(dim, -1)).reshape(dim, dim, dim)
+                                       - C @ Ci)))
                    for Ci in C)
 
     # -- construction-time checks ----------------------------------------------
@@ -235,26 +235,31 @@ def build_tube_algebra(cat):
 class CenterDecomposition:
     """Resolution of the identity into central projections.
 
-    The projections are purified, idempotent and self-adjoint to rounding.
-    Blocks are ordered with the vacuum first, then by ascending quantum
-    dimension (Markov trace of pi_i over n_i), then block dimension.
-    `p[i] = projections[i] / n[i]` are the unit vectors the modular data
-    is written in.  `block_spaces[i]` has orthonormal columns spanning
-    block i, n_i minimal left ideals of n_i columns each; its first n_i
-    columns are one minimal left ideal, the space of the block's irrep.
-    `seed` seeds the draws that split the algebra.
+    Row i of the array `projections` is pi_i, idempotent and self-adjoint
+    to rounding.  Blocks are ordered with the vacuum first, then by
+    ascending quantum dimension (Markov trace of pi_i over n_i), then block
+    dimension.  `p = projections / n` are the unit vectors the modular data
+    is written in, and `weights[i] = <pi_i, pi_i>` their Markov weights.
+    `block_spaces[i]` has orthonormal columns spanning block i, n_i minimal
+    left ideals of n_i columns each; its first n_i columns are one minimal
+    left ideal, the space of the block's irrep.  `seed` seeds the draws.
     """
 
     def __init__(self, alg, projections, ns, qdims, block_spaces, seed):
         self.alg = alg
-        self.projections = projections
+        self.projections = P = np.asarray(projections)
         self.n = ns
         self.qdims = qdims
         self.block_spaces = block_spaces
         self.seed = seed
-        self.r_plus_1 = len(projections)
+        self.r_plus_1 = len(P)
         self.vacuum_index = 0
-        self.p = [pi / ni for pi, ni in zip(projections, ns)]
+        self.p = P / np.array(ns)[:, None]
+        self.weights = np.einsum("ij,ij->i", P.conj(), P).real
+
+    def coefficients(self, x):
+        """Center coordinates c_i(x) = <x, pi_i> / <pi_i, pi_i> = Tr rho_i(x) / n_i."""
+        return np.einsum("ij,j->i", self.projections.conj(), x) / self.weights
 
 
 def _cluster(vals, tol):
@@ -332,31 +337,19 @@ def center_decompose(alg, seed=None):
         vac = alg.vacuum_functional(pi).real
         blocks.append((pi, ni, qdim, vac, B))
 
-    if sum(b[1] ** 2 for b in blocks) != alg.dim:
+    # vacuum pairings near 1 sort first: one of them, and the rest near 0
+    blocks.sort(key=lambda b: (abs(b[3] - 1.0) >= 1e-6, round(b[2], 9), b[1]))
+    projections, ns, qdims, vacs, spaces = map(list, zip(*blocks))
+    if sum(n * n for n in ns) != alg.dim:
         raise CenterError("block dimensions do not sum to the algebra dimension")
-    vac_ids = [i for i, b in enumerate(blocks) if abs(b[3] - 1.0) < 1e-6]
-    stray = [i for i, b in enumerate(blocks)
-             if i not in vac_ids and abs(b[3]) > 1e-6]
-    if len(vac_ids) != 1 or stray:
+    if abs(vacs[0] - 1.0) >= 1e-6 or any(abs(v) > 1e-6 for v in vacs[1:]):
         raise CenterError("vacuum pairing did not single out one block")
-    if blocks[vac_ids[0]][1] != 1:
-        raise CenterError("vacuum block dimension is %d, expected 1"
-                          % blocks[vac_ids[0]][1])
-
-    def sort_key(b):
-        return (abs(b[3] - 1.0) < 1e-6 and -1 or 0, round(b[2], 9), b[1])
-
-    blocks.sort(key=sort_key)
-    projections = [b[0] for b in blocks]
-    ns = [b[1] for b in blocks]
-    qdims = [b[2] for b in blocks]
-    spaces = [b[4] for b in blocks]
+    if ns[0] != 1:
+        raise CenterError("vacuum block dimension is %d, expected 1" % ns[0])
     return CenterDecomposition(alg, projections, ns, qdims, spaces, seed)
 
 
 def conditional_expectation(alg, dec, x):
-    """Project onto the center: E(x) = sum_i (normalized block trace) pi_i."""
-    out = np.zeros(alg.dim, dtype=complex)
-    for pi, ni in zip(dec.projections, dec.n):
-        out += (alg.reg_trace(alg.product(pi, x)) / (ni * ni)) * pi
-    return out
+    """E(x) = sum_i c_i(x) pi_i, each block trace c_i(x) = Tr rho_i(x) / n_i read as
+    the Markov inner product <x, pi_i> / <pi_i, pi_i> (`dec.coefficients`), no product."""
+    return dec.coefficients(x) @ dec.projections

@@ -582,6 +582,15 @@ def associativity_residual(C):
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def conditional_expectation(alg, dec, x):
+    """E(x) = sum_i Tr_reg(pi_i x) / n_i^2 pi_i, one product over C and one
+    regular trace per block; the reference for `tube.conditional_expectation`."""
+    out = np.zeros(alg.dim, dtype=complex)
+    for pi, ni in zip(dec.projections, dec.n):
+        out += (alg.reg_trace(alg.product(pi, x)) / (ni * ni)) * pi
+    return out
+
+
 def hopf_link_S(cat, reps, braidings, lam):
     """S from the double-braiding trace, one term at a time.
 

@@ -197,6 +197,37 @@ def test_overflowing_framing_leaves_only_the_error_on_stderr(tmp_path):
                           "surgery sum (nan+nanj) (|diff| = nan)\n")
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    (("modular-data", "--category", "zoo:vec_z4"), 0, ""),
+    (("compare", "--category", "zoo:vec_z2", "--statesum", "builtin:rp3",
+      "--surgery", "builtin:lens_3_1"), 2,
+     "statesum = 1+0j  surgery = 0.5+0j  delta = 5.000e-01\n"),
+], ids=["modular-data", "compare-failing"])
+def test_closed_stdout_keeps_the_exit_code(argv, code, err):
+    # a reader that closed the pipe before the report (| head -1) is no
+    # validation failure: no message, and the command's own exit code
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(doubletop.__file__)))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        res = subprocess.run([sys.executable, "-m", "doubletop.cli", *argv], stdout=w,
+                             stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert (res.returncode, res.stderr) == (code, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_other_write_errors_exit_1():
+    # a full disk is still an error of the run
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(doubletop.__file__)))
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "doubletop.cli", "zoo"], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert res.returncode == 1
+    assert res.stderr == "error: [Errno 28] No space left on device\n"
+
+
 def test_invariant_surgery_on_a_cycle(capsys, tmp_path):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({
@@ -354,6 +385,13 @@ def _edited(doc, *path, value):
 _ISING = dump_category(zoo("ising"))
 
 
+def _s3_with_false_for_0():
+    doc = builtin_triangulation("s3").to_dict()
+    for tet in doc["tets"]:
+        tet["v"] = [False if v == 0 else v for v in tet["v"]]
+    return doc
+
+
 @pytest.mark.parametrize("argv,doc", [
     (_CATEGORY, [1, 2]),
     (_CATEGORY, _fibonacci_with_string_qdim()),
@@ -398,6 +436,9 @@ _ISING = dump_category(zoo("ising"))
     (_CATEGORY, _edited(_ISING, "sixj", 0, "labels", 0, value=True)),
     (_CATEGORY, _edited(_ISING, "sixj", 0, "basis", 0, value=False)),
     (_CATEGORY, _edited(_ISING, "rsymbols", 0, "a", value=True)),
+    # JSON booleans as vertex ids: false == 0 would label a vertex class
+    (_STATESUM, _edited(_S3_TWOTET, "tets", 1, "v", 3, value=False)),
+    (_STATESUM, _s3_with_false_for_0()),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
@@ -415,7 +456,8 @@ _ISING = dump_category(zoo("ising"))
         "triangulation-bool-vertex-count", "category-bool-mult",
         "category-bool-fusion-label", "category-bool-id", "category-bool-dual",
         "category-bool-sixj-label", "category-bool-sixj-basis",
-        "category-bool-r-symbol-label"])
+        "category-bool-r-symbol-label", "triangulation-bool-vertex-id",
+        "triangulation-bool-vertex-id-s3"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

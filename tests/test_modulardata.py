@@ -30,7 +30,9 @@ from doubletop.modulardata import (
     verlinde_fusion,
 )
 from doubletop.statesum import builtin_triangulation, state_sum
-from doubletop.tube import _basis, _structure, build_tube_algebra, center_decompose
+from doubletop.tube import (
+    CenterDecomposition, _basis, _structure, build_tube_algebra, center_decompose,
+)
 from oracles import (
     block_irreps as block_irreps_oracle,
     block_irreps_per_simple, block_twists, braiding_twists,
@@ -123,29 +125,35 @@ def test_characters_are_traces_of_the_irreps(mds, vec_s3_md, name):
     assert np.max(np.abs(got - want * alg.scale)) < 5e-15
 
 
-class _CountedSlices(np.ndarray):
-    """An array that records every index taken of it or of its views."""
-
-    def __array_finalize__(self, obj):
-        self.slices = getattr(obj, "slices", [])
-
-    def __getitem__(self, key):
-        self.slices.append(key)
-        return super().__getitem__(key)
-
-
 def test_characters_are_one_product(mds):
-    # characters reads C through one product: no slice or gather of C, and
-    # no purification, which center_decompose has done already, so chi is
-    # linear in the projections
+    # characters is one elementwise product with the projections: it reads
+    # no C, and does not purify, which center_decompose has done already.
+    # From 2 pi_i it gives chi_i / 2, since <2 pi_i, 2 pi_i> = 4 <pi_i, pi_i>
     md = mds["ising"]
-    alg, dec = copy.copy(md.alg), copy.copy(md.dec)
-    alg.C = md.alg.C.view(_CountedSlices)
-    got = np.asarray(characters(alg, dec))
-    assert alg.C.slices == []
+    alg, dec = copy.copy(md.alg), md.dec
+    del alg.C
+    got = characters(alg, dec)
     assert np.array_equal(got, characters(md.alg, md.dec))
-    dec.projections = [2 * pi for pi in dec.projections]
-    assert np.array_equal(characters(md.alg, dec), 2 * got)
+    doubled = CenterDecomposition(alg, 2 * dec.projections, dec.n, dec.qdims,
+                                  dec.block_spaces, dec.seed)
+    assert np.array_equal(characters(alg, doubled), got / 2)
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "vec_z4"])
+def test_no_stage_after_the_center_reads_C(mds, monkeypatch, name):
+    # characters, the U condition, T, S, the canonical order and the axioms
+    # run on the projections alone: with C gone, S and T keep their bits
+    real = modulardata.center_decompose
+
+    def forgetful(alg, seed=None):
+        dec = real(alg, seed=seed)
+        del alg.C
+        return dec
+
+    monkeypatch.setattr(modulardata, "center_decompose", forgetful)
+    md = compute_modular_data(dt.zoo(name))
+    assert not hasattr(md.alg, "C")
+    assert np.array_equal(md.S, mds[name].S) and np.array_equal(md.T, mds[name].T)
 
 
 # -- half-braidings ------------------------------------------------------------

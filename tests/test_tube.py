@@ -19,6 +19,7 @@ from doubletop.tube import (
     center_decompose,
     conditional_expectation,
 )
+from oracles import conditional_expectation as expectation_oracle
 from oracles import (
     associativity_residual, center_by_commutant, count_calls, degenerate_draws,
     gauge_transform, multiplicity_ring, raw_star, raw_structure,
@@ -572,6 +573,19 @@ def test_expectation_matches_brute_force_on_vec_z2(decs):
         for pi, n in zip(dec.projections, dec.n)
     )
     assert np.allclose(conditional_expectation(alg, dec, b), hand, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7"])
+def test_expectation_matches_per_block_oracle(decs, name):
+    # c_i(x) = <x, pi_i> / <pi_i, pi_i> meets Tr_reg(pi_i x) / n_i^2 per block
+    dec = decs[name] if name in decs else center_decompose(build_tube_algebra(dt.zoo(name)))
+    alg = dec.alg
+    rng = np.random.default_rng(41)
+    xs = [rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim),
+          alg.identity, dec.projections[-1], alg.basis_element(alg.dim - 1)]
+    for x in xs:
+        got = conditional_expectation(alg, dec, x)
+        assert np.max(np.abs(got - expectation_oracle(alg, dec, x))) < 1e-13
 
 
 def test_commutative_center_is_everything(decs):

@@ -110,8 +110,8 @@ class CategoryData:
                     and 0 <= mu < N[b, c, f] and 0 <= nu < N[a, f, dd]):
                 raise CategoryError(
                     "multiplicity/F-tensor shape mismatch: entry (%d,%d,%d;%d) "
-                    "basis (%d,%d|%d,%d) outside admissible ranges"
-                    % (a, b, c, dd, e, f, al, mu)
+                    "e=%d f=%d basis (%d,%d|%d,%d) outside admissible ranges"
+                    % (a, b, c, dd, e, f, al, be, mu, nu)
                 )
             if 0 in (a, b, c):
                 # unit gauge: ignore provided values after checking consistency
@@ -262,6 +262,14 @@ def _category_from_dict(doc, validate=True):
     return CategoryData(*parts, validate=validate)
 
 
+def _ints(xs, what):
+    """Integral JSON numbers as ints (1.0 reads as 1); else an error naming `what`."""
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and x % 1 == 0
+               for x in xs):
+        raise CategoryError("%s must be integers" % what)
+    return [int(x) for x in xs]
+
+
 def _category_parts(doc):
     """Constructor arguments (names, dual, N, qdims, fentries, rsymbols)."""
     labels = doc["labels"]
@@ -270,23 +278,20 @@ def _category_parts(doc):
         raise CategoryError("label ids must be dense 0..n-1")
     names = [l["name"] for l in labels]
     n = len(names)
-    dual = doc["dual"]
+    dual = _ints(doc["dual"], "dual entries")
     if len(dual) != n:
         raise CategoryError("dual length != n")
-    if any(isinstance(x, bool) for x in dual):
-        raise CategoryError("dual is not an involution fixing the unit")
 
-    def triple(a, b, c):
-        if not all(0 <= x < n and not isinstance(x, bool) for x in (a, b, c)):
-            raise CategoryError("label triple %s outside 0..%d" % ((a, b, c), n - 1))
-        return a, b, c
+    def triple(what, *abc):
+        abc = tuple(_ints(abc, what + " labels"))
+        if not all(0 <= x < n for x in abc):
+            raise CategoryError("label triple %s outside 0..%d" % (abc, n - 1))
+        return abc
 
     N = np.zeros((n, n, n), dtype=np.int64)
     for ent in doc["fusion"]:
-        mult = ent["mult"]
-        if not isinstance(mult, numbers.Real) or isinstance(mult, bool) or mult % 1 != 0:
-            raise CategoryError("fusion multiplicity %r must be an integer" % (mult,))
-        N[triple(ent["i"], ent["j"], ent["k"])] = mult
+        mult = _ints([ent["mult"]], "fusion multiplicities")[0]
+        N[triple("fusion", ent["i"], ent["j"], ent["k"])] = mult
     qdims = [float(x) for x in doc["qdims"]]
     if len(qdims) != n:
         raise CategoryError("qdims length != n")
@@ -294,20 +299,17 @@ def _category_parts(doc):
     for ent in doc.get("sixj", []):
         if len(ent["labels"]) != 6 or len(ent["basis"]) != 4:
             raise CategoryError("sixj entry needs 6 labels and 4 basis indices")
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and x % 1 == 0
-                   for x in list(ent["labels"]) + list(ent["basis"])):
-            raise CategoryError("sixj labels and basis indices must be integers")
-        fentries.append(
-            (tuple(map(int, ent["labels"])), tuple(map(int, ent["basis"])),
-             complex(ent["re"], ent.get("im", 0.0)))
-        )
+        ix = _ints(list(ent["labels"]) + list(ent["basis"]),
+                   "sixj labels and basis indices")
+        fentries.append((tuple(ix[:6]), tuple(ix[6:]), complex(ent["re"], ent.get("im", 0.0))))
     rsymbols = None
     if doc.get("rsymbols"):
         rsymbols = {}
         for ent in doc["rsymbols"]:
             if tuple(ent.get("basis", [0, 0])) != (0, 0):
                 raise CategoryError("R-symbols with multiplicity > 1 unsupported")
-            rsymbols[triple(ent["a"], ent["b"], ent["c"])] = complex(ent["re"], ent.get("im", 0.0))
+            key = triple("R-symbol", ent["a"], ent["b"], ent["c"])
+            rsymbols[key] = complex(ent["re"], ent.get("im", 0.0))
     return names, dual, N, qdims, fentries, rsymbols
 
 

@@ -11,8 +11,9 @@ decomposition reads C.  S, the trace of the double braiding of two blocks,
 is solved for from the characters.
 All Verlinde-type axioms are asserted before a ModularData is returned.
 
-The half-braidings give the fusion rules a second time, as pair-of-pants
-intertwiner dimensions (pants_dims).  block_irreps grades each block's
+The half-braidings give the fusion rules a second time, as the traces
+Tr rho_ij(pi_k) / n_k of the central projections on the product of two
+blocks (pants_dims).  block_irreps grades each block's
 representation space by the simples xi of the input category, m_{i,xi}
 copies each, with the corner idempotents X(xi,xi,e,xi,0,0).  The
 half-braiding of block i is one array E_i[sigma, delta, p, a, q, b]:
@@ -37,7 +38,6 @@ _EXTRACT_TOL = 1e-6
 _AXIOM_TOL = 1e-8
 _VERLINDE_TOL = 1e-6  # distance of the Verlinde numbers from integers
 _U_TOL = 1e-9  # self-adjointness of the Verlinde vectors
-_PANTS_GAP = 1e6  # singular-value ratio that separates a pants null space
 
 # ModularData.timings_ms keys in run order; "axioms" is ModularData and 1/S_00.
 STAGES = ("tube", "center", "characters", "u_condition", "T", "S",
@@ -350,25 +350,16 @@ def compute_T(alg, dec):
     return np.conj(t)
 
 
-def compute_S(alg, chi):
-    """S matrix from the double-braiding (Hopf link) trace.
-
-    The trace reads only Q_i[sigma, xi, delta, u, w] = sum over p of grade
-    xi of E_i[sigma, delta, p, u, p, w].  On the torus tubes X(xi, xi, ...),
-    so traced over those p, the equations of extract_half_braidings have
-    Q_i as unknowns and the characters chi_i there as right side: one
-    square solve, block diagonal in (sigma, xi).
-
-    The raw trace is the right-handed Hopf link; the twist convention
-    (dyon (g, chi) has twist chi(g)) pairs with the left-handed one, so
-    the result is conjugated to make (ST)^3 = S^2 hold.
-    """
+def _torus_system(alg):
+    """The torus tubes X(xi, xi, ...), the mask `free` of the admissible
+    entries Q[sigma, xi, k, u, w] of a traced half-braiding (u < N[sigma,
+    xi, k], w < N[xi, sigma, k]), and the square matrix A that maps Q[free],
+    in C order, to the character on the torus tubes: the equations of
+    extract_half_braidings traced over the components of grade xi."""
     cat = alg.cat
     N, slot = cat.N, np.arange(cat.F.shape[-1])
     torus = np.flatnonzero(alg.basis[:, 0] == alg.basis[:, 1])
     xi, sig = alg.basis[torus, 0], np.asarray(cat.dual)[alg.basis[torus, 2]]
-    # the unknowns: the admissible Q[sigma, xi, k, u, w], u < N[sigma, xi, k]
-    # and w < N[xi, sigma, k], in C order; one equation per torus tube
     free = ((slot < N[..., None])[..., None]
             & (slot < N.transpose(1, 0, 2)[..., None])[..., None, :])
     A = np.zeros((len(torus),) + free.shape, dtype=complex)
@@ -377,9 +368,25 @@ def compute_S(alg, chi):
     A = A.reshape(len(torus), -1)[:, free.ravel()]
     if A.shape[0] != A.shape[1]:
         raise ModularDataError("the torus-tube system of S is not square")
+    return torus, A, free
+
+
+def compute_S(alg, chi):
+    """S matrix from the double-braiding (Hopf link) trace.
+
+    The trace reads only Q_i[sigma, xi, delta, u, w] = sum over p of grade
+    xi of E_i[sigma, delta, p, u, p, w].  The torus-tube system has Q_i as
+    unknowns and the characters chi_i on the torus tubes as right side:
+    one square solve, block diagonal in (sigma, xi).
+
+    The raw trace is the right-handed Hopf link; the twist convention
+    (dyon (g, chi) has twist chi(g)) pairs with the left-handed one, so
+    the result is conjugated to make (ST)^3 = S^2 hold.
+    """
+    torus, A, free = _torus_system(alg)
     Q = np.zeros((len(chi),) + free.shape, dtype=complex)
     Q[:, free] = np.linalg.solve(A, chi[:, torus].T).T
-    stilde = np.einsum("d,jxyduw,iyxdwu->ij", cat.d, Q, Q, optimize=True)
+    stilde = np.einsum("d,jxyduw,iyxdwu->ij", alg.cat.d, Q, Q, optimize=True)
     return np.conj(stilde) / alg.lam
 
 
@@ -588,59 +595,43 @@ def compute_modular_data(cat, seed=None):
 
 
 # ---------------------------------------------------------------------------
-# pair-of-pants fusion dimensions
+# fusion rules as traces of the central projections
 # ---------------------------------------------------------------------------
 
 
 def pants_dims(alg, dec, reps, braidings):
-    """Fusion multiplicities as dimensions of half-braiding intertwiners.
-
-    N_ij^k counts maps phi: Gamma_i x Gamma_j -> Gamma_k with
-    E_k (phi x 1) = (1 x phi) E_ij, where E_ij is the half-braiding of the
-    product, built from E_i and E_j by three F-moves; computed as SVD
-    nullities of the stacked constraint systems, with an explicit
-    spectral gap check.
-    """
-    cat = alg.cat
-    F, N, msize = cat.F, cat.N, cat.F.shape[-1]
+    """Fusion multiplicities N_ij^k = Tr rho_ij(pi_k) / n_k, rho_ij the tube
+    action on Gamma_i x Gamma_j.  Per pair, one einsum traces the product's
+    half-braiding (E_i and E_j through three F-moves, never formed) over the
+    components of each fused grade; A of the torus-tube system maps that to
+    the character on the torus tubes, which hold the center, and one product
+    with the projections gives every k.  Raises on a trace 1e-6 off integers."""
+    F = alg.cat.F
+    torus, A, free = _torus_system(alg)
+    # Tr rho(pi_k) / n_k = sum_t pi_k[t] Tr rho(X_t) / scale_t / n_k
+    pair = (dec.projections[:, torus] / alg.scale[torus]
+            / np.array(dec.n)[:, None]).T
     r1 = len(reps)
-    out = np.zeros((r1, r1, r1), dtype=np.int64)
-    spec = "pqzdefcmun,zfQaqu,pQzdgfshan,zgPtps,zPQdgxthyw->zdPQxywpqecm"
+    chi = np.empty((r1, r1, len(torus)), dtype=complex)
+    spec = "pqzdefcmun,zfqaqu,pqzdgfshan,zgptps,zpqdgethcw->zedwm"
     path = None
     for i, j in np.ndindex(r1, r1):
         li, lj = reps[i].labels[:, None], reps[j].labels[None, :]
-        # E_ij[zeta, delta, P, Q, f2, c2, m2, p, q, eps, c, m]: the product
-        # component (p, q) fused to eps by c, strand zeta, charge delta;
-        # one contraction order, found once, serves every pair
+        # Q[zeta, eps, delta, w, m]: E_ij traced over the components (p, q)
+        # fused to eps by c; one contraction order, found once, serves every pair
         ops = (F[li, lj], braidings[j], F[li, :, lj].conj(), braidings[i],
                F[:, li, lj])
         path = path or np.einsum_path(spec, *ops, optimize="greedy")[0]
-        Eij = np.einsum(spec, *ops, optimize=path)
-        Nij = N[li, lj]
-        fused = set(np.flatnonzero(Nij.any(axis=(0, 1))).tolist())
-        for k in range(r1):
-            if fused.isdisjoint(reps[k].m):
-                continue
-            lk = reps[k].labels
-            # phi[p, q, c, r]: component (p, q) fused by c into slot r of k
-            phi = np.arange(msize)[:, None] < Nij[:, :, None, lk]
-            onto = np.einsum("pP,qQ,cC,Re,zdSaRm->zdpqecmSaPQCR",
-                             np.eye(len(li)), np.eye(lj.size), np.eye(msize),
-                             np.equal.outer(lk, np.arange(cat.n)), braidings[k])
-            back = np.einsum("RS,zdPQSCapqecm->zdpqecmSaPQCR",
-                             np.eye(len(lk)), Eij[:, :, :, :, lk])
-            A = (onto - back).reshape(-1, phi.size)[:, phi.ravel()]
-            sv = np.linalg.svd(A, compute_uv=False)
-            top = sv[0] if sv.size else 1.0
-            null = int(np.sum(sv < 1e-7 * max(top, 1.0)))
-            if null and sv.size > null:
-                if sv[-null - 1] / max(sv[-null], 1e-300) < _PANTS_GAP \
-                        and sv[-null - 1] < 1e-3:
-                    raise ModularDataError(
-                        "pants nullity for (%d,%d,%d) has no spectral gap"
-                        % (i, j, k))
-            out[i, j, k] = null
-    return out
+        chi[i, j] = A @ np.einsum(spec, *ops, optimize=path)[free]
+    tr = chi @ pair
+    out = np.round(tr.real)
+    off = np.abs(tr - out)
+    bad = ~(off <= _VERLINDE_TOL)  # nan included
+    if bad.any():
+        i, j, k = np.unravel_index(np.argmax(bad), off.shape)
+        raise ModularDataError("pants trace for (%d,%d,%d) is %.3e from an integer"
+                               % (i, j, k, off[i, j, k]))
+    return out.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +647,11 @@ def group_double_oracle(nmod):
     the exponent sign on S is the one that makes (ST)^3 = S^2 with this t.
     """
     labels = [(g, j) for g in range(nmod) for j in range(nmod)]
-    w = np.exp(2j * np.pi / nmod)
-    S = np.array([[w ** -(j * h + k * g) / nmod
-                   for (h, k) in labels] for (g, j) in labels])
-    T = np.array([w ** (j * g) for (g, j) in labels])
-    return S, T, labels
+    g, j = np.divmod(np.arange(nmod * nmod), nmod)
+    m = np.vstack([-(np.outer(j, g) + np.outer(g, j)), j * g])
+    # w^m is one exp at m reduced mod n into [-n/2, n/2), within 1e-15 of exact
+    w = np.exp(2j * np.pi * ((m + nmod // 2) % nmod - nmod // 2) / nmod)
+    return w[:-1] / nmod, w[-1], labels
 
 
 def match_blocks(S_a, T_a, S_b, T_b, tol=1e-8):

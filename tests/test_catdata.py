@@ -2,6 +2,7 @@ import cmath
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,12 +188,19 @@ def test_load_category_parse_error(tmp_path):
 
 
 def test_shape_mismatch_message():
-    doc = dump_category(zoo("fibonacci"))
-    doc["sixj"].append({"labels": [1, 1, 1, 1, 1, 1], "basis": [0, 0, 0, 5],
-                        "re": 0.1, "im": 0.0})
-    with pytest.raises(CategoryError,
-                       match="multiplicity/F-tensor shape mismatch"):
-        _category_from_dict(doc)
+    # the message names the labels e, f and all four basis indices
+    for labels, basis, want in [
+        ([1, 1, 1, 1, 1, 1], [0, 0, 0, 5], "e=1 f=1 basis (0,0|0,5)"),
+        ([1, 1, 1, 1, 1, 1], [0, 0, 0, 10 ** 30], "e=1 f=1 basis (0,0|0,%d)" % 10 ** 30),
+        ([1, 1, 1, 1, 0, 1], [0, 1, 0, 0], "e=0 f=1 basis (0,1|0,0)"),
+        ([1, 1, 1, 1, 2, 0], [0, 0, 0, 0], "e=2 f=0 basis (0,0|0,0)"),
+    ]:
+        doc = dump_category(zoo("fibonacci"))
+        doc["sixj"].append({"labels": labels, "basis": basis, "re": 0.1, "im": 0.0})
+        with pytest.raises(CategoryError, match="^%s$" % re.escape(
+                "multiplicity/F-tensor shape mismatch: entry (1,1,1;1) %s outside "
+                "admissible ranges" % want)):
+            _category_from_dict(doc)
 
 
 def test_sixj_on_inadmissible_block():
@@ -266,6 +274,30 @@ def test_sixj_indices_must_be_integers():
     doc = dump_category(zoo("fibonacci"))
     doc["sixj"][0]["labels"] = [float(x) for x in doc["sixj"][0]["labels"]]
     assert _category_from_dict(doc).fingerprint() == zoo("fibonacci").fingerprint()
+
+
+@pytest.mark.parametrize("path, bad, field", [
+    (("dual", 2), None, "dual entries"),
+    (("dual", 2), "a", "dual entries"),
+    (("dual", 2), 1.5, "dual entries"),
+    (("fusion", 1, "i"), 0.5, "fusion labels"),
+    (("rsymbols", 0, "a"), 1.5, "R-symbol labels"),
+    (("rsymbols", 0, "b"), None, "R-symbol labels"),
+    (("rsymbols", 0, "c"), "a", "R-symbol labels"),
+], ids=["null-dual", "string-dual", "fractional-dual", "fractional-fusion-label",
+        "fractional-r-symbol-label", "null-r-symbol-label", "string-r-symbol-label"])
+def test_labels_must_be_integers(path, bad, field):
+    # the rule of the sixj labels: an integral number reads as an int
+    doc = dump_category(zoo("ising"))
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = float(node[last])
+    assert _category_from_dict(doc).fingerprint() == zoo("ising").fingerprint()
+    node[last] = bad
+    with pytest.raises(CategoryError, match="^%s must be integers$" % field):
+        _category_from_dict(doc)
 
 
 def test_fingerprint_stable_and_sensitive():

@@ -436,6 +436,13 @@ def _s3_with_false_for_0():
     (_CATEGORY, _edited(_ISING, "sixj", 0, "labels", 0, value=True)),
     (_CATEGORY, _edited(_ISING, "sixj", 0, "basis", 0, value=False)),
     (_CATEGORY, _edited(_ISING, "rsymbols", 0, "a", value=True)),
+    # an integral number reads as an int; anything else is a named error
+    (_CATEGORY, _edited(_ISING, "dual", 2, value=None)),
+    (_CATEGORY, _edited(_ISING, "dual", 2, value="a")),
+    (_CATEGORY, _edited(_ISING, "dual", 2, value=1.5)),
+    (_CATEGORY, _edited(_ISING, "rsymbols", 0, "a", value=1.5)),
+    (_CATEGORY, _edited(_ISING, "rsymbols", 0, "b", value=None)),
+    (_CATEGORY, _edited(_ISING, "rsymbols", 0, "c", value="a")),
     # JSON booleans as vertex ids: false == 0 would label a vertex class
     (_STATESUM, _edited(_S3_TWOTET, "tets", 1, "v", 3, value=False)),
     (_STATESUM, _s3_with_false_for_0()),
@@ -456,7 +463,10 @@ def _s3_with_false_for_0():
         "triangulation-bool-vertex-count", "category-bool-mult",
         "category-bool-fusion-label", "category-bool-id", "category-bool-dual",
         "category-bool-sixj-label", "category-bool-sixj-basis",
-        "category-bool-r-symbol-label", "triangulation-bool-vertex-id",
+        "category-bool-r-symbol-label", "category-null-dual",
+        "category-string-dual", "category-fractional-dual",
+        "category-fractional-r-symbol-label", "category-null-r-symbol-label",
+        "category-string-r-symbol-label", "triangulation-bool-vertex-id",
         "triangulation-bool-vertex-id-s3"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
@@ -560,8 +570,9 @@ def test_selftest_computes_S_once_per_category(capsys, monkeypatch):
     assert len(calls) == 12
 
 
-def _no_spectral_gap(*args):
-    raise modulardata.ModularDataError("pants nullity for (0,0,0) has no spectral gap")
+def _stretched_pants(alg, dec, reps, E):
+    # the composition law would catch a stretched E first
+    return modulardata.pants_dims(alg, dec, reps, E[:-1] + [1.5 * E[-1]])
 
 
 _block_irreps = modulardata.block_irreps
@@ -578,11 +589,11 @@ def _stretched_irreps(alg, dec):
      "vec_z2: half-braiding composition law fails at 1.000e+00"),
     ("pants_dims", lambda *args: np.zeros((4, 4, 4), dtype=np.int64),
      "vec_z2: pants dims differ from Verlinde fusion"),
-    ("pants_dims", _no_spectral_gap,
-     "vec_z2: pants nullity for (0,0,0) has no spectral gap"),
+    ("pants_dims", _stretched_pants,
+     "vec_z2: pants trace for (0,3,3) is 5.000e-01 from an integer"),
     ("block_irreps", _stretched_irreps,
      "vec_z2: half-braiding (3, strand 0, charge 1) is not unitary (4.062e+00)"),
-], ids=["composition-law", "pants-dims", "pants-gap", "unitarity"])
+], ids=["composition-law", "pants-dims", "pants-trace", "unitarity"])
 def test_pants_criterion_fails_by_name(capsys, monkeypatch, name, broken, detail):
     # the half-braiding route runs in criterion 5 only; a broken step is a
     # named FAIL of that criterion, not a traceback

@@ -564,6 +564,18 @@ def test_pants_dims_equal_verlinde(pipes, name):
     assert np.array_equal(pants_dims(alg, dec, reps, hbs), Nv)
 
 
+def test_pants_dims_names_a_trace_off_the_integers(pipes):
+    # one block's half-braiding stretched by 1.5 stretches the traces of its
+    # products: N_02^2 = 1 reads 1.5
+    alg, dec, reps, hbs, _ = pipes["ising"]
+    with pytest.raises(ModularDataError,
+                       match=r"pants trace for \(0,2,2\) is 5\.000e-01 from an integer"):
+        pants_dims(alg, dec, reps, hbs[:2] + [1.5 * hbs[2]] + hbs[3:])
+    # a nan trace fails the gate too
+    with pytest.raises(ModularDataError, match=r"pants trace for \(0,2,0\) is nan"):
+        pants_dims(alg, dec, reps, hbs[:2] + [np.nan * hbs[2]] + hbs[3:])
+
+
 def _references(md, cat):
     """S and T by the half-braiding route, built from md.alg and md.dec,
     which follow md.S: the termwise Hopf trace, the twist on each irrep and
@@ -727,6 +739,21 @@ def test_group_double_oracle_trivial():
     S, T, _ = group_double_oracle(1)
     assert S.shape == (1, 1) and abs(S[0, 0] - 1) < 1e-15
     assert abs(T[0] - 1) < 1e-15
+
+
+@pytest.mark.parametrize("nmod", [12, 30])
+def test_group_double_oracle_is_exact(nmod):
+    # T = w^(jg) and N S = w^-(jh+kg) against the roots of unity in long double
+    S, T, labels = group_double_oracle(nmod)
+    g, j = np.array(labels).T
+    pi = np.arccos(np.longdouble(-1))
+
+    def root(m):
+        a = 2 * pi * (m % nmod) / nmod
+        return np.cos(a) + 1j * np.sin(a)
+
+    assert np.max(np.abs(T - root(j * g))) < 1e-15
+    assert np.max(np.abs(nmod * S - root(-(np.outer(j, g) + np.outer(g, j))))) < 1e-15
 
 
 @pytest.mark.parametrize("name,nmod", [("vec_z2", 2), ("vec_z3", 3)])

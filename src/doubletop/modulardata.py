@@ -421,8 +421,9 @@ def check_U_condition(alg, dec):
 
 
 def _round9(x):
-    """round(v, 9) of every entry of a real array."""
-    return np.array([round(v, 9) for v in x.ravel().tolist()]).reshape(x.shape)
+    """round(v, 9) of every entry of a real array, once per distinct value."""
+    vals, inv = np.unique(x, return_inverse=True)
+    return np.array([round(v, 9) for v in vals.tolist()])[inv.reshape(x.shape)]
 
 
 def _row_ranks(M):
@@ -601,28 +602,24 @@ def compute_modular_data(cat, seed=None):
 
 def pants_dims(alg, dec, reps, braidings):
     """Fusion multiplicities N_ij^k = Tr rho_ij(pi_k) / n_k, rho_ij the tube
-    action on Gamma_i x Gamma_j.  Per pair, one einsum traces the product's
-    half-braiding (E_i and E_j through three F-moves, never formed) over the
-    components of each fused grade; A of the torus-tube system maps that to
-    the character on the torus tubes, which hold the center, and one product
-    with the projections gives every k.  Raises on a trace 1e-6 off integers."""
+    action on Gamma_i x Gamma_j.  One einsum over every pair traces the
+    product's half-braiding (E_i and E_j through three F-moves, never formed)
+    over the components of each fused grade; A of the torus-tube system maps
+    that to the character on the torus tubes, which hold the center, and one
+    product with the projections gives every k.  Raises on a trace 1e-6 off."""
     F = alg.cat.F
     torus, A, free = _torus_system(alg)
     # Tr rho(pi_k) / n_k = sum_t pi_k[t] Tr rho(X_t) / scale_t / n_k
     pair = (dec.projections[:, torus] / alg.scale[torus]
             / np.array(dec.n)[:, None]).T
-    r1 = len(reps)
-    chi = np.empty((r1, r1, len(torus)), dtype=complex)
-    spec = "pqzdefcmun,zfqaqu,pqzdgfshan,zgptps,zpqdgethcw->zedwm"
-    path = None
-    for i, j in np.ndindex(r1, r1):
-        li, lj = reps[i].labels[:, None], reps[j].labels[None, :]
-        # Q[zeta, eps, delta, w, m]: E_ij traced over the components (p, q)
-        # fused to eps by c; one contraction order, found once, serves every pair
-        ops = (F[li, lj], braidings[j], F[li, :, lj].conj(), braidings[i],
-               F[:, li, lj])
-        path = path or np.einsum_path(spec, *ops, optimize="greedy")[0]
-        chi[i, j] = A @ np.einsum(spec, *ops, optimize=path)[free]
+    # E enters only at equal row and column component p, and F reads p only
+    # through its grade: Q[block, sigma, xi, delta, u, w] sums E over grade xi
+    Q = np.array([np.einsum("sdpupw,px->sxduw", E, rep.labels[:, None] == np.arange(alg.cat.n))
+                  for rep, E in zip(reps, braidings)])
+    # numpy's default intermediate bound leaves large ranks one unsplit loop
+    chi = np.einsum("xyzdefcmun,jzyfau,xzydgfshan,izxgts,zxydgethcw->ijzedwm",
+                    F, Q, F.conj(), Q, F, optimize=("greedy", 2 ** 24))
+    chi = chi.reshape(*chi.shape[:2], -1)[..., free.ravel()] @ A.T
     tr = chi @ pair
     out = np.round(tr.real)
     off = np.abs(tr - out)

@@ -316,6 +316,31 @@ def vec_s3_document():
     }
 
 
+def twisted_vec_zn(nmod, k):
+    """Vec_ZN^omega, the cyclic group with the 3-cocycle of class k:
+    F^{abc}_{a+b+c}[a+b, b+c] = omega(a,b,c) = exp(2 pi i k a (b + c - [b+c]) / N^2),
+    [b+c] the sum reduced mod N; omega is 1 when a, b or c is the unit."""
+    from doubletop.catdata import CategoryData
+
+    N = np.zeros((nmod,) * 3, dtype=np.int64)
+    for a, b in itertools.product(range(nmod), repeat=2):
+        N[a, b, (a + b) % nmod] = 1
+    fentries = [((a, b, c, (a + b + c) % nmod, (a + b) % nmod, (b + c) % nmod),
+                 (0, 0, 0, 0),
+                 np.exp(2j * np.pi * k * a * (b + c - (b + c) % nmod) / nmod ** 2))
+                for a, b, c in itertools.product(range(1, nmod), repeat=3)]
+    return CategoryData(["g%d" % a for a in range(nmod)],
+                        [(-a) % nmod for a in range(nmod)], N, [1.0] * nmod, fentries)
+
+
+def twisted_double_twists(nmod, k):
+    """The twists theta_(a,j) = exp(2 pi i (a j / N + k a^2 / N^2)) of D^omega(Z_N),
+    a a flux and j a charge (Coste, Gannon and Ruelle, Nucl. Phys. B 581, 2000);
+    the exponent is reduced mod N^2 before the one exp."""
+    a, j = np.divmod(np.arange(nmod * nmod), nmod)
+    return np.exp(2j * np.pi * ((a * j * nmod + k * a * a) % nmod ** 2) / nmod ** 2)
+
+
 def all_pairings(items):
     if not items:
         yield []
@@ -506,6 +531,20 @@ def star_antihom_residual(St, C):
             lhs = St @ np.conj(C[i, j])
             rhs = np.einsum("a,b,abk->k", St[:, j], St[:, i], C)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def star_adjoint_residual(St, C):
+    """max |L(e_k*) - L(e_k)^+| over all basis elements k.
+
+    One k at a time: L(x) is the matrix of y -> x.y read off the structure
+    constants, and star(e_k) = St[:, k]; the reference for `tube`'s one product.
+    """
+    worst = 0.0
+    for k in range(C.shape[0]):
+        left = C[k].T  # L(e_k)[m, j] = C[k, j, m]
+        lstar = np.einsum("a,ajm->mj", St[:, k], C)
+        worst = max(worst, float(np.max(np.abs(lstar - left.conj().T))))
     return worst
 
 
@@ -956,6 +995,12 @@ def raw_star(cat, basis, index):
                                 * np.conj(F[tau, zeta, zb, tau, eta, 0, w2, c, 0, 0])
                             )
                     St[k, i] += d[zeta] * s
+    # column i over the pivotal phase phi/|phi| of its strand, phi_z = d_z F^{z z* z}_z[0, 0]
+    phi = np.array([d[z] * F[z, cat.dual[z], z, z, 0, 0, 0, 0, 0, 0] for z in range(n)])
+    norm = np.abs(phi)
+    for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
+        if phi[zeta] != 0:
+            St[:, i] /= phi[zeta] / norm[zeta]
     return St
 
 

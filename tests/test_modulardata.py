@@ -29,7 +29,8 @@ from doubletop.modulardata import (
     twist_element,
     verlinde_fusion,
 )
-from doubletop.statesum import builtin_triangulation, state_sum
+from doubletop.statesum import builtin_triangulation, lens_triangulation, state_sum
+from doubletop.surgery import lens_chain, surgery_invariant
 from doubletop.tube import (
     CenterDecomposition, _basis, _structure, build_tube_algebra, center_decompose,
 )
@@ -39,7 +40,8 @@ from oracles import (
     canonical_permutation as canonical_permutation_oracle,
     composition_law_residual, count_calls, extract_half_braidings,
     extract_half_braidings_per_block,
-    gauge_transform, hopf_link_S, multiplicity_ring, vec_s3_document,
+    gauge_transform, hopf_link_S, multiplicity_ring, twisted_double_twists,
+    twisted_vec_zn, vec_s3_document,
 )
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
@@ -768,6 +770,21 @@ def test_match_blocks_rejects_wrong_data():
     assert match_blocks(Sa, Ta, Sb[:4, :4], Tb[:4]) is None
 
 
+@pytest.mark.parametrize("nmod,k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2), (6, 1)])
+def test_twisted_double_runs_end_to_end(nmod, k):
+    # the pivotal phase of the star keeps the Markov form positive on Vec_ZN^omega;
+    # T is the conjugate of the Coste-Gannon-Ruelle twists, and the two routes meet
+    cat = twisted_vec_zn(nmod, k)
+    md = compute_modular_data(cat)
+    # distinct N^2-th roots of unity are 0.17 apart or more: match each to the nearest
+    left = list(np.conj(twisted_double_twists(nmod, k)))
+    for t in md.T:
+        assert abs(left.pop(int(np.argmin(np.abs(np.subtract(left, t))))) - t) < 1e-14
+    for p, q in [(3, 1), (5, 2)]:
+        z = state_sum(cat, lens_triangulation(p, q))
+        assert abs(z - surgery_invariant(md, lens_chain(p, q))) < 1e-12
+
+
 # -- determinism ---------------------------------------------------------------
 
 
@@ -777,6 +794,15 @@ def test_seed_independence(name):
     md2 = compute_modular_data(dt.zoo(name), seed=20240817)
     assert np.max(np.abs(md1.S - md2.S)) < 1e-9
     assert np.max(np.abs(md1.T - md2.T)) < 1e-9
+
+
+def test_round9_rounds_as_python_round():
+    # one round per distinct value, repeats and ties at the 9th digit included
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.standard_normal(60), np.round(rng.standard_normal(30), 9) + 5e-10,
+                        [0.0, -0.0, 5e-10, -5e-10, 0.5, 2.0000000005]])
+    x = np.concatenate([x, x[::3]]).reshape(4, -1)
+    assert modulardata._round9(x).tolist() == [[round(v, 9) for v in r] for r in x.tolist()]
 
 
 def test_canonical_permutation_is_relabeling_invariant(mds):

@@ -23,22 +23,26 @@ from oracles import conditional_expectation as expectation_oracle
 from oracles import (
     associativity_residual, center_by_commutant, count_calls, degenerate_draws,
     gauge_transform, multiplicity_ring, raw_star, raw_structure,
-    star_antihom_residual, tube_basis, vec_s3_document,
+    star_adjoint_residual, star_antihom_residual, tube_basis, twisted_vec_zn,
+    vec_s3_document,
 )
 
-ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
-DIMS = {"vec_z2": 4, "vec_z3": 9, "fibonacci": 7, "ising": 12}
+# the zoo and one twisted double, Vec_Z3 with the cocycle of class 1, whose
+# star carries a pivotal phase
+ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising", "twisted_z3"]
+DIMS = {"vec_z2": 4, "vec_z3": 9, "fibonacci": 7, "ising": 12, "twisted_z3": 9}
 BLOCKS = {
     "vec_z2": [1, 1, 1, 1],
     "vec_z3": [1] * 9,
     "fibonacci": [1, 1, 1, 2],
     "ising": [1] * 8 + [2],
+    "twisted_z3": [1] * 9,
 }
 
 
 @pytest.fixture(scope="module")
 def algs():
-    return {name: build_tube_algebra(dt.zoo(name)) for name in ZOO}
+    return {name: build_tube_algebra(_loop_category(name)) for name in ZOO}
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +71,8 @@ def _loop_category(name):
         return _category_from_dict(vec_s3_document())
     if name == "multiplicity_ring":
         return multiplicity_ring()
+    if name == "twisted_z3":
+        return twisted_vec_zn(3, 1)
     if name.startswith("gauged_"):
         return gauge_transform(dt.zoo(name[len("gauged_"):]), np.random.default_rng(1))
     return dt.zoo(name)
@@ -150,9 +156,13 @@ def test_identity_element(algs, name):
 
 @pytest.mark.parametrize("name", ZOO)
 def test_star_involution_and_antihom(algs, name):
+    # the build checks only the unit and L(x*) = L(x)^+; with the unit and
+    # associativity those imply the involution and the anti-homomorphism
     alg = algs[name]
-    assert alg.residuals["star_involution"] < 1e-12
-    assert alg.residuals["star_antihom"] < 1e-12
+    assert set(alg.residuals) == {"identity", "star_adjoint"}
+    assert alg.residuals["star_adjoint"] < 1e-12
+    assert np.max(np.abs(alg.St @ np.conj(alg.St) - np.eye(alg.dim))) < 1e-12
+    assert star_antihom_residual(alg.St, alg.C) < 1e-12
     rng = np.random.default_rng(7)
     x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
     y = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
@@ -165,19 +175,37 @@ def test_star_involution_and_antihom(algs, name):
 
 
 @pytest.mark.parametrize("name", ZOO)
-def test_star_antihom_matches_pairwise_loop(algs, name):
+def test_star_adjoint_matches_per_k_loop(algs, name):
     alg = algs[name]
-    assert alg.residuals["star_antihom"] == pytest.approx(
-        star_antihom_residual(alg.St, alg.C), abs=1e-15)
+    assert alg.residuals["star_adjoint"] == pytest.approx(
+        star_adjoint_residual(alg.St, alg.C), abs=1e-15)
 
 
 def test_star_antihom_detects_perturbed_star(algs):
+    # a star that breaks the anti-homomorphism breaks the adjoint identity too
     bad = copy.copy(algs["fibonacci"])
     rng = np.random.default_rng(3)
     bad.St = bad.St + 0.5 * rng.standard_normal(bad.St.shape)
-    got = bad._star_antihom_residual()
+    assert star_antihom_residual(bad.St, bad.C) > 0.1
+    got = bad._star_adjoint_residual()
     assert got > 0.1
-    assert got == pytest.approx(star_antihom_residual(bad.St, bad.C), rel=1e-12)
+    assert got == pytest.approx(star_adjoint_residual(bad.St, bad.C), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "vec_z3"])
+def test_doubled_star_column_fails_the_build(name, monkeypatch):
+    # the doubled column keeps the Markov form diagonal and positive, so the
+    # Gram gate passes it and the adjoint check names it
+    real = tube._star
+
+    def doubled(cat, basis, index):
+        St = real(cat, basis, index)
+        St[:, -1] *= 2
+        return St
+
+    monkeypatch.setattr(tube, "_star", doubled)
+    with pytest.raises(tube.TubeError, match="star_adjoint"):
+        TubeAlgebra(_loop_category(name))
 
 
 @pytest.mark.parametrize("name", ZOO)
@@ -368,6 +396,7 @@ QDIMS = {
     "vec_z3": [1.0] * 9,
     "fibonacci": [1.0, 1.618033988749895, 1.618033988749895, 2.618033988749895],
     "ising": [1.0] * 4 + [np.sqrt(2)] * 4 + [2.0],
+    "twisted_z3": [1.0] * 9,
 }
 
 
@@ -610,5 +639,5 @@ def test_block_count_matches_three_torus(decs, name):
     # the three-torus state sum counts the blocks of the tube algebra
     from doubletop.statesum import builtin_triangulation, state_sum
 
-    z = state_sum(dt.zoo(name), builtin_triangulation("t3"))
+    z = state_sum(_loop_category(name), builtin_triangulation("t3"))
     assert abs(z - decs[name].r_plus_1) < 1e-8

@@ -85,17 +85,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _positive_int(text):
-    """argparse type of --budget: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        # argparse's own wording for type=int
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer, got %d"
-                                         % value)
-    return value
+def _positive(cast, rule):
+    """argparse type of --budget and --tolerance: a number above 0, not inf or nan."""
+    def parse(text):
+        value = cast(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError("must be %s, got %s" % (rule, text))
+        return value
+    parse.__name__ = cast.__name__  # argparse's ValueError message names the type
+    return parse
+
+
+_positive_int = _positive(int, "a positive integer")
+_tolerance = _positive(float, "a finite number above 0")
 
 
 def _c(z):
@@ -680,7 +682,7 @@ def _build_parser():
 
     p = sub.add_parser("validate", help="check pentagon/unitarity residuals")
     category_opt(p)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("center", help="tube-algebra center block structure")
@@ -704,7 +706,7 @@ def _build_parser():
     p.add_argument("--statesum", required=True)
     p.add_argument("--surgery", required=True)
     p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-8)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("zoo", help="list bundled categories and manifolds")

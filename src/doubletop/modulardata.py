@@ -5,25 +5,27 @@ pi_i of the tube algebra: block i acts by an irreducible *-representation
 rho_i of dimension n_i.  The tube basis is orthonormal for the Markov form
 <x, y> = tau(y* x); tau is tracial, q_i Tr rho_i on block i, so the pi_i
 are their own dual basis: Tr rho_i(x) = n_i <x, pi_i> / <pi_i, pi_i>.  The
-characters, T (the twist tube's center coordinates) and the conditional
-expectation are such inner products, so no stage after the center
-decomposition reads C.  S, the trace of the double braiding of two blocks,
-is solved for from the characters.
+characters, T (the twist tube's center coordinates) and dec.coefficients
+are such inner products, so no stage after the center decomposition reads
+C.  S, the trace of the double braiding of two blocks, is solved for from
+the characters.
 All Verlinde-type axioms are asserted before a ModularData is returned.
 
 The half-braidings give the fusion rules a second time, as the traces
 Tr rho_ij(pi_k) / n_k of the central projections on the product of two
-blocks (pants_dims).  block_irreps grades each block's
-representation space by the simples xi of the input category, m_{i,xi}
-copies each, with the corner idempotents X(xi,xi,e,xi,0,0).  The
-half-braiding of block i is one array E_i[sigma, delta, p, a, q, b]:
-strand sigma, total charge delta, row component p (a slot of rep.comps)
-with a in Hom(delta, sigma.xi_p), column component q with b in
-Hom(delta, eta_q.sigma).  The basis axes have length max N and E_i is
-zero outside admissible slots, so for each (sigma, delta) the admissible
-rows and columns form a square unitary.  The tube action determines E_i
-linearly (extract_half_braidings), and the two-strand composition law,
-which the solve never saw, checks it (half_braiding_multiplicativity).
+blocks (pants_dims).  block_irreps grades each block's representation
+space by the simples xi of the input category, m_{i,xi} copies each, with
+the corner idempotents X(xi,xi,e,xi,0,0).  The half-braiding of block i
+is one array E_i[sigma, delta, p, a, q, b]: strand sigma, total charge
+delta, row component p (a slot of rep.comps) with a in Hom(delta,
+sigma.xi_p), column component q with b in Hom(delta, eta_q.sigma).  The
+basis axes have length max N and E_i is zero outside admissible slots, so
+for each (sigma, delta) the admissible rows and columns form a square
+unitary.  One square tube system, block diagonal by sector (_tube_system),
+gives every E_i in one solve (extract_half_braidings); its torus rows,
+with E traced over each grade, are what S and pants_dims solve.  The
+two-strand composition law, which the solve never saw, checks E_i
+(half_braiding_multiplicativity).
 """
 
 import time
@@ -122,112 +124,103 @@ def block_irreps(alg, dec):
 # ---------------------------------------------------------------------------
 
 
-def _tube_coefficients(cat, tubes):
-    """coef[t, k, mp, mm]: the coefficient of E[zeta*, k, p, mp, q, mm] in the equation
-    of tube t = X(xi,eta,zeta,...) and components p of xi, q of eta; no block's."""
-    F = cat.F
-    xi, eta, zeta, dl, a, b = tubes.T
-    sig = np.asarray(cat.dual)[zeta]
-    return np.einsum("Tu,Tkumw,Tkpw->Tkpm", F[xi, zeta, sig, xi, dl, 0, a, :, 0, 0],
-                     F[zeta, eta, sig, xi, dl, :, b].conj(),
-                     F[zeta, sig, xi, xi, 0, :, 0, 0])
+def _tube_system(alg):
+    """The tube action on a half-braiding: (A, col), one matrix for every block.
 
-
-def extract_half_braidings(alg, dec, reps):
-    """Solve the tube action for the half-braiding of every block.
-
-    Blocks with the same component labels share the equations, so there
-    is one least-squares solve per (label set, strand), on the stacked
-    right sides of all blocks of the set.  Returns (one array E[sigma,
-    delta, p, a, q, b] per block, residual dict) and raises when the fit
-    or the unitarity of any solved (sigma, delta) square is worse than
-    1e-6; of several failures, the first one in block, then strand order,
-    a block's fits before its unitarity.
+    The unknowns E[sigma, k, p, u, q, w] (u < N[sigma, xi, k], w < N[eta,
+    sigma, k]; p of grade xi, q of grade eta) depend on p, q only through
+    (xi, eta): col[sigma, xi, eta, k, u, w] numbers them in C order from N
+    alone, -1 off the admissible slots.  Row t of A is the equation of tube
+    X_t = X(xi, eta, zeta, ...), sigma = zeta*, with right side grade_t
+    rho(X_t)[p, q].  A is block diagonal by sector and square: Frobenius
+    reciprocity makes dim Hom(xi zeta, zeta eta) equal dim Hom(sigma xi, eta sigma).
     """
     cat = alg.cat
-    N, F, n = cat.N, cat.F, cat.n
-    slot = np.arange(F.shape[-1])
-    residuals = {"solve": 0.0, "unitary": 0.0}
-
-    xi, eta, zeta = alg.basis[:, :3].T
+    N, F, slot = cat.N, cat.F, np.arange(cat.F.shape[-1])
+    free = ((slot < N[..., None])[:, :, None, :, :, None]
+            & (slot < N.transpose(1, 0, 2)[..., None])[:, None, :, :, None, :])
+    col = np.full(free.shape, -1)
+    col[free] = np.arange(np.count_nonzero(free))
+    xi, eta, zeta, dl, a, b = alg.basis.T
     sig = np.asarray(cat.dual)[zeta]
-    coef = _tube_coefficients(cat, alg.basis)
+    coef = np.einsum("Tu,Tkumw,Tkpw->Tkpm", F[xi, zeta, sig, xi, dl, 0, a, :, 0, 0],
+                     F[zeta, eta, sig, xi, dl, :, b].conj(),
+                     F[zeta, sig, xi, xi, 0, :, 0, 0])
+    t, k, u, w = np.nonzero(free[sig, xi, eta])
+    A = np.zeros((alg.dim, col.max() + 1), dtype=complex)
+    A[t, col[sig[t], xi[t], eta[t], k, u, w]] = coef[t, k, u, w]
+    if A.shape[0] != A.shape[1]:
+        raise ModularDataError("the tube system of the half-braidings is not square")
+    return A, col
+
+
+def extract_half_braidings(alg, reps):
+    """Solve the tube action for the half-braiding of every block.
+
+    Column (block, p, q) of the right side holds grade_t rho_i(X_t)[p, q] on
+    the tubes of the grades of p and q; one solve with `_tube_system` answers
+    every column, and E_i gathers the solution at col.  Returns (one array
+    E[sigma, delta, p, a, q, b] per block, residual dict).  Raises on a block
+    whose (sigma, delta) rows and columns form no square, or a square 1e-6
+    off unitary: the first failure in block order, a block's square first.
+    """
+    cat = alg.cat
+    N, n, m = cat.N, cat.n, cat.F.shape[-1]
+    A, col = _tube_system(alg)
+    r1, width = len(reps), max(rep.n for rep in reps)
+    lab = np.full((r1, width), -1)
+    for i, rep in enumerate(reps):
+        lab[i, :rep.n] = rep.labels
+    on = lab >= 0
+    blk, p, q = np.nonzero(on[:, :, None] & on[:, None, :])
+    xp, xq = lab[blk, p], lab[blk, q]
+    xi, eta = alg.basis[:, 0], alg.basis[:, 1]
     # the graded rep basis is orthonormal; the half-braiding component
     # convention weighs grade xi by sqrt(d_xi)
-    grade = np.sqrt(cat.d[eta] / cat.d[xi])
-
-    # the tubes X(xi,eta,sigma*,...) strand by strand, in tube order within one
-    eqs = np.column_stack([xi, eta, np.arange(alg.dim)])
-    eqs = eqs[np.argsort(sig, kind="stable")]
-    groups = {}
-    for bi, rep in enumerate(reps):
-        groups.setdefault(tuple(rep.labels.tolist()), []).append(bi)
-    out, fails = [None] * len(reps), []
-    for blocks in groups.values():
-        labels, rn, nb = reps[blocks[0]].labels, reps[blocks[0]].n, len(blocks)
-        # admissible rows (delta, p, a) and columns (delta, q, b) of each
-        # E[sigma]; its unknowns are its admissible entries in C order
-        rows = slot < N[:, labels].transpose(0, 2, 1)[..., None]
-        cols = slot < N[labels].transpose(1, 2, 0)[..., None]
-        square = rows.sum(axis=(2, 3)) == cols.sum(axis=(2, 3))
-        free = rows[..., None, None] & cols[:, :, None, None]
-        varix = np.cumsum(free.reshape(n, -1), axis=1).reshape(free.shape) - 1
-        nvar = free.reshape(n, -1).sum(axis=1)
-        # the equations (tube, p, q) with components p of xi and q of eta, in
-        # strand, tube, p, q order, as the rows of A; strand sigma's are
-        # rows cut[sigma]:cut[sigma + 1], its unknowns the first nvar[sigma]
-        # columns
-        comp = labels == np.arange(n)[:, None]
-        tube, p, q = join(comp, join(comp, eqs, 0), 1)[:, 2:].T
-        s = sig[tube]
-        cut = np.searchsorted(s, np.arange(n + 1))
-        e, k, mp, mm = np.nonzero(free[s, :, p, :, q, :])
-        A = np.zeros((len(tube), nvar.max()), dtype=complex)
-        A[e, varix[s[e], k, p[e], mp, q[e], mm]] += coef[tube[e], k, mp, mm]
-        # rho[block, tube]; left multiplication by basis k is C[k].T
-        tubes, at = np.unique(tube, return_inverse=True)
-        Vs = np.array([reps[bi].V for bi in blocks])
-        rho = alg.scale[tubes, None, None] * (Vs.conj().transpose(0, 2, 1)[:, None]
-                                              @ alg.C[tubes].transpose(0, 2, 1)
-                                              @ Vs[:, None])
-        Y = (grade[tube] * rho[:, at, p, q]).T
-        E = np.zeros((nb, n, n, rn, slot.size, rn, slot.size), dtype=complex)
-        for sigma in range(n):
-            if not square[sigma].all():
-                fails.append(((blocks[0], 0, sigma), "half-braiding block (%d,%d) is "
-                              "not square" % (sigma, np.argmax(~square[sigma]))))
-                break
-            if not nvar[sigma]:
-                continue
-            eq = slice(cut[sigma], cut[sigma + 1])
-            At, Yt = A[eq, :nvar[sigma]], Y[eq]
-            sol, *_ = np.linalg.lstsq(At, Yt, rcond=None)
-            # one matrix-vector product per block rounds as the unstacked fit
-            fit = np.max(np.abs((At @ sol.T[:, :, None])[:, :, 0] - Yt.T),
-                         axis=1, initial=0.0).tolist()
-            residuals["solve"] = max(residuals["solve"], *fit)
-            fails += [((bi, 0, sigma), "half-braiding solve for block %d, strand %d "
-                       "has residual %.3e" % (bi, sigma, f))
-                      for bi, f in zip(blocks, fit) if f > _EXTRACT_TOL]
-            E[:, sigma, free[sigma]] = sol.T
-        # one E^H E per (block, sigma, delta): E is zero off the admissible
-        # slots, so each product is the identity on the admissible columns
-        Es = E.reshape(nb * n * n, rn * slot.size, -1)
-        eye = cols.reshape(n * n, -1)
-        w = eye.shape[1]
-        uni = np.max(np.abs((Es.conj().transpose(0, 2, 1) @ Es).reshape(nb, n * n, w, w)
-                            - eye[:, :, None] * np.eye(w)), axis=(2, 3))
-        residuals["unitary"] = max(residuals["unitary"], float(uni.max()))
-        for bi, row, Ei in zip(blocks, uni, E):
-            bad = np.flatnonzero(row > _EXTRACT_TOL)
-            if bad.size:
-                sigma, delta = divmod(int(bad[0]), n)
-                fails.append(((bi, 1, 0), "half-braiding (%d, strand %d, charge %d) is "
-                              "not unitary (%.3e)" % (bi, sigma, delta, row[bad[0]])))
-            out[bi] = Ei
-    if fails:
-        raise ModularDataError(min(fails)[1])
-    return out, residuals
+    weight = alg.scale * np.sqrt(cat.d[eta] / cat.d[xi])
+    # a tube of (xi, eta) maps the tubes of first label eta to those of first
+    # label xi, and C is zero elsewhere; in the lex-ordered basis these are
+    # runs, so rho reads one slab of C per (xi, eta)
+    run = np.searchsorted(xi * n + eta, np.arange(n * n + 1))
+    first = run[::n]
+    V = np.hstack([rep.V for rep in reps])
+    v0 = np.cumsum([0] + [rep.n for rep in reps])[blk]
+    Vp, Vq = V[:, v0 + p].conj(), V[:, v0 + q]
+    Y = np.zeros((alg.dim, len(blk)), dtype=complex)
+    for s in np.unique(xp * n + xq).tolist():
+        c = np.flatnonzero(xp * n + xq == s)
+        t, (x, y) = slice(run[s], run[s + 1]), divmod(s, n)
+        rx, ry = slice(first[x], first[x + 1]), slice(first[y], first[y + 1])
+        # rho(X_t)[p, q] = sum over j, k of conj(V[j, p]) C[t, k, j] V[k, q]
+        Y[t, c] = weight[t, None] * np.einsum("tkc,kc->tc", alg.C[t, ry, rx] @ Vp[rx, c],
+                                              Vq[ry, c])
+    # a last zero row answers col's -1 off the admissible slots
+    U = np.vstack([np.linalg.solve(A, Y), np.zeros(len(blk))])
+    # E[block, sigma, delta, p, u, q, w], zero on the padding of narrower blocks
+    E = np.zeros((r1, n, n, width, m, width, m), dtype=complex)
+    E[blk, :, :, p, :, q, :] = U[np.moveaxis(col[:, xp, xq], 1, 0),
+                                 np.arange(len(blk))[:, None, None, None, None]]
+    # E[sigma, delta] has N[sigma, xi_p, delta] rows and N[eta_q, sigma, delta] columns
+    # per component; each E^H E is the identity on the admissible columns
+    rows = on[:, None, None] * N[:, lab].transpose(1, 0, 3, 2)
+    cols = on[:, None, None] * N[lab].transpose(0, 2, 3, 1)
+    square = (rows.sum(axis=3) == cols.sum(axis=3)).reshape(r1, -1)
+    Es = E.reshape(r1 * n * n, width * m, -1)
+    eye = (np.arange(m) < cols[..., None]).reshape(r1, n * n, -1)
+    w = eye.shape[2]
+    uni = np.max(np.abs((Es.conj().transpose(0, 2, 1) @ Es).reshape(r1, n * n, w, w)
+                        - eye[..., None] * np.eye(w)), axis=(2, 3))
+    for bi in range(r1):
+        bad = np.flatnonzero(~square[bi])
+        if bad.size:
+            raise ModularDataError("half-braiding block (%d,%d) is not square"
+                                   % divmod(int(bad[0]), n))
+        bad = np.flatnonzero(uni[bi] > _EXTRACT_TOL)
+        if bad.size:
+            raise ModularDataError("half-braiding (%d, strand %d, charge %d) is not unitary "
+                                   "(%.3e)" % (bi, *divmod(int(bad[0]), n), uni[bi, bad[0]]))
+    out = [E[i, :, :, :rep.n, :, :rep.n] for i, rep in enumerate(reps)]
+    return out, {"unitary": float(uni.max())}
 
 
 def half_braiding_multiplicativity(cat, reps, braidings):
@@ -309,7 +302,7 @@ def half_braiding_multiplicativity(cat, reps, braidings):
 def checked_half_braidings(alg, dec):
     """Irreps and half-braidings of dec's blocks; the law is held to 1e-6 too."""
     reps = block_irreps(alg, dec)
-    E = extract_half_braidings(alg, dec, reps)[0]
+    E = extract_half_braidings(alg, reps)[0]
     law = half_braiding_multiplicativity(alg.cat, reps, E)
     if law > _EXTRACT_TOL:
         raise ModularDataError("half-braiding composition law fails at %.3e" % law)
@@ -352,20 +345,14 @@ def compute_T(alg, dec):
 
 def _torus_system(alg):
     """The torus tubes X(xi, xi, ...), the mask `free` of the admissible
-    entries Q[sigma, xi, k, u, w] of a traced half-braiding (u < N[sigma,
-    xi, k], w < N[xi, sigma, k]), and the square matrix A that maps Q[free],
-    in C order, to the character on the torus tubes: the equations of
-    extract_half_braidings traced over the components of grade xi."""
-    cat = alg.cat
-    N, slot = cat.N, np.arange(cat.F.shape[-1])
+    entries Q[sigma, xi, k, u, w] of a traced half-braiding, and the square
+    matrix A that maps Q[free], in C order, to the character on the torus
+    tubes: the tube system at the torus rows and the xi = eta columns."""
+    A, col = _tube_system(alg)
     torus = np.flatnonzero(alg.basis[:, 0] == alg.basis[:, 1])
-    xi, sig = alg.basis[torus, 0], np.asarray(cat.dual)[alg.basis[torus, 2]]
-    free = ((slot < N[..., None])[..., None]
-            & (slot < N.transpose(1, 0, 2)[..., None])[..., None, :])
-    A = np.zeros((len(torus),) + free.shape, dtype=complex)
-    e, k, u, w = np.nonzero(free[sig, xi])
-    A[e, sig[e], xi[e], k, u, w] = _tube_coefficients(cat, alg.basis[torus])[e, k, u, w]
-    A = A.reshape(len(torus), -1)[:, free.ravel()]
+    on = np.einsum("sxxkuw->sxkuw", col)
+    free = on >= 0
+    A = A.take(torus, 0).take(on[free], 1)
     if A.shape[0] != A.shape[1]:
         raise ModularDataError("the torus-tube system of S is not square")
     return torus, A, free

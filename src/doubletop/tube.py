@@ -193,11 +193,6 @@ class TubeAlgebra:
         """<x,y> = Tr(L Y* X), linear in x."""
         return self.reg_trace(self.product(self.star(y), x))
 
-    def basis_element(self, i):
-        e = np.zeros(self.dim, dtype=complex)
-        e[i] = 1.0
-        return e
-
     def associativity_residual(self):
         """max |(e_i e_j) e_k - e_i (e_j e_k)|, one slice of i at a time."""
         C, dim = self.C, self.dim
@@ -349,8 +344,3 @@ def center_decompose(alg, seed=None):
         raise CenterError("vacuum block dimension is %d, expected 1" % ns[0])
     return CenterDecomposition(alg, projections, ns, qdims, spaces, seed)
 
-
-def conditional_expectation(alg, dec, x):
-    """E(x) = sum_i c_i(x) pi_i, each block trace c_i(x) = Tr rho_i(x) / n_i read as
-    the Markov inner product <x, pi_i> / <pi_i, pi_i> (`dec.coefficients`), no product."""
-    return dec.coefficients(x) @ dec.projections

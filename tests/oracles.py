@@ -623,7 +623,7 @@ def associativity_residual(C):
 
 def conditional_expectation(alg, dec, x):
     """E(x) = sum_i Tr_reg(pi_i x) / n_i^2 pi_i, one product over C and one
-    regular trace per block; the reference for `tube.conditional_expectation`."""
+    regular trace per block; the reference for `dec.coefficients(x) @ dec.projections`."""
     out = np.zeros(alg.dim, dtype=complex)
     for pi, ni in zip(dec.projections, dec.n):
         out += (alg.reg_trace(alg.product(pi, x)) / (ni * ni)) * pi
@@ -910,7 +910,7 @@ def gauge_transform(cat, rng):
 # tube algebra and half-braiding equations, one entry at a time
 # ---------------------------------------------------------------------------
 # Entry-by-entry references for tube._basis, tube._structure, tube._star
-# and the equations of modulardata.extract_half_braidings, which gather
+# and the equations of modulardata._tube_system, which gather
 # cat.F at joined label tuples instead.  `basis` is a sequence of 6-tuples
 # and `index` anything that maps such a tuple to its position (a dict, or
 # the dense position array of TubeAlgebra).
@@ -1004,7 +1004,7 @@ def raw_star(cat, basis, index):
     return St
 
 
-def extract_half_braidings(alg, dec, reps):
+def extract_half_braidings(alg, reps):
     """Solve the tube action for the half-braiding of every block, with the
     equations assembled entry by entry: for each (block, strand) a loop over
     the tube basis, the grading copies and the F-symbols of every unknown.
@@ -1298,11 +1298,9 @@ def block_irreps(alg, dec):
 
 
 # ---------------------------------------------------------------------------
-# block irreps and half-braidings one block at a time: the package's routes
-# before they were grouped.  block_irreps_per_simple grades each block with
-# one product and one eigh per simple; extract_half_braidings_per_block runs
-# one lstsq per (block, strand) on rho built one tube at a time.  The
-# grouped routes must return the same bits and raise the same first error.
+# block irreps one simple at a time: the package's route before it was
+# stacked.  block_irreps_per_simple grades each block with one product and
+# one eigh per simple; the stacked route must return the same bits.
 # ---------------------------------------------------------------------------
 
 
@@ -1347,95 +1345,6 @@ def block_irreps_per_simple(alg, dec):
                                    "quantum dimension" % i)
         reps.append(BlockRep(V, comps, m))
     return reps
-
-
-def extract_half_braidings_per_block(alg, dec, reps):
-    """Solve the tube action for the half-braiding of every block.
-
-    Returns (one array E[sigma, delta, p, a, q, b] per block, residual
-    dict) and raises when the least-squares fit or the unitarity of any
-    solved (sigma, delta) square is worse than 1e-6.
-    """
-    from doubletop.catdata import join
-    from doubletop.modulardata import _EXTRACT_TOL, ModularDataError
-
-    cat = alg.cat
-    N, F, n = cat.N, cat.F, cat.n
-    slot = np.arange(F.shape[-1])
-    residuals = {"solve": 0.0, "unitary": 0.0}
-    layouts = {}
-
-    # coef[tube, k, mp, mm]: the coefficient of the unknown E[sigma, k, p, mp,
-    # q, mm] in the equation of tube X(xi,eta,zeta,delta,a,b), sigma = zeta*,
-    # and components p of xi, q of eta; it depends on no block
-    xi, eta, zeta, dl, a, b = alg.basis.T
-    sig = np.asarray(cat.dual)[zeta]
-    coef = np.einsum("Tu,Tkumw,Tkpw->Tkpm", F[xi, zeta, sig, xi, dl, 0, a, :, 0, 0],
-                     F[zeta, eta, sig, xi, dl, :, b].conj(),
-                     F[zeta, sig, xi, xi, 0, :, 0, 0])
-    # the graded rep basis is orthonormal; the half-braiding component
-    # convention weighs grade xi by sqrt(d_xi)
-    grade = np.sqrt(cat.d[eta] / cat.d[xi])
-
-    def layout(labels, sigma):
-        # admissible rows (delta, p, a) and columns (delta, q, b) of E[sigma];
-        # the unknowns, the admissible entries of E[sigma] in C order; and the
-        # equations (tube, p, q) of the tubes X(xi,eta,sigma*,...) with components
-        # p of xi and q of eta, in tube, then p, then q order, as the matrix A
-        rows = slot < N[sigma][labels].T[:, :, None]
-        cols = slot < N[labels, sigma].T[:, :, None]
-        nrows, ncols = rows.sum(axis=(1, 2)), cols.sum(axis=(1, 2))
-        if (nrows != ncols).any():
-            raise ModularDataError("half-braiding block (%d,%d) is not "
-                                   "square" % (sigma, np.argmax(nrows != ncols)))
-        free = rows[:, :, :, None, None] & cols[:, None, None, :, :]
-        varix = np.cumsum(free).reshape(free.shape) - 1
-        comp = labels == np.arange(n)[:, None]
-        eqs = np.column_stack([xi, eta, np.arange(alg.dim)])[sig == sigma]
-        tube, p, q = join(comp, join(comp, eqs, 0), 1)[:, 2:].T
-        e, k, mp, mm = np.nonzero(free[:, p, :, q, :])
-        A = np.zeros((len(tube), int(free.sum())), dtype=complex)
-        A[e, varix[:, p, :, q, :][e, k, mp, mm]] += coef[tube[e], k, mp, mm]
-        tubes, at = np.unique(tube, return_inverse=True)
-        return free, A, tubes, (at, p, q), grade[tube]
-
-    out = []
-    for bi, rep in enumerate(reps):
-        E = np.zeros((n, n, rep.n, slot.size, rep.n, slot.size), dtype=complex)
-        for sigma in range(n):
-            # blocks with the same component labels share the layout
-            key = (tuple(rep.labels.tolist()), sigma)
-            if key not in layouts:
-                layouts[key] = layout(rep.labels, sigma)
-            free, A, tubes, ix, g = layouts[key]
-            if not A.shape[1]:
-                continue
-            # rho of each tube; left multiplication by basis k is C[k].T
-            rho = np.array([alg.scale[t] * (rep.V.conj().T @ alg.C[t].T @ rep.V)
-                            for t in tubes.tolist()])
-            y = g * rho[ix]
-            sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-            fit = float(np.max(np.abs(A @ sol - y))) if len(y) else 0.0
-            residuals["solve"] = max(residuals["solve"], fit)
-            if fit > _EXTRACT_TOL:
-                raise ModularDataError("half-braiding solve for block %d, "
-                                       "strand %d has residual %.3e"
-                                       % (bi, sigma, fit))
-            E[sigma][free] = sol
-        # one E^H E per (sigma, delta): E is zero off the admissible slots, so
-        # each product is the identity on the admissible columns, zero elsewhere
-        Es = E.reshape(n * n, rep.n * slot.size, -1)
-        eye = (slot < N[rep.labels].transpose(1, 2, 0)[..., None]).reshape(n * n, -1)
-        uni = np.max(np.abs(Es.conj().transpose(0, 2, 1) @ Es
-                            - eye[:, :, None] * np.eye(eye.shape[1])), axis=(1, 2))
-        residuals["unitary"] = max(residuals["unitary"], float(uni.max()))
-        bad = np.flatnonzero(uni > _EXTRACT_TOL)
-        if bad.size:
-            sigma, delta = divmod(int(bad[0]), n)
-            raise ModularDataError("half-braiding (%d, strand %d, charge %d) is "
-                                   "not unitary (%.3e)" % (bi, sigma, delta, uni[bad[0]]))
-        out.append(E)
-    return out, residuals
 
 
 def degenerate_draws(monkeypatch, module, lumped):

@@ -4,7 +4,9 @@ The criteria are the exact functions `doubletop selftest` runs; here each
 gets its own test so `pytest -v` shows an individual pass/fail line.
 """
 
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,12 @@ def test_full_suite_runtime_single_core():
         ok, detail = fn(fresh)
         assert ok, detail
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_readme_library_block_runs():
+    # the README's ```python example runs as written, so a changed signature
+    # of a function it calls fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -169,6 +169,40 @@ def test_budget_below_one_is_a_usage_error(capsys, argv, budget):
                         "integer, got %s\n" % budget)
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "1e999"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "--category", "zoo:fibonacci"],
+    ["compare", "--category", "zoo:vec_z2", "--statesum", "builtin:s3",
+     "--surgery", "builtin:s3"],
+], ids=["validate", "compare"])
+def test_tolerance_must_be_finite_and_positive(capsys, argv, tolerance):
+    # a nan, negative or zero gate fails every delta and an infinite one
+    # passes any: each is a usage error, before any work is done
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tolerance", tolerance])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument --tolerance: must be a finite number "
+                        "above 0, got %s\n" % tolerance)
+
+
+def test_tolerance_that_is_no_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--category", "zoo:fibonacci", "--tolerance", "tiny"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "error: argument --tolerance: invalid float value: 'tiny'\n")
+
+
+def test_small_tolerance_still_gates(capsys):
+    # the smallest positive double is a valid gate; delta = 2.2e-16 fails it
+    code, doc, _ = run(capsys, "compare", "--category", "zoo:vec_z2",
+                       "--statesum", "builtin:s3", "--surgery", "builtin:s3",
+                       "--tolerance", "5e-324")
+    assert code == 2 and doc["results"]["tolerance"] == 5e-324
+
+
 def test_nan_surgery_value_is_a_tolerance_failure(capsys, tmp_path):
     # T ** (-f) overflows at f = 2^62 and both routes come out NaN, which
     # compares false with everything: the gate must not let it through

@@ -39,7 +39,6 @@ from oracles import (
     block_irreps_per_simple, block_twists, braiding_twists,
     canonical_permutation as canonical_permutation_oracle,
     composition_law_residual, count_calls, extract_half_braidings,
-    extract_half_braidings_per_block,
     gauge_transform, hopf_link_S, multiplicity_ring, twisted_double_twists,
     twisted_vec_zn, vec_s3_document,
 )
@@ -62,7 +61,7 @@ def half_braidings(md):
     """Block irreps, half-braidings and the solve's residuals of md's blocks,
     in the order of md.S: the pipeline no longer builds them."""
     reps = modulardata.block_irreps(md.alg, md.dec)
-    return (reps, *modulardata.extract_half_braidings(md.alg, md.dec, reps))
+    return (reps, *modulardata.extract_half_braidings(md.alg, reps))
 
 
 @pytest.fixture(scope="module")
@@ -161,35 +160,37 @@ def test_no_stage_after_the_center_reads_C(mds, monkeypatch, name):
 # -- half-braidings ------------------------------------------------------------
 
 
+def _close(E, E0, tol=1e-12):
+    return len(E) == len(E0) and all(np.max(np.abs(a - b)) < tol for a, b in zip(E, E0))
+
+
 @pytest.mark.parametrize(
     "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"])
 def test_half_braidings_equal_loop(mds, vec_s3_md, name):
-    # the equations gathered once per algebra give the same A and y, so
-    # lstsq returns the same bits as the per-entry loop
+    # one solve of the whole tube system meets the per-(block, strand)
+    # least-squares fits of the entry-by-entry loop within rounding
     md = _md(mds, vec_s3_md, name)
-    reps, E, resid0 = half_braidings(md)
-    loop, resid = extract_half_braidings(md.alg, md.dec, reps)
-    assert len(loop) == len(E)
-    assert all(np.array_equal(a, b) for a, b in zip(loop, E))
-    assert resid == resid0
+    reps, E, resid = half_braidings(md)
+    loop, resid0 = extract_half_braidings(md.alg, reps)
+    assert _close(E, loop)
+    assert abs(resid["unitary"] - resid0["unitary"]) < 1e-12
 
 
 @pytest.mark.parametrize(
     "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_z8", "vec_s3"])
 def test_grouped_routes_equal_per_block_oracles(mds, vec_s3_md, name):
-    # one stacked grading per block and one solve per (label set, strand)
-    # hand LAPACK the same products and systems as the block-by-block routes
+    # one stacked grading per block hands LAPACK the same products as the
+    # simple-by-simple route; the half-braidings of either meet the loop
     md = _md(mds, vec_s3_md, name)
     got = modulardata.block_irreps(md.alg, md.dec)
     want = block_irreps_per_simple(md.alg, md.dec)
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a.V, b.V)
         assert a.comps == b.comps and a.m == b.m
-    E, resid = modulardata.extract_half_braidings(md.alg, md.dec, got)
-    E0, resid0 = extract_half_braidings_per_block(md.alg, md.dec, want)
-    assert len(E) == len(E0)
-    assert all(np.array_equal(a, b) for a, b in zip(E, E0))
-    assert resid == resid0
+    E, resid = modulardata.extract_half_braidings(md.alg, got)
+    E0, resid0 = extract_half_braidings(md.alg, want)
+    assert _close(E, E0)
+    assert abs(resid["unitary"] - resid0["unitary"]) < 1e-12
     assert np.array_equal(block_twists(md.alg, got), block_twists(md.alg, want))
 
 
@@ -200,36 +201,29 @@ def _label_groups(reps):
     return list(groups.values())
 
 
-def _raises(alg, reps):
-    """The messages of the grouped solve and of the per-block oracle."""
-    msgs = []
-    for solve in (modulardata.extract_half_braidings, extract_half_braidings_per_block):
-        with pytest.raises(ModularDataError) as err:
-            solve(alg, None, reps)
-        msgs.append(str(err.value))
-    return msgs
+def _raises(solve, alg, reps):
+    with pytest.raises(ModularDataError) as err:
+        solve(alg, reps)
+    return str(err.value)
 
 
 @pytest.mark.parametrize("name, tamper, kind", [
-    # vec_z4: every fit is one equation in one unknown, so a random V fits
-    # and fails unitarity; its group of four holds the other blocks
+    # blocks are addressed as (label group, member).  vec_z4: a random V
+    # fails unitarity; its group of four holds the other blocks
     ("vec_z4", {(0, 1): "random"}, "unitary"),
     ("vec_z4", {(1, 1): "random", (0, 2): "random"}, "unitary"),
     # Vec(S3): label groups [0, 1], [2, 4, 5], [3], [6, 7].  A V stretched
-    # by 1.5 fits and fails unitarity; one stretched by 1e6 lifts the
-    # fit's rounding error past the gate, here on blocks 4 and 7
-    ("vec_s3", {(1, 1): "huge"}, "solve"),
+    # by 1.5 or by 1e6 fails unitarity, the latter by 1e24
+    ("vec_s3", {(1, 1): "huge"}, "unitary"),
     ("vec_s3", {(1, 0): "stretch", (1, 1): "huge"}, "unitary"),
-    ("vec_s3", {(3, 1): "huge", (1, 1): "huge"}, "solve"),
+    ("vec_s3", {(3, 1): "huge", (1, 1): "huge"}, "unitary"),
     ("vec_s3", {(3, 1): "huge", (1, 0): "stretch"}, "unitary"),
-    # ising, label groups [0, 1], [2, 3], [4, 5, 6, 7], [8]: block 4 stretched
-    # by 1e6 still fits within 1e-6 when each fit is one matrix-vector
-    # product, as in the per-block route, but not as one matrix product
+    # ising, label groups [0, 1], [2, 3], [4, 5, 6, 7], [8]
     ("ising", {(2, 0): "huge"}, "unitary"),
 ])
 def test_grouped_solve_raises_first_failure(mds, vec_s3_md, name, tamper, kind):
-    # the first failure in block order, a block's fits before its
-    # unitarity, whichever group it falls in; the message names the block
+    # the first failure in block order, whichever label group it falls in;
+    # the message names the block and the check, and the loop names both too
     md = _md(mds, vec_s3_md, name)
     reps = half_braidings(md)[0]
     groups = _label_groups(reps)  # in order of their first block
@@ -242,67 +236,49 @@ def test_grouped_solve_raises_first_failure(mds, vec_s3_md, name, tamper, kind):
             rep.V = V / np.linalg.norm(V, axis=0)
         else:
             rep.V = {"stretch": 1.5, "huge": 1e6}[how] * rep.V
-    got, want = _raises(md.alg, reps)
-    assert got == want
     blame = min(groups[g][j] for g, j in tamper)
-    word = "solve for block %d," if kind == "solve" else "half-braiding (%d, strand"
-    assert (word % blame) in got
-
-
-@pytest.mark.parametrize("block", range(9))
-def test_grouped_solve_residuals_equal_per_block_oracle(mds, block):
-    # a V nudged by 1e-9 moves the fit's rounding; the residual dict must
-    # still equal the per-block route's, bit for bit
-    md = mds["ising"]
-    reps = half_braidings(md)[0]
-    reps[block].V = (1 + 1e-9) * reps[block].V
-    E, resid = modulardata.extract_half_braidings(md.alg, None, reps)
-    E0, resid0 = extract_half_braidings_per_block(md.alg, None, reps)
-    assert all(np.array_equal(a, b) for a, b in zip(E, E0, strict=True))
-    assert resid == resid0
+    for solve in (modulardata.extract_half_braidings, extract_half_braidings):
+        msg = _raises(solve, md.alg, reps)
+        assert msg.startswith("half-braiding (%d, strand" % blame)
+        assert ("is not %s" % kind) in msg
 
 
 def test_grouped_solve_raises_first_layout_failure(vec_s3_md):
-    # a block graded by the one simple 1 alone: strands 0 and 1 solve (its
-    # V, the vacuum's, sees no tube on simple 1), strand 2 is not square
+    # a block graded by the one simple 1 alone: strand 2 is not square
     md = vec_s3_md
     ok = half_braidings(md)[0]
     fake = BlockRep(ok[0].V, [(1, 0)], {1: 1})
     reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in ok]
     reps[-1] = fake
-    got, want = _raises(md.alg, reps)
-    assert got == want
+    got = _raises(modulardata.extract_half_braidings, md.alg, reps)
     assert got.startswith("half-braiding block (2,") and "is not square" in got
     # a failure in an earlier block comes first
     reps[-2].V = 1.5 * reps[-2].V
-    got, want = _raises(md.alg, reps)
-    assert got == want
+    got = _raises(modulardata.extract_half_braidings, md.alg, reps)
     assert got.startswith("half-braiding (%d, strand" % (len(reps) - 2))
-    # and the layout failure of block 1, the first of its group of two,
-    # before the failing fit of block 4
+    # and the layout failure of block 1 before the failing unitarity of block 4
     reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in ok]
     reps[1], reps[5], reps[4].V = fake, fake, 1e6 * reps[4].V
-    got, want = _raises(md.alg, reps)
-    assert got == want
+    got = _raises(modulardata.extract_half_braidings, md.alg, reps)
     assert "is not square" in got
 
 
 def test_one_solve_per_label_set_and_strand(monkeypatch):
-    # vec_z7: 49 blocks of one component each, on 7 label sets, 7 strands
+    # vec_z7: 49 blocks of one component each on 7 label sets, 7 strands;
+    # all of them share one solve of the square tube system
     md = compute_modular_data(dt.zoo("vec_z7"))
     reps = modulardata.block_irreps(md.alg, md.dec)
-    calls = count_calls(monkeypatch, np.linalg, "lstsq")
-    modulardata.extract_half_braidings(md.alg, md.dec, reps)
-    assert len(calls) == 7 * 7
-    extract_half_braidings_per_block(md.alg, md.dec, reps)
-    assert len(calls) == 7 * 7 + 49 * 7
+    solves = count_calls(monkeypatch, np.linalg, "solve")
+    fits = count_calls(monkeypatch, np.linalg, "lstsq")
+    modulardata.extract_half_braidings(md.alg, reps)
+    assert len(solves) == 1 and not fits
 
 
 def test_half_braiding_equations_match_loop_with_multiplicity(monkeypatch):
-    # no category with N > 1 runs through the pipeline; with the fit and
-    # unitarity gates open, random representations on x (x) x = 1 + 2x fill
-    # every multiplicity axis of the equations, and both assemblies must
-    # hand lstsq the same systems
+    # no category with N > 1 runs through the pipeline; with the unitarity
+    # gate open, random representations on x (x) x = 1 + 2x fill every
+    # multiplicity axis of the equations, and the one solve must meet the
+    # loop's systems
     cat = multiplicity_ring()
     basis, index = _basis(cat)
     alg = SimpleNamespace(cat=cat, basis=basis, dim=len(basis), scale=np.ones(len(basis)),
@@ -313,17 +289,74 @@ def test_half_braiding_equations_match_loop_with_multiplicity(monkeypatch):
         V = rng.normal(size=(alg.dim, len(comps))) + 1j * rng.normal(size=(alg.dim, len(comps)))
         reps.append(BlockRep(V, comps, m))
     monkeypatch.setattr(modulardata, "_EXTRACT_TOL", np.inf)
-    got = modulardata.extract_half_braidings(alg, None, reps)[0]
-    want = extract_half_braidings(alg, None, reps)[0]
+    got = modulardata.extract_half_braidings(alg, reps)[0]
+    want = extract_half_braidings(alg, reps)[0]
     assert max(np.max(np.abs(E)) for E in want) > 0.1
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def _ring_alg():
+    cat = multiplicity_ring()
+    basis, _ = _basis(cat)
+    return SimpleNamespace(cat=cat, basis=basis, dim=len(basis))
+
+
+@pytest.mark.parametrize("name", ZOO + ["vec_s3", "twisted_z3", "multiplicity_ring"])
+def test_tube_system_is_square_and_block_diagonal_by_sector(vec_s3_md, name):
+    # row t = X(xi, eta, zeta, ...) reaches only the unknowns (sigma, xi, eta)
+    # with sigma = zeta*, and each sector has as many unknowns as tubes
+    if name == "multiplicity_ring":
+        alg = _ring_alg()
+    elif name == "vec_s3":
+        alg = vec_s3_md.alg
+    else:
+        alg = build_tube_algebra(twisted_vec_zn(3, 1) if name == "twisted_z3"
+                                 else dt.zoo(name))
+    A, col = modulardata._tube_system(alg)
+    assert A.shape == (alg.dim, alg.dim)
+    assert np.linalg.matrix_rank(A) == alg.dim
+    n = alg.cat.n
+    # col numbers the admissible slots in C order
+    sig, xi, eta = np.unravel_index(np.flatnonzero(col >= 0), col.shape)[:3]
+    col_sector = (sig * n + xi) * n + eta
+    x, y, z = alg.basis[:, :3].T
+    row_sector = (np.asarray(alg.cat.dual)[z] * n + x) * n + y
+    t, c = np.nonzero(A)
+    assert np.array_equal(row_sector[t], col_sector[c])
+    assert np.array_equal(np.bincount(row_sector, minlength=n ** 3),
+                          np.bincount(col_sector, minlength=n ** 3))
+
+
+def test_tube_system_gate():
+    # a tube dropped from the basis leaves the system one equation short
+    alg = _ring_alg()
+    alg.basis, alg.dim = alg.basis[:-1], alg.dim - 1
+    with pytest.raises(ModularDataError,
+                       match="the tube system of the half-braidings is not square"):
+        modulardata._tube_system(alg)
+
+
+@pytest.mark.parametrize("name", ZOO + ["vec_z4", "vec_s3", "twisted_z3"])
+def test_traced_half_braidings_solve_the_torus_system(mds, vec_s3_md, name):
+    # E_i summed over the components of each grade is what compute_S solves
+    # for from the characters on the torus tubes
+    if name == "twisted_z3":
+        md = compute_modular_data(twisted_vec_zn(3, 1))
+    else:
+        md = _md(mds, vec_s3_md, name)
+    alg = md.alg
+    reps, E, _ = half_braidings(md)
+    torus, A, free = modulardata._torus_system(alg)
+    Q = np.linalg.solve(A, characters(alg, md.dec)[:, torus].T).T
+    for rep, Ei, Qi in zip(reps, E, Q, strict=True):
+        traced = np.einsum("sdpupw,px->sxduw", Ei, rep.labels[:, None] == np.arange(alg.cat.n))
+        assert np.max(np.abs(traced[free] - Qi)) < 1e-12
+
+
 @pytest.mark.parametrize("name", ZOO)
 def test_half_braidings_unitary(pipes, name):
     alg, _, reps, hbs, resid = pipes[name]
-    assert resid["solve"] < 1e-9
     assert resid["unitary"] < 1e-9
     for rep, E in zip(reps, hbs):
         sq, mask = squares(alg.cat, rep, E)
@@ -946,7 +979,7 @@ def test_gauge_transform_keeps_invariants(name, seed):
     reps, E, _ = half_braidings(got)
     law = composition_law_residual(gauged, reps, E)
     assert abs(half_braiding_multiplicativity(gauged, reps, E) - law) < 1e-14
-    loop = extract_half_braidings(got.alg, got.dec, reps)[0]
+    loop = extract_half_braidings(got.alg, reps)[0]
     for a, b in zip(loop, E):
         assert np.max(np.abs(a - b)) < 1e-14
     S, T, T_braiding = _references(got, gauged)

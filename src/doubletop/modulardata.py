@@ -13,19 +13,24 @@ All Verlinde-type axioms are asserted before a ModularData is returned.
 
 The half-braidings give the fusion rules a second time, as the traces
 Tr rho_ij(pi_k) / n_k of the central projections on the product of two
-blocks (pants_dims).  block_irreps grades each block's representation
-space by the simples xi of the input category, m_{i,xi} copies each, with
-the corner idempotents X(xi,xi,e,xi,0,0).  The half-braiding of block i
-is one array E_i[sigma, delta, p, a, q, b]: strand sigma, total charge
-delta, row component p (a slot of rep.comps) with a in Hom(delta,
+blocks (pants_dims).  The route passes one stacked layout, w = max n_i:
+block_irreps returns V[i] (dim x w), whose first n_i columns are block
+i's orthonormal basis graded by the simples xi of the input category, and
+lab[i], the simple of each column in ascending order, -1 past n_i.  The
+grading reads no C: on the orthonormal tubes the corner idempotent
+X(xi,xi,0,xi,0,0) is the mask of the tubes of first label xi.  The
+half-braidings are one array E[i, sigma, delta, p, a, q, b]: block i,
+strand sigma, total charge delta, row component p with a in Hom(delta,
 sigma.xi_p), column component q with b in Hom(delta, eta_q.sigma).  The
-basis axes have length max N and E_i is zero outside admissible slots, so
-for each (sigma, delta) the admissible rows and columns form a square
-unitary.  One square tube system, block diagonal by sector (_tube_system),
-gives every E_i in one solve (extract_half_braidings); its torus rows,
-with E traced over each grade, are what S and pants_dims solve.  The
-two-strand composition law, which the solve never saw, checks E_i
-(half_braiding_multiplicativity).
+basis axes have length max N and E is zero past n_i and outside
+admissible slots, so for each (i, sigma, delta) the admissible rows and
+columns form a square unitary.  One square tube system, block diagonal by
+sector (_tube_system), gives all of E in one solve
+(extract_half_braidings); its torus rows, with E traced over each grade,
+are what S and pants_dims solve.  The two-strand composition law, which
+the solve never saw, checks E (half_braiding_multiplicativity); it reads
+its three F-moves as F, conj F, F, and pants_dims, which fuses objects
+instead of strands, runs each move the other way: conj F, F, conj F.
 """
 
 import time
@@ -62,41 +67,23 @@ class ModularDataError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class BlockRep:
-    """Irreducible *-representation of one central block.
-
-    `V` has orthonormal columns spanning a minimal left ideal of the
-    block; x acts as `V+ L_x V`.  `comps` lists the grading basis as
-    (simple, copy) pairs in ascending simple order, `labels` their
-    simples as an array; `m[xi]` counts the copies of simple xi.
-    """
-
-    def __init__(self, V, comps, m):
-        self.V = V
-        self.n = V.shape[1]
-        self.comps = comps
-        self.labels = np.array([xi for xi, _ in comps], dtype=np.int64)
-        self.m = m
-
-
 def block_irreps(alg, dec):
-    """One irreducible representation per central block.
+    """One irreducible representation per central block, stacked as (V, lab).
 
     The first n_i columns of `dec.block_spaces[i]` span a minimal left
-    ideal A q of block i, on which A acts by its irrep; the corner
-    idempotents X(xi,xi,e,xi,0,0) then grade that space by simple, with
-    one stacked product over all corners and one batched eigh per block.
+    ideal A q of block i, on which A acts by its irrep (x acts as V+ L_x V).
+    The corner idempotent X(xi,xi,0,xi,0,0) is the mask of the tubes of
+    first label xi, so P_xi = V+ mask_xi V grades that space by simple
+    without reading C; one batched eigh per block.
     """
     cat = alg.cat
-    # left multiplication by basis k is C[k].T
-    x = np.arange(cat.n)
-    ks = alg.index[x, x, 0, x, 0, 0]
-    corners = alg.scale[ks, None, None] * alg.C[ks].transpose(0, 2, 1)
-    reps = []
-    for i in range(dec.r_plus_1):
-        n = dec.n[i]
-        V = dec.block_spaces[i][:, :n]
-        P = V.conj().T @ corners @ V
+    r1, width = dec.r_plus_1, max(dec.n)
+    V = np.zeros((r1, alg.dim, width), dtype=complex)
+    lab = np.full((r1, width), -1)
+    mask = alg.basis[:, 0] == np.arange(cat.n)[:, None, None]
+    for i, n in enumerate(dec.n):
+        B = dec.block_spaces[i][:, :n]
+        P = (mask * B.conj().T) @ B
         mult = np.round(np.trace(P, axis1=1, axis2=2).real).astype(np.int64)
         occ = np.flatnonzero(mult)
         w, Wv = np.linalg.eigh(P[occ])
@@ -104,19 +91,16 @@ def block_irreps(alg, dec):
         if (keep.sum(axis=1) != mult[occ]).any():
             raise ModularDataError("grading projector of block %d is not "
                                    "a clean projection" % i)
-        m = {xi: int(mult[xi]) for xi in occ.tolist()}
-        comps = [(xi, t) for xi, k in m.items() for t in range(k)]
-        if len(comps) != n:
+        if mult.sum() != n:
             raise ModularDataError("grading of block %d sums to %d, not %d"
-                                   % (i, len(comps), n))
+                                   % (i, mult.sum(), n))
         # the kept eigenvectors of each occurring simple, in simple order
-        V = V @ Wv.transpose(0, 2, 1)[keep].T
-        qd = sum(k * cat.d[xi] for xi, k in m.items())
-        if abs(qd - dec.qdims[i]) > 1e-8:
+        V[i, :, :n] = B @ Wv.transpose(0, 2, 1)[keep].T
+        lab[i, :n] = np.repeat(np.arange(cat.n), mult)
+        if abs(mult @ cat.d - dec.qdims[i]) > 1e-8:
             raise ModularDataError("block %d grading disagrees with its "
                                    "quantum dimension" % i)
-        reps.append(BlockRep(V, comps, m))
-    return reps
+    return V, lab
 
 
 # ---------------------------------------------------------------------------
@@ -154,23 +138,22 @@ def _tube_system(alg):
     return A, col
 
 
-def extract_half_braidings(alg, reps):
+def extract_half_braidings(alg, irreps):
     """Solve the tube action for the half-braiding of every block.
 
     Column (block, p, q) of the right side holds grade_t rho_i(X_t)[p, q] on
     the tubes of the grades of p and q; one solve with `_tube_system` answers
-    every column, and E_i gathers the solution at col.  Returns (one array
-    E[sigma, delta, p, a, q, b] per block, residual dict).  Raises on a block
-    whose (sigma, delta) rows and columns form no square, or a square 1e-6
-    off unitary: the first failure in block order, a block's square first.
+    every column, and E gathers the solution at col.  Returns (the stack
+    E[block, sigma, delta, p, u, q, w], zero past n_i, residual dict).  Raises
+    on a block whose (sigma, delta) rows and columns form no square, or a
+    square 1e-6 off unitary: the first failure in block order, a block's
+    square first.
     """
     cat = alg.cat
     N, n, m = cat.N, cat.n, cat.F.shape[-1]
     A, col = _tube_system(alg)
-    r1, width = len(reps), max(rep.n for rep in reps)
-    lab = np.full((r1, width), -1)
-    for i, rep in enumerate(reps):
-        lab[i, :rep.n] = rep.labels
+    V, lab = irreps
+    r1, width = lab.shape
     on = lab >= 0
     blk, p, q = np.nonzero(on[:, :, None] & on[:, None, :])
     xp, xq = lab[blk, p], lab[blk, q]
@@ -183,9 +166,7 @@ def extract_half_braidings(alg, reps):
     # runs, so rho reads one slab of C per (xi, eta)
     run = np.searchsorted(xi * n + eta, np.arange(n * n + 1))
     first = run[::n]
-    V = np.hstack([rep.V for rep in reps])
-    v0 = np.cumsum([0] + [rep.n for rep in reps])[blk]
-    Vp, Vq = V[:, v0 + p].conj(), V[:, v0 + q]
+    Vp, Vq = V[blk, :, p].T.conj(), V[blk, :, q].T
     Y = np.zeros((alg.dim, len(blk)), dtype=complex)
     for s in np.unique(xp * n + xq).tolist():
         c = np.flatnonzero(xp * n + xq == s)
@@ -219,11 +200,10 @@ def extract_half_braidings(alg, reps):
         if bad.size:
             raise ModularDataError("half-braiding (%d, strand %d, charge %d) is not unitary "
                                    "(%.3e)" % (bi, *divmod(int(bad[0]), n), uni[bi, bad[0]]))
-    out = [E[i, :, :, :rep.n, :, :rep.n] for i, rep in enumerate(reps)]
-    return out, {"unitary": float(uni.max())}
+    return E, {"unitary": float(uni.max())}
 
 
-def half_braiding_multiplicativity(cat, reps, braidings):
+def half_braiding_multiplicativity(cat, irreps, E):
     """Residual of the two-strand composition law, over all blocks.
 
     The extracted E never saw this equation: composing the strand-a and
@@ -256,13 +236,7 @@ def half_braiding_multiplicativity(cat, reps, braidings):
     """
     N, F = cat.N, cat.F
     n, msize = cat.n, F.shape[-1]
-    r1, width = len(reps), max(rep.n for rep in reps)
-    E = np.zeros((r1, n, n, width, msize, width, msize), dtype=complex)
-    lab = np.full((r1, width), -1, dtype=np.int64)
-    for i, (rep, Ei) in enumerate(zip(reps, braidings)):
-        E[i, :, :, :rep.n, :, :rep.n] = Ei
-        lab[i, :rep.n] = rep.labels
-
+    lab = irreps[1]
     # columns: 0 i, 1 p, 2 q, 3 xi_p, 4 eta_q, 5 a, 6 b, 7 z, 8 nu, 9 delta
     pq = (lab >= 0)[:, :, None] & (lab >= 0)[:, None, :]
     blk, p, q, a, b = np.nonzero(np.broadcast_to(
@@ -301,12 +275,12 @@ def half_braiding_multiplicativity(cat, reps, braidings):
 
 def checked_half_braidings(alg, dec):
     """Irreps and half-braidings of dec's blocks; the law is held to 1e-6 too."""
-    reps = block_irreps(alg, dec)
-    E = extract_half_braidings(alg, reps)[0]
-    law = half_braiding_multiplicativity(alg.cat, reps, E)
+    irreps = block_irreps(alg, dec)
+    E = extract_half_braidings(alg, irreps)[0]
+    law = half_braiding_multiplicativity(alg.cat, irreps, E)
     if law > _EXTRACT_TOL:
         raise ModularDataError("half-braiding composition law fails at %.3e" % law)
-    return reps, E
+    return irreps, E
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +561,25 @@ def compute_modular_data(cat, seed=None):
 # ---------------------------------------------------------------------------
 
 
-def pants_dims(alg, dec, reps, braidings):
+def pants_dims(alg, dec, irreps, E):
     """Fusion multiplicities N_ij^k = Tr rho_ij(pi_k) / n_k, rho_ij the tube
     action on Gamma_i x Gamma_j.  One einsum over every pair traces the
-    product's half-braiding (E_i and E_j through three F-moves, never formed)
-    over the components of each fused grade; A of the torus-tube system maps
-    that to the character on the torus tubes, which hold the center, and one
-    product with the projections gives every k.  Raises on a trace 1e-6 off."""
+    product's half-braiding over the components of each fused grade; A of the
+    torus-tube system maps that to the character on the torus tubes, which
+    hold the center, and one product with the projections gives every k.
+    Raises on a trace 1e-6 off.
+
+    The product's half-braiding is never formed.  Strand sigma passes
+    (x y) sigma -> x (y sigma) -> x (sigma y) -> (x sigma) y -> (sigma x) y
+    -> sigma (x y): E_j and E_i between the F-moves of (x, y, sigma),
+    (x, sigma, y) and (sigma, x, y).  The composition law passes X (a b) ->
+    (X a) b -> (a X) b -> a (X b) -> a (b X) -> (a b) X and reads its moves
+    as F, conj F, F (half_braiding_multiplicativity): a move from the right-
+    to the left-nested tree is F, its inverse conj F, as F is unitary.  Here
+    the object is the product, not the strand, so every move runs the other
+    way: conj F, F, conj F.  Real F, as in the zoo, cannot tell the orders
+    apart; twisted doubles and a complex vertex gauge can.
+    """
     F = alg.cat.F
     torus, A, free = _torus_system(alg)
     # Tr rho(pi_k) / n_k = sum_t pi_k[t] Tr rho(X_t) / scale_t / n_k
@@ -601,11 +587,10 @@ def pants_dims(alg, dec, reps, braidings):
             / np.array(dec.n)[:, None]).T
     # E enters only at equal row and column component p, and F reads p only
     # through its grade: Q[block, sigma, xi, delta, u, w] sums E over grade xi
-    Q = np.array([np.einsum("sdpupw,px->sxduw", E, rep.labels[:, None] == np.arange(alg.cat.n))
-                  for rep, E in zip(reps, braidings)])
+    Q = np.einsum("isdpupw,ipx->isxduw", E, irreps[1][..., None] == np.arange(alg.cat.n))
     # numpy's default intermediate bound leaves large ranks one unsplit loop
     chi = np.einsum("xyzdefcmun,jzyfau,xzydgfshan,izxgts,zxydgethcw->ijzedwm",
-                    F, Q, F.conj(), Q, F, optimize=("greedy", 2 ** 24))
+                    F.conj(), Q, F, Q, F.conj(), optimize=("greedy", 2 ** 24))
     chi = chi.reshape(*chi.shape[:2], -1)[..., free.ravel()] @ A.T
     tr = chi @ pair
     out = np.round(tr.real)

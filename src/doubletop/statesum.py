@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import numbers
 from fractions import Fraction
 
@@ -116,13 +115,11 @@ def _derive_gluings(verts):
 class Triangulation:
     """Validated oriented Delta-complex of a closed 3-manifold."""
 
-    def __init__(self, tets_signs, gluings=None, n_vertices=None,
-                 pi1=None, name=None):
+    def __init__(self, tets_signs, gluings=None, n_vertices=None, name=None):
         # tets_signs: list of (vertex_ids_or_None, sign)
         vlists = [v for (v, _) in tets_signs]
         self.n_tets = len(tets_signs)
         self.name = name
-        self.pi1 = pi1
         if self.n_tets == 0:
             raise TriangulationError("empty triangulation")
         if any(s not in (-1, 1) or isinstance(s, bool) for (_, s) in tets_signs):
@@ -252,25 +249,13 @@ class Triangulation:
     def edge_class(self, t, i, j):
         return int(self.tet_edges[t, _EDGE_INDEX[(min(i, j), max(i, j))]])
 
-    def expected_dw(self, nmod):
-        """|Hom(pi1, Z/nmod)| / nmod from the bundled pi1 tag, if present."""
-        if not self.pi1:
-            return None
-        count = nmod ** self.pi1.get("free_rank", 0)
-        for tor in self.pi1.get("torsion", []):
-            count *= math.gcd(tor, nmod)
-        return Fraction(count, nmod)
-
     def to_dict(self):
-        doc = {
+        return {
             "vertices": self.n_vertices,
             "tets": [{"v": list(self.verts[t]), "sign": self.signs[t]}
                      for t in range(self.n_tets)],
             "gluings": [[list(a), list(b)] for (a, b) in self.gluings],
         }
-        if self.pi1:
-            doc["pi1"] = self.pi1
-        return doc
 
 
 def load_triangulation(path):
@@ -288,12 +273,12 @@ def _triangulation_from_dict(doc):
         tets = [(tuple(t["v"]) if "v" in t else None, t.get("sign", 1))
                 for t in doc["tets"]]
         gluings = doc.get("gluings")
-        n_vertices, pi1 = doc.get("vertices"), doc.get("pi1")
+        n_vertices = doc.get("vertices")
     except (AttributeError, KeyError, TypeError) as exc:
         raise TriangulationError("malformed triangulation document: %s" % exc) from exc
     if any(type(v) not in (int, str) for vs, _ in tets for v in vs or ()):
         raise TriangulationError("vertex ids must be JSON integers or strings")
-    return Triangulation(tets, gluings=gluings, n_vertices=n_vertices, pi1=pi1)
+    return Triangulation(tets, gluings=gluings, n_vertices=n_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +384,10 @@ def boundary_4_simplex():
     for i in range(5):
         v = tuple(x for x in range(5) if x != i)
         tets.append((v, (-1) ** i))
-    return Triangulation(tets, pi1={"free_rank": 0, "torsion": []},
-                         name="s3_boundary4simplex")
+    return Triangulation(tets, name="s3_boundary4simplex")
 
 
-def lens_triangulation(p, q, pi1=None):
+def lens_triangulation(p, q):
     """Bipyramid over a p-gon with caps glued after a shift of q.
 
     For gcd(p,q)=1 this is the lens space L(p,q) (p=1: S^3; p=2,q=1: RP^3);
@@ -418,7 +402,7 @@ def lens_triangulation(p, q, pi1=None):
     for i in range(p):
         gluings.append(((i, 2), ((i + 1) % p, 3)))   # wedge-to-wedge
         gluings.append(((i, 1), ((i + q) % p, 0)))   # cap-to-cap, shifted
-    return Triangulation(tets, gluings=gluings, pi1=pi1)
+    return Triangulation(tets, gluings=gluings)
 
 
 def s2xs1_twotet():
@@ -435,8 +419,7 @@ def s2xs1_twotet():
         ((0, 2), (1, 2)),
         ((1, 0), (1, 3)),
     ]
-    return Triangulation(tets, gluings=gluings,
-                         pi1={"free_rank": 1, "torsion": []}, name="s2xs1")
+    return Triangulation(tets, gluings=gluings, name="s2xs1")
 
 
 def s3_twotet():
@@ -453,8 +436,7 @@ def s3_twotet():
         ((0, 3), (1, 1)),
         ((1, 2), (1, 3)),
     ]
-    return Triangulation(tets, gluings=gluings,
-                         pi1={"free_rank": 0, "torsion": []}, name="s3_twotet")
+    return Triangulation(tets, gluings=gluings, name="s3_twotet")
 
 
 def t3_sixtet():
@@ -500,22 +482,14 @@ def t3_sixtet():
     if slots:
         raise RuntimeError("cube face matching failed")
     tets = [(None, signs[t]) for t in range(6)]
-    return Triangulation(tets, gluings=gluings,
-                         pi1={"free_rank": 3, "torsion": []}, name="t3_sixtet")
+    return Triangulation(tets, gluings=gluings, name="t3_sixtet")
 
 
 def doubled_tetrahedron():
     """S^3 as two tetrahedra glued along their whole boundary."""
     tets = [(None, 1), (None, -1)]
     gluings = [((0, f), (1, f)) for f in range(4)]
-    return Triangulation(tets, gluings=gluings,
-                         pi1={"free_rank": 0, "torsion": []})
-
-
-def _lens(p, q, torsion):
-    """Constructor of L(p, q) tagged with pi1 = Z/torsion."""
-    return lambda: lens_triangulation(
-        p, q, pi1={"free_rank": 0, "torsion": [torsion]})
+    return Triangulation(tets, gluings=gluings)
 
 
 # name or alias -> constructor
@@ -524,11 +498,11 @@ BUILTIN_TRIANGULATIONS = {
     "s3_boundary4simplex": boundary_4_simplex,
     "s3_small": s3_twotet,
     "s3_twotet": s3_twotet,
-    "rp3": _lens(2, 1, 2),
-    "rp3_lens": _lens(2, 1, 2),
-    "rp3_antipodal": _lens(4, 2, 2),
-    "lens_3_1": _lens(3, 1, 3),
-    "lens_4_1": _lens(4, 1, 4),
+    "rp3": lambda: lens_triangulation(2, 1),
+    "rp3_lens": lambda: lens_triangulation(2, 1),
+    "rp3_antipodal": lambda: lens_triangulation(4, 2),
+    "lens_3_1": lambda: lens_triangulation(3, 1),
+    "lens_4_1": lambda: lens_triangulation(4, 1),
     "s2xs1": s2xs1_twotet,
     "t3": t3_sixtet,
     "t3_sixtet": t3_sixtet,

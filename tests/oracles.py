@@ -8,6 +8,7 @@ package internals it checks.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -630,53 +631,70 @@ def conditional_expectation(alg, dec, x):
     return out
 
 
-def hopf_link_S(cat, reps, braidings, lam):
+def graded(irreps):
+    """Each block's (V_i, labels_i) of a stacked (V, lab), padding dropped."""
+    V, lab = irreps
+    return [(Vi[:, li >= 0], li[li >= 0]) for Vi, li in zip(V, lab)]
+
+
+def stacked(blocks):
+    """(V, lab) of per-block (V_i, labels_i): V zero past n_i, lab -1."""
+    width = max(len(li) for _, li in blocks)
+    V = np.zeros((len(blocks), len(blocks[0][0]), width), dtype=complex)
+    lab = np.full((len(blocks), width), -1)
+    for i, (Vi, li) in enumerate(blocks):
+        V[i, :, :len(li)], lab[i, :len(li)] = Vi, li
+    return V, lab
+
+
+def hopf_link_S(cat, irreps, E, lam):
     """S from the double-braiding trace, one term at a time.
 
     For blocks i, j: conj(sum_delta d_delta sum_{p, q, u, w}
-    E_j[xi_p, delta, q, u, q, w] E_i[eta_q, delta, p, w, p, u]) / lambda,
+    E[j, xi_p, delta, q, u, q, w] E[i, eta_q, delta, p, w, p, u]) / lambda,
     with p over the components xi_p of block i and q over the components
     eta_q of block j, summed in that order; the half-braiding reference for
     `modulardata.compute_S`.
     """
     N, d = cat.N, cat.d
-    r1 = len(reps)
+    labels = [li for _, li in graded(irreps)]
+    r1 = len(labels)
     S = np.zeros((r1, r1), dtype=complex)
     for i in range(r1):
         for j in range(r1):
             acc = 0.0 + 0.0j
             for delta in range(cat.n):
                 term = 0.0 + 0.0j
-                for p, (xi, _) in enumerate(reps[i].comps):
-                    for q, (eta, _) in enumerate(reps[j].comps):
+                for p, xi in enumerate(labels[i]):
+                    for q, eta in enumerate(labels[j]):
                         for u in range(N[xi, eta, delta]):
                             for w in range(N[eta, xi, delta]):
-                                term += (braidings[j][xi, delta, q, u, q, w]
-                                         * braidings[i][eta, delta, p, w, p, u])
+                                term += (E[j, xi, delta, q, u, q, w]
+                                         * E[i, eta, delta, p, w, p, u])
                 acc += d[delta] * term
             S[i, j] = np.conj(acc) / lam
     return S
 
 
-def block_twists(alg, reps):
+def block_twists(alg, irreps):
     """T from the twist tube's action V^+ L V on each block irrep, checked to
     be a scalar there; the per-block reference for `modulardata.compute_T`."""
     from doubletop.modulardata import twist_element
 
     L = alg.left_mult(twist_element(alg))
     T = []
-    for rep in reps:
-        M = rep.V.conj().T @ L @ rep.V
-        assert np.max(np.abs(M - M[0, 0] * np.eye(rep.n))) < 1e-8
+    for V, _ in graded(irreps):
+        M = V.conj().T @ L @ V
+        assert np.max(np.abs(M - M[0, 0] * np.eye(len(M)))) < 1e-8
         T.append(np.conj(M[0, 0]))
     return np.array(T)
 
 
-def braiding_twists(cat, reps, braidings):
+def braiding_twists(cat, irreps, E):
     """theta_i from the E-diagonal over the first graded component c of each
-    block: sum_delta d_delta tr E_i[xi_c, delta, c, ., c, .] / d_{xi_c}."""
-    return np.array([cat.d @ np.trace(E[rep.labels[0], :, 0, :, 0, :], axis1=1, axis2=2)
-                     / cat.d[rep.labels[0]] for rep, E in zip(reps, braidings)])
+    block: sum_delta d_delta tr E[i, xi_c, delta, c, ., c, .] / d_{xi_c}."""
+    return np.array([cat.d @ np.trace(Ei[xi, :, 0, :, 0, :], axis1=1, axis2=2) / cat.d[xi]
+                     for Ei, xi in zip(E, irreps[1][:, 0])])
 
 
 # Fusion-tree recoupling on up to four strands, one elementary F-move at a
@@ -777,7 +795,7 @@ def pentagon_residual(cat):
     return worst
 
 
-def composition_law_residual(cat, reps, braidings):
+def composition_law_residual(cat, irreps, E):
     """Residual of the two-strand half-braiding composition law, one block at
     a time, as dense arrays over every label; the reference for the gathered
     contraction in `modulardata.half_braiding_multiplicativity`.
@@ -789,13 +807,13 @@ def composition_law_residual(cat, reps, braidings):
     n, msize = cat.n, F.shape[-1]
     channel = np.arange(msize) < cat.N[:, :, :, None]  # T < N[a, b, nu]
     worst = 0.0
-    for rep, E in zip(reps, braidings):
-        lab = rep.labels
+    for (_, lab), Ei in zip(graded(irreps), E):
+        Ei = Ei[:, :, :len(lab), :, :len(lab)]
         got = np.einsum("qabdenABTm,aersqA,arbdefsBut,bfpcru,abpdzfUyct"
-                        "->abdzUpynTqm", F[lab], E, F[:, lab].conj(), E,
+                        "->abdzUpynTqm", F[lab], Ei, F[:, lab].conj(), Ei,
                         F[:, :, lab], optimize=True)
         want = np.einsum("zn,UT,abnT,ndpyqm->abdzUpynTqm",
-                         np.eye(n), np.eye(msize), channel, E)
+                         np.eye(n), np.eye(msize), channel, Ei)
         worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
 
@@ -882,7 +900,7 @@ def gauge_transform(cat, rng):
     gauge, validated, R-symbols dropped.
 
     Each admissible vertex (a, b; c) gets a phase u(a,b;c), with u = 1 on
-    unit vertices (so unit blocks stay the identity) and u(a,dual a;0) = 1.
+    unit vertices (so unit blocks stay the identity); u(a,dual a;0) is free.
     Rescaling the trees' vertex bases by u turns F^{abc}_d[e, f] into
 
         F[e, f] u(a,b;e) u(e,c;d) / (u(b,c;f) u(a,f;d)),
@@ -895,7 +913,6 @@ def gauge_transform(cat, rng):
     n = cat.n
     u = np.exp(2j * np.pi * rng.random((n, n, n)))
     u[0, :, :] = u[:, 0, :] = 1.0
-    u[np.arange(n), cat.dual, 0] = 1.0
     doc = dump_category(cat)
     doc.pop("rsymbols", None)
     for ent in doc["sixj"]:
@@ -1004,14 +1021,14 @@ def raw_star(cat, basis, index):
     return St
 
 
-def extract_half_braidings(alg, reps):
+def extract_half_braidings(alg, irreps):
     """Solve the tube action for the half-braiding of every block, with the
     equations assembled entry by entry: for each (block, strand) a loop over
     the tube basis, the grading copies and the F-symbols of every unknown.
 
-    Returns (one array E[sigma, delta, p, a, q, b] per block, residual
-    dict) and raises when the least-squares fit or the unitarity of any
-    solved (sigma, delta) square is worse than 1e-6.
+    Returns (the stack E[block, sigma, delta, p, a, q, b], zero past n_i,
+    residual dict) and raises when the least-squares fit or the unitarity of
+    any solved (sigma, delta) square is worse than 1e-6.
     """
     from doubletop.modulardata import _EXTRACT_TOL, ModularDataError
 
@@ -1034,30 +1051,34 @@ def extract_half_braidings(alg, reps):
         varix = np.cumsum(free).reshape(free.shape) - 1
         return rows, cols, nrows, free, int(free.sum()), varix
 
-    out = []
-    for bi, rep in enumerate(reps):
-        E = np.zeros((n, n, rep.n, slot.size, rep.n, slot.size), dtype=complex)
-        slots = {ct: i for i, ct in enumerate(rep.comps)}
+    r1, width = irreps[1].shape
+    out = np.zeros((r1, n, n, width, slot.size, width, slot.size), dtype=complex)
+    for bi, (Vi, labels) in enumerate(graded(irreps)):
+        # labels ascend, so comps lists the components in column order
+        m = Counter(labels.tolist())
+        comps = [(xi, t) for xi, k in m.items() for t in range(k)]
+        E = out[bi, :, :, :len(comps), :, :len(comps)]
+        slots = {ct: i for i, ct in enumerate(comps)}
         for sigma in range(n):
             zeta = cat.dual[sigma]
             # blocks with the same component labels share the layout
-            key = (tuple(rep.labels.tolist()), sigma)
+            key = (tuple(labels.tolist()), sigma)
             if key not in layouts:
-                layouts[key] = layout(rep.labels, sigma)
+                layouts[key] = layout(labels, sigma)
             rows, cols, nrows, free, nvar, varix = layouts[key]
             if not nvar:
                 continue
             eqs, rhs = [], []
             for tube_i, (xi, eta, zt, delta, a, b) in enumerate(alg.basis.tolist()):
-                if zt != zeta or xi not in rep.m or eta not in rep.m:
+                if zt != zeta or xi not in m or eta not in m:
                     continue
                 # rho of the basis tube; left multiplication by it is C[tube_i].T
-                rho = alg.scale[tube_i] * (rep.V.conj().T @ alg.C[tube_i].T @ rep.V)
+                rho = alg.scale[tube_i] * (Vi.conj().T @ alg.C[tube_i].T @ Vi)
                 # the graded rep basis is orthonormal; the half-braiding
                 # component convention weighs grade xi by sqrt(d_xi)
                 grade = np.sqrt(cat.d[eta] / cat.d[xi])
-                for t in range(rep.m[xi]):
-                    for s in range(rep.m[eta]):
+                for t in range(m[xi]):
+                    for s in range(m[eta]):
                         p, q = slots[(xi, t)], slots[(eta, s)]
                         row = np.zeros(nvar, dtype=complex)
                         for k in range(n):
@@ -1088,7 +1109,7 @@ def extract_half_braidings(alg, reps):
                                        % (bi, sigma, fit))
             E[sigma][free] = sol
             for delta in np.flatnonzero(nrows):
-                sq = E[sigma, delta].reshape(rep.n * slot.size, -1)[
+                sq = E[sigma, delta].reshape(len(comps) * slot.size, -1)[
                     np.ix_(rows[delta].ravel(), cols[delta].ravel())]
                 uni = float(np.max(np.abs(sq.conj().T @ sq - np.eye(len(sq)))))
                 residuals["unitary"] = max(residuals["unitary"], uni)
@@ -1096,7 +1117,6 @@ def extract_half_braidings(alg, reps):
                     raise ModularDataError("half-braiding (%d, strand %d, "
                                            "charge %d) is not unitary (%.3e)"
                                            % (bi, sigma, delta, uni))
-        out.append(E)
     return out, residuals
 
 
@@ -1253,8 +1273,8 @@ def minimal_projection(alg, dec, i, rng):
 
 
 def block_irreps(alg, dec):
-    """One irreducible representation per central block."""
-    from doubletop.modulardata import BlockRep, ModularDataError
+    """One irreducible representation per central block, stacked as (V, lab)."""
+    from doubletop.modulardata import ModularDataError
 
     cat = alg.cat
     reps = []
@@ -1293,25 +1313,27 @@ def block_irreps(alg, dec):
         if abs(qd - dec.qdims[i]) > 1e-8:
             raise ModularDataError("block %d grading disagrees with its "
                                    "quantum dimension" % i)
-        reps.append(BlockRep(V, comps, m))
-    return reps
+        reps.append((V, [xi for xi, _ in comps]))
+    return stacked(reps)
 
 
 # ---------------------------------------------------------------------------
 # block irreps one simple at a time: the package's route before it was
-# stacked.  block_irreps_per_simple grades each block with one product and
-# one eigh per simple; the stacked route must return the same bits.
+# stacked and graded by first labels.  block_irreps_per_simple grades each
+# block with one product by a corner idempotent, read from C, and one eigh
+# per simple.  Where every grade has multiplicity one, the package must
+# return the same bits; elsewhere the same grade projectors.
 # ---------------------------------------------------------------------------
 
 
 def block_irreps_per_simple(alg, dec):
-    """One irreducible representation per central block.
+    """One irreducible representation per central block, stacked as (V, lab).
 
     The first n_i columns of `dec.block_spaces[i]` span a minimal left
     ideal A q of block i, on which A acts by its irrep; the corner
     idempotents X(xi,xi,e,xi,0,0) then grade that space by simple.
     """
-    from doubletop.modulardata import BlockRep, ModularDataError
+    from doubletop.modulardata import ModularDataError
 
     cat = alg.cat
     reps = []
@@ -1343,8 +1365,8 @@ def block_irreps_per_simple(alg, dec):
         if abs(qd - dec.qdims[i]) > 1e-8:
             raise ModularDataError("block %d grading disagrees with its "
                                    "quantum dimension" % i)
-        reps.append(BlockRep(V, comps, m))
-    return reps
+        reps.append((V, [xi for xi, _ in comps]))
+    return stacked(reps)
 
 
 def degenerate_draws(monkeypatch, module, lumped):

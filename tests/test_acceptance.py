@@ -5,12 +5,15 @@ gets its own test so `pytest -v` shows an individual pass/fail line.
 """
 
 import re
+import shlex
 import time
 from pathlib import Path
 
 import pytest
 
-from doubletop.cli import SELFTEST_CRITERIA, SelftestContext
+from doubletop.cli import SELFTEST_CRITERIA, SelftestContext, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,20 @@ def test_full_suite_runtime_single_core():
 def test_readme_library_block_runs():
     # the README's ```python example runs as written, so a changed signature
     # of a function it calls fails here
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_command_line_block_runs(capsys):
+    # each `doubletop ...` line of the README's "Command line" block, with
+    # its continuations joined and its comment dropped, exits 0
+    text = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", text, re.S | re.M).group(1)
+    lines = [line.split("#", 1)[0] for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line.strip()]
+    assert len(commands) == 8 and all(cmd[0] == "doubletop" for cmd in commands)
+    for cmd in commands:
+        assert main(cmd[1:]) == 0, " ".join(cmd)
+        capsys.readouterr()

@@ -604,18 +604,20 @@ def test_selftest_computes_S_once_per_category(capsys, monkeypatch):
     assert len(calls) == 12
 
 
-def _stretched_pants(alg, dec, reps, E):
+def _stretched_pants(alg, dec, irreps, E):
     # the composition law would catch a stretched E first
-    return modulardata.pants_dims(alg, dec, reps, E[:-1] + [1.5 * E[-1]])
+    E = E.copy()
+    E[-1] *= 1.5
+    return modulardata.pants_dims(alg, dec, irreps, E)
 
 
 _block_irreps = modulardata.block_irreps
 
 
 def _stretched_irreps(alg, dec):
-    reps = _block_irreps(alg, dec)
-    reps[-1].V = 1.5 * reps[-1].V
-    return reps
+    V, lab = _block_irreps(alg, dec)
+    V[-1] *= 1.5
+    return V, lab
 
 
 @pytest.mark.parametrize("name, broken, detail", [

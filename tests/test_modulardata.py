@@ -6,13 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import doubletop as dt
 from doubletop import modulardata
 from doubletop.catdata import CategoryError, _category_from_dict
 from doubletop.modulardata import (
     STAGES,
-    BlockRep,
     ModularData,
     ModularDataError,
     braiding_st,
@@ -39,12 +39,25 @@ from oracles import (
     block_irreps_per_simple, block_twists, braiding_twists,
     canonical_permutation as canonical_permutation_oracle,
     composition_law_residual, count_calls, extract_half_braidings,
-    gauge_transform, hopf_link_S, multiplicity_ring, twisted_double_twists,
-    twisted_vec_zn, vec_s3_document,
+    gauge_transform, graded, hopf_link_S, multiplicity_ring, stacked,
+    twisted_double_twists, twisted_vec_zn, vec_s3_document,
 )
 
 ZOO = ["vec_z2", "vec_z3", "fibonacci", "ising"]
 PHI = (1 + np.sqrt(5)) / 2
+# Vec_ZN^omega as (N, k), omega the k-th power of the generating cocycle
+TWISTED = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2), (6, 1)]
+
+
+def _category(name):
+    """A zoo name, twisted_zN_k for Vec_ZN^omega, or gauged_NAME_SEED for
+    category NAME in the random vertex gauge of that seed."""
+    if name.startswith("gauged_"):
+        base, seed = name[len("gauged_"):].rsplit("_", 1)
+        return gauge_transform(_category(base), np.random.default_rng(int(seed)))
+    if name.startswith("twisted_z"):
+        return twisted_vec_zn(*map(int, name[len("twisted_z"):].split("_")))
+    return dt.zoo(name)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +73,8 @@ def vec_s3_md():
 def half_braidings(md):
     """Block irreps, half-braidings and the solve's residuals of md's blocks,
     in the order of md.S: the pipeline no longer builds them."""
-    reps = modulardata.block_irreps(md.alg, md.dec)
-    return (reps, *modulardata.extract_half_braidings(md.alg, reps))
+    irreps = modulardata.block_irreps(md.alg, md.dec)
+    return (irreps, *modulardata.extract_half_braidings(md.alg, irreps))
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +82,20 @@ def pipes(mds):
     return {name: (md.alg, md.dec, *half_braidings(md)) for name, md in mds.items()}
 
 
-def squares(cat, rep, E):
+def blocks(irreps, E):
+    """(labels, E_i) of each block, the padding past n_i dropped."""
+    return [(li, Ei[:, :, :len(li), :, :len(li)]) for (_, li), Ei in zip(graded(irreps), E)]
+
+
+def squares(cat, labels, E):
     """Admissible square of E[sigma, delta] for every (sigma, delta) with
-    rows or columns, and the mask of all admissible entries of E."""
+    rows or columns, and the mask of all admissible entries of one block's E."""
     mask = np.zeros(E.shape, dtype=bool)
     out = []
     for sigma, delta in np.ndindex(cat.n, cat.n):
-        rows = [(p, a) for p, xi in enumerate(rep.labels)
+        rows = [(p, a) for p, xi in enumerate(labels)
                 for a in range(cat.N[sigma, xi, delta])]
-        cols = [(q, b) for q, eta in enumerate(rep.labels)
+        cols = [(q, b) for q, eta in enumerate(labels)
                 for b in range(cat.N[eta, sigma, delta])]
         if rows or cols:
             assert len(rows) == len(cols)
@@ -91,16 +109,16 @@ def squares(cat, rep, E):
 # -- block irreps --------------------------------------------------------------
 
 
-def irrep_characters(alg, reps):
+def irrep_characters(alg, irreps):
     """Tr rho_i(e_k) for every block i and basis tube k; L_{e_k} is C[k].T."""
-    return np.array([np.einsum("ja,kij,ia->k", rep.V.conj(), alg.C, rep.V)
-                     for rep in reps])
+    return np.array([np.einsum("ja,kij,ia->k", V.conj(), alg.C, V)
+                     for V, _ in graded(irreps)])
 
 
 def _md(mds, vec_s3_md, name):
     if name == "vec_s3":
         return vec_s3_md
-    return mds[name] if name in mds else compute_modular_data(dt.zoo(name))
+    return mds[name] if name in mds else compute_modular_data(_category(name))
 
 
 @pytest.mark.parametrize(
@@ -109,7 +127,8 @@ def test_irreps_match_minimal_projection_oracle(mds, vec_s3_md, name):
     md = _md(mds, vec_s3_md, name)
     got = modulardata.block_irreps(md.alg, md.dec)
     want = block_irreps_oracle(md.alg, md.dec)
-    assert [rep.comps for rep in got] == [rep.comps for rep in want]
+    assert np.array_equal(got[1], want[1])
+    assert not got[0].transpose(0, 2, 1)[got[1] < 0].any()  # V is 0 past n_i
     assert np.max(np.abs(irrep_characters(md.alg, got)
                          - irrep_characters(md.alg, want))) < 1e-12
 
@@ -161,17 +180,18 @@ def test_no_stage_after_the_center_reads_C(mds, monkeypatch, name):
 
 
 def _close(E, E0, tol=1e-12):
-    return len(E) == len(E0) and all(np.max(np.abs(a - b)) < tol for a, b in zip(E, E0))
+    return E.shape == E0.shape and np.max(np.abs(E - E0)) < tol
 
 
 @pytest.mark.parametrize(
-    "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"])
+    "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"]
+    + ["twisted_z%d_%d" % nk for nk in TWISTED])
 def test_half_braidings_equal_loop(mds, vec_s3_md, name):
     # one solve of the whole tube system meets the per-(block, strand)
     # least-squares fits of the entry-by-entry loop within rounding
     md = _md(mds, vec_s3_md, name)
-    reps, E, resid = half_braidings(md)
-    loop, resid0 = extract_half_braidings(md.alg, reps)
+    irreps, E, resid = half_braidings(md)
+    loop, resid0 = extract_half_braidings(md.alg, irreps)
     assert _close(E, loop)
     assert abs(resid["unitary"] - resid0["unitary"]) < 1e-12
 
@@ -179,31 +199,46 @@ def test_half_braidings_equal_loop(mds, vec_s3_md, name):
 @pytest.mark.parametrize(
     "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_z8", "vec_s3"])
 def test_grouped_routes_equal_per_block_oracles(mds, vec_s3_md, name):
-    # one stacked grading per block hands LAPACK the same products as the
-    # simple-by-simple route; the half-braidings of either meet the loop
+    # grading by the tubes' first labels gives the grades of the corner
+    # idempotents read from C: the same bits where every grade has one copy
+    # (all but Vec(S3)), else the same grade projectors in another basis;
+    # the half-braidings meet the loop
     md = _md(mds, vec_s3_md, name)
     got = modulardata.block_irreps(md.alg, md.dec)
     want = block_irreps_per_simple(md.alg, md.dec)
-    for a, b in zip(got, want, strict=True):
-        assert np.array_equal(a.V, b.V)
-        assert a.comps == b.comps and a.m == b.m
+    assert np.array_equal(got[1], want[1])
+    for (V, lab), (V0, _) in zip(graded(got), graded(want), strict=True):
+        assert np.array_equal(V, V0) or len(set(lab.tolist())) < len(lab)
+        for xi in set(lab.tolist()):
+            c = lab == xi
+            assert np.max(np.abs(V[:, c] @ V[:, c].conj().T - V0[:, c] @ V0[:, c].conj().T)) < 1e-12
     E, resid = modulardata.extract_half_braidings(md.alg, got)
-    E0, resid0 = extract_half_braidings(md.alg, want)
+    E0, resid0 = extract_half_braidings(md.alg, got)
     assert _close(E, E0)
     assert abs(resid["unitary"] - resid0["unitary"]) < 1e-12
-    assert np.array_equal(block_twists(md.alg, got), block_twists(md.alg, want))
+    assert np.max(np.abs(block_twists(md.alg, got) - block_twists(md.alg, want))) < 1e-12
 
 
-def _label_groups(reps):
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "vec_z4", "vec_s3"])
+def test_block_irreps_read_no_C(mds, vec_s3_md, name):
+    # the grading reads alg.basis, not the structure constants
+    md = _md(mds, vec_s3_md, name)
+    alg = copy.copy(md.alg)
+    del alg.C
+    got, want = modulardata.block_irreps(alg, md.dec), modulardata.block_irreps(md.alg, md.dec)
+    assert all(map(np.array_equal, got, want))
+
+
+def _label_groups(lab):
     groups = {}
-    for i, rep in enumerate(reps):
-        groups.setdefault(tuple(rep.labels.tolist()), []).append(i)
+    for i, row in enumerate(lab.tolist()):
+        groups.setdefault(tuple(row), []).append(i)
     return list(groups.values())
 
 
-def _raises(solve, alg, reps):
+def _raises(solve, alg, irreps):
     with pytest.raises(ModularDataError) as err:
-        solve(alg, reps)
+        solve(alg, irreps)
     return str(err.value)
 
 
@@ -225,20 +260,21 @@ def test_grouped_solve_raises_first_failure(mds, vec_s3_md, name, tamper, kind):
     # the first failure in block order, whichever label group it falls in;
     # the message names the block and the check, and the loop names both too
     md = _md(mds, vec_s3_md, name)
-    reps = half_braidings(md)[0]
-    groups = _label_groups(reps)  # in order of their first block
+    V, lab = irreps = half_braidings(md)[0]
+    groups = _label_groups(lab)  # in order of their first block
     rng = np.random.default_rng(11)
     for (g, j), how in tamper.items():
-        rep = reps[groups[g][j]]
+        i = groups[g][j]
         assert len(groups[g]) >= 2
         if how == "random":
-            V = rng.normal(size=rep.V.shape) + 1j * rng.normal(size=rep.V.shape)
-            rep.V = V / np.linalg.norm(V, axis=0)
+            shape = (md.alg.dim, md.dec.n[i])
+            Vi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            V[i, :, :shape[1]] = Vi / np.linalg.norm(Vi, axis=0)
         else:
-            rep.V = {"stretch": 1.5, "huge": 1e6}[how] * rep.V
+            V[i] *= {"stretch": 1.5, "huge": 1e6}[how]
     blame = min(groups[g][j] for g, j in tamper)
     for solve in (modulardata.extract_half_braidings, extract_half_braidings):
-        msg = _raises(solve, md.alg, reps)
+        msg = _raises(solve, md.alg, irreps)
         assert msg.startswith("half-braiding (%d, strand" % blame)
         assert ("is not %s" % kind) in msg
 
@@ -246,20 +282,26 @@ def test_grouped_solve_raises_first_failure(mds, vec_s3_md, name, tamper, kind):
 def test_grouped_solve_raises_first_layout_failure(vec_s3_md):
     # a block graded by the one simple 1 alone: strand 2 is not square
     md = vec_s3_md
-    ok = half_braidings(md)[0]
-    fake = BlockRep(ok[0].V, [(1, 0)], {1: 1})
-    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in ok]
-    reps[-1] = fake
-    got = _raises(modulardata.extract_half_braidings, md.alg, reps)
+    V0, lab0 = half_braidings(md)[0]
+
+    def fake(*blocks):
+        # the blocks given get block 0's vector, graded by the simple 1
+        V, lab = V0.copy(), lab0.copy()
+        V[blocks, :], lab[blocks, :] = 0, -1
+        V[blocks, :, 0], lab[blocks, 0] = V0[0, :, 0], 1
+        return V, lab
+
+    V, lab = irreps = fake(-1)
+    got = _raises(modulardata.extract_half_braidings, md.alg, irreps)
     assert got.startswith("half-braiding block (2,") and "is not square" in got
     # a failure in an earlier block comes first
-    reps[-2].V = 1.5 * reps[-2].V
-    got = _raises(modulardata.extract_half_braidings, md.alg, reps)
-    assert got.startswith("half-braiding (%d, strand" % (len(reps) - 2))
+    V[-2] *= 1.5
+    got = _raises(modulardata.extract_half_braidings, md.alg, irreps)
+    assert got.startswith("half-braiding (%d, strand" % (len(lab) - 2))
     # and the layout failure of block 1 before the failing unitarity of block 4
-    reps = [BlockRep(rep.V, rep.comps, rep.m) for rep in ok]
-    reps[1], reps[5], reps[4].V = fake, fake, 1e6 * reps[4].V
-    got = _raises(modulardata.extract_half_braidings, md.alg, reps)
+    V, lab = irreps = fake(1, 5)
+    V[4] *= 1e6
+    got = _raises(modulardata.extract_half_braidings, md.alg, irreps)
     assert "is not square" in got
 
 
@@ -267,10 +309,10 @@ def test_one_solve_per_label_set_and_strand(monkeypatch):
     # vec_z7: 49 blocks of one component each on 7 label sets, 7 strands;
     # all of them share one solve of the square tube system
     md = compute_modular_data(dt.zoo("vec_z7"))
-    reps = modulardata.block_irreps(md.alg, md.dec)
+    irreps = modulardata.block_irreps(md.alg, md.dec)
     solves = count_calls(monkeypatch, np.linalg, "solve")
     fits = count_calls(monkeypatch, np.linalg, "lstsq")
-    modulardata.extract_half_braidings(md.alg, reps)
+    modulardata.extract_half_braidings(md.alg, irreps)
     assert len(solves) == 1 and not fits
 
 
@@ -284,16 +326,13 @@ def test_half_braiding_equations_match_loop_with_multiplicity(monkeypatch):
     alg = SimpleNamespace(cat=cat, basis=basis, dim=len(basis), scale=np.ones(len(basis)),
                           C=_structure(cat, basis, index))
     rng = np.random.default_rng(5)
-    reps = []
-    for comps, m in (([(0, 0), (1, 0)], {0: 1, 1: 1}), ([(1, 0), (1, 1)], {1: 2})):
-        V = rng.normal(size=(alg.dim, len(comps))) + 1j * rng.normal(size=(alg.dim, len(comps)))
-        reps.append(BlockRep(V, comps, m))
+    irreps = stacked([(rng.normal(size=(alg.dim, 2)) + 1j * rng.normal(size=(alg.dim, 2)), labels)
+                      for labels in ([0, 1], [1, 1])])
     monkeypatch.setattr(modulardata, "_EXTRACT_TOL", np.inf)
-    got = modulardata.extract_half_braidings(alg, reps)[0]
-    want = extract_half_braidings(alg, reps)[0]
-    assert max(np.max(np.abs(E)) for E in want) > 0.1
-    for a, b in zip(got, want):
-        assert np.max(np.abs(a - b)) < 1e-12
+    got = modulardata.extract_half_braidings(alg, irreps)[0]
+    want = extract_half_braidings(alg, irreps)[0]
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def _ring_alg():
@@ -346,32 +385,34 @@ def test_traced_half_braidings_solve_the_torus_system(mds, vec_s3_md, name):
     else:
         md = _md(mds, vec_s3_md, name)
     alg = md.alg
-    reps, E, _ = half_braidings(md)
+    irreps, E, _ = half_braidings(md)
     torus, A, free = modulardata._torus_system(alg)
     Q = np.linalg.solve(A, characters(alg, md.dec)[:, torus].T).T
-    for rep, Ei, Qi in zip(reps, E, Q, strict=True):
-        traced = np.einsum("sdpupw,px->sxduw", Ei, rep.labels[:, None] == np.arange(alg.cat.n))
+    for (labels, Ei), Qi in zip(blocks(irreps, E), Q, strict=True):
+        traced = np.einsum("sdpupw,px->sxduw", Ei, labels[:, None] == np.arange(alg.cat.n))
         assert np.max(np.abs(traced[free] - Qi)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ZOO)
 def test_half_braidings_unitary(pipes, name):
-    alg, _, reps, hbs, resid = pipes[name]
+    alg, _, irreps, E, resid = pipes[name]
     assert resid["unitary"] < 1e-9
-    for rep, E in zip(reps, hbs):
-        sq, mask = squares(alg.cat, rep, E)
-        assert not E[~mask].any()
+    mask = np.zeros(E.shape, dtype=bool)
+    for i, (labels, Ei) in enumerate(blocks(irreps, E)):
+        n = len(labels)
+        sq, mask[i, :, :, :n, :, :n] = squares(alg.cat, labels, Ei)
         for M in sq:
             assert M.shape[0] == M.shape[1]
             assert np.max(np.abs(M @ M.conj().T - np.eye(M.shape[0]))) < 1e-9
+    assert not E[~mask].any()  # padding included
 
 
 def test_vec_z2_half_braidings_are_signs(pipes):
     # the four blocks of the Z/2 double braid by +-1 scalars
-    alg, _, reps, hbs, _ = pipes["vec_z2"]
+    alg, _, irreps, E, _ = pipes["vec_z2"]
     seen = set()
-    for rep, E in zip(reps, hbs):
-        for M in squares(alg.cat, rep, E)[0]:
+    for labels, Ei in blocks(irreps, E):
+        for M in squares(alg.cat, labels, Ei)[0]:
             assert M.shape == (1, 1)
             val = complex(M[0, 0])
             assert min(abs(val - 1), abs(val + 1)) < 1e-12
@@ -380,8 +421,8 @@ def test_vec_z2_half_braidings_are_signs(pipes):
 
 
 def test_fibonacci_two_dim_braiding_block(mds, pipes):
-    alg, _, reps, hbs, _ = pipes["fibonacci"]
-    two = [(rep, E) for rep, E, n in zip(reps, hbs, mds["fibonacci"].block_dims)
+    alg, _, irreps, E, _ = pipes["fibonacci"]
+    two = [(labels, Ei) for (labels, Ei), n in zip(blocks(irreps, E), mds["fibonacci"].block_dims)
            if n == 2]
     assert len(two) == 1
     assert any(M.shape == (2, 2) for M in squares(alg.cat, *two[0])[0])
@@ -389,20 +430,20 @@ def test_fibonacci_two_dim_braiding_block(mds, pipes):
 
 @pytest.mark.parametrize("name", ZOO)
 def test_composition_law(pipes, name):
-    alg, _, reps, hbs, _ = pipes[name]
-    assert half_braiding_multiplicativity(alg.cat, reps, hbs) < 1e-8
+    alg, _, irreps, E, _ = pipes[name]
+    assert half_braiding_multiplicativity(alg.cat, irreps, E) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["vec_z3", "fibonacci", "ising"])
 def test_composition_law_detects_a_sign_flip(pipes, name):
     # flip one (strand, charge) slice of the last block's E; not on vec_z2,
     # where flipping strand 1 of a block gives the other character of Z/2
-    alg, _, reps, hbs, _ = pipes[name]
-    E = hbs[-1].copy()
+    alg, _, irreps, E, _ = pipes[name]
+    E = E.copy()
     sigma = alg.cat.n - 1
-    delta = next(d for d in range(alg.cat.n) if E[sigma, d].any())
-    E[sigma, delta] *= -1
-    assert half_braiding_multiplicativity(alg.cat, reps, hbs[:-1] + [E]) > 1e-3
+    delta = next(d for d in range(alg.cat.n) if E[-1, sigma, d].any())
+    E[-1, sigma, delta] *= -1
+    assert half_braiding_multiplicativity(alg.cat, irreps, E) > 1e-3
 
 
 def _law_pipes(mds, vec_s3_md, name):
@@ -412,9 +453,9 @@ def _law_pipes(mds, vec_s3_md, name):
 
 @pytest.mark.parametrize("name", ZOO + ["vec_z4", "vec_s3"])
 def test_composition_law_matches_dense_oracle(mds, vec_s3_md, name):
-    cat, reps, hbs = _law_pipes(mds, vec_s3_md, name)
-    got = half_braiding_multiplicativity(cat, reps, hbs)
-    assert abs(got - composition_law_residual(cat, reps, hbs)) < 1e-14
+    cat, irreps, E = _law_pipes(mds, vec_s3_md, name)
+    got = half_braiding_multiplicativity(cat, irreps, E)
+    assert abs(got - composition_law_residual(cat, irreps, E)) < 1e-14
 
 
 def test_composition_law_matches_dense_oracle_with_multiplicity():
@@ -424,20 +465,18 @@ def test_composition_law_matches_dense_oracle_with_multiplicity():
     cat = multiplicity_ring()
     rng = np.random.default_rng(5)
     N, msize = cat.N, cat.F.shape[-1]
-    reps, hbs = [], []
-    for comps in ([(0, 0), (1, 0)], [(1, 0), (1, 1)], [(1, 0)]):
-        rep = BlockRep(np.zeros((1, len(comps))), comps, {})
-        lab = rep.labels
-        # admissible slots: a < N[sigma, xi_p, delta], b < N[eta_q, sigma, delta]
-        rows = np.arange(msize) < N[:, lab].transpose(0, 2, 1)[..., None]
-        cols = np.arange(msize) < N[lab].transpose(1, 2, 0)[..., None]
-        mask = rows[:, :, :, :, None, None] & cols[:, :, None, None]
-        E = rng.normal(size=mask.shape) + 1j * rng.normal(size=mask.shape)
-        reps.append(rep)
-        hbs.append(np.where(mask, E, 0))
-    want = composition_law_residual(cat, reps, hbs)
+    irreps = stacked([(np.zeros((1, len(labels))), labels)
+                      for labels in ([0, 1], [1, 1], [1])])
+    lab = irreps[1]
+    # admissible slots, none past n_i: a < N[sigma, xi_p, delta], b < N[eta_q, sigma, delta]
+    on = (lab >= 0)[:, None, None, :, None]
+    rows = on & (np.arange(msize) < N[:, lab].transpose(1, 0, 3, 2)[..., None])
+    cols = on & (np.arange(msize) < N[lab].transpose(0, 2, 3, 1)[..., None])
+    mask = rows[..., None, None] & cols[:, :, :, None, None]
+    E = np.where(mask, rng.normal(size=mask.shape) + 1j * rng.normal(size=mask.shape), 0)
+    want = composition_law_residual(cat, irreps, E)
     assert want > 1.0
-    assert abs(half_braiding_multiplicativity(cat, reps, hbs) - want) < 1e-12 * want
+    assert abs(half_braiding_multiplicativity(cat, irreps, E) - want) < 1e-12 * want
 
 
 @pytest.mark.parametrize("name", ["ising", "vec_s3"])
@@ -448,19 +487,18 @@ def test_composition_law_matches_dense_oracle_on_broken_blocks(
     # sign flip there gives another half-braiding): (a) negate one admissible
     # entry, (b) zero one (strand, charge) slice, so that each side of the
     # law vanishes at entries where the other does not
-    cat, reps, hbs = _law_pipes(mds, vec_s3_md, name)
+    cat, irreps, E = _law_pipes(mds, vec_s3_md, name)
     sigma = cat.n - 1
-    for bi, rep in enumerate(reps):
-        mask = squares(cat, rep, hbs[bi])[1]
-        entry = tuple(np.argwhere(mask[sigma] & (np.abs(hbs[bi][sigma]) > 0.1))[0])
-        negated, zeroed = hbs[bi].copy(), hbs[bi].copy()
-        negated[(sigma,) + entry] *= -1
-        zeroed[sigma, entry[0]] = 0
-        for E in (negated, zeroed):
-            broken = hbs[:bi] + [E] + hbs[bi + 1:]
-            got = half_braiding_multiplicativity(cat, reps, broken)
+    for bi, (labels, Ei) in enumerate(blocks(irreps, E)):
+        mask = squares(cat, labels, Ei)[1]
+        entry = tuple(np.argwhere(mask[sigma] & (np.abs(Ei[sigma]) > 0.1))[0])
+        negated, zeroed = E.copy(), E.copy()
+        negated[(bi, sigma) + entry] *= -1
+        zeroed[bi, sigma, entry[0]] = 0
+        for broken in (negated, zeroed):
+            got = half_braiding_multiplicativity(cat, irreps, broken)
             assert got > 1e-3
-            assert abs(got - composition_law_residual(cat, reps, broken)) < 1e-12
+            assert abs(got - composition_law_residual(cat, irreps, broken)) < 1e-12
 
 
 # -- twists --------------------------------------------------------------------
@@ -592,32 +630,42 @@ def test_fusion_unit_row(mds, name):
     assert np.all(N >= 0)
 
 
-@pytest.mark.parametrize("name", ZOO + ["vec_z4"])
-def test_pants_dims_equal_verlinde(pipes, name):
-    alg, dec, reps, hbs, _ = pipes[name]
-    Nv, _ = verlinde_fusion(hopf_link_S(alg.cat, reps, hbs, alg.lam))
-    assert np.array_equal(pants_dims(alg, dec, reps, hbs), Nv)
+@pytest.mark.parametrize("name", ZOO + ["vec_z4"] + ["twisted_z%d_%d" % nk for nk in TWISTED]
+                         + ["gauged_%s_%d" % (name, seed) for seed in (1, 2) for name in
+                            ("ising", "fibonacci", "vec_z4", "twisted_z3_1", "twisted_z4_3")])
+def test_pants_dims_equal_verlinde(mds, name):
+    # real F, as in the zoo, fuses alike whichever F-moves are conjugated;
+    # twisted doubles and complex vertex gauges hold the order to the tube action
+    md = mds[name] if name in mds else compute_modular_data(_category(name))
+    alg, dec = md.alg, md.dec
+    irreps, E, _ = half_braidings(md)
+    Nv, _ = verlinde_fusion(hopf_link_S(alg.cat, irreps, E, alg.lam))
+    got = pants_dims(alg, dec, irreps, E)
+    assert np.array_equal(got, Nv) and np.array_equal(got, md.N)
 
 
 def test_pants_dims_names_a_trace_off_the_integers(pipes):
     # one block's half-braiding stretched by 1.5 stretches the traces of its
     # products: N_02^2 = 1 reads 1.5
-    alg, dec, reps, hbs, _ = pipes["ising"]
+    alg, dec, irreps, E, _ = pipes["ising"]
+    stretched, nan = E.copy(), E.copy()
+    stretched[2] *= 1.5
+    nan[2] *= np.nan
     with pytest.raises(ModularDataError,
                        match=r"pants trace for \(0,2,2\) is 5\.000e-01 from an integer"):
-        pants_dims(alg, dec, reps, hbs[:2] + [1.5 * hbs[2]] + hbs[3:])
+        pants_dims(alg, dec, irreps, stretched)
     # a nan trace fails the gate too
     with pytest.raises(ModularDataError, match=r"pants trace for \(0,2,0\) is nan"):
-        pants_dims(alg, dec, reps, hbs[:2] + [np.nan * hbs[2]] + hbs[3:])
+        pants_dims(alg, dec, irreps, nan)
 
 
 def _references(md, cat):
     """S and T by the half-braiding route, built from md.alg and md.dec,
     which follow md.S: the termwise Hopf trace, the twist on each irrep and
     the twist read off the E-diagonal."""
-    reps, E, _ = half_braidings(md)
-    return (hopf_link_S(cat, reps, E, md.alg.lam), block_twists(md.alg, reps),
-            braiding_twists(cat, reps, E))
+    irreps, E, _ = half_braidings(md)
+    return (hopf_link_S(cat, irreps, E, md.alg.lam), block_twists(md.alg, irreps),
+            braiding_twists(cat, irreps, E))
 
 
 ROUTE_CASES = ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"]
@@ -749,9 +797,9 @@ def test_noncommutative_double_of_s3(vec_s3_md):
     w = np.exp(2j * np.pi / 3)
     key = lambda z: (round(z.real, 9), round(z.imag, 9))
     assert sorted(map(key, md.T)) == sorted(map(key, [1, 1, 1, 1, w, w * w, 1, -1]))
-    reps, E, _ = half_braidings(md)
-    assert half_braiding_multiplicativity(md.alg.cat, reps, E) < 1e-12
-    assert np.array_equal(pants_dims(md.alg, md.dec, reps, E), md.N)
+    irreps, E, _ = half_braidings(md)
+    assert half_braiding_multiplicativity(md.alg.cat, irreps, E) < 1e-12
+    assert np.array_equal(pants_dims(md.alg, md.dec, irreps, E), md.N)
 
 
 # -- group-double oracle -------------------------------------------------------
@@ -967,21 +1015,20 @@ def test_braiding_st_requires_r_symbols():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("name", ["ising", "vec_z4", "vec_z3", "fibonacci"])
+@pytest.mark.parametrize("name", ["ising", "vec_z4", "vec_z3", "fibonacci", "twisted_z3_1"])
 def test_gauge_transform_keeps_invariants(name, seed):
     # complex F in a random vertex gauge: the composition law must hold, S
-    # and T must agree with the half-braiding route, and the modular data
-    # and state sums must not move
-    cat = dt.zoo(name)
+    # and T must agree with the half-braiding route, pants fusion with N,
+    # and the modular data and state sums must not move
+    cat = _category(name)
     gauged = gauge_transform(cat, np.random.default_rng(seed))
     assert not np.allclose(gauged.F, cat.F)
     want, got = compute_modular_data(cat), compute_modular_data(gauged)
-    reps, E, _ = half_braidings(got)
-    law = composition_law_residual(gauged, reps, E)
-    assert abs(half_braiding_multiplicativity(gauged, reps, E) - law) < 1e-14
-    loop = extract_half_braidings(got.alg, reps)[0]
-    for a, b in zip(loop, E):
-        assert np.max(np.abs(a - b)) < 1e-14
+    irreps, E, _ = half_braidings(got)
+    law = composition_law_residual(gauged, irreps, E)
+    assert abs(half_braiding_multiplicativity(gauged, irreps, E) - law) < 1e-14
+    assert np.max(np.abs(extract_half_braidings(got.alg, irreps)[0] - E)) < 1e-14
+    assert np.array_equal(pants_dims(got.alg, got.dec, irreps, E), got.N)
     S, T, T_braiding = _references(got, gauged)
     assert np.max(np.abs(got.S - S)) < 1e-12
     assert np.max(np.abs(got.T - T)) < 1e-12
@@ -995,3 +1042,17 @@ def test_gauge_transform_keeps_invariants(name, seed):
     for tri in ("s3", "lens_3_1", "rp3"):
         tri = builtin_triangulation(tri)
         assert abs(state_sum(gauged, tri) - state_sum(cat, tri)) < 1e-12
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["ising", "fibonacci", "vec_z3", "twisted_z3_1"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_vertex_gauge_keeps_the_modular_data(name, seed):
+    # u(a, dual a; 0) is free too: S, T, qdims and N stay, and so does pants fusion
+    cat = _category(name)
+    want = compute_modular_data(cat)
+    got = compute_modular_data(gauge_transform(cat, np.random.default_rng(seed)))
+    assert np.max(np.abs(got.S - want.S)) < 1e-12 and np.max(np.abs(got.T - want.T)) < 1e-12
+    assert np.max(np.abs(np.subtract(got.qdims, want.qdims))) < 1e-12
+    assert np.array_equal(got.N, want.N)
+    assert np.array_equal(pants_dims(got.alg, got.dec, *half_braidings(got)[:2]), want.N)

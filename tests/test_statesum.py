@@ -40,16 +40,24 @@ def test_counts():
     assert (tri.n_vertices, tri.n_edges) == (2, 4)
 
 
+# (free rank, invariant factors > 1) of H1 = pi1 abelianized, per builtin
+PI1_TAGS = {"s3_boundary4simplex": (0, []), "s3_twotet": (0, []), "rp3_lens": (0, [2]),
+            "rp3_antipodal": (0, [2]), "lens_3_1": (0, [3]), "lens_4_1": (0, [4]),
+            "s2xs1": (1, []), "t3_sixtet": (3, [])}
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_homology_matches_pi1_tag(name):
-    tri = builtin_triangulation(name)
-    rank, torsion = first_homology(tri)
-    assert tri.pi1 is not None
-    assert rank == tri.pi1["free_rank"]
-    # compare torsion via Hom-counts (invariant factors vs arbitrary list)
-    for nmod in (2, 3, 4, 5, 8, 9):
-        want = tri.expected_dw(nmod)
-        assert expected_flat_fraction(tri, nmod) == want
+    assert first_homology(builtin_triangulation(name)) == PI1_TAGS[name]
+
+
+def test_pi1_key_is_ignored():
+    # a document's pi1 is no input: a wrong or malformed one loads and is dropped
+    doc = doubled_tetrahedron().to_dict()
+    for pi1 in ({"free_rank": 0, "torsion": [7]}, "junk"):
+        tri = _triangulation_from_dict({**doc, "pi1": pi1})
+        assert tri.to_dict() == doc and not hasattr(tri, "pi1")
+        assert dw_oracle(cyclic_group_table(7), tri) == Fraction(1, 7)
 
 
 @pytest.mark.parametrize("name", BUILTINS)

@@ -4,24 +4,26 @@ A category is described combinatorially by
 
 * ``n`` labels ``0..n-1`` with label ``0`` the unit,
 * an involution ``dual`` with ``dual[0] == 0``,
-* fusion multiplicities ``N[i, j, k] = dim Hom(k, i (x) j)``,
+* fusion multiplicities ``N[i, j, k] = dim Hom(k, i (x) j)``, each 0 or 1:
+  only multiplicity-free rings are supported, and a ring with some
+  ``N > 1`` is refused by name at construction,
 * positive quantum dimensions ``d`` solving ``d[i] d[j] = sum_k N[i,j,k] d[k]``,
-* F-symbols, stored once, as the dense array
-  ``F[a, b, c, d, e, f, alpha, beta, mu, nu]`` (basis axes of length ``max N``;
-  zero outside admissible slots).  Each block ``F[a, b, c, d]`` holds a unitary
+* F-symbols, stored once, as the dense array ``F[a, b, c, d, e, f]``, zero
+  outside admissible labels.  Each block ``F[a, b, c, d]`` holds a unitary
   matrix between the two parenthesizations of ``Hom(d, a (x) b (x) c)``.
 
-F-matrix convention.  For fixed outer labels the left tree ``((ab)c)`` has basis
-``(e, alpha, beta)`` with ``alpha`` in an orthonormal basis of ``Hom(e, ab)`` and
-``beta`` of ``Hom(d, ec)``; the right tree ``(a(bc))`` has basis ``(f, mu, nu)``
-with ``mu`` in ``Hom(f, bc)`` and ``nu`` in ``Hom(d, af)``.  The matrix entry
-``[F^{abc}_d][(e,alpha,beta), (f,mu,nu)]`` is the coefficient in
+F-matrix convention.  For fixed outer labels the left tree ``((ab)c)`` has
+basis ``e``, a fixed unit vector of ``Hom(e, ab)`` followed by one of
+``Hom(d, ec)``; the right tree ``(a(bc))`` has basis ``f``, a unit vector of
+``Hom(f, bc)`` followed by one of ``Hom(d, af)``.  The matrix entry
+``[F^{abc}_d][e, f]`` is the coefficient in
 
-    (alpha (x) id_c) . beta  =  sum_{f,mu,nu} F[(e,alpha,beta),(f,mu,nu)] (id_a (x) mu) . nu
+    ((ab)c -> d through e)  =  sum_f F[e, f] (a(bc) -> d through f)
 
-Rows and columns are ordered lexicographically by ``(e, alpha, beta)`` and
-``(f, mu, nu)``.  Blocks with ``a``, ``b`` or ``c`` equal to the unit are fixed
-to the identity matrix (unit gauge) and need not be serialized.
+Rows and columns are ordered by ``e`` and ``f``.  Blocks with ``a``, ``b`` or
+``c`` equal to the unit are fixed to the identity matrix (unit gauge) and need
+not be serialized.  A document's ``sixj`` entry still carries the four basis
+indices ``[alpha, beta, mu, nu]`` of a general category; each must be 0.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ def join(N, rows, *cols):
     o appended as a last column; row order is kept and o ascends within each.
 
     N is the fusion tensor (cols x, y: the labels o of x (x) y), or any table
-    whose last axis is o, such as the basis slots ``np.arange(m) < N[..., None]``
-    (cols x, y, z: the slots of Hom(z, x (x) y))."""
+    whose last axis is o."""
     t, o = np.nonzero(N[tuple(rows[:, c] for c in cols)])
     return np.column_stack([rows[t], o])
 
@@ -67,6 +68,12 @@ class CategoryData:
         self.d = np.asarray(qdims, dtype=float)
         self.rsymbols = dict(rsymbols) if rsymbols else None
         self.residuals = None  # {"pentagon", "unitarity"}, set by validate()
+        over = np.argwhere(self.N > 1)
+        if len(over):
+            at = tuple(over[0])
+            raise CategoryError(
+                "fusion multiplicity N[%s] = %d is above 1: only multiplicity-free "
+                "fusion rings are supported" % (",".join(map(str, at)), self.N[at]))
         if validate:
             # the block sizes come from N: check the ring before building them
             self._check_ring()
@@ -88,15 +95,13 @@ class CategoryData:
                 "associativity violation: F-block (%d,%d,%d;%d) "
                 "is %dx%d" % (a, b, c, dd, nrows[a, b, c, dd], ncols[a, b, c, dd])
             )
-        m = int(self.N.max(initial=1))
-        self.F = F = np.zeros((n,) * 6 + (m,) * 4, dtype=complex)
+        self.F = F = np.zeros((n,) * 6, dtype=complex)
         # unit gauge: each block with a unit among a, b, c is the identity,
-        # row (e, alpha, beta) on column (f, mu, nu), over the slots s of
-        # Hom(z, x (x) y)
-        x, y, z, s = np.nonzero(np.arange(m) < N[..., None])
-        F[0, x, y, z, x, z, 0, s, s, 0] = 1.0
-        F[x, 0, y, z, x, y, 0, s, 0, s] = 1.0
-        F[x, y, 0, z, z, y, s, 0, 0, s] = 1.0
+        # row e on column f, over the admissible (x, y; z)
+        x, y, z = np.nonzero(N)
+        F[0, x, y, z, x, z] = 1.0
+        F[x, 0, y, z, x, y] = 1.0
+        F[x, y, 0, z, z, y] = 1.0
         for (labels, basis, val) in fentries:
             a, b, c, dd, e, f = labels
             al, be, mu, nu = basis
@@ -115,17 +120,17 @@ class CategoryData:
                 )
             if 0 in (a, b, c):
                 # unit gauge: ignore provided values after checking consistency
-                if abs(val - F[a, b, c, dd, e, f, al, be, mu, nu]) > STRUCT_TOL:
+                if abs(val - F[a, b, c, dd, e, f]) > STRUCT_TOL:
                     raise CategoryError(
                         "unit-gauge violation at (%d,%d,%d;%d)" % (a, b, c, dd)
                     )
                 continue
-            F[a, b, c, dd, e, f, al, be, mu, nu] = val
+            F[a, b, c, dd, e, f] = val
 
     # -- accessors ------------------------------------------------------------
 
     def rsym(self, a, b, c):
-        """Mult-free R-symbol for c in a(x)b; unit-involving R is 1."""
+        """R-symbol for c in a(x)b; unit-involving R is 1."""
         if self.N[a, b, c] == 0:
             return 0.0
         if a == 0 or b == 0:
@@ -187,8 +192,6 @@ class CategoryData:
                 "dimension eigenvector mismatch: residual %.3e" % resid
             )
         if self.rsymbols is not None:
-            if (N > 1).any():
-                raise CategoryError("R-symbols need a multiplicity-free fusion ring")
             if not np.array_equal(N, N.transpose(1, 0, 2)):
                 raise CategoryError("R-symbols on a noncommutative fusion ring")
             for (a, b, c) in self.rsymbols:
@@ -210,13 +213,10 @@ class CategoryData:
             raise CategoryError("non-finite F-symbol in block (%d,%d,%d;%d)"
                                 % tuple(np.argwhere(~finite)[0][:4]))
         keys = _block_keys(self)
-        M = _block_view(self, keys)
         a, b, c, dd = keys.T
-        T = np.arange(self.F.shape[-1])
-        # the identity on each block's admissible rows (e, alpha, beta)
-        live = ((T[:, None] < self.N[a, b][:, :, None, None])
-                & (T < self.N[:, c, dd].T[:, :, None, None])).reshape(len(keys), -1)
-        M = M.reshape(live.shape + (-1,))
+        M = self.F[a, b, c, dd]  # the blocks, axes (block, e, f)
+        # the identity on each block's admissible rows e
+        live = self.N[a, b] * self.N[:, c, dd].T
         resid = np.abs(M @ M.conj().transpose(0, 2, 1)
                        - live[:, :, None] * np.eye(live.shape[1])).max(axis=(1, 2))
         bad = np.flatnonzero(~(resid <= STRUCT_TOL))
@@ -270,6 +270,14 @@ def _ints(xs, what):
     return [int(x) for x in xs]
 
 
+def _reals(xs, what):
+    """JSON numbers as floats (nan and inf pass, for the finiteness gates);
+    else an error naming `what`: strings and booleans are not numbers."""
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in xs):
+        raise CategoryError("%s must be real numbers" % what)
+    return [float(x) for x in xs]
+
+
 def _category_parts(doc):
     """Constructor arguments (names, dual, N, qdims, fentries, rsymbols)."""
     labels = doc["labels"]
@@ -292,7 +300,7 @@ def _category_parts(doc):
     for ent in doc["fusion"]:
         mult = _ints([ent["mult"]], "fusion multiplicities")[0]
         N[triple("fusion", ent["i"], ent["j"], ent["k"])] = mult
-    qdims = [float(x) for x in doc["qdims"]]
+    qdims = _reals(doc["qdims"], "qdims")
     if len(qdims) != n:
         raise CategoryError("qdims length != n")
     fentries = []
@@ -301,7 +309,8 @@ def _category_parts(doc):
             raise CategoryError("sixj entry needs 6 labels and 4 basis indices")
         ix = _ints(list(ent["labels"]) + list(ent["basis"]),
                    "sixj labels and basis indices")
-        fentries.append((tuple(ix[:6]), tuple(ix[6:]), complex(ent["re"], ent.get("im", 0.0))))
+        fentries.append((tuple(ix[:6]), tuple(ix[6:]),
+                         complex(*_reals([ent["re"], ent.get("im", 0.0)], "sixj re and im"))))
     rsymbols = None
     if doc.get("rsymbols"):
         rsymbols = {}
@@ -309,7 +318,8 @@ def _category_parts(doc):
             if tuple(ent.get("basis", [0, 0])) != (0, 0):
                 raise CategoryError("R-symbols with multiplicity > 1 unsupported")
             key = triple("R-symbol", ent["a"], ent["b"], ent["c"])
-            rsymbols[key] = complex(ent["re"], ent.get("im", 0.0))
+            rsymbols[key] = complex(*_reals([ent["re"], ent.get("im", 0.0)],
+                                            "R-symbol re and im"))
     return names, dual, N, qdims, fentries, rsymbols
 
 
@@ -332,13 +342,6 @@ def _block_keys(cat):
     return np.argwhere(np.einsum("abe,ecd->abcd", N, N))
 
 
-def _block_view(cat, keys):
-    """The F-blocks at `keys`, gathered from cat.F with axes
-    (block, e, alpha, beta, f, mu, nu)."""
-    a, b, c, dd = keys.T
-    return cat.F[a, b, c, dd].transpose(0, 1, 3, 4, 2, 5, 6)
-
-
 def dump_category(cat):
     """Serialize back to the JSON schema (unit-gauge blocks omitted)."""
     doc = {
@@ -351,14 +354,14 @@ def dump_category(cat):
     }
     keys = _block_keys(cat)
     keys = keys[keys[:, :3].all(axis=1)]
-    M = _block_view(cat, keys)
-    # one flat scan: np.nonzero over the 7 axes of M costs 3x as much
+    M = cat.F[tuple(keys.T)]
+    # one flat scan of the blocks M for the (block, e, f) of every nonzero entry
     at = np.unravel_index(np.flatnonzero(M), M.shape)
     slots = np.column_stack((keys[at[0]],) + at[1:]).tolist()
-    for (a, b, c, dd, e, al, be, f, mu, nu), v in zip(slots, M[at].tolist()):
+    for labels, v in zip(slots, M[at].tolist()):
         doc["sixj"].append({
-            "labels": [a, b, c, dd, e, f],
-            "basis": [al, be, mu, nu],
+            "labels": labels,
+            "basis": [0, 0, 0, 0],
             "re": v.real, "im": v.imag,
         })
     if cat.rsymbols is not None:

@@ -59,7 +59,6 @@ from .surgery import (
     load_plumbing,
     modular_tau,
     random_plumbing,
-    rt_invariant,
     surgery_invariant,
 )
 from .tube import (
@@ -565,11 +564,10 @@ def _crit_two_route_identity(ctx):
         for _ in range(25):
             g = random_plumbing(rng)
             try:
-                tau = rt_invariant(md, g, budget=ctx.budget)
+                res = evaluate(md, g, budget=ctx.budget)
             except ToleranceError as exc:
                 return False, "%s: %s" % (name, exc)
-            worst = max(worst,
-                        abs(tau - surgery_invariant(md, g, budget=ctx.budget)))
+            worst = max(worst, abs(res.tau - res.Z))
         lam = md.lam
         worst = max(worst, abs(md.gauss_plus - lam), abs(md.gauss_minus - lam),
                     abs(1.0 / md.S[0, 0] - lam))

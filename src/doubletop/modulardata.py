@@ -18,12 +18,11 @@ block_irreps returns V[i] (dim x w), whose first n_i columns are block
 i's orthonormal basis graded by the simples xi of the input category, and
 lab[i], the simple of each column in ascending order, -1 past n_i.  The
 grading reads no C: on the orthonormal tubes the corner idempotent
-X(xi,xi,0,xi,0,0) is the mask of the tubes of first label xi.  The
-half-braidings are one array E[i, sigma, delta, p, a, q, b]: block i,
-strand sigma, total charge delta, row component p with a in Hom(delta,
-sigma.xi_p), column component q with b in Hom(delta, eta_q.sigma).  The
-basis axes have length max N and E is zero past n_i and outside
-admissible slots, so for each (i, sigma, delta) the admissible rows and
+X(xi,xi,0,xi) is the mask of the tubes of first label xi.  The
+half-braidings are one array E[i, sigma, delta, p, q]: block i, strand
+sigma, total charge delta, row component p with delta in sigma.xi_p, column
+component q with delta in eta_q.sigma.  E is zero past n_i and outside
+admissible labels, so for each (i, sigma, delta) the admissible rows and
 columns form a square unitary.  One square tube system, block diagonal by
 sector (_tube_system), gives all of E in one solve
 (extract_half_braidings); its torus rows, with E traced over each grade,
@@ -72,7 +71,7 @@ def block_irreps(alg, dec):
 
     The first n_i columns of `dec.block_spaces[i]` span a minimal left
     ideal A q of block i, on which A acts by its irrep (x acts as V+ L_x V).
-    The corner idempotent X(xi,xi,0,xi,0,0) is the mask of the tubes of
+    The corner idempotent X(xi,xi,0,xi) is the mask of the tubes of
     first label xi, so P_xi = V+ mask_xi V grades that space by simple
     without reading C; one batched eigh per block.
     """
@@ -111,28 +110,29 @@ def block_irreps(alg, dec):
 def _tube_system(alg):
     """The tube action on a half-braiding: (A, col), one matrix for every block.
 
-    The unknowns E[sigma, k, p, u, q, w] (u < N[sigma, xi, k], w < N[eta,
-    sigma, k]; p of grade xi, q of grade eta) depend on p, q only through
-    (xi, eta): col[sigma, xi, eta, k, u, w] numbers them in C order from N
-    alone, -1 off the admissible slots.  Row t of A is the equation of tube
+    The unknowns E[sigma, k, p, q] (N[sigma, xi, k] = N[eta, sigma, k] = 1;
+    p of grade xi, q of grade eta) depend on p, q only through (xi, eta):
+    col[sigma, xi, eta, k] numbers them in C order from N alone, -1 off the
+    admissible labels.  Row t of A is the equation of tube
     X_t = X(xi, eta, zeta, ...), sigma = zeta*, with right side grade_t
     rho(X_t)[p, q].  A is block diagonal by sector and square: Frobenius
     reciprocity makes dim Hom(xi zeta, zeta eta) equal dim Hom(sigma xi, eta sigma).
     """
     cat = alg.cat
-    N, F, slot = cat.N, cat.F, np.arange(cat.F.shape[-1])
-    free = ((slot < N[..., None])[:, :, None, :, :, None]
-            & (slot < N.transpose(1, 0, 2)[..., None])[:, None, :, :, None, :])
+    N, F = cat.N, cat.F
+    free = (N[:, :, None, :] > 0) & (N.transpose(1, 0, 2)[:, None] > 0)
     col = np.full(free.shape, -1)
     col[free] = np.arange(np.count_nonzero(free))
-    xi, eta, zeta, dl, a, b = alg.basis.T
-    sig = np.asarray(cat.dual)[zeta]
-    coef = np.einsum("Tu,Tkumw,Tkpw->Tkpm", F[xi, zeta, sig, xi, dl, 0, a, :, 0, 0],
-                     F[zeta, eta, sig, xi, dl, :, b].conj(),
-                     F[zeta, sig, xi, xi, 0, :, 0, 0])
-    t, k, u, w = np.nonzero(free[sig, xi, eta])
+    dual = np.asarray(cat.dual)
+    xi, eta, zeta, _ = alg.basis.T
+    t, k = np.nonzero(free[dual[zeta], xi, eta])
+    xi, eta, zeta, dl = alg.basis[t].T
+    sig = dual[zeta]
+    # einsum rounds each product as a per-entry loop does (see tube._structure)
     A = np.zeros((alg.dim, col.max() + 1), dtype=complex)
-    A[t, col[sig[t], xi[t], eta[t], k, u, w]] = coef[t, k, u, w]
+    A[t, col[sig, xi, eta, k]] = np.einsum("T,T,T->T", F[xi, zeta, sig, xi, dl, 0],
+                                           F[zeta, eta, sig, xi, dl, k].conj(),
+                                           F[zeta, sig, xi, xi, 0, k])
     if A.shape[0] != A.shape[1]:
         raise ModularDataError("the tube system of the half-braidings is not square")
     return A, col
@@ -144,13 +144,13 @@ def extract_half_braidings(alg, irreps):
     Column (block, p, q) of the right side holds grade_t rho_i(X_t)[p, q] on
     the tubes of the grades of p and q; one solve with `_tube_system` answers
     every column, and E gathers the solution at col.  Returns (the stack
-    E[block, sigma, delta, p, u, q, w], zero past n_i, residual dict).  Raises
+    E[block, sigma, delta, p, q], zero past n_i, residual dict).  Raises
     on a block whose (sigma, delta) rows and columns form no square, or a
     square 1e-6 off unitary: the first failure in block order, a block's
     square first.
     """
     cat = alg.cat
-    N, n, m = cat.N, cat.n, cat.F.shape[-1]
+    N, n = cat.N, cat.n
     A, col = _tube_system(alg)
     V, lab = irreps
     r1, width = lab.shape
@@ -175,22 +175,20 @@ def extract_half_braidings(alg, irreps):
         # rho(X_t)[p, q] = sum over j, k of conj(V[j, p]) C[t, k, j] V[k, q]
         Y[t, c] = weight[t, None] * np.einsum("tkc,kc->tc", alg.C[t, ry, rx] @ Vp[rx, c],
                                               Vq[ry, c])
-    # a last zero row answers col's -1 off the admissible slots
+    # a last zero row answers col's -1 off the admissible labels
     U = np.vstack([np.linalg.solve(A, Y), np.zeros(len(blk))])
-    # E[block, sigma, delta, p, u, q, w], zero on the padding of narrower blocks
-    E = np.zeros((r1, n, n, width, m, width, m), dtype=complex)
-    E[blk, :, :, p, :, q, :] = U[np.moveaxis(col[:, xp, xq], 1, 0),
-                                 np.arange(len(blk))[:, None, None, None, None]]
-    # E[sigma, delta] has N[sigma, xi_p, delta] rows and N[eta_q, sigma, delta] columns
-    # per component; each E^H E is the identity on the admissible columns
+    # E[block, sigma, delta, p, q], zero on the padding of narrower blocks
+    E = np.zeros((r1, n, n, width, width), dtype=complex)
+    E[blk, :, :, p, q] = U[np.moveaxis(col[:, xp, xq], 1, 0), np.arange(len(blk))[:, None, None]]
+    # E[sigma, delta] has a row for each component p with N[sigma, xi_p, delta]
+    # and a column for each q with N[eta_q, sigma, delta]; each E^H E is the
+    # identity on the admissible columns
     rows = on[:, None, None] * N[:, lab].transpose(1, 0, 3, 2)
-    cols = on[:, None, None] * N[lab].transpose(0, 2, 3, 1)
-    square = (rows.sum(axis=3) == cols.sum(axis=3)).reshape(r1, -1)
-    Es = E.reshape(r1 * n * n, width * m, -1)
-    eye = (np.arange(m) < cols[..., None]).reshape(r1, n * n, -1)
-    w = eye.shape[2]
-    uni = np.max(np.abs((Es.conj().transpose(0, 2, 1) @ Es).reshape(r1, n * n, w, w)
-                        - eye[..., None] * np.eye(w)), axis=(2, 3))
+    cols = (on[:, None, None] * N[lab].transpose(0, 2, 3, 1)).reshape(r1, n * n, width)
+    square = (rows.sum(axis=3).reshape(r1, -1) == cols.sum(axis=2))
+    Es = E.reshape(r1 * n * n, width, width)
+    uni = np.max(np.abs((Es.conj().transpose(0, 2, 1) @ Es).reshape(r1, n * n, width, width)
+                        - cols[..., None] * np.eye(width)), axis=(2, 3))
     for bi in range(r1):
         bad = np.flatnonzero(~square[bi])
         if bad.size:
@@ -211,31 +209,28 @@ def half_braiding_multiplicativity(cat, irreps, E):
     each fusion channel nu of a x b.  With xi_p, eta_q the labels of the
     row and column components p, q of block i, the law reads
 
-        sum_{e,r,f} F[eta_q,a,b,delta,e,nu] E_i[a,e,r,.,q,.]
-                    conj(F[a,xi_r,b,delta,e,f]) E_i[b,f,p,.,r,.]
+        sum_{e,r,f} F[eta_q,a,b,delta,e,nu] E_i[a,e,r,q]
+                    conj(F[a,xi_r,b,delta,e,f]) E_i[b,f,p,r]
                     F[a,b,xi_p,delta,z,f]
-          = [z == nu] [U == T] [T < N[a,b,nu]] E_i[nu,delta,p,y,q,m]
+          = [z == nu] E_i[nu,delta,p,q].
 
-    over the multiplicity axes (U: z|ab, y: delta|z xi_p, T: nu|ab,
-    m: delta|eta_q nu).  The outer tuples (i, p, q, a, b, z, nu, delta)
-    are built by numpy joins on N[a,b,z], N[a,b,nu] and N[z,xi_p,delta]
-    and a filter on N[eta_q,nu,delta]; the summed labels join on top of
-    them: e on N[eta_q,a,e] and N[e,b,delta], r on N[a,xi_r,e], f on
-    N[xi_r,b,f], N[a,f,delta] and N[b,xi_p,f].  cat.F and the stacked E
-    (zero-padded to the widest block) are gathered at the inner tuples,
-    one einsum runs over the multiplicity axes, and a segment sum takes
-    the products back to the outer tuples.
+    The outer tuples (i, p, q, a, b, z, nu, delta) are built by numpy
+    joins on N[a,b,z], N[a,b,nu] and N[z,xi_p,delta] and a filter on
+    N[eta_q,nu,delta]; the summed labels join on top of them: e on
+    N[eta_q,a,e] and N[e,b,delta], r on N[a,xi_r,e], f on N[xi_r,b,f],
+    N[a,f,delta] and N[b,xi_p,f].  cat.F and the stacked E (zero-padded to
+    the widest block) are gathered at the inner tuples, and a segment sum
+    takes their products back to the outer tuples.
 
     The check stays exact: an entry of the left side is nonzero only
     where its first and last F are, which needs all four outer N
     factors; an entry of the right side only where z = nu, N[a,b,nu] and
-    E's admissible slots (N[nu,xi_p,delta], N[eta_q,nu,delta]) hold,
+    E's admissible labels (N[nu,xi_p,delta], N[eta_q,nu,delta]) hold,
     which is again an outer tuple.  So the outer tuples cover every entry
     where either side can be nonzero, for E zero outside its admissible
-    slots as extract_half_braidings returns it, and nothing is sampled.
+    labels as extract_half_braidings returns it, and nothing is sampled.
     """
-    N, F = cat.N, cat.F
-    n, msize = cat.n, F.shape[-1]
+    N, F, n = cat.N, cat.F, cat.n
     lab = irreps[1]
     # columns: 0 i, 1 p, 2 q, 3 xi_p, 4 eta_q, 5 a, 6 b, 7 z, 8 nu, 9 delta
     pq = (lab >= 0)[:, :, None] & (lab >= 0)[:, None, :]
@@ -254,22 +249,17 @@ def half_braiding_multiplicativity(cat, irreps, E):
     rows = rows[(N[rows[:, 5], rows[:, 14], rows[:, 9]] > 0)
                 & (N[rows[:, 6], rows[:, 3], rows[:, 14]] > 0)]
     i, p, q, xi, eta, a, b, z, nu, d, o, e, r, xr, f = rows.T
-    terms = np.einsum("JABTm,JsA,JsBut,Jcu,JUyct->JUyTm",
-                      F[eta, a, b, d, e, nu], E[i, a, e, r, :, q],
-                      F[a, xr, b, d, e, f].conj(), E[i, b, f, p, :, r],
-                      F[a, b, xi, d, z, f], optimize=True)
+    # one product per inner tuple, rounded as the loop oracle rounds it
+    terms = np.einsum("J,J,J,J,J->J", F[eta, a, b, d, e, nu], E[i, a, e, r, q],
+                      F[a, xr, b, d, e, f].conj(), E[i, b, f, p, r], F[a, b, xi, d, z, f])
     # o is never empty: the vacuum tuples a = b = 0, p = q, e = eta_q,
     # r = q pass every join; an outer tuple with no inner tuple keeps got 0
-    got = np.zeros((len(outer),) + terms.shape[1:], dtype=complex)
+    got = np.zeros(len(outer), dtype=complex)
     start = np.flatnonzero(np.r_[True, o[1:] != o[:-1]])
-    got[o[start]] = np.add.reduceat(terms, start, axis=0)
-    # the identity channel z = nu, U = T < N[a, b, nu]
+    got[o[start]] = np.add.reduceat(terms, start)
+    # the identity channel z = nu
     i, p, q, xi, eta, a, b, z, nu, d = outer.T
-    k = np.flatnonzero(z == nu)
-    T = np.arange(msize)
-    want = np.zeros_like(got)
-    want[k[:, None], T, :, T] = ((T < N[a[k], b[k], nu[k], None])[:, :, None, None]
-                                 * E[i[k], nu[k], d[k], p[k], :, q[k]][:, None])
+    want = np.where(z == nu, E[i, nu, d, p, q], 0)
     return float(np.max(np.abs(got - want)))
 
 
@@ -289,9 +279,9 @@ def checked_half_braidings(alg, dec):
 
 
 def twist_element(alg):
-    """Coordinates of the central twist tube sum_{xi,delta,a} d_xi X(xi,xi,xi,delta,a,a)."""
-    xi, eta, zeta, _, a, b = alg.basis.T
-    on = (xi == eta) & (eta == zeta) & (a == b)
+    """Coordinates of the central twist tube sum_{xi,delta} d_xi X(xi,xi,xi,delta)."""
+    xi, eta, zeta, _ = alg.basis.T
+    on = (xi == eta) & (eta == zeta)
     return np.where(on, alg.cat.d[xi] * alg.scale, 0.0).astype(complex)
 
 
@@ -319,12 +309,12 @@ def compute_T(alg, dec):
 
 def _torus_system(alg):
     """The torus tubes X(xi, xi, ...), the mask `free` of the admissible
-    entries Q[sigma, xi, k, u, w] of a traced half-braiding, and the square
+    entries Q[sigma, xi, k] of a traced half-braiding, and the square
     matrix A that maps Q[free], in C order, to the character on the torus
     tubes: the tube system at the torus rows and the xi = eta columns."""
     A, col = _tube_system(alg)
     torus = np.flatnonzero(alg.basis[:, 0] == alg.basis[:, 1])
-    on = np.einsum("sxxkuw->sxkuw", col)
+    on = np.einsum("sxxk->sxk", col)
     free = on >= 0
     A = A.take(torus, 0).take(on[free], 1)
     if A.shape[0] != A.shape[1]:
@@ -335,8 +325,8 @@ def _torus_system(alg):
 def compute_S(alg, chi):
     """S matrix from the double-braiding (Hopf link) trace.
 
-    The trace reads only Q_i[sigma, xi, delta, u, w] = sum over p of grade
-    xi of E_i[sigma, delta, p, u, p, w].  The torus-tube system has Q_i as
+    The trace reads only Q_i[sigma, xi, delta] = sum over p of grade xi of
+    E_i[sigma, delta, p, p].  The torus-tube system has Q_i as
     unknowns and the characters chi_i on the torus tubes as right side:
     one square solve, block diagonal in (sigma, xi).
 
@@ -347,7 +337,7 @@ def compute_S(alg, chi):
     torus, A, free = _torus_system(alg)
     Q = np.zeros((len(chi),) + free.shape, dtype=complex)
     Q[:, free] = np.linalg.solve(A, chi[:, torus].T).T
-    stilde = np.einsum("d,jxyduw,iyxdwu->ij", alg.cat.d, Q, Q, optimize=True)
+    stilde = np.einsum("d,jxyd,iyxd->ij", alg.cat.d, Q, Q, optimize=True)
     return np.conj(stilde) / alg.lam
 
 
@@ -586,10 +576,10 @@ def pants_dims(alg, dec, irreps, E):
     pair = (dec.projections[:, torus] / alg.scale[torus]
             / np.array(dec.n)[:, None]).T
     # E enters only at equal row and column component p, and F reads p only
-    # through its grade: Q[block, sigma, xi, delta, u, w] sums E over grade xi
-    Q = np.einsum("isdpupw,ipx->isxduw", E, irreps[1][..., None] == np.arange(alg.cat.n))
+    # through its grade: Q[block, sigma, xi, delta] sums E over grade xi
+    Q = np.einsum("isdpp,ipx->isxd", E, irreps[1][..., None] == np.arange(alg.cat.n))
     # numpy's default intermediate bound leaves large ranks one unsplit loop
-    chi = np.einsum("xyzdefcmun,jzyfau,xzydgfshan,izxgts,zxydgethcw->ijzedwm",
+    chi = np.einsum("xyzdef,jzyf,xzydgf,izxg,zxydge->ijzed",
                     F.conj(), Q, F, Q, F.conj(), optimize=("greedy", 2 ** 24))
     chi = chi.reshape(*chi.shape[:2], -1)[..., free.ravel()] @ A.T
     tr = chi @ pair

@@ -16,22 +16,22 @@ Files may omit "gluings" when global vertex ids determine the face pairing
 (every vertex-triple shared by exactly two tetrahedra); one-vertex complexes
 must list gluings explicitly.
 
-The invariant of a coloring assigns every edge class a label, every face class
-a fusion-basis index, and every tetrahedron the weight
+The invariant of a coloring assigns every edge class a label and every
+tetrahedron the weight
 
-    W = d(c02)^{-1/2} d(c13)^{-1/2} * [F^{c01,c12,c23}_{c03}]_{(c02,f012,f023),(c13,f123,f013)}
+    W = d(c02)^{-1/2} d(c13)^{-1/2} * [F^{c01,c12,c23}_{c03}]_{c02,c13}
 
 conjugated when the tetrahedron sign is -1; then
 
-    Z = lambda^{-a} * sum_colorings (prod_E d) * sum_labelings prod_tets W
+    Z = lambda^{-a} * sum_colorings (prod_E d) * prod_tets W
 
-with a the vertex count and lambda the global dimension.
+with a the vertex count and lambda the global dimension.  The ring is
+multiplicity-free, so a face carries no basis index.
 
 `state_sum` never lists colorings: the sum is a tensor network with one
-weight table per tetrahedron (indexed by its six edge labels, plus its four
-face-basis indices when some multiplicity exceeds 1) and one ``d`` vector per
-edge, contracted by variable elimination (`doubletop.contract`).  The
-Dijkgraaf-Witten count `dw_oracle` is the same contraction over a group
+weight table per tetrahedron (indexed by its six edge labels) and one ``d``
+vector per edge, contracted by variable elimination (`doubletop.contract`).
+The Dijkgraaf-Witten count `dw_oracle` is the same contraction over a group
 table, with one 0/1 relation tensor per face class.  Its independent
 references live in the tests: the Smith-form first homology and a brute
 enumeration of all |G|^E colorings.
@@ -54,7 +54,6 @@ EDGE_SLOTS = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
 _EDGE_INDEX = {pair: k for k, pair in enumerate(EDGE_SLOTS)}
 _FACE_EDGES = tuple(tuple(_EDGE_INDEX[e] for e in itertools.combinations(c, 2))
                     for c in FACE_CORNERS)  # edge slots of face f
-_BOND_FACES = (3, 1, 0, 2)  # faces 012, 023, 123, 013: weight-table bond order
 
 
 class TriangulationError(ValueError):
@@ -287,37 +286,27 @@ def _triangulation_from_dict(doc):
 
 
 def _weight_tables(cat):
-    """Dense per-orientation weight tables over (c01,c12,c23,c02,c13,c03).
-
-    When some fusion multiplicity exceeds 1 the tables carry four more axes,
-    the face-basis bonds (f012,f023,f123,f013); entries outside a face's
-    multiplicity are 0.  The table is cat.F with its axes (a,b,c,d,e,f)
-    reordered to (a,b,c,e,f,d), divided by sqrt(d_e d_f).
-    """
+    """Dense per-orientation weight tables over (c01,c12,c23,c02,c13,c03):
+    cat.F with its axes (a,b,c,d,e,f) reordered to (a,b,c,e,f,d), divided
+    by sqrt(d_e d_f)."""
     n = cat.n
-    root = np.sqrt(np.outer(cat.d, cat.d)).reshape((1, 1, 1, n, n) + (1,) * 5)
-    W = np.ascontiguousarray(cat.F.transpose(0, 1, 2, 4, 5, 3, 6, 7, 8, 9) / root)
-    if W.shape[6] == 1:
-        W = W.reshape(W.shape[:6])
+    root = np.sqrt(np.outer(cat.d, cat.d)).reshape(1, 1, 1, n, n, 1)
+    W = np.ascontiguousarray(cat.F.transpose(0, 1, 2, 4, 5, 3) / root)
     return W, np.conj(W)
 
 
 def state_sum(cat, tri, budget=None):
     """6j-symbol state sum Z(V) for a validated category and complex.
 
-    Contracts the tensor network of one weight table per tetrahedron (face
-    bonds added for categories with multiplicities) and one ``d`` vector
-    per edge.  BudgetError is raised when one elimination step of that
-    contraction would sum over more than `budget` labels (see
+    Contracts the tensor network of one weight table per tetrahedron and
+    one ``d`` vector per edge.  BudgetError is raised when one elimination
+    step of that contraction would sum over more than `budget` labels (see
     `doubletop.contract`).
     """
     Wp, Wn = _weight_tables(cat)
     factors = [(cat.d, [e]) for e in range(tri.n_edges)]
     for t in range(tri.n_tets):
-        ids = list(tri.tet_edges[t])
-        if Wp.ndim > 6:
-            ids += [tri.n_edges + tri.tet_faces[t, f] for f in _BOND_FACES]
-        factors.append((Wp if tri.signs[t] == 1 else Wn, ids))
+        factors.append((Wp if tri.signs[t] == 1 else Wn, list(tri.tet_edges[t])))
     value, _ = contract(factors, budget)
     return complex(value) * global_dim(cat) ** (-tri.n_vertices)
 

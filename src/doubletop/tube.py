@@ -1,16 +1,16 @@
 """Annular (tube) algebra of a fusion category and its center decomposition.
 
 Basis elements are pairs of fusion trees sharing a middle strand: a tube
-X(xi, eta, zeta, delta, a, b) carries boundary sectors xi (top) and eta
-(bottom), connecting strand zeta, total charge delta, and basis choices
-a in Hom(delta, xi.zeta), b in Hom(delta, zeta.eta).  The basis is a (dim, 6)
-int array in lexicographic order of (xi, eta, zeta, delta, a, b), built by
-joins on N.
+X(xi, eta, zeta, delta) carries boundary sectors xi (top) and eta (bottom),
+connecting strand zeta and total charge delta, with delta in both xi.zeta
+and zeta.eta (the ring is multiplicity-free, so each Hom space is a line).
+The basis is a (dim, 4) int array in lexicographic order of (xi, eta, zeta,
+delta), built by joins on N.
 
 Multiplication stacks tubes: X(xi,eta,...) . Y(eta',...) vanishes unless
 eta == xi(Y); the middle strands fuse and three F-moves reduce the stack
 back to basis form.  C and the star are gathered from cat.F at joined label
-tuples, one einsum each; the star's pivotal phase keeps the Markov form
+tuples, one product of three F each; the star's pivotal phase keeps the Markov form
 positive on twisted doubles.  The basis is rescaled to be orthonormal for
 the Markov form <X,Y> = markov_trace(Y* X), the waist-killing trace.  The
 build checks that Gram matrix, the unit, and L(x*) = L(x)^+ (one product over
@@ -47,14 +47,13 @@ class CenterError(RuntimeError):
 
 
 def _basis(cat):
-    """The basis as a (dim, 6) int array in lex order, (xi, eta, zeta) joined
-    with delta on N[xi,zeta,delta] and with a, b on the slots of Hom(delta,
-    xi.zeta), Hom(delta, zeta.eta); and index[xi,eta,zeta,delta,a,b], -1 off it."""
-    N, m = cat.N, cat.F.shape[-1]
-    slots = np.arange(m) < N[..., None]
+    """The basis as a (dim, 4) int array in lex order, (xi, eta, zeta) joined
+    with delta on N[xi,zeta,delta] and kept where N[zeta,eta,delta]; and
+    index[xi,eta,zeta,delta], -1 off it."""
+    N = cat.N
     rows = join(N, np.indices((cat.n,) * 3).reshape(3, -1).T, 0, 2)
-    basis = join(slots, join(slots, rows, 0, 2, 3), 2, 1, 3)
-    index = np.full((cat.n,) * 4 + (m, m), -1)
+    basis = rows[N[rows[:, 2], rows[:, 1], rows[:, 3]] > 0]
+    index = np.full((cat.n,) * 4, -1)
     index[tuple(basis.T)] = np.arange(len(basis))
     return basis, index
 
@@ -62,49 +61,48 @@ def _basis(cat):
 def _structure(cat, basis, index):
     """C[i,j,k] = coefficient of basis[k] in basis[i].basis[j].
 
-    X(xi,eta,zeta,delta,a,b) . X(eta,eta2,zeta2,delta2,a2,b2) lands on
-    X(xi,eta2,nu,tau,c,dd): j joins on its first label eta, nu on N[zeta,zeta2,nu],
-    tau on N[xi,nu,tau].  Three F-moves gathered there are contracted over
-    (v, T, w); each (i, j, k) is written once, and zero F-slots add zeros.
+    X(xi,eta,zeta,delta) . X(eta,eta2,zeta2,delta2) lands on X(xi,eta2,nu,tau):
+    j joins on its first label eta, nu on N[zeta,zeta2,nu], tau on N[xi,nu,tau],
+    and the tuples off the basis (N[nu,eta2,tau] = 0) go.  Each (i, j, k) is written once, with the
+    product of three F-moves gathered there.
     """
     N, d, F = cat.N, cat.d, cat.F
     dim = len(basis)
     rows = np.column_stack([basis, np.arange(dim)])
     rows = join(basis[:, 0] == np.arange(cat.n)[:, None], rows, 1)
-    rows = join(N, join(N, np.column_stack([rows, basis[rows[:, 7]]]), 2, 10), 0, 14)
-    xi, eta, zeta, delta, a, b, i, j, _, eta2, zeta2, delta2, a2, b2, nu, tau = rows.T
-    s = np.einsum("Rvtc,Rvw,Rtdw->Rcd", F[xi, zeta, zeta2, tau, delta, nu, a],
-                  F[zeta, eta, zeta2, tau, delta, delta2, b, :, a2].conj(),
-                  F[zeta, zeta2, eta2, tau, nu, delta2, :, :, b2])
+    rows = join(N, join(N, np.column_stack([rows, basis[rows[:, 5]]]), 2, 8), 0, 10)
+    rows = rows[N[rows[:, 10], rows[:, 7], rows[:, 11]] > 0]  # on the basis
+    xi, eta, zeta, delta, i, j, _, eta2, zeta2, delta2, nu, tau = rows.T
+    # einsum rounds each product as a per-entry loop does; numpy's complex
+    # multiply ufunc may fuse multiply-adds and round differently
+    s = np.einsum("R,R,R->R", F[xi, zeta, zeta2, tau, delta, nu],
+                  F[zeta, eta, zeta2, tau, delta, delta2].conj(), F[zeta, zeta2, eta2, tau, nu, delta2])
     pref = d[nu] * (1.0 / (d[zeta] * d[zeta2]))
-    k = index[xi, eta2, nu, tau]
-    r, c, dd = np.nonzero(k >= 0)
     C = np.zeros((dim, dim, dim), dtype=complex)
-    C[i[r], j[r], k[r, c, dd]] += pref[r] * s[r, c, dd]
+    C[i, j, index[xi, eta2, nu, tau]] = pref * s
     return C
 
 
 def _star(cat, basis, index):
     """St with star(x) = St @ conj(x); maps sector (xi,eta,zeta) to (eta,xi,zeta*).
 
-    The star of X(xi,eta,zeta,delta,a,b) lands on X(eta,xi,zeta*,tau,c,dd), tau
-    joined on N[eta,zeta*,tau]; three F-moves gathered there are contracted over (u, w).
-    Column i is divided by phi/|phi| at its strand z, phi_z = d_z F[z,z*,z,z;0,0]
-    (the Frobenius-Schur indicator when z = z*), and left alone where phi_z = 0.
+    The star of X(xi,eta,zeta,delta) lands on X(eta,xi,zeta*,tau), tau joined
+    on N[eta,zeta*,tau] and kept where N[zeta*,xi,tau], with the product of three
+    F-moves gathered there.  Column i is divided by phi/|phi| at its strand z,
+    phi_z = d_z F[z,z*,z,z,0,0] (the Frobenius-Schur indicator when z = z*),
+    and left alone where phi_z = 0.
     """
     N, F, d = cat.N, cat.F, cat.d
     dim = len(basis)
     rows = np.column_stack([basis, np.arange(dim), np.asarray(cat.dual)[basis[:, 2]]])
-    xi, eta, zeta, delta, a, b, i, zb, tau = join(N, rows, 1, 7).T
-    s = np.einsum("Ru,Rdwu,Rwc->Rcd", F[zb, zeta, eta, eta, 0, delta, 0, 0, b].conj(),
-                  F[zb, xi, zeta, eta, tau, delta, :, :, a],
-                  F[tau, zeta, zb, tau, eta, 0, :, :, 0, 0].conj())
-    k = index[eta, xi, zb, tau]
-    r, c, dd = np.nonzero(k >= 0)
+    rows = join(N, rows, 1, 5)
+    xi, eta, zeta, delta, i, zb, tau = rows[N[rows[:, 5], rows[:, 0], rows[:, 6]] > 0].T
+    s = np.einsum("R,R,R->R", F[zb, zeta, eta, eta, 0, delta].conj(),
+                  F[zb, xi, zeta, eta, tau, delta], F[tau, zeta, zb, tau, eta, 0].conj())
     St = np.zeros((dim, dim), dtype=complex)
-    St[k[r, c, dd], i[r]] += d[zeta[r]] * s[r, c, dd]
+    St[index[eta, xi, zb, tau], i] = d[zeta] * s
     z = np.arange(cat.n)
-    phi = d * F[z, cat.dual, z, z, 0, 0, 0, 0, 0, 0]
+    phi = d * F[z, cat.dual, z, z, 0, 0]
     return St / np.divide(phi, abs(phi), out=np.ones_like(phi), where=phi != 0)[basis[:, 2]]
 
 
@@ -112,8 +110,8 @@ class TubeAlgebra:
     """Finite-dimensional *-algebra presented by structure constants.
 
     Elements are coordinate vectors over `basis` (already normalized to
-    unit Markov-form norm), the (dim, 6) array of tubes; `index` maps a tube
-    (xi, eta, zeta, delta, a, b) to its row, -1 off the basis.  `C[i,j,k]`
+    unit Markov-form norm), the (dim, 4) array of tubes; `index` maps a tube
+    (xi, eta, zeta, delta) to its row, -1 off the basis.  `C[i,j,k]`
     is the coefficient of basis k in the product of basis i and j.
     """
 
@@ -125,7 +123,7 @@ class TubeAlgebra:
         C = _structure(cat, self.basis, self.index)
         St = _star(cat, self.basis, self.index)
         xi, eta, zeta = self.basis[:, :3].T
-        # the corner identities X(xi,xi,e,xi,0,0), summing to the identity
+        # the corner identities X(xi,xi,e,xi), summing to the identity
         corner = ((xi == eta) & (zeta == 0)).astype(complex)
 
         # trace of left multiplication, as a functional on raw coordinates
@@ -182,7 +180,7 @@ class TubeAlgebra:
         return complex(self._treg @ x)
 
     def markov_trace(self, x):
-        """Waist-killing trace: lambda * d_xi on X(xi,xi,e,xi,0,0), else 0."""
+        """Waist-killing trace: lambda * d_xi on X(xi,xi,e,xi), else 0."""
         return complex(self._tmark @ x)
 
     def vacuum_functional(self, x):

@@ -169,41 +169,33 @@ def dw_brute(table, tri, budget=None):
     return Fraction(count, ng ** tri.n_vertices)
 
 
-def tet_weight(cat, tri, t, coloring, labeling):
-    """Weight of tetrahedron `t` under an edge coloring and face labeling.
-
-    coloring: label id per edge class; labeling: basis index per face class.
-    Returns 0 for inadmissible labelings.
+def tet_weight(cat, tri, t, coloring):
+    """Weight of tetrahedron `t` under an edge coloring (a label id per edge
+    class); 0 when one of its faces is not an admissible triple.
     """
     c01, c12, c23, c02, c13, c03 = (
         coloring[tri.edge_class(t, i, j)]
         for i, j in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)))
-    # face f of a tetrahedron omits corner f
-    f123, f023, f013, f012 = (labeling[tri.tet_faces[t, f]] for f in range(4))
-    if (f012 >= cat.N[c01, c12, c02] or f123 >= cat.N[c12, c23, c13]
-            or f013 >= cat.N[c01, c13, c03] or f023 >= cat.N[c02, c23, c03]):
+    if not (cat.N[c01, c12, c02] and cat.N[c12, c23, c13]
+            and cat.N[c01, c13, c03] and cat.N[c02, c23, c03]):
         return 0.0
     rows, cols, mat = fblock(cat, c01, c12, c23, c03)  # the block form
-    val = mat[rows.index((c02, f012, f023)), cols.index((c13, f123, f013))]
+    val = mat[rows.index(c02), cols.index(c13)]
     val = val / math.sqrt(cat.d[c02] * cat.d[c13])
     return complex(val.conjugate() if tri.signs[t] == -1 else val)
 
 
 def brute_state_sum(cat, tri):
-    """Z = lambda^-a sum_colorings prod_E d sum_labelings prod_tets W.
+    """Z = lambda^-a sum_colorings prod_E d prod_tets W.
 
-    Lists every edge coloring and every face labeling (basis indices up to
-    the largest multiplicity; tet_weight zeroes the inadmissible ones), so
-    it is only for complexes with a handful of edges and faces.
+    Lists every edge coloring, so it is only for complexes with a handful
+    of edges.
     """
     lam = sum(float(x) ** 2 for x in cat.d)
-    labels = range(int(cat.N.max()))
     total = 0j
     for col in itertools.product(range(cat.n), repeat=tri.n_edges):
         dims = math.prod(float(cat.d[c]) for c in col)
-        for lab in itertools.product(labels, repeat=tri.n_faces):
-            total += dims * math.prod(tet_weight(cat, tri, t, col, lab)
-                                      for t in range(tri.n_tets))
+        total += dims * math.prod(tet_weight(cat, tri, t, col) for t in range(tri.n_tets))
     return total / lam ** tri.n_vertices
 
 
@@ -269,20 +261,18 @@ def torus_bundle_count(framings, nmod):
                and (K[1][0] * x + K[1][1] * y) % nmod == 0)
 
 
-def multiplicity_ring(seed=2024):
-    """Unvalidated ring x (x) x = 1 + 2x with seeded random F entries.
+def multiplicity_ring_document(seed=2024):
+    """Category document of the ring x (x) x = 1 + 2x with seeded random F
+    entries on both copies of x, basis indices 0 and 1 in every slot.
 
-    No bundled category has a multiplicity above 1; this one exercises the
-    face bonds of the contraction and the basis slots of the pentagon
-    moves (the F entries need not be unitary).
+    The package supports only multiplicity-free rings, so this document is
+    refused at construction, with N[1,1,1] = 2 named.
     """
-    from doubletop.catdata import CategoryData
-
     N = np.zeros((2, 2, 2), dtype=np.int64)
     N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
     N[1, 1, 1] = 2
     rng = np.random.default_rng(seed)
-    fentries = []
+    sixj = []
     for dd in range(2):
         rows = [(e, al, be) for e in range(2) for al in range(N[1, 1, e])
                 for be in range(N[e, 1, dd])]
@@ -290,9 +280,36 @@ def multiplicity_ring(seed=2024):
                 for nu in range(N[1, f, dd])]
         for (e, al, be) in rows:
             for (f, mu, nu) in cols:
-                fentries.append(((1, 1, 1, dd, e, f), (al, be, mu, nu),
-                                 complex(*rng.normal(size=2))))
-    return CategoryData(["1", "x"], [0, 1], N, [1.0, 1.0 + math.sqrt(2.0)],
+                re, im = rng.normal(size=2)
+                sixj.append({"labels": [1, 1, 1, dd, e, f], "basis": [al, be, mu, nu],
+                             "re": float(re), "im": float(im)})
+    return {
+        "labels": [{"id": 0, "name": "1"}, {"id": 1, "name": "x"}],
+        "dual": [0, 1],
+        "fusion": [{"i": i, "j": j, "k": k, "mult": int(N[i, j, k])}
+                   for i, j, k in np.argwhere(N).tolist()],
+        "qdims": [1.0, 1.0 + math.sqrt(2.0)],
+        "sixj": sixj,
+    }
+
+
+def random_f_ring(seed=2024):
+    """Unvalidated fibonacci ring tau (x) tau = 1 + tau with seeded random
+    complex F on every admissible entry of the non-unit blocks.
+
+    The F entries are neither unitary nor pentagonal, and they are complex,
+    so a swapped label, a missed conjugation or a transposed F-move shows in
+    every contraction that reads them.
+    """
+    from doubletop.catdata import CategoryData
+
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = N[1, 1, 1] = 1
+    rng = np.random.default_rng(seed)
+    fentries = [((1, 1, 1, dd, e, f), (0, 0, 0, 0), complex(*rng.normal(size=2)))
+                for dd in range(2) for e in range(2) for f in range(2)
+                if N[e, 1, dd] and N[1, f, dd]]
+    return CategoryData(["1", "tau"], [0, 1], N, [1.0, (1.0 + math.sqrt(5.0)) / 2],
                         fentries, validate=False)
 
 
@@ -650,8 +667,8 @@ def stacked(blocks):
 def hopf_link_S(cat, irreps, E, lam):
     """S from the double-braiding trace, one term at a time.
 
-    For blocks i, j: conj(sum_delta d_delta sum_{p, q, u, w}
-    E[j, xi_p, delta, q, u, q, w] E[i, eta_q, delta, p, w, p, u]) / lambda,
+    For blocks i, j: conj(sum_delta d_delta sum_{p, q}
+    E[j, xi_p, delta, q, q] E[i, eta_q, delta, p, p]) / lambda,
     with p over the components xi_p of block i and q over the components
     eta_q of block j, summed in that order; the half-braiding reference for
     `modulardata.compute_S`.
@@ -667,10 +684,8 @@ def hopf_link_S(cat, irreps, E, lam):
                 term = 0.0 + 0.0j
                 for p, xi in enumerate(labels[i]):
                     for q, eta in enumerate(labels[j]):
-                        for u in range(N[xi, eta, delta]):
-                            for w in range(N[eta, xi, delta]):
-                                term += (E[j, xi, delta, q, u, q, w]
-                                         * E[i, eta, delta, p, w, p, u])
+                        if N[xi, eta, delta] and N[eta, xi, delta]:
+                            term += E[j, xi, delta, q, q] * E[i, eta, delta, p, p]
                 acc += d[delta] * term
             S[i, j] = np.conj(acc) / lam
     return S
@@ -692,8 +707,8 @@ def block_twists(alg, irreps):
 
 def braiding_twists(cat, irreps, E):
     """theta_i from the E-diagonal over the first graded component c of each
-    block: sum_delta d_delta tr E[i, xi_c, delta, c, ., c, .] / d_{xi_c}."""
-    return np.array([cat.d @ np.trace(Ei[xi, :, 0, :, 0, :], axis1=1, axis2=2) / cat.d[xi]
+    block: sum_delta d_delta E[i, xi_c, delta, c, c] / d_{xi_c}."""
+    return np.array([cat.d @ Ei[xi, :, 0, 0] / cat.d[xi]
                      for Ei, xi in zip(E, irreps[1][:, 0])])
 
 
@@ -705,21 +720,21 @@ def braiding_twists(cat, irreps, E):
 # labels.  `SHAPES` lists each shape's three fusion vertices as
 # (out, in1, in2) wires:
 #
-#       LL ((ab)c)d    5=x 6=y   p:(x|ab) q:(y|xc) r:(t|yd)
-#       M  (a(bc))d    5=u 6=y   m:(u|bc) n:(y|au) r:(t|yd)
-#       R  a((bc)d)    5=u 6=w   m:(u|bc) s:(w|ud) v:(t|aw)
-#       RR a(b(cd))    5=k 6=w   g:(k|cd) h:(w|bk) v:(t|aw)
-#       C  (ab)(cd)    5=k 6=x   p:(x|ab) g:(k|cd) j:(t|xk)
+#       LL ((ab)c)d    5=x 6=y   (x|ab) (y|xc) (t|yd)
+#       M  (a(bc))d    5=u 6=y   (u|bc) (y|au) (t|yd)
+#       R  a((bc)d)    5=u 6=w   (u|bc) (w|ud) (t|aw)
+#       RR a(b(cd))    5=k 6=w   (k|cd) (w|bk) (t|aw)
+#       C  (ab)(cd)    5=k 6=x   (x|ab) (k|cd) (t|xk)
 #
-# A state is the tuple (basis of vertex 0, 1, 2, label of wire 5, wire 6);
-# each shape's states are in lexicographic order.
+# A state is the pair (label of wire 5, wire 6); the ring is
+# multiplicity-free, so a vertex carries no basis index.  Each shape's states
+# are in lexicographic order.
 #
 # Each elementary move in `MOVES` is one F-block F^{abc}_d whose four labels
-# sit on the given wires of the source shape.  It acts on the state slots
-# of (e, alpha, beta) in the source and of (f, mu, nu) in the target; the
-# two spectator slots are copied from source to target.  Matrices map basis
-# vectors of the source shape to linear combinations in the target shape,
-# row = source index.
+# sit on the given wires of the source shape.  It acts on the state slot of
+# e in the source and of f in the target; the spectator slot is copied from
+# source to target.  Matrices map basis vectors of the source shape to
+# linear combinations in the target shape, row = source index.
 
 SHAPES = {
     "LL": ((5, 0, 1), (6, 5, 2), (4, 6, 3)),
@@ -729,31 +744,28 @@ SHAPES = {
     "C": ((6, 0, 1), (5, 2, 3), (4, 6, 5)),
 }
 
-# move: (source, target, F-block wires, (e, alpha, beta) slots,
-#        (f, mu, nu) slots, spectator slots as (source, target) pairs)
+# move: (source, target, F-block wires, e slot, f slot,
+#        spectator slot as a (source, target) pair)
 MOVES = {
-    "LL>M": ("LL", "M", (0, 1, 2, 6), (3, 0, 1), (3, 0, 1), ((2, 2), (4, 4))),
-    "M>R": ("M", "R", (0, 5, 3, 4), (4, 1, 2), (4, 1, 2), ((0, 0), (3, 3))),
-    "R>RR": ("R", "RR", (1, 2, 3, 6), (3, 0, 1), (3, 0, 1), ((2, 2), (4, 4))),
-    "LL>C": ("LL", "C", (5, 2, 3, 4), (4, 1, 2), (3, 1, 2), ((0, 0), (3, 4))),
-    # the spectator g sits at C's vertex 1 but at RR's vertex 0
-    "C>RR": ("C", "RR", (0, 1, 5, 4), (4, 0, 2), (4, 1, 2), ((1, 0), (3, 3))),
+    "LL>M": ("LL", "M", (0, 1, 2, 6), 0, 0, (1, 1)),
+    "M>R": ("M", "R", (0, 5, 3, 4), 1, 1, (0, 0)),
+    "R>RR": ("R", "RR", (1, 2, 3, 6), 0, 0, (1, 1)),
+    # the spectator x sits on C's wire 6 but on LL's wire 5
+    "LL>C": ("LL", "C", (5, 2, 3, 4), 1, 0, (0, 1)),
+    "C>RR": ("C", "RR", (0, 1, 5, 4), 1, 1, (0, 0)),
 }
 
 
 def _states(N, wires, vertices):
     """Admissible states of one shape; N is the fusion tensor as nested lists."""
-    partial = [((), wires)]
+    partial = [wires]
     for out, i, j in vertices:
         nxt = []
-        for bases, w in partial:
-            mults = N[w[i]][w[j]]
-            outs = [o for o, m in enumerate(mults) if m] if w[out] is None else [w[out]]
-            for o in outs:
-                w2 = w[:out] + (o,) + w[out + 1:]
-                nxt.extend((bases + (k,), w2) for k in range(mults[o]))
+        for w in partial:
+            nxt.extend(w[:out] + (o,) + w[out + 1:] for o, m in enumerate(N[w[i]][w[j]])
+                       if m and w[out] in (None, o))
         partial = nxt
-    return sorted(bases + w[5:] for bases, w in partial)
+    return sorted(w[5:] for w in partial)
 
 
 def shape_moves(cat, leaves, root):
@@ -762,19 +774,18 @@ def shape_moves(cat, leaves, root):
     wires = tuple(leaves) + (root, None, None)
     states = {kind: _states(N, wires, v) for kind, v in SHAPES.items()}
     mv = {}
-    for move, (src, dst, fwires, rows, cols, spect) in MOVES.items():
+    for move, (src, dst, fwires, row, col, (s, d)) in MOVES.items():
         index = {st: j for j, st in enumerate(states[dst])}
         mat = np.zeros((len(states[src]), len(states[dst])), dtype=complex)
         for i, st in enumerate(states[src]):
-            w = wires[:5] + st[3:]
+            w = wires[:5] + st
             brows, bcols, bmat = fblock(cat, *(w[k] for k in fwires))
-            ri = brows.index(tuple(st[k] for k in rows))
-            new = [0] * 5
-            for s, d in spect:
-                new[d] = st[s]
-            for col, val in zip(bcols, bmat[ri].tolist()):
+            ri = brows.index(st[row])
+            new = [0, 0]
+            new[d] = st[s]
+            for f, val in zip(bcols, bmat[ri].tolist()):
                 if val:
-                    new[cols[0]], new[cols[1]], new[cols[2]] = col
+                    new[col] = f
                     mat[i, index[tuple(new)]] += val
         mv[move] = mat
     return states, mv
@@ -803,29 +814,23 @@ def composition_law_residual(cat, irreps, E):
     Composing the strand-a and strand-b half-braidings through three F-moves
     must give E on each fusion channel nu of a x b, for every (a, b, delta).
     """
-    F = cat.F
-    n, msize = cat.n, F.shape[-1]
-    channel = np.arange(msize) < cat.N[:, :, :, None]  # T < N[a, b, nu]
+    F, n = cat.F, cat.n
     worst = 0.0
     for (_, lab), Ei in zip(graded(irreps), E):
-        Ei = Ei[:, :, :len(lab), :, :len(lab)]
-        got = np.einsum("qabdenABTm,aersqA,arbdefsBut,bfpcru,abpdzfUyct"
-                        "->abdzUpynTqm", F[lab], Ei, F[:, lab].conj(), Ei,
-                        F[:, :, lab], optimize=True)
-        want = np.einsum("zn,UT,abnT,ndpyqm->abdzUpynTqm",
-                         np.eye(n), np.eye(msize), channel, Ei)
+        Ei = Ei[:, :, :len(lab), :len(lab)]
+        got = np.einsum("qabden,aerq,arbdef,bfpr,abpdzf->abdzpnq", F[lab], Ei,
+                        F[:, lab].conj(), Ei, F[:, :, lab], optimize=True)
+        want = np.einsum("zn,abn,ndpq->abdzpnq", np.eye(n), cat.N, Ei)
         worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
 
 
 def fblock_bases(cat, a, b, c, dd):
-    """Row basis (e, alpha, beta) and column basis (f, mu, nu) of the F-block
-    (a,b,c;d), in lex order, one label and multiplicity at a time."""
+    """Row labels e and column labels f of the F-block (a,b,c;d), ascending,
+    one label at a time."""
     N = cat.N
-    rows = [(e, al, be) for e in range(cat.n)
-            for al in range(N[a, b, e]) for be in range(N[e, c, dd])]
-    cols = [(f, mu, nu) for f in range(cat.n)
-            for mu in range(N[b, c, f]) for nu in range(N[a, f, dd])]
+    rows = [e for e in range(cat.n) if N[a, b, e] and N[e, c, dd]]
+    cols = [f for f in range(cat.n) if N[b, c, f] and N[a, f, dd]]
     return rows, cols
 
 
@@ -834,9 +839,9 @@ def fblock(cat, a, b, c, dd):
     and one scalar read of cat.F per entry."""
     rows, cols = fblock_bases(cat, a, b, c, dd)
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for i, (e, al, be) in enumerate(rows):
-        for j, (f, mu, nu) in enumerate(cols):
-            mat[i, j] = cat.F[a, b, c, dd, e, f, al, be, mu, nu]
+    for i, e in enumerate(rows):
+        for j, f in enumerate(cols):
+            mat[i, j] = cat.F[a, b, c, dd, e, f]
     return rows, cols, mat
 
 
@@ -862,8 +867,6 @@ def hexagon_residual(cat):
     and the mirror identity with R^{xy}_z replaced by conj(R^{yx}_z); the
     reference for the einsum in `trees.hexagon_residual`.
     """
-    if (cat.N > 1).any():
-        raise NotImplementedError("hexagon check requires multiplicity-free fusion")
     if not np.array_equal(cat.N, np.swapaxes(cat.N, 0, 1)):
         raise ValueError("fusion ring not commutative; no braiding possible")
     n = cat.n
@@ -879,25 +882,23 @@ def hexagon_residual(cat):
                 continue
             _, cols_bac, bac = fblock(cat, b, a, c, dd)
             rows_bca, _, bca = fblock(cat, b, c, a, dd)
-            fs = [f for (f, _, _) in cols_abc]
-            f2s = [f for (f, _, _) in rows_bca]
-            lhs = np.zeros((len(fs), len(f2s)), dtype=complex)
-            for i, f in enumerate(fs):
-                for j, f2 in enumerate(f2s):
+            lhs = np.zeros((len(cols_abc), len(rows_bca)), dtype=complex)
+            for i, f in enumerate(cols_abc):
+                for j, f2 in enumerate(rows_bca):
                     if f == f2:
                         lhs[i, j] = rme(a, f, dd, mirror)
             mid = (np.conj(abc).T
-                   @ np.diag([rme(a, b, e, mirror) for (e, _, _) in rows_abc])
+                   @ np.diag([rme(a, b, e, mirror) for e in rows_abc])
                    @ bac
-                   @ np.diag([rme(a, c, g, mirror) for (g, _, _) in cols_bac])
+                   @ np.diag([rme(a, c, g, mirror) for g in cols_bac])
                    @ np.conj(bca).T)
             worst = max(worst, float(np.max(np.abs(lhs - mid))))
     return worst
 
 
 def gauge_transform(cat, rng):
-    """A multiplicity-free category with its F-symbols in a random vertex
-    gauge, validated, R-symbols dropped.
+    """A category with its F-symbols in a random vertex gauge, validated,
+    R-symbols dropped.
 
     Each admissible vertex (a, b; c) gets a phase u(a,b;c), with u = 1 on
     unit vertices (so unit blocks stay the identity); u(a,dual a;0) is free.
@@ -909,7 +910,6 @@ def gauge_transform(cat, rng):
     """
     from doubletop.catdata import _category_from_dict, dump_category
 
-    assert (cat.N <= 1).all(), "vertex phases need a multiplicity-free ring"
     n = cat.n
     u = np.exp(2j * np.pi * rng.random((n, n, n)))
     u[0, :, :] = u[:, 0, :] = 1.0
@@ -928,22 +928,21 @@ def gauge_transform(cat, rng):
 # ---------------------------------------------------------------------------
 # Entry-by-entry references for tube._basis, tube._structure, tube._star
 # and the equations of modulardata._tube_system, which gather
-# cat.F at joined label tuples instead.  `basis` is a sequence of 6-tuples
+# cat.F at joined label tuples instead.  `basis` is a sequence of 4-tuples
 # and `index` anything that maps such a tuple to its position (a dict, or
 # the dense position array of TubeAlgebra).
 
 
 def tube_basis(cat):
-    """The tube basis as a list of (xi, eta, zeta, delta, a, b), by a 6-deep loop."""
+    """The tube basis as a list of (xi, eta, zeta, delta), by a 4-deep loop."""
     N, n = cat.N, cat.n
     basis = []
     for xi in range(n):
         for eta in range(n):
             for zeta in range(n):
                 for delta in range(n):
-                    for a in range(N[xi, zeta, delta]):
-                        for b in range(N[zeta, eta, delta]):
-                            basis.append((xi, eta, zeta, delta, a, b))
+                    if N[xi, zeta, delta] and N[zeta, eta, delta]:
+                        basis.append((xi, eta, zeta, delta))
     return basis
 
 
@@ -952,8 +951,8 @@ def raw_structure(cat, basis, index):
     N, d, n, F = cat.N, cat.d, cat.n, cat.F
     dim = len(basis)
     C = np.zeros((dim, dim, dim), dtype=complex)
-    for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
-        for j, (xi2, eta2, zeta2, delta2, a2, b2) in enumerate(basis):
+    for i, (xi, eta, zeta, delta) in enumerate(basis):
+        for j, (xi2, eta2, zeta2, delta2) in enumerate(basis):
             if xi2 != eta:
                 continue
             pref0 = 1.0 / (d[zeta] * d[zeta2])
@@ -962,29 +961,13 @@ def raw_structure(cat, basis, index):
                     continue
                 pref = d[nu] * pref0
                 for tau in range(n):
-                    mc = N[xi, nu, tau]
-                    md = N[nu, eta2, tau]
-                    if mc == 0 or md == 0:
+                    if not (N[xi, nu, tau] and N[nu, eta2, tau]
+                            and N[delta, zeta2, tau] and N[zeta, delta2, tau]):
                         continue
-                    mv = N[delta, zeta2, tau]
-                    mw = N[zeta, delta2, tau]
-                    if mv == 0 or mw == 0:
-                        continue
-                    for T in range(N[zeta, zeta2, nu]):
-                        for c in range(mc):
-                            for dd in range(md):
-                                k = index[(xi, eta2, nu, tau, c, dd)]
-                                s = 0.0 + 0.0j
-                                for v in range(mv):
-                                    for w in range(mw):
-                                        s += (
-                                            F[xi, zeta, zeta2, tau, delta, nu, a, v, T, c]
-                                            * np.conj(F[zeta, eta, zeta2, tau,
-                                                        delta, delta2, b, v, a2, w])
-                                            * F[zeta, zeta2, eta2, tau,
-                                                nu, delta2, T, dd, b2, w]
-                                        )
-                                C[i, j, k] += pref * s
+                    k = index[(xi, eta2, nu, tau)]
+                    C[i, j, k] += pref * (F[xi, zeta, zeta2, tau, delta, nu]
+                                          * np.conj(F[zeta, eta, zeta2, tau, delta, delta2])
+                                          * F[zeta, zeta2, eta2, tau, nu, delta2])
     return C
 
 
@@ -993,29 +976,20 @@ def raw_star(cat, basis, index):
     N, d, n, F = cat.N, cat.d, cat.n, cat.F
     dim = len(basis)
     St = np.zeros((dim, dim), dtype=complex)
-    for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
+    for i, (xi, eta, zeta, delta) in enumerate(basis):
         zb = cat.dual[zeta]
         for tau in range(n):
-            mc = N[eta, zb, tau]
-            md = N[zb, xi, tau]
-            if mc == 0 or md == 0:
+            if not (N[eta, zb, tau] and N[zb, xi, tau]
+                    and N[zb, delta, eta] and N[tau, zeta, eta]):
                 continue
-            for c in range(mc):
-                for dd in range(md):
-                    k = index[(eta, xi, zb, tau, c, dd)]
-                    s = 0.0 + 0.0j
-                    for u in range(N[zb, delta, eta]):
-                        for w2 in range(N[tau, zeta, eta]):
-                            s += (
-                                np.conj(F[zb, zeta, eta, eta, 0, delta, 0, 0, b, u])
-                                * F[zb, xi, zeta, eta, tau, delta, dd, w2, a, u]
-                                * np.conj(F[tau, zeta, zb, tau, eta, 0, w2, c, 0, 0])
-                            )
-                    St[k, i] += d[zeta] * s
+            k = index[(eta, xi, zb, tau)]
+            St[k, i] += d[zeta] * (np.conj(F[zb, zeta, eta, eta, 0, delta])
+                                   * F[zb, xi, zeta, eta, tau, delta]
+                                   * np.conj(F[tau, zeta, zb, tau, eta, 0]))
     # column i over the pivotal phase phi/|phi| of its strand, phi_z = d_z F^{z z* z}_z[0, 0]
-    phi = np.array([d[z] * F[z, cat.dual[z], z, z, 0, 0, 0, 0, 0, 0] for z in range(n)])
+    phi = np.array([d[z] * F[z, cat.dual[z], z, z, 0, 0] for z in range(n)])
     norm = np.abs(phi)
-    for i, (xi, eta, zeta, delta, a, b) in enumerate(basis):
+    for i, (xi, eta, zeta, delta) in enumerate(basis):
         if phi[zeta] != 0:
             St[:, i] /= phi[zeta] / norm[zeta]
     return St
@@ -1026,38 +1000,37 @@ def extract_half_braidings(alg, irreps):
     equations assembled entry by entry: for each (block, strand) a loop over
     the tube basis, the grading copies and the F-symbols of every unknown.
 
-    Returns (the stack E[block, sigma, delta, p, a, q, b], zero past n_i,
-    residual dict) and raises when the least-squares fit or the unitarity of
-    any solved (sigma, delta) square is worse than 1e-6.
+    Returns (the stack E[block, sigma, delta, p, q], zero past n_i, residual
+    dict) and raises when the least-squares fit or the unitarity of any
+    solved (sigma, delta) square is worse than 1e-6.
     """
     from doubletop.modulardata import _EXTRACT_TOL, ModularDataError
 
     cat = alg.cat
     N, F, n = cat.N, cat.F, cat.n
-    slot = np.arange(F.shape[-1])
     residuals = {"solve": 0.0, "unitary": 0.0}
     layouts = {}
 
     def layout(labels, sigma):
-        # admissible rows (delta, p, a) and columns (delta, q, b) of E[sigma],
-        # and the unknowns: the admissible entries of E[sigma], in C order
-        rows = slot < N[sigma][labels].T[:, :, None]
-        cols = slot < N[labels, sigma].T[:, :, None]
-        nrows, ncols = rows.sum(axis=(1, 2)), cols.sum(axis=(1, 2))
+        # admissible rows (delta, p) and columns (delta, q) of E[sigma], and
+        # the unknowns: the admissible entries of E[sigma], in C order
+        rows = N[sigma][labels].T > 0
+        cols = N[labels, sigma].T > 0
+        nrows, ncols = rows.sum(axis=1), cols.sum(axis=1)
         if (nrows != ncols).any():
             raise ModularDataError("half-braiding block (%d,%d) is not "
                                    "square" % (sigma, np.argmax(nrows != ncols)))
-        free = rows[:, :, :, None, None] & cols[:, None, None, :, :]
+        free = rows[:, :, None] & cols[:, None, :]
         varix = np.cumsum(free).reshape(free.shape) - 1
         return rows, cols, nrows, free, int(free.sum()), varix
 
     r1, width = irreps[1].shape
-    out = np.zeros((r1, n, n, width, slot.size, width, slot.size), dtype=complex)
+    out = np.zeros((r1, n, n, width, width), dtype=complex)
     for bi, (Vi, labels) in enumerate(graded(irreps)):
         # labels ascend, so comps lists the components in column order
         m = Counter(labels.tolist())
         comps = [(xi, t) for xi, k in m.items() for t in range(k)]
-        E = out[bi, :, :, :len(comps), :, :len(comps)]
+        E = out[bi, :, :, :len(comps), :len(comps)]
         slots = {ct: i for i, ct in enumerate(comps)}
         for sigma in range(n):
             zeta = cat.dual[sigma]
@@ -1069,7 +1042,7 @@ def extract_half_braidings(alg, irreps):
             if not nvar:
                 continue
             eqs, rhs = [], []
-            for tube_i, (xi, eta, zt, delta, a, b) in enumerate(alg.basis.tolist()):
+            for tube_i, (xi, eta, zt, delta) in enumerate(alg.basis.tolist()):
                 if zt != zeta or xi not in m or eta not in m:
                     continue
                 # rho of the basis tube; left multiplication by it is C[tube_i].T
@@ -1082,20 +1055,12 @@ def extract_half_braidings(alg, irreps):
                         p, q = slots[(xi, t)], slots[(eta, s)]
                         row = np.zeros(nvar, dtype=complex)
                         for k in range(n):
-                            if N[eta, sigma, k] == 0 or N[zeta, k, xi] == 0:
+                            if not (N[eta, sigma, k] and N[zeta, k, xi]
+                                    and N[sigma, xi, k] and N[delta, sigma, xi]):
                                 continue
-                            for mm in range(N[eta, sigma, k]):
-                                for mp in range(N[sigma, xi, k]):
-                                    coef = 0.0 + 0.0j
-                                    for w in range(N[zeta, k, xi]):
-                                        for u2 in range(N[delta, sigma, xi]):
-                                            coef += (
-                                                F[xi, zeta, sigma, xi, delta, 0, a, u2, 0, 0]
-                                                * np.conj(F[zeta, eta, sigma, xi,
-                                                            delta, k, b, u2, mm, w])
-                                                * F[zeta, sigma, xi, xi, 0, k, 0, 0, mp, w]
-                                            )
-                                    row[varix[k, p, mp, q, mm]] += coef
+                            row[varix[k, p, q]] += (F[xi, zeta, sigma, xi, delta, 0]
+                                                    * np.conj(F[zeta, eta, sigma, xi, delta, k])
+                                                    * F[zeta, sigma, xi, xi, 0, k])
                         eqs.append(row)
                         rhs.append(grade * rho[p, q])
             A = np.array(eqs)
@@ -1109,8 +1074,7 @@ def extract_half_braidings(alg, irreps):
                                        % (bi, sigma, fit))
             E[sigma][free] = sol
             for delta in np.flatnonzero(nrows):
-                sq = E[sigma, delta].reshape(len(comps) * slot.size, -1)[
-                    np.ix_(rows[delta].ravel(), cols[delta].ravel())]
+                sq = E[sigma, delta][np.ix_(rows[delta], cols[delta])]
                 uni = float(np.max(np.abs(sq.conj().T @ sq - np.eye(len(sq)))))
                 residuals["unitary"] = max(residuals["unitary"], uni)
                 if uni > _EXTRACT_TOL:
@@ -1292,7 +1256,7 @@ def block_irreps(alg, dec):
         # grade by the corner idempotents; left multiplication by basis k is C[k].T
         blocks_W, comps, m = [], [], {}
         for xi in range(cat.n):
-            k = alg.index[xi, xi, 0, xi, 0, 0]
+            k = alg.index[xi, xi, 0, xi]
             P = V.conj().T @ (alg.scale[k] * alg.C[k].T) @ V
             mult = int(round(np.trace(P).real))
             if mult == 0:
@@ -1344,7 +1308,7 @@ def block_irreps_per_simple(alg, dec):
         # grade by the corner idempotents; left multiplication by basis k is C[k].T
         blocks_W, comps, m = [], [], {}
         for xi in range(cat.n):
-            k = alg.index[xi, xi, 0, xi, 0, 0]
+            k = alg.index[xi, xi, 0, xi]
             P = V.conj().T @ (alg.scale[k] * alg.C[k].T) @ V
             mult = int(round(np.trace(P).real))
             if mult == 0:

@@ -4,6 +4,7 @@ The criteria are the exact functions `doubletop selftest` runs; here each
 gets its own test so `pytest -v` shows an individual pass/fail line.
 """
 
+import json
 import re
 import shlex
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from doubletop.catdata import dump_category, zoo
 from doubletop.cli import SELFTEST_CRITERIA, SelftestContext, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,3 +62,14 @@ def test_readme_command_line_block_runs(capsys):
     for cmd in commands:
         assert main(cmd[1:]) == 0, " ".join(cmd)
         capsys.readouterr()
+
+
+def test_readme_category_block_is_dump_category():
+    # the README's category example is what it says it is, field for field,
+    # the four sixj basis indices included
+    said, block = re.search(r"^Category JSON \(this one is `(.*?)`\):\n\n```json\n(.*?)^```",
+                            README.read_text(), re.S | re.M).groups()
+    assert said == 'dump_category(zoo("vec_z2"))'
+    doc = json.loads(block)
+    assert doc == dump_category(zoo("vec_z2"))
+    assert all(ent["basis"] == [0, 0, 0, 0] for ent in doc["sixj"])

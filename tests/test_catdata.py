@@ -12,7 +12,9 @@ from doubletop.catdata import (
     CategoryData, CategoryError, dump_category, global_dim, load_category,
     zoo, _block_keys, _category_from_dict,
 )
-from oracles import fblock, fblock_bases, multiplicity_ring, vec_s3_document
+from oracles import (
+    fblock, fblock_bases, multiplicity_ring_document, random_f_ring, vec_s3_document,
+)
 
 ZOO = ["vec_z1", "vec_z2", "vec_z3", "vec_z4", "fibonacci", "ising"]
 
@@ -80,49 +82,63 @@ def test_f_unitarity_detects_scaling():
 
 
 def _named(name):
-    """A zoo category, `multiplicity_ring` or Vec(S3), with its document."""
+    """A zoo category, `random_f_ring` or Vec(S3), with its document."""
     if name == "vec_s3":
         doc = vec_s3_document()
         return _category_from_dict(doc), doc
-    cat = multiplicity_ring() if name == "multiplicity_ring" else zoo(name)
+    cat = random_f_ring() if name == "random_f_ring" else zoo(name)
     return cat, dump_category(cat)
 
 
-@pytest.mark.parametrize("name", ZOO + ["multiplicity_ring"])
+@pytest.mark.parametrize("name", ZOO + ["random_f_ring"])
 def test_dense_f_holds_the_blocks(name):
-    # F has one basis axis per multiplicity and nothing outside the
-    # admissible rows and columns of the nonempty blocks
+    # F has one axis per label and nothing outside the admissible rows and
+    # columns of the nonempty blocks
     cat, _ = _named(name)
-    m = int(cat.N.max())
-    assert cat.F.shape == (cat.n,) * 6 + (m,) * 4
+    assert cat.F.shape == (cat.n,) * 6
     seen = np.zeros(cat.F.shape, dtype=bool)
     for key in np.ndindex((cat.n,) * 4):
         rows, cols = fblock_bases(cat, *key)
-        for (e, al, be) in rows:
-            for (f, mu, nu) in cols:
-                seen[key + (e, f, al, be, mu, nu)] = True
+        for e in rows:
+            for f in cols:
+                seen[key + (e, f)] = True
     assert not cat.F[~seen].any()
 
 
-@pytest.mark.parametrize("name", ZOO + ["multiplicity_ring", "vec_s3"])
+@pytest.mark.parametrize("name", ZOO + ["random_f_ring", "vec_s3"])
 def test_dense_f_matches_document(name):
-    # every sixj entry at its slot, the identity on the unit blocks, and
-    # nothing else
+    # every sixj entry at its labels, with basis [0, 0, 0, 0], the identity
+    # on the unit blocks, and nothing else
     cat, doc = _named(name)
-    m = int(cat.N.max())
-    want = np.zeros((cat.n,) * 6 + (m,) * 4, dtype=complex)
+    want = np.zeros((cat.n,) * 6, dtype=complex)
     for ent in doc["sixj"]:
-        a, b, c, dd, e, f = ent["labels"]
-        al, be, mu, nu = ent["basis"]
-        want[a, b, c, dd, e, f, al, be, mu, nu] = complex(ent["re"], ent.get("im", 0.0))
+        assert ent["basis"] == [0, 0, 0, 0]
+        want[tuple(ent["labels"])] = complex(ent["re"], ent.get("im", 0.0))
     for key in np.ndindex((cat.n,) * 4):
         if 0 in key[:3]:
-            for (e, al, be), (f, mu, nu) in zip(*fblock_bases(cat, *key)):
-                want[key + (e, f, al, be, mu, nu)] = 1.0
+            for e, f in zip(*fblock_bases(cat, *key)):
+                want[key + (e, f)] = 1.0
     assert np.array_equal(cat.F, want)
 
 
-@pytest.mark.parametrize("name", ZOO + ["multiplicity_ring", "vec_s3"])
+@pytest.mark.parametrize("validate", [True, False])
+def test_multiplicity_above_one_refused_at_construction(validate):
+    # x (x) x = 1 + 2x: refused by name before F is allocated, with or
+    # without validation
+    doc = multiplicity_ring_document()
+    want = ("fusion multiplicity N[1,1,1] = 2 is above 1: only multiplicity-free "
+            "fusion rings are supported")
+    with pytest.raises(CategoryError, match="^%s$" % re.escape(want)):
+        _category_from_dict(doc, validate=validate)
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
+    N[1, 1, 1] = 2
+    with pytest.raises(CategoryError, match="^%s$" % re.escape(want)):
+        CategoryData(["1", "x"], [0, 1], N, [1.0, 1.0 + math.sqrt(2.0)], [],
+                     validate=validate)
+
+
+@pytest.mark.parametrize("name", ZOO + ["random_f_ring", "vec_s3"])
 def test_block_bases_match_oracle(name):
     cat, _ = _named(name)
     want = [key for key in np.ndindex((cat.n,) * 4) if fblock_bases(cat, *key)[0]]
@@ -324,7 +340,7 @@ def test_fingerprint_pinned(name):
     assert zoo(name).fingerprint() == FINGERPRINTS[name]
 
 
-@pytest.mark.parametrize("name", ["multiplicity_ring", "vec_s3"])
+@pytest.mark.parametrize("name", ["random_f_ring", "vec_s3"])
 def test_dump_roundtrip_keeps_f(name):
     cat, _ = _named(name)
     again = _category_from_dict(dump_category(cat), validate=False)

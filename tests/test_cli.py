@@ -15,7 +15,7 @@ from doubletop import cli, modulardata
 from doubletop.cli import main
 from doubletop.modulardata import STAGES
 from doubletop.statesum import builtin_triangulation
-from oracles import count_calls, multiplicity_ring, plain, vec_s3_document
+from oracles import count_calls, multiplicity_ring_document, plain, vec_s3_document
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -389,7 +389,7 @@ def _ising_without_r_symbol(key=(1, 1, 0)):
 
 
 def _multiplicity_ring_with_r_symbol():
-    doc = dump_category(multiplicity_ring())
+    doc = multiplicity_ring_document()
     doc["rsymbols"] = [{"a": 1, "b": 1, "c": 0, "re": 1.0}]
     return doc
 
@@ -417,6 +417,7 @@ def _edited(doc, *path, value):
 
 
 _ISING = dump_category(zoo("ising"))
+_FIBONACCI = dump_category(zoo("fibonacci"))
 
 
 def _s3_with_false_for_0():
@@ -480,6 +481,12 @@ def _s3_with_false_for_0():
     # JSON booleans as vertex ids: false == 0 would label a vertex class
     (_STATESUM, _edited(_S3_TWOTET, "tets", 1, "v", 3, value=False)),
     (_STATESUM, _s3_with_false_for_0()),
+    # strings and booleans where a real number is wanted
+    (_CATEGORY, _edited(dump_category(zoo("vec_z2")), "qdims", value=["1", True])),
+    (_CATEGORY, _edited(_FIBONACCI, "qdims", 1, value="1.618033988749895")),
+    (_CATEGORY, _edited(_FIBONACCI, "sixj", 0, "re", value=True)),
+    (_CATEGORY, _edited(_FIBONACCI, "sixj", 0, "re", value="0.5")),
+    (_CATEGORY, _edited(_ISING, "rsymbols", 0, "im", value=True)),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
@@ -501,13 +508,41 @@ def _s3_with_false_for_0():
         "category-string-dual", "category-fractional-dual",
         "category-fractional-r-symbol-label", "category-null-r-symbol-label",
         "category-string-r-symbol-label", "triangulation-bool-vertex-id",
-        "triangulation-bool-vertex-id-s3"])
+        "triangulation-bool-vertex-id-s3", "category-string-and-bool-qdims",
+        "category-numeric-string-qdim", "category-bool-sixj-re",
+        "category-string-sixj-re", "category-bool-r-symbol-im"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, *argv, str(path))
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc,field", [
+    (_edited(dump_category(zoo("vec_z2")), "qdims", value=["1", True]), "qdims"),
+    (_edited(_FIBONACCI, "sixj", 0, "re", value=True), "sixj re and im"),
+    (_edited(_FIBONACCI, "sixj", 0, "im", value=None), "sixj re and im"),
+    (_edited(_ISING, "rsymbols", 0, "im", value=True), "R-symbol re and im"),
+], ids=["qdims", "sixj-re", "sixj-im", "r-symbol-im"])
+def test_real_fields_name_themselves(capsys, tmp_path, doc, field):
+    # a string or boolean real is refused by name, before any check that
+    # reads its value: "1" and true used to load as 1.0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--category", str(path))
+    assert (code, out) == (1, None)
+    assert err == "error: %s must be real numbers\n" % field
+
+
+def test_multiplicity_above_one_exits_1(capsys, tmp_path):
+    # x (x) x = 1 + 2x: refused by name at construction, one stderr line
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(multiplicity_ring_document()))
+    code, out, err = run(capsys, "validate", "--category", str(path))
+    assert (code, out) == (1, None)
+    assert err == ("error: fusion multiplicity N[1,1,1] = 2 is above 1: only "
+                   "multiplicity-free fusion rings are supported\n")
 
 
 def _huge(doc, part, entries):

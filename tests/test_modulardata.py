@@ -39,7 +39,7 @@ from oracles import (
     block_irreps_per_simple, block_twists, braiding_twists,
     canonical_permutation as canonical_permutation_oracle,
     composition_law_residual, count_calls, extract_half_braidings,
-    gauge_transform, graded, hopf_link_S, multiplicity_ring, stacked,
+    gauge_transform, graded, hopf_link_S, random_f_ring, stacked,
     twisted_double_twists, twisted_vec_zn, vec_s3_document,
 )
 
@@ -84,7 +84,7 @@ def pipes(mds):
 
 def blocks(irreps, E):
     """(labels, E_i) of each block, the padding past n_i dropped."""
-    return [(li, Ei[:, :, :len(li), :, :len(li)]) for (_, li), Ei in zip(graded(irreps), E)]
+    return [(li, Ei[:, :, :len(li), :len(li)]) for (_, li), Ei in zip(graded(irreps), E)]
 
 
 def squares(cat, labels, E):
@@ -93,16 +93,13 @@ def squares(cat, labels, E):
     mask = np.zeros(E.shape, dtype=bool)
     out = []
     for sigma, delta in np.ndindex(cat.n, cat.n):
-        rows = [(p, a) for p, xi in enumerate(labels)
-                for a in range(cat.N[sigma, xi, delta])]
-        cols = [(q, b) for q, eta in enumerate(labels)
-                for b in range(cat.N[eta, sigma, delta])]
+        rows = [p for p, xi in enumerate(labels) if cat.N[sigma, xi, delta]]
+        cols = [q for q, eta in enumerate(labels) if cat.N[eta, sigma, delta]]
         if rows or cols:
             assert len(rows) == len(cols)
-            out.append(np.array([[E[sigma, delta, p, a, q, b] for q, b in cols]
-                                 for p, a in rows]))
-            for (p, a), (q, b) in itertools.product(rows, cols):
-                mask[sigma, delta, p, a, q, b] = True
+            out.append(np.array([[E[sigma, delta, p, q] for q in cols] for p in rows]))
+            for p, q in itertools.product(rows, cols):
+                mask[sigma, delta, p, q] = True
     return out, mask
 
 
@@ -316,12 +313,11 @@ def test_one_solve_per_label_set_and_strand(monkeypatch):
     assert len(solves) == 1 and not fits
 
 
-def test_half_braiding_equations_match_loop_with_multiplicity(monkeypatch):
-    # no category with N > 1 runs through the pipeline; with the unitarity
-    # gate open, random representations on x (x) x = 1 + 2x fill every
-    # multiplicity axis of the equations, and the one solve must meet the
-    # loop's systems
-    cat = multiplicity_ring()
+def test_half_braiding_equations_match_loop_on_random_f(monkeypatch):
+    # with the unitarity gate open, random representations on fibonacci's
+    # ring with random complex F reach every label of the equations, and the
+    # one solve must meet the loop's systems
+    cat = random_f_ring()
     basis, index = _basis(cat)
     alg = SimpleNamespace(cat=cat, basis=basis, dim=len(basis), scale=np.ones(len(basis)),
                           C=_structure(cat, basis, index))
@@ -336,16 +332,16 @@ def test_half_braiding_equations_match_loop_with_multiplicity(monkeypatch):
 
 
 def _ring_alg():
-    cat = multiplicity_ring()
+    cat = random_f_ring()
     basis, _ = _basis(cat)
     return SimpleNamespace(cat=cat, basis=basis, dim=len(basis))
 
 
-@pytest.mark.parametrize("name", ZOO + ["vec_s3", "twisted_z3", "multiplicity_ring"])
+@pytest.mark.parametrize("name", ZOO + ["vec_s3", "twisted_z3", "random_f_ring"])
 def test_tube_system_is_square_and_block_diagonal_by_sector(vec_s3_md, name):
     # row t = X(xi, eta, zeta, ...) reaches only the unknowns (sigma, xi, eta)
     # with sigma = zeta*, and each sector has as many unknowns as tubes
-    if name == "multiplicity_ring":
+    if name == "random_f_ring":
         alg = _ring_alg()
     elif name == "vec_s3":
         alg = vec_s3_md.alg
@@ -356,7 +352,7 @@ def test_tube_system_is_square_and_block_diagonal_by_sector(vec_s3_md, name):
     assert A.shape == (alg.dim, alg.dim)
     assert np.linalg.matrix_rank(A) == alg.dim
     n = alg.cat.n
-    # col numbers the admissible slots in C order
+    # col numbers the admissible labels in C order
     sig, xi, eta = np.unravel_index(np.flatnonzero(col >= 0), col.shape)[:3]
     col_sector = (sig * n + xi) * n + eta
     x, y, z = alg.basis[:, :3].T
@@ -389,7 +385,7 @@ def test_traced_half_braidings_solve_the_torus_system(mds, vec_s3_md, name):
     torus, A, free = modulardata._torus_system(alg)
     Q = np.linalg.solve(A, characters(alg, md.dec)[:, torus].T).T
     for (labels, Ei), Qi in zip(blocks(irreps, E), Q, strict=True):
-        traced = np.einsum("sdpupw,px->sxduw", Ei, labels[:, None] == np.arange(alg.cat.n))
+        traced = np.einsum("sdpp,px->sxd", Ei, labels[:, None] == np.arange(alg.cat.n))
         assert np.max(np.abs(traced[free] - Qi)) < 1e-12
 
 
@@ -400,7 +396,7 @@ def test_half_braidings_unitary(pipes, name):
     mask = np.zeros(E.shape, dtype=bool)
     for i, (labels, Ei) in enumerate(blocks(irreps, E)):
         n = len(labels)
-        sq, mask[i, :, :, :n, :, :n] = squares(alg.cat, labels, Ei)
+        sq, mask[i, :, :, :n, :n] = squares(alg.cat, labels, Ei)
         for M in sq:
             assert M.shape[0] == M.shape[1]
             assert np.max(np.abs(M @ M.conj().T - np.eye(M.shape[0]))) < 1e-9
@@ -458,21 +454,20 @@ def test_composition_law_matches_dense_oracle(mds, vec_s3_md, name):
     assert abs(got - composition_law_residual(cat, irreps, E)) < 1e-14
 
 
-def test_composition_law_matches_dense_oracle_with_multiplicity():
-    # no category with N > 1 runs through the pipeline; both sides of the
-    # law are defined for any E, so random E on x (x) x = 1 + 2x fill every
-    # multiplicity axis of the contraction
-    cat = multiplicity_ring()
+def test_composition_law_matches_dense_oracle_on_random_f():
+    # both sides of the law are defined for any E, so random E on
+    # fibonacci's ring with random complex F reach every label of the
+    # contraction
+    cat = random_f_ring()
     rng = np.random.default_rng(5)
-    N, msize = cat.N, cat.F.shape[-1]
     irreps = stacked([(np.zeros((1, len(labels))), labels)
                       for labels in ([0, 1], [1, 1], [1])])
     lab = irreps[1]
-    # admissible slots, none past n_i: a < N[sigma, xi_p, delta], b < N[eta_q, sigma, delta]
-    on = (lab >= 0)[:, None, None, :, None]
-    rows = on & (np.arange(msize) < N[:, lab].transpose(1, 0, 3, 2)[..., None])
-    cols = on & (np.arange(msize) < N[lab].transpose(0, 2, 3, 1)[..., None])
-    mask = rows[..., None, None] & cols[:, :, :, None, None]
+    # admissible entries, none past n_i: N[sigma, xi_p, delta], N[eta_q, sigma, delta]
+    on = (lab >= 0)[:, None, None, :]
+    rows = on & (cat.N[:, lab].transpose(1, 0, 3, 2) > 0)
+    cols = on & (cat.N[lab].transpose(0, 2, 3, 1) > 0)
+    mask = rows[..., None] & cols[:, :, :, None]
     E = np.where(mask, rng.normal(size=mask.shape) + 1j * rng.normal(size=mask.shape), 0)
     want = composition_law_residual(cat, irreps, E)
     assert want > 1.0
@@ -751,14 +746,14 @@ def test_global_dimension_gate(monkeypatch):
 
 
 def test_square_system_gate(monkeypatch):
-    # the torus tube X(0, 0, 1, 1, 0, 0) moved off the torus leaves the
+    # the torus tube X(0, 0, 1, 1) moved off the torus leaves the
     # system of S one equation short
     real = modulardata.build_tube_algebra
 
     def build(cat):
         alg = real(cat)
         alg.basis = alg.basis.copy()
-        alg.basis[alg.index[0, 0, 1, 1, 0, 0], 1] = 1
+        alg.basis[alg.index[0, 0, 1, 1], 1] = 1
         return alg
 
     monkeypatch.setattr(modulardata, "build_tube_algebra", build)

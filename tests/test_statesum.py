@@ -17,7 +17,7 @@ from doubletop.statesum import (
 )
 from doubletop.surgery import lens_chain, surgery_invariant
 from oracles import (all_pairings, brute_state_sum, closed_pairings, dw_brute,
-                     expected_flat_fraction, first_homology, multiplicity_ring,
+                     expected_flat_fraction, first_homology, random_f_ring,
                      tet_components, tet_weight, triangulation_classes,
                      vertex_link_euler)
 
@@ -209,7 +209,7 @@ def test_state_sum_orientation_conjugates():
 
 def test_state_sum_matches_brute_force():
     cats = [zoo(name) for name in ("vec_z2", "vec_z3", "fibonacci", "ising")]
-    cats.append(multiplicity_ring())
+    cats.append(random_f_ring())
     for cat in cats:
         for tname in ("s3_twotet", "s2xs1", "rp3_lens", "lens_3_1"):
             tri = builtin_triangulation(tname)
@@ -241,15 +241,10 @@ def test_ising_lens_14_3_within_default_budget():
 
 
 def test_tet_weight_trivial_coloring():
-    cat = zoo("fibonacci")
     tri = s3_twotet()
-    col = [0] * tri.n_edges
-    lab = [0] * tri.n_faces
-    assert tet_weight(cat, tri, 0, col, lab) == pytest.approx(1.0)
-    # inadmissible labeling index -> 0
-    col = [1] * tri.n_edges
-    lab2 = [5] * tri.n_faces
-    assert tet_weight(cat, tri, 0, col, lab2) == 0
+    assert tet_weight(zoo("fibonacci"), tri, 0, [0] * tri.n_edges) == pytest.approx(1.0)
+    # g (x) g = e in vec_z2: a face colored (g, g, g) is inadmissible -> 0
+    assert tet_weight(zoo("vec_z2"), tri, 0, [1] * tri.n_edges) == 0
 
 
 def test_budget_guard():

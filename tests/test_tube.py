@@ -21,7 +21,7 @@ from doubletop.tube import (
 from oracles import conditional_expectation as expectation_oracle
 from oracles import (
     associativity_residual, center_by_commutant, count_calls, degenerate_draws,
-    gauge_transform, multiplicity_ring, raw_star, raw_structure,
+    gauge_transform, random_f_ring, raw_star, raw_structure,
     star_adjoint_residual, star_antihom_residual, tube_basis, twisted_vec_zn,
     vec_s3_document,
 )
@@ -68,8 +68,8 @@ def test_basis_is_lexicographic(algs, name):
 def _loop_category(name):
     if name == "vec_s3":
         return _category_from_dict(vec_s3_document())
-    if name == "multiplicity_ring":
-        return multiplicity_ring()
+    if name == "random_f_ring":
+        return random_f_ring()
     if name == "twisted_z3":
         return twisted_vec_zn(3, 1)
     if name.startswith("gauged_"):
@@ -100,11 +100,11 @@ def test_structure_and_star_equal_loops(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["multiplicity_ring", "gauged_ising", "gauged_vec_z4"])
+    "name", ["random_f_ring", "gauged_ising", "gauged_vec_z4"])
 def test_raw_builders_match_loops(name):
-    # x (x) x = 1 + 2x fills every multiplicity axis of both contractions
-    # (unvalidated, so only the raw builders run); the gauged copies carry
-    # complex F, so every conjugation counts
+    # fibonacci's ring with random complex F (unvalidated, so only the raw
+    # builders run) and the gauged copies: every F read, label and
+    # conjugation counts
     cat = _loop_category(name)
     basis, index = _basis(cat)
     want_basis, C, St = _loop_builds(cat)
@@ -211,9 +211,9 @@ def test_doubled_star_column_fails_the_build(name, monkeypatch):
 def test_star_swaps_sectors(algs, name):
     alg = algs[name]
     dual = alg.cat.dual
-    for i, (xi, eta, zeta, delta, a, b) in enumerate(alg.basis):
+    for i, (xi, eta, zeta, delta) in enumerate(alg.basis):
         out = alg.star(np.eye(alg.dim, dtype=complex)[i])
-        for k, (x2, e2, z2, d2, a2, b2) in enumerate(alg.basis):
+        for k, (x2, e2, z2, d2) in enumerate(alg.basis):
             if abs(out[k]) > 1e-12:
                 assert (x2, e2, z2) == (eta, xi, dual[zeta])
 
@@ -222,20 +222,20 @@ def test_vec_z2_is_group_algebra_of_z2_squared(algs):
     # raw structure constants: X(g,h).X(g',h') = delta_{gg'} X(g, h+h')
     alg = algs["vec_z2"]
     raw = alg.C * alg.scale[:, None, None] * alg.scale[None, :, None] / alg.scale[None, None, :]
-    for i, (g, g_, h, dlt, _, _) in enumerate(alg.basis):
-        for j, (g2, g2_, h2, dlt2, _, _) in enumerate(alg.basis):
+    for i, (g, g_, h, dlt) in enumerate(alg.basis):
+        for j, (g2, g2_, h2, dlt2) in enumerate(alg.basis):
             got = raw[i, j]
             want = np.zeros(alg.dim)
             if g == g2:
-                want[alg.index[(g, g, h ^ h2, g ^ h ^ h2, 0, 0)]] = 1.0
+                want[alg.index[(g, g, h ^ h2, g ^ h ^ h2)]] = 1.0
             assert np.allclose(got, want, atol=1e-12)
 
 
 def test_vec_z3_star_negates_waist(algs):
     alg = algs["vec_z3"]
-    for i, (g, _, h, _, _, _) in enumerate(alg.basis):
+    for i, (g, _, h, _) in enumerate(alg.basis):
         out = alg.star(np.eye(alg.dim, dtype=complex)[i])
-        k = alg.index[(g, g, (-h) % 3, (g - h) % 3, 0, 0)]
+        k = alg.index[(g, g, (-h) % 3, (g - h) % 3)]
         assert abs(out[k] - 1.0) < 1e-12
 
 

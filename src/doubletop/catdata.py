@@ -22,8 +22,12 @@ basis ``e``, a fixed unit vector of ``Hom(e, ab)`` followed by one of
 
 Rows and columns are ordered by ``e`` and ``f``.  Blocks with ``a``, ``b`` or
 ``c`` equal to the unit are fixed to the identity matrix (unit gauge) and need
-not be serialized.  A document's ``sixj`` entry still carries the four basis
-indices ``[alpha, beta, mu, nu]`` of a general category; each must be 0.
+not be serialized; a table entry there must agree with the identity.
+
+The constructor takes the F-symbols as one table ``{(a, b, c, d, e, f): value}``
+and the R-symbols as ``{(a, b, c): value}``.  A document's ``sixj`` entry still
+carries the four basis indices of a general category, and an R-symbol its two;
+each must be 0.
 """
 
 from __future__ import annotations
@@ -43,8 +47,19 @@ class CategoryError(ValueError):
     """A category invariant failed; the message names the violated invariant."""
 
 
-def _is_perm_involution(dual, n):
-    return sorted(dual) == list(range(n)) and all(dual[dual[i]] == i for i in range(n))
+def _refuse_multiplicity(N):
+    over = np.argwhere(N > 1)
+    if len(over):
+        at = tuple(over[0])
+        raise CategoryError(
+            "fusion multiplicity N[%s] = %d is above 1: only multiplicity-free "
+            "fusion rings are supported" % (",".join(map(str, at)), N[at]))
+
+
+def _outside_message(ix):
+    # ix: the six labels of a sixj entry, then its four basis indices
+    return ("multiplicity/F-tensor shape mismatch: entry (%d,%d,%d;%d) e=%d f=%d "
+            "basis (%d,%d|%d,%d) outside admissible ranges" % tuple(ix))
 
 
 def join(N, rows, *cols):
@@ -60,7 +75,7 @@ def join(N, rows, *cols):
 class CategoryData:
     """Validated fusion-category data; immutable after construction."""
 
-    def __init__(self, names, dual, N, qdims, fentries, rsymbols=None, validate=True):
+    def __init__(self, names, dual, N, qdims, fsymbols, rsymbols=None, validate=True):
         self.names = list(names)
         self.n = len(self.names)
         self.dual = list(dual)
@@ -68,24 +83,22 @@ class CategoryData:
         self.d = np.asarray(qdims, dtype=float)
         self.rsymbols = dict(rsymbols) if rsymbols else None
         self.residuals = None  # {"pentagon", "unitarity"}, set by validate()
-        over = np.argwhere(self.N > 1)
-        if len(over):
-            at = tuple(over[0])
-            raise CategoryError(
-                "fusion multiplicity N[%s] = %d is above 1: only multiplicity-free "
-                "fusion rings are supported" % (",".join(map(str, at)), self.N[at]))
+        _refuse_multiplicity(self.N)
         if validate:
             # the block sizes come from N: check the ring before building them
             self._check_ring()
-        self._build_blocks(fentries)
+        self._build_blocks(fsymbols)
         if validate:
             self._check_f()
 
     # -- block assembly -----------------------------------------------------
 
-    def _build_blocks(self, fentries):
-        # a negative multiplicity (only unvalidated data has one) counts as zero
-        n, N = self.n, np.maximum(self.N, 0)
+    def _build_blocks(self, fsymbols):
+        # a negative multiplicity (only unvalidated data has one) counts as
+        # zero; label n stands for every label outside 0..n-1 and fuses to nothing
+        n = self.n
+        N = np.zeros((n + 1,) * 3, dtype=np.int64)
+        N[:n, :n, :n] = np.maximum(self.N, 0)
         nrows = np.einsum("abe,ecd->abcd", N, N)
         ncols = np.einsum("bcf,afd->abcd", N, N)
         bad = np.argwhere((nrows > 0) & (nrows != ncols))
@@ -102,30 +115,30 @@ class CategoryData:
         F[0, x, y, z, x, z] = 1.0
         F[x, 0, y, z, x, y] = 1.0
         F[x, y, 0, z, z, y] = 1.0
-        for (labels, basis, val) in fentries:
-            a, b, c, dd, e, f = labels
-            al, be, mu, nu = basis
-            if not (0 <= min(a, b, c, dd) and max(a, b, c, dd) < n and nrows[a, b, c, dd]):
-                raise CategoryError(
-                    "multiplicity/F-tensor shape mismatch: entry for empty "
-                    "block (%d,%d,%d;%d)" % (a, b, c, dd)
-                )
-            if not (0 <= e < n and 0 <= f < n
-                    and 0 <= al < N[a, b, e] and 0 <= be < N[e, c, dd]
-                    and 0 <= mu < N[b, c, f] and 0 <= nu < N[a, f, dd]):
-                raise CategoryError(
-                    "multiplicity/F-tensor shape mismatch: entry (%d,%d,%d;%d) "
-                    "e=%d f=%d basis (%d,%d|%d,%d) outside admissible ranges"
-                    % (a, b, c, dd, e, f, al, be, mu, nu)
-                )
-            if 0 in (a, b, c):
-                # unit gauge: ignore provided values after checking consistency
-                if abs(val - F[a, b, c, dd, e, f]) > STRUCT_TOL:
-                    raise CategoryError(
-                        "unit-gauge violation at (%d,%d,%d;%d)" % (a, b, c, dd)
-                    )
-                continue
-            F[a, b, c, dd, e, f] = val
+        labels = list(fsymbols)
+        try:
+            keys = np.array(labels, dtype=np.int64).reshape(-1, 6)
+        except OverflowError:  # a label past int64 is outside 0..n-1, as -1 and n are
+            keys = np.array(labels, dtype=object).clip(-1, n).astype(np.int64)
+        vals = np.array(list(fsymbols.values()), dtype=complex)
+        a, b, c, dd, e, f = np.where((keys >= 0) & (keys < n), keys, n).T
+        unit = (keys[:, :3] == 0).any(axis=1)
+        # each entry's three checks, in the order they are reported; the
+        # identity reads 1 at every admissible entry of a unit block
+        empty = nrows[a, b, c, dd] == 0
+        outside = N[a, b, e] * N[e, c, dd] * N[b, c, f] * N[a, f, dd] == 0
+        gauge = unit & (np.abs(vals - 1.0) > STRUCT_TOL)
+        bad = np.flatnonzero(empty | outside | gauge)
+        if bad.size:
+            i = bad[0]
+            if empty[i]:
+                raise CategoryError("multiplicity/F-tensor shape mismatch: entry for "
+                                    "empty block (%d,%d,%d;%d)" % labels[i][:4])
+            if outside[i]:
+                raise CategoryError(_outside_message(labels[i] + (0,) * 4))
+            raise CategoryError("unit-gauge violation at (%d,%d,%d;%d)" % labels[i][:4])
+        # entries on the unit blocks agree with the identity above
+        F[tuple(keys[~unit].T)] = vals[~unit]
 
     # -- accessors ------------------------------------------------------------
 
@@ -160,18 +173,20 @@ class CategoryData:
             raise CategoryError("fusion tensor shape %s" % (N.shape,))
         if (N < 0).any():
             raise CategoryError("negative fusion multiplicity")
-        if not _is_perm_involution(dual, n) or dual[0] != 0:
+        dual, labels = np.asarray(dual), np.arange(n)
+        if not (np.array_equal(np.sort(dual), labels)
+                and np.array_equal(dual[dual], labels)) or dual[0] != 0:
             raise CategoryError("dual is not an involution fixing the unit")
-        for i in range(n):
-            for j in range(n):
-                if N[0, i, j] != (1 if i == j else 0) or N[i, 0, j] != (1 if i == j else 0):
-                    raise CategoryError(
-                        "unit-law violation at labels (%d,%d)" % (i, j)
-                    )
-                if N[i, j, 0] != (1 if j == dual[i] else 0):
-                    raise CategoryError(
-                        "duality violation: N_{%d,%d}^e = %d" % (i, j, N[i, j, 0])
-                    )
+        # the first offending pair (i, j) in row-major order; the unit law first
+        eye = np.eye(n, dtype=np.int64)
+        unit = (N[0] != eye) | (N[:, 0] != eye)
+        bad = np.argwhere(unit | (N[:, :, 0] != eye[dual]))
+        if len(bad):
+            i, j = bad[0]
+            if unit[i, j]:
+                raise CategoryError("unit-law violation at labels (%d,%d)" % (i, j))
+            raise CategoryError("duality violation: N_{%d,%d}^e = %d"
+                                % (i, j, N[i, j, 0]))
         lhs = np.einsum("ijd,dkt->ijkt", N, N)
         rhs = np.einsum("jkd,idt->ijkt", N, N)
         if not np.array_equal(lhs, rhs):
@@ -183,9 +198,9 @@ class CategoryData:
             raise CategoryError("d(e) != 1")
         if (d <= 0).any():
             raise CategoryError("non-positive quantum dimension")
-        for i in range(n):
-            if abs(d[i] - d[dual[i]]) > STRUCT_TOL:
-                raise CategoryError("d not dual-invariant at label %d" % i)
+        bad = np.flatnonzero(np.abs(d - d[dual]) > STRUCT_TOL)
+        if bad.size:
+            raise CategoryError("d not dual-invariant at label %d" % bad[0])
         resid = np.max(np.abs(np.outer(d, d) - np.einsum("ijk,k->ij", N, d)))
         if resid > STRUCT_TOL:
             raise CategoryError(
@@ -279,7 +294,7 @@ def _reals(xs, what):
 
 
 def _category_parts(doc):
-    """Constructor arguments (names, dual, N, qdims, fentries, rsymbols)."""
+    """Constructor arguments (names, dual, N, qdims, fsymbols, rsymbols)."""
     labels = doc["labels"]
     ids = [l["id"] for l in labels]
     if ids != list(range(len(ids))) or any(isinstance(i, bool) for i in ids):
@@ -296,6 +311,12 @@ def _category_parts(doc):
             raise CategoryError("label triple %s outside 0..%d" % (abc, n - 1))
         return abc
 
+    def enter(table, what, key, val):
+        # a label tuple listed twice must carry one value
+        old = table.setdefault(key, val)
+        if old is not val and old != val:
+            raise CategoryError("%s %s listed twice with different values" % (what, key))
+
     N = np.zeros((n, n, n), dtype=np.int64)
     for ent in doc["fusion"]:
         mult = _ints([ent["mult"]], "fusion multiplicities")[0]
@@ -303,24 +324,28 @@ def _category_parts(doc):
     qdims = _reals(doc["qdims"], "qdims")
     if len(qdims) != n:
         raise CategoryError("qdims length != n")
-    fentries = []
+    # refused before the basis indices, which such a ring may use
+    _refuse_multiplicity(N)
+    fsymbols = {}
     for ent in doc.get("sixj", []):
         if len(ent["labels"]) != 6 or len(ent["basis"]) != 4:
             raise CategoryError("sixj entry needs 6 labels and 4 basis indices")
         ix = _ints(list(ent["labels"]) + list(ent["basis"]),
                    "sixj labels and basis indices")
-        fentries.append((tuple(ix[:6]), tuple(ix[6:]),
-                         complex(*_reals([ent["re"], ent.get("im", 0.0)], "sixj re and im"))))
+        if any(ix[6:]):
+            raise CategoryError(_outside_message(ix))
+        enter(fsymbols, "sixj entry", tuple(ix[:6]),
+              complex(*_reals([ent["re"], ent.get("im", 0.0)], "sixj re and im")))
     rsymbols = None
     if doc.get("rsymbols"):
         rsymbols = {}
         for ent in doc["rsymbols"]:
-            if tuple(ent.get("basis", [0, 0])) != (0, 0):
-                raise CategoryError("R-symbols with multiplicity > 1 unsupported")
-            key = triple("R-symbol", ent["a"], ent["b"], ent["c"])
-            rsymbols[key] = complex(*_reals([ent["re"], ent.get("im", 0.0)],
-                                            "R-symbol re and im"))
-    return names, dual, N, qdims, fentries, rsymbols
+            basis = ent.get("basis", [0, 0])
+            if not isinstance(basis, list) or _ints(basis, "R-symbol basis") != [0, 0]:
+                raise CategoryError("R-symbol basis must be [0, 0]")
+            enter(rsymbols, "R-symbol", triple("R-symbol", ent["a"], ent["b"], ent["c"]),
+                  complex(*_reals([ent["re"], ent.get("im", 0.0)], "R-symbol re and im")))
+    return names, dual, N, qdims, fsymbols, rsymbols
 
 
 def load_category(path):
@@ -358,12 +383,8 @@ def dump_category(cat):
     # one flat scan of the blocks M for the (block, e, f) of every nonzero entry
     at = np.unravel_index(np.flatnonzero(M), M.shape)
     slots = np.column_stack((keys[at[0]],) + at[1:]).tolist()
-    for labels, v in zip(slots, M[at].tolist()):
-        doc["sixj"].append({
-            "labels": labels,
-            "basis": [0, 0, 0, 0],
-            "re": v.real, "im": v.imag,
-        })
+    doc["sixj"] = [{"labels": labels, "basis": [0, 0, 0, 0], "re": v.real,
+                    "im": v.imag} for labels, v in zip(slots, M[at].tolist())]
     if cat.rsymbols is not None:
         doc["rsymbols"] = [
             {"a": a, "b": b, "c": c, "basis": [0, 0],
@@ -389,47 +410,33 @@ def _zoo_vec_zn(nmod):
     names = ["e"] + ["g%d" % k for k in range(1, nmod)]
     dual = [(-k) % nmod for k in range(nmod)]
     N = np.zeros((nmod, nmod, nmod), dtype=np.int64)
-    for i in range(nmod):
-        for j in range(nmod):
-            N[i, j, (i + j) % nmod] = 1
-    fentries = []
-    for a in range(1, nmod):
-        for b in range(1, nmod):
-            for c in range(1, nmod):
-                e = (a + b) % nmod
-                f = (b + c) % nmod
-                dd = (a + b + c) % nmod
-                fentries.append(((a, b, c, dd, e, f), (0, 0, 0, 0), 1.0 + 0j))
-    return CategoryData(names, dual, N, [1.0] * nmod, fentries)
-
-
-def _fill_unit_fusion(N):
-    for k in range(N.shape[0]):
-        N[0, k, k] = 1
-        N[k, 0, k] = 1
+    i, j = np.indices((nmod, nmod))
+    N[i, j, (i + j) % nmod] = 1
+    fsymbols = {(a, b, c, (a + b + c) % nmod, (a + b) % nmod, (b + c) % nmod): 1.0
+                for a in range(1, nmod) for b in range(1, nmod) for c in range(1, nmod)}
+    return CategoryData(names, dual, N, [1.0] * nmod, fsymbols)
 
 
 def _zoo_fibonacci():
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     names = ["1", "tau"]
     N = np.zeros((2, 2, 2), dtype=np.int64)
-    _fill_unit_fusion(N)
-    N[1, 1, 0] = 1
-    N[1, 1, 1] = 1
-    fentries = [
+    N[0] = N[:, 0] = np.eye(2)
+    N[1, 1] = 1  # tau (x) tau = 1 + tau
+    fsymbols = {
         # F^{tau tau tau}_tau = [[1/phi, 1/sqrt(phi)], [1/sqrt(phi), -1/phi]]
-        ((1, 1, 1, 1, 0, 0), (0, 0, 0, 0), 1.0 / phi + 0j),
-        ((1, 1, 1, 1, 0, 1), (0, 0, 0, 0), 1.0 / math.sqrt(phi) + 0j),
-        ((1, 1, 1, 1, 1, 0), (0, 0, 0, 0), 1.0 / math.sqrt(phi) + 0j),
-        ((1, 1, 1, 1, 1, 1), (0, 0, 0, 0), -1.0 / phi + 0j),
+        (1, 1, 1, 1, 0, 0): 1.0 / phi,
+        (1, 1, 1, 1, 0, 1): 1.0 / math.sqrt(phi),
+        (1, 1, 1, 1, 1, 0): 1.0 / math.sqrt(phi),
+        (1, 1, 1, 1, 1, 1): -1.0 / phi,
         # F^{tau tau tau}_1 = [1]
-        ((1, 1, 1, 0, 1, 1), (0, 0, 0, 0), 1.0 + 0j),
-    ]
+        (1, 1, 1, 0, 1, 1): 1.0,
+    }
     rsymbols = {
         (1, 1, 0): np.exp(-4j * np.pi / 5.0),
         (1, 1, 1): np.exp(3j * np.pi / 5.0),
     }
-    return CategoryData(names, [0, 1], N, [1.0, phi], fentries, rsymbols)
+    return CategoryData(names, [0, 1], N, [1.0, phi], fsymbols, rsymbols)
 
 
 def _zoo_ising():
@@ -437,38 +444,18 @@ def _zoo_ising():
     names = ["1", "sigma", "psi"]
     SIG, PSI = 1, 2
     N = np.zeros((3, 3, 3), dtype=np.int64)
-    _fill_unit_fusion(N)
-    N[SIG, SIG, 0] = 1
-    N[SIG, SIG, PSI] = 1
-    N[SIG, PSI, SIG] = 1
-    N[PSI, SIG, SIG] = 1
-    N[PSI, PSI, 0] = 1
-    fentries = []
-    # enumerate admissible non-unit blocks; all entries +1 except the listed signs
-    def fval(a, b, c, dd, e, f):
-        if (a, b, c, dd) == (PSI, SIG, PSI, SIG):
-            return -1.0
-        if (a, b, c, dd) == (SIG, PSI, SIG, PSI):
-            return -1.0
-        if (a, b, c, dd) == (SIG, SIG, SIG, SIG):
-            m = 1.0 / s2
-            return -m if (e == PSI and f == PSI) else m
-        return 1.0
-
-    for a in (SIG, PSI):
-        for b in (SIG, PSI):
-            for c in (SIG, PSI):
-                for dd in range(3):
-                    for e in range(3):
-                        if not (N[a, b, e] and N[e, c, dd]):
-                            continue
-                        for f in range(3):
-                            if not (N[b, c, f] and N[a, f, dd]):
-                                continue
-                            fentries.append(
-                                ((a, b, c, dd, e, f), (0, 0, 0, 0),
-                                 complex(fval(a, b, c, dd, e, f)))
-                            )
+    N[0] = N[:, 0] = np.eye(3)
+    for i, j, k in [(SIG, SIG, 0), (SIG, SIG, PSI), (SIG, PSI, SIG), (PSI, SIG, SIG),
+                    (PSI, PSI, 0)]:
+        N[i, j, k] = 1
+    # every admissible non-unit entry is +1 but for three signed blocks
+    admissible = np.einsum("abe,ecd,bcf,afd->abcdef", N, N, N, N)[1:, 1:, 1:]
+    fsymbols = dict.fromkeys(
+        map(tuple, (np.argwhere(admissible) + (1, 1, 1, 0, 0, 0)).tolist()), 1.0)
+    fsymbols[PSI, SIG, PSI, SIG, SIG, SIG] = -1.0
+    fsymbols[SIG, PSI, SIG, PSI, SIG, SIG] = -1.0
+    fsymbols.update({(SIG, SIG, SIG, SIG, e, f): (-1.0 if e == f == PSI else 1.0) / s2
+                     for e in (0, PSI) for f in (0, PSI)})
     rsymbols = {
         (SIG, SIG, 0): np.exp(-1j * np.pi / 8.0),
         (SIG, SIG, PSI): np.exp(3j * np.pi / 8.0),
@@ -476,7 +463,7 @@ def _zoo_ising():
         (PSI, SIG, SIG): -1j,
         (PSI, PSI, 0): -1.0 + 0j,
     }
-    return CategoryData(names, [0, 1, 2], N, [1.0, s2, 1.0], fentries, rsymbols)
+    return CategoryData(names, [0, 1, 2], N, [1.0, s2, 1.0], fsymbols, rsymbols)
 
 
 def zoo(name):

@@ -260,6 +260,7 @@ def _cmd_validate(args, argv):
     timings = {}
     with _stage(timings, "load"):
         cat = _load_category_arg(args.category)
+        block = _category_block(args.category, cat)
     with _stage(timings, "residuals"):
         residuals = dict(cat.residuals)
     ok = all(v < args.tolerance for v in residuals.values())
@@ -271,7 +272,7 @@ def _cmd_validate(args, argv):
         "pass": ok,
     }
     _emit(_envelope("validate", argv, timings,
-                    category=_category_block(args.category, cat),
+                    category=block,
                     residuals=residuals, results=results,
                     status="ok" if ok else "validation_failure"))
     return EXIT_OK if ok else EXIT_VALIDATION
@@ -281,6 +282,7 @@ def _cmd_center(args, argv):
     timings = {}
     with _stage(timings, "load"):
         cat = _load_category_arg(args.category)
+        block = _category_block(args.category, cat)
     with _stage(timings, "tube"):
         alg = build_tube_algebra(cat)
     with _stage(timings, "center"):
@@ -296,7 +298,7 @@ def _cmd_center(args, argv):
         "sum_n_squared": int(sum(n * n for n in dec.n)),
     }
     _emit(_envelope("center", argv, timings,
-                    category=_category_block(args.category, cat),
+                    category=block,
                     residuals=residuals, results=results))
     return EXIT_OK
 
@@ -305,6 +307,7 @@ def _cmd_modular_data(args, argv):
     timings = {}
     with _stage(timings, "load"):
         cat = _load_category_arg(args.category)
+        block = _category_block(args.category, cat)
     md = compute_modular_data(cat)
     timings.update(md.timings_ms)
     residuals = dict(cat.residuals, **md.residuals)
@@ -324,7 +327,7 @@ def _cmd_modular_data(args, argv):
         "block_dims": [int(n) for n in md.block_dims],
     }
     _emit(_envelope("modular-data", argv, timings,
-                    category=_category_block(args.category, cat),
+                    category=block,
                     residuals=residuals, results=results))
     return EXIT_OK
 
@@ -333,6 +336,7 @@ def _cmd_invariant(args, argv):
     timings = {}
     with _stage(timings, "load"):
         cat = _load_category_arg(args.category)
+        block = _category_block(args.category, cat)
     if args.statesum is not None:
         with _stage(timings, "triangulation"):
             tri = _load_triangulation_arg(args.statesum)
@@ -363,7 +367,7 @@ def _cmd_invariant(args, argv):
             "tolerance": 1e-8,
         }
     _emit(_envelope("invariant", argv, timings,
-                    category=_category_block(args.category, cat),
+                    category=block,
                     results=results))
     return EXIT_OK
 
@@ -374,6 +378,7 @@ def _cmd_compare(args, argv):
     timings = {}
     with _stage(timings, "load"):
         cat = _load_category_arg(args.category)
+        block = _category_block(args.category, cat)
     with _stage(timings, "triangulation"):
         tri = _load_triangulation_arg(args.statesum)
     with _stage(timings, "state_sum"):
@@ -397,7 +402,7 @@ def _cmd_compare(args, argv):
                      "delta = %.3e\n" % (z_ss.real, z_ss.imag, z_sg.real,
                                          z_sg.imag, delta))
     _emit(_envelope("compare", argv, timings,
-                    category=_category_block(args.category, cat),
+                    category=block,
                     results=results,
                     status="ok" if ok else "tolerance_failure"))
     return EXIT_OK if ok else EXIT_TOLERANCE

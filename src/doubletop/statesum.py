@@ -114,11 +114,10 @@ def _derive_gluings(verts):
 class Triangulation:
     """Validated oriented Delta-complex of a closed 3-manifold."""
 
-    def __init__(self, tets_signs, gluings=None, n_vertices=None, name=None):
+    def __init__(self, tets_signs, gluings=None, n_vertices=None):
         # tets_signs: list of (vertex_ids_or_None, sign)
         vlists = [v for (v, _) in tets_signs]
         self.n_tets = len(tets_signs)
-        self.name = name
         if self.n_tets == 0:
             raise TriangulationError("empty triangulation")
         if any(s not in (-1, 1) or isinstance(s, bool) for (_, s) in tets_signs):
@@ -373,7 +372,7 @@ def boundary_4_simplex():
     for i in range(5):
         v = tuple(x for x in range(5) if x != i)
         tets.append((v, (-1) ** i))
-    return Triangulation(tets, name="s3_boundary4simplex")
+    return Triangulation(tets)
 
 
 def lens_triangulation(p, q):
@@ -408,7 +407,7 @@ def s2xs1_twotet():
         ((0, 2), (1, 2)),
         ((1, 0), (1, 3)),
     ]
-    return Triangulation(tets, gluings=gluings, name="s2xs1")
+    return Triangulation(tets, gluings=gluings)
 
 
 def s3_twotet():
@@ -425,7 +424,7 @@ def s3_twotet():
         ((0, 3), (1, 1)),
         ((1, 2), (1, 3)),
     ]
-    return Triangulation(tets, gluings=gluings, name="s3_twotet")
+    return Triangulation(tets, gluings=gluings)
 
 
 def t3_sixtet():
@@ -471,7 +470,7 @@ def t3_sixtet():
     if slots:
         raise RuntimeError("cube face matching failed")
     tets = [(None, signs[t]) for t in range(6)]
-    return Triangulation(tets, gluings=gluings, name="t3_sixtet")
+    return Triangulation(tets, gluings=gluings)
 
 
 def doubled_tetrahedron():
@@ -506,6 +505,4 @@ def builtin_triangulation(name):
             "unknown builtin triangulation %r (have: %s)"
             % (name, ", ".join(sorted(BUILTIN_TRIANGULATIONS)))
         )
-    tri = make()
-    tri.name = name
-    return tri
+    return make()

@@ -34,7 +34,7 @@ class ToleranceError(SurgeryError):
 class PlumbingGraph:
     """Framed link of clasped unknots, stored as a framed multigraph."""
 
-    def __init__(self, framings, edges, name=None):
+    def __init__(self, framings, edges):
         self.ids = []
         self.framing = {}
         for v, f in framings:
@@ -55,7 +55,6 @@ class PlumbingGraph:
             if u not in self.framing or v not in self.framing:
                 raise SurgeryError("edge (%r, %r) uses an unknown vertex" % (u, v))
             self.edges.append((u, v) if repr(u) <= repr(v) else (v, u))
-        self.name = name
         self._components = self._count_components()
 
     @property
@@ -84,7 +83,7 @@ class PlumbingGraph:
         return _classes(self.m, [(pos[u], pos[w]) for u, w in self.edges])[1]
 
     @classmethod
-    def from_dict(cls, doc, name=None):
+    def from_dict(cls, doc):
         try:
             framings = [(v["id"], v["framing"]) for v in doc["vertices"]]
             edges = [(u, w) for u, w in doc["edges"]]
@@ -93,7 +92,7 @@ class PlumbingGraph:
         for v in [v for v, _ in framings] + [v for edge in edges for v in edge]:
             if not isinstance(v, (int, str)) or isinstance(v, bool):
                 raise SurgeryError("vertex id %r must be an integer or a string" % (v,))
-        return cls(framings, edges, name=name)
+        return cls(framings, edges)
 
     def to_dict(self):
         return {
@@ -108,14 +107,14 @@ def load_plumbing(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SurgeryError("parse error: %s" % exc) from exc
-    return PlumbingGraph.from_dict(doc, name=str(path))
+    return PlumbingGraph.from_dict(doc)
 
 
-def chain(framings, name=None):
+def chain(framings):
     """Linear chain of vertices 0-1-...-(k-1) with the given framings."""
     verts = [(i, f) for i, f in enumerate(framings)]
     edges = [(i, i + 1) for i in range(len(framings) - 1)]
-    return PlumbingGraph(verts, edges, name=name)
+    return PlumbingGraph(verts, edges)
 
 
 BUILTIN_PLUMBINGS = {
@@ -132,7 +131,7 @@ def builtin_plumbing(name):
     if name not in BUILTIN_PLUMBINGS:
         raise SurgeryError("unknown builtin plumbing %r (have: %s)"
                            % (name, ", ".join(sorted(BUILTIN_PLUMBINGS))))
-    return chain(BUILTIN_PLUMBINGS[name], name=name)
+    return chain(BUILTIN_PLUMBINGS[name])
 
 
 def lens_chain(p, q):
@@ -147,7 +146,7 @@ def lens_chain(p, q):
         a = -(-p // q)  # ceil
         coeffs.append(a)
         p, q = q, a * q - p
-    return chain(coeffs, name="lens")
+    return chain(coeffs)
 
 
 def random_plumbing(rng, max_vertices=5, framing_range=(-3, 3)):
@@ -378,7 +377,7 @@ def blow_up(g, site):
         verts = [(x, f + (eps if x in (u, v) else 0)) for x, f in verts]
         verts.append((w, eps))
         edges.extend([(u, w), (w, v)])
-    return PlumbingGraph(verts, edges, name=g.name)
+    return PlumbingGraph(verts, edges)
 
 
 def blow_down(g, w):
@@ -419,4 +418,4 @@ def blow_down(g, w):
     else:
         raise SurgeryError("ineligible site: vertex %r has clasp pattern %r"
                            % (w, sorted(nbrs, key=repr)))
-    return PlumbingGraph(verts, edges, name=g.name)
+    return PlumbingGraph(verts, edges)

@@ -306,11 +306,11 @@ def random_f_ring(seed=2024):
     N = np.zeros((2, 2, 2), dtype=np.int64)
     N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = N[1, 1, 1] = 1
     rng = np.random.default_rng(seed)
-    fentries = [((1, 1, 1, dd, e, f), (0, 0, 0, 0), complex(*rng.normal(size=2)))
+    fsymbols = {(1, 1, 1, dd, e, f): complex(*rng.normal(size=2))
                 for dd in range(2) for e in range(2) for f in range(2)
-                if N[e, 1, dd] and N[1, f, dd]]
+                if N[e, 1, dd] and N[1, f, dd]}
     return CategoryData(["1", "tau"], [0, 1], N, [1.0, (1.0 + math.sqrt(5.0)) / 2],
-                        fentries, validate=False)
+                        fsymbols, validate=False)
 
 
 def vec_s3_document():
@@ -343,12 +343,11 @@ def twisted_vec_zn(nmod, k):
     N = np.zeros((nmod,) * 3, dtype=np.int64)
     for a, b in itertools.product(range(nmod), repeat=2):
         N[a, b, (a + b) % nmod] = 1
-    fentries = [((a, b, c, (a + b + c) % nmod, (a + b) % nmod, (b + c) % nmod),
-                 (0, 0, 0, 0),
-                 np.exp(2j * np.pi * k * a * (b + c - (b + c) % nmod) / nmod ** 2))
-                for a, b, c in itertools.product(range(1, nmod), repeat=3)]
+    fsymbols = {(a, b, c, (a + b + c) % nmod, (a + b) % nmod, (b + c) % nmod):
+                np.exp(2j * np.pi * k * a * (b + c - (b + c) % nmod) / nmod ** 2)
+                for a, b, c in itertools.product(range(1, nmod), repeat=3)}
     return CategoryData(["g%d" % a for a in range(nmod)],
-                        [(-a) % nmod for a in range(nmod)], N, [1.0] * nmod, fentries)
+                        [(-a) % nmod for a in range(nmod)], N, [1.0] * nmod, fsymbols)
 
 
 def twisted_double_twists(nmod, k):
@@ -357,6 +356,43 @@ def twisted_double_twists(nmod, k):
     the exponent is reduced mod N^2 before the one exp."""
     a, j = np.divmod(np.arange(nmod * nmod), nmod)
     return np.exp(2j * np.pi * ((a * j * nmod + k * a * a) % nmod ** 2) / nmod ** 2)
+
+
+def ring_law_violation(N, dual):
+    """The message of the first unit-law or duality violation of N, pair by
+    pair in row-major order with the unit law first at each pair; else None."""
+    n = len(dual)
+    for i in range(n):
+        for j in range(n):
+            if N[0, i, j] != (i == j) or N[i, 0, j] != (i == j):
+                return "unit-law violation at labels (%d,%d)" % (i, j)
+            if N[i, j, 0] != (j == dual[i]):
+                return "duality violation: N_{%d,%d}^e = %d" % (i, j, N[i, j, 0])
+    return None
+
+
+def fsymbol_violation(N, fsymbols, tol=1e-9):
+    """The message of the first F-symbol table entry, in table order, that
+    lies on an empty block, off the block's admissible (e, f), or on a unit
+    block away from its identity; else None.
+
+    On a unit block the only admissible entry of each row is the identity's
+    1: with a = 0, e must be b and f must be d.
+    """
+    n, N = len(N), np.maximum(N, 0)
+    for (a, b, c, dd, e, f), val in fsymbols.items():
+        if not all(0 <= x < n for x in (a, b, c, dd)) or not any(
+                N[a, b, x] and N[x, c, dd] for x in range(n)):
+            return ("multiplicity/F-tensor shape mismatch: entry for empty "
+                    "block (%d,%d,%d;%d)" % (a, b, c, dd))
+        if not (0 <= e < n and 0 <= f < n and N[a, b, e] and N[e, c, dd]
+                and N[b, c, f] and N[a, f, dd]):
+            return ("multiplicity/F-tensor shape mismatch: entry (%d,%d,%d;%d) "
+                    "e=%d f=%d basis (0,0|0,0) outside admissible ranges"
+                    % (a, b, c, dd, e, f))
+        if 0 in (a, b, c) and abs(val - 1.0) > tol:
+            return "unit-gauge violation at (%d,%d,%d;%d)" % (a, b, c, dd)
+    return None
 
 
 def all_pairings(items):

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from doubletop import trees
 from doubletop.catdata import (
@@ -13,7 +14,8 @@ from doubletop.catdata import (
     zoo, _block_keys, _category_from_dict,
 )
 from oracles import (
-    fblock, fblock_bases, multiplicity_ring_document, random_f_ring, vec_s3_document,
+    fblock, fblock_bases, fsymbol_violation, multiplicity_ring_document, random_f_ring,
+    ring_law_violation, vec_s3_document,
 )
 
 ZOO = ["vec_z1", "vec_z2", "vec_z3", "vec_z4", "fibonacci", "ising"]
@@ -134,7 +136,7 @@ def test_multiplicity_above_one_refused_at_construction(validate):
     N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
     N[1, 1, 1] = 2
     with pytest.raises(CategoryError, match="^%s$" % re.escape(want)):
-        CategoryData(["1", "x"], [0, 1], N, [1.0, 1.0 + math.sqrt(2.0)], [],
+        CategoryData(["1", "x"], [0, 1], N, [1.0, 1.0 + math.sqrt(2.0)], {},
                      validate=validate)
 
 
@@ -152,7 +154,7 @@ def test_non_square_f_block_rejected():
         N[0, k, k] = N[k, 0, k] = 1
     N[1, 1, 2] = N[2, 1, 0] = N[1, 2, 1] = 1
     with pytest.raises(CategoryError, match=r"F-block \(1,1,1;0\) is 1x0"):
-        CategoryData(["1", "x", "y"], [0, 1, 2], N, [1.0] * 3, [],
+        CategoryData(["1", "x", "y"], [0, 1, 2], N, [1.0] * 3, {},
                      validate=False)
 
 
@@ -227,6 +229,60 @@ def test_sixj_on_inadmissible_block():
     with pytest.raises(CategoryError,
                        match="multiplicity/F-tensor shape mismatch"):
         _category_from_dict(doc)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data(), name=st.sampled_from(ZOO + ["vec_s3"]))
+def test_ring_laws_match_pair_loop(data, name):
+    # flipped entries of N[0], N[:, 0] and N[:, :, 0] are named as the loop
+    # over pairs (i, j) names them
+    cat, _ = _named(name)
+    N = cat.N.copy()
+    cells = sorted({cell for i, j in np.ndindex(cat.n, cat.n)
+                    for cell in ((0, i, j), (i, 0, j), (i, j, 0))})
+    for cell in data.draw(st.sets(st.sampled_from(cells), min_size=1, max_size=3)):
+        N[cell] = 1 - N[cell]
+    with pytest.raises(CategoryError) as info:
+        CategoryData(cat.names, cat.dual, N, cat.d, {})
+    assert str(info.value) == ring_law_violation(N, cat.dual)
+
+
+@st.composite
+def _corrupted_table(draw, name):
+    """(name, table): the category's sixj entries as a table, with one to
+    three entries drawn anywhere in it, labels out of range or on a unit block."""
+    cat, doc = _named(name)
+    items = [(tuple(ent["labels"]), complex(ent["re"], ent.get("im", 0.0)))
+             for ent in doc["sixj"]]
+    labels = st.one_of(st.integers(-1, cat.n), st.sampled_from([10 ** 30, -10 ** 30]))
+    # the unit blocks (0, b, c; d): their identity entry (e, f) = (b, d), or any
+    units = [((0, b, c, dd, b, dd), (0, b, c, dd, e, f))
+             for b, c, dd in np.argwhere(cat.N).tolist()
+             for e in range(cat.n) for f in range(cat.n)]
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.one_of(st.tuples(*[labels] * 6),
+                             st.sampled_from(units).flatmap(st.sampled_from)))
+        val = draw(st.sampled_from([1.0, -1.0, 0.5j, 1.0 + 1e-12, 1.0 + 1e-8]))
+        items.insert(draw(st.integers(0, len(items))), (key, val))
+    return name, dict(items)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=st.sampled_from(ZOO + ["vec_s3"]).flatmap(_corrupted_table))
+@example(case=("fibonacci", {(10 ** 30, 1, 1, 1, 1, 1): 1.0}))
+@example(case=("fibonacci", {(1, 1, 1, -1, 1, 1): 1.0}))
+def test_fsymbol_checks_match_entry_loop(case):
+    # the first bad entry of the table is named as the per-entry loop names
+    # it; a table without one builds
+    name, table = case
+    cat, _ = _named(name)
+    want = fsymbol_violation(cat.N, table)
+    if want is None:
+        CategoryData(cat.names, cat.dual, cat.N, cat.d, table, validate=False)
+    else:
+        with pytest.raises(CategoryError) as info:
+            CategoryData(cat.names, cat.dual, cat.N, cat.d, table, validate=False)
+        assert str(info.value) == want
 
 
 def test_broken_duality_rejected():

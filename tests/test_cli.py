@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 
 import numpy as np
 import pytest
 
 import doubletop
-from doubletop.catdata import dump_category, zoo
+from doubletop.catdata import CategoryData, dump_category, zoo
 from doubletop import cli, modulardata
 from doubletop.cli import main
 from doubletop.modulardata import STAGES
@@ -420,6 +421,20 @@ _ISING = dump_category(zoo("ising"))
 _FIBONACCI = dump_category(zoo("fibonacci"))
 
 
+def _with_repeat(doc, field, changes):
+    """A copy of doc whose `field` list starts with a copy of its first
+    entry, edited by `changes`, so that the original entry comes last."""
+    doc = json.loads(json.dumps(doc))
+    doc[field].insert(0, dict(doc[field][0], **changes))
+    return doc
+
+
+def _sixj_with_label(slot, label):
+    doc = json.loads(json.dumps(_FIBONACCI))
+    doc["sixj"][0]["labels"][slot] = label
+    return doc
+
+
 def _s3_with_false_for_0():
     doc = builtin_triangulation("s3").to_dict()
     for tet in doc["tets"]:
@@ -487,6 +502,16 @@ def _s3_with_false_for_0():
     (_CATEGORY, _edited(_FIBONACCI, "sixj", 0, "re", value=True)),
     (_CATEGORY, _edited(_FIBONACCI, "sixj", 0, "re", value="0.5")),
     (_CATEGORY, _edited(_ISING, "rsymbols", 0, "im", value=True)),
+    # the R-symbol basis is two integral numbers, each 0
+    (_CATEGORY, _edited(_ISING, "rsymbols", 0, "basis", value=[False, False])),
+    (_CATEGORY, _edited(_ISING, "rsymbols", 0, "basis", value="ab")),
+    (_CATEGORY, _edited(_ISING, "rsymbols", 0, "basis", value=5)),
+    # a label tuple listed twice with two values: the last one used to win
+    (_CATEGORY, _with_repeat(_ISING, "sixj", {"re": -_ISING["sixj"][0]["re"]})),
+    (_CATEGORY, _with_repeat(_ISING, "rsymbols", {"re": 1.0, "im": 0.0})),
+    # labels outside 0..n-1 and past int64
+    (_CATEGORY, _sixj_with_label(0, 10 ** 30)),
+    (_CATEGORY, _sixj_with_label(3, -1)),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
@@ -510,13 +535,18 @@ def _s3_with_false_for_0():
         "category-string-r-symbol-label", "triangulation-bool-vertex-id",
         "triangulation-bool-vertex-id-s3", "category-string-and-bool-qdims",
         "category-numeric-string-qdim", "category-bool-sixj-re",
-        "category-string-sixj-re", "category-bool-r-symbol-im"])
+        "category-string-sixj-re", "category-bool-r-symbol-im",
+        "category-bool-r-symbol-basis", "category-string-r-symbol-basis",
+        "category-int-r-symbol-basis", "category-differing-sixj-repeat",
+        "category-differing-r-symbol-repeat", "category-sixj-label-beyond-int64",
+        "category-negative-sixj-label"])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, *argv, str(path))
-    assert code == 1
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, None)
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("doc,field", [
@@ -729,6 +759,28 @@ def test_two_route_commands_report_their_stages(capsys, argv, stages):
     code, doc, _ = run(capsys, argv[0], "--category", "zoo:vec_z2", *argv[1:])
     assert code == 0
     assert set(doc["timings_ms"]) == {"load", *stages}
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("center",),
+    ("modular-data",),
+    ("invariant", "--statesum", "builtin:rp3"),
+    ("compare", "--statesum", "builtin:rp3", "--surgery", "builtin:rp3"),
+], ids=lambda argv: argv[0])
+def test_fingerprint_is_timed_in_load(capsys, monkeypatch, argv):
+    # the category block's fingerprint is part of the load stage, not time
+    # outside any stage
+    fingerprint = CategoryData.fingerprint
+
+    def slow(cat):
+        time.sleep(0.03)
+        return fingerprint(cat)
+
+    monkeypatch.setattr(CategoryData, "fingerprint", slow)
+    code, doc, _ = run(capsys, argv[0], "--category", "zoo:vec_z2", *argv[1:])
+    assert code == 0
+    assert doc["timings_ms"]["load"] >= 30
 
 
 def test_report_determinism(capsys):

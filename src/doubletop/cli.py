@@ -105,9 +105,9 @@ def _c(z):
 
 
 def _load_category_arg(uri):
-    if uri.startswith("zoo:"):
-        return zoo(uri[len("zoo:"):])
-    return load_category(uri)
+    """The category a --category URI names, and its report block."""
+    cat = zoo(uri[len("zoo:"):]) if uri.startswith("zoo:") else load_category(uri)
+    return cat, {"uri": uri, "fingerprint": "sha256:" + cat.fingerprint()}
 
 
 def _load_triangulation_arg(uri):
@@ -247,10 +247,6 @@ def _envelope(command, argv, timings, category=None, residuals=None,
     return doc
 
 
-def _category_block(uri, cat):
-    return {"uri": uri, "fingerprint": "sha256:" + cat.fingerprint()}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -259,8 +255,7 @@ def _category_block(uri, cat):
 def _cmd_validate(args, argv):
     timings = {}
     with _stage(timings, "load"):
-        cat = _load_category_arg(args.category)
-        block = _category_block(args.category, cat)
+        cat, block = _load_category_arg(args.category)
     with _stage(timings, "residuals"):
         residuals = dict(cat.residuals)
     ok = all(v < args.tolerance for v in residuals.values())
@@ -281,8 +276,7 @@ def _cmd_validate(args, argv):
 def _cmd_center(args, argv):
     timings = {}
     with _stage(timings, "load"):
-        cat = _load_category_arg(args.category)
-        block = _category_block(args.category, cat)
+        cat, block = _load_category_arg(args.category)
     with _stage(timings, "tube"):
         alg = build_tube_algebra(cat)
     with _stage(timings, "center"):
@@ -306,8 +300,7 @@ def _cmd_center(args, argv):
 def _cmd_modular_data(args, argv):
     timings = {}
     with _stage(timings, "load"):
-        cat = _load_category_arg(args.category)
-        block = _category_block(args.category, cat)
+        cat, block = _load_category_arg(args.category)
     md = compute_modular_data(cat)
     timings.update(md.timings_ms)
     residuals = dict(cat.residuals, **md.residuals)
@@ -335,8 +328,7 @@ def _cmd_modular_data(args, argv):
 def _cmd_invariant(args, argv):
     timings = {}
     with _stage(timings, "load"):
-        cat = _load_category_arg(args.category)
-        block = _category_block(args.category, cat)
+        cat, block = _load_category_arg(args.category)
     if args.statesum is not None:
         with _stage(timings, "triangulation"):
             tri = _load_triangulation_arg(args.statesum)
@@ -377,8 +369,7 @@ def _cmd_compare(args, argv):
     every clasp positive; the two must agree within --tolerance."""
     timings = {}
     with _stage(timings, "load"):
-        cat = _load_category_arg(args.category)
-        block = _category_block(args.category, cat)
+        cat, block = _load_category_arg(args.category)
     with _stage(timings, "triangulation"):
         tri = _load_triangulation_arg(args.statesum)
     with _stage(timings, "state_sum"):

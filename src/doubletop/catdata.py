@@ -285,6 +285,13 @@ def _ints(xs, what):
     return [int(x) for x in xs]
 
 
+def _listed(x, what):
+    """x if it is a JSON list, else a TypeError naming `what` (a malformed document)."""
+    if not isinstance(x, list):
+        raise TypeError("%s must be a JSON list" % what)
+    return x
+
+
 def _reals(xs, what):
     """JSON numbers as floats (nan and inf pass, for the finiteness gates);
     else an error naming `what`: strings and booleans are not numbers."""
@@ -328,10 +335,10 @@ def _category_parts(doc):
     _refuse_multiplicity(N)
     fsymbols = {}
     for ent in doc.get("sixj", []):
-        if len(ent["labels"]) != 6 or len(ent["basis"]) != 4:
+        labels, basis = (_listed(ent[k], "sixj " + k) for k in ("labels", "basis"))
+        if len(labels) != 6 or len(basis) != 4:
             raise CategoryError("sixj entry needs 6 labels and 4 basis indices")
-        ix = _ints(list(ent["labels"]) + list(ent["basis"]),
-                   "sixj labels and basis indices")
+        ix = _ints(labels + basis, "sixj labels and basis indices")
         if any(ix[6:]):
             raise CategoryError(_outside_message(ix))
         enter(fsymbols, "sixj entry", tuple(ix[:6]),

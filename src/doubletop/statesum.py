@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catdata import global_dim
+from .catdata import _listed, global_dim
 from .contract import BudgetError, contract
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -160,11 +160,8 @@ class Triangulation:
             if (ta, fa) == (tb, fb):
                 raise TriangulationError("face glued to itself")
         if len(used) != 4 * self.n_tets:
-            missing = [(t, f) for t in range(self.n_tets) for f in range(4)
-                       if (t, f) not in used]
-            raise TriangulationError(
-                "open boundary: face %d of tet %d unglued" % (missing[0][1], missing[0][0])
-            )
+            t, f = min(set(itertools.product(range(self.n_tets), range(4))) - used)
+            raise TriangulationError("open boundary: face %d of tet %d unglued" % (f, t))
 
     def _orientation_check(self):
         for (ta, fa), (tb, fb) in self.gluings:
@@ -268,8 +265,8 @@ def load_triangulation(path):
 
 def _triangulation_from_dict(doc):
     try:
-        tets = [(tuple(t["v"]) if "v" in t else None, t.get("sign", 1))
-                for t in doc["tets"]]
+        tets = [(tuple(_listed(t["v"], "tetrahedron v")) if "v" in t else None, t.get("sign", 1))
+                for t in _listed(doc["tets"], "tets")]
         gluings = doc.get("gluings")
         n_vertices = doc.get("vertices")
     except (AttributeError, KeyError, TypeError) as exc:
@@ -382,9 +379,10 @@ def lens_triangulation(p, q):
     (p,q)=(4,2) realizes the antipodal-quotient presentation of RP^3.
     Tet i has corners (N, S, P_i, P_{i+1}); all signs +1.
     """
-    if not (isinstance(p, numbers.Integral) and isinstance(q, numbers.Integral)
+    if not (all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (p, q))
             and 1 <= q <= p):
         raise TriangulationError("need integers p >= 1 and 1 <= q <= p")
+    p, q = int(p), int(q)  # numpy integers would reach the gluing list
     tets = [(None, 1) for _ in range(p)]
     gluings = []
     for i in range(p):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catdata import _listed
 from .contract import plan, run
 from .statesum import _classes
 
@@ -85,8 +86,9 @@ class PlumbingGraph:
     @classmethod
     def from_dict(cls, doc):
         try:
-            framings = [(v["id"], v["framing"]) for v in doc["vertices"]]
-            edges = [(u, w) for u, w in doc["edges"]]
+            framings = [(v["id"], v["framing"]) for v in _listed(doc["vertices"], "vertices")]
+            edges = [_listed(e, "edge") for e in _listed(doc["edges"], "edges")]
+            edges = [(u, w) for u, w in edges]
         except (KeyError, TypeError, ValueError) as exc:
             raise SurgeryError("malformed plumbing document: %s" % exc) from exc
         for v in [v for v, _ in framings] + [v for edge in edges for v in edge]:
@@ -136,10 +138,10 @@ def builtin_plumbing(name):
 
 def lens_chain(p, q):
     """Chain presentation of L(p, q) via p/q = a1 - 1/(a2 - 1/(...))."""
-    if not (isinstance(p, int) and isinstance(q, int)):
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (p, q)):
         raise SurgeryError("lens parameters must be integers")
     if not (p > q >= 1) or math.gcd(p, q) != 1:
-        raise SurgeryError("need p > q >= 1 with gcd(p, q) = 1, got (%r, %r)"
+        raise SurgeryError("need p > q >= 1 with gcd(p, q) = 1, got (%d, %d)"
                            % (p, q))
     coeffs = []
     while q:
@@ -236,10 +238,8 @@ def _colored_sums(S, T, g, vertex_weights, budget):
     planned = plan(shapes + [(S.shape, ids) for ids in clasps], budget)
     scale = S[0, 0] ** (1 - g.components())
     clasp_factors = [S] * len(clasps)
-    sums = []
-    for w in vertex_weights:
-        sums.append(scale * run(planned, [w * t * s for t, s in local]
-                                + clasp_factors))
+    sums = [scale * run(planned, [w * t * s for t, s in local] + clasp_factors)
+            for w in vertex_weights]
     return sums, planned[2]  # the largest step
 
 
@@ -403,9 +403,7 @@ def blow_down(g, w):
         else:
             edges.append((u, x))
     verts = [(v, g.framing[v]) for v in g.ids if v != w]
-    if len(nbrs) == 0:
-        pass
-    elif len(nbrs) == 1:
+    if len(nbrs) == 1:
         v = nbrs[0]
         verts = [(x, f - (eps if x == v else 0)) for x, f in verts]
     elif len(nbrs) == 2 and nbrs[0] != nbrs[1]:
@@ -415,7 +413,7 @@ def blow_down(g, w):
         u, v = nbrs
         verts = [(x, f - (eps if x in (u, v) else 0)) for x, f in verts]
         edges.append((u, v) if repr(u) <= repr(v) else (v, u))
-    else:
+    elif nbrs:
         raise SurgeryError("ineligible site: vertex %r has clasp pattern %r"
                            % (w, sorted(nbrs, key=repr)))
     return PlumbingGraph(verts, edges)

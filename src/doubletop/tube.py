@@ -20,11 +20,13 @@ and with associativity (the pentagon's) the anti-homomorphism (xy)* = y* x*.
 The algebra is semisimple: a sum of full matrix blocks M_{n_i}, with
 central projections pi_i, 1 = sum_i pi_i and sum n_i^2 = dim.
 `center_decompose` reads every minimal left ideal off the eigenspaces of
-right multiplication by one random Hermitian element, groups the ideals
-into blocks by the trace of left multiplication on them, and projects the
-identity onto each block.  One step pi -> 3 pi^2 - 2 pi^3 purifies each
-projection, with no star symmetrization: the result is idempotent and
-self-adjoint to rounding.
+right multiplication by one random Hermitian element of the corner algebra
+sum_eta Tube(eta, eta), one eigh per nonempty sector (xi, eta), which
+that multiplication maps to itself; it groups the ideals into blocks by
+the trace of left multiplication on them, and projects the identity onto
+each block.  One step pi -> 3 pi^2 - 2 pi^3 purifies each projection,
+with no star symmetrization: the result is idempotent and self-adjoint to
+rounding.
 """
 
 import numpy as np
@@ -111,7 +113,8 @@ class TubeAlgebra:
 
     Elements are coordinate vectors over `basis` (already normalized to
     unit Markov-form norm), the (dim, 4) array of tubes; `index` maps a tube
-    (xi, eta, zeta, delta) to its row, -1 off the basis.  `C[i,j,k]`
+    (xi, eta, zeta, delta) to its row, -1 off the basis, and `runs` holds
+    the n^2 + 1 offsets of the sectors (xi, eta) in it.  `C[i,j,k]`
     is the coefficient of basis k in the product of basis i and j.
     """
 
@@ -120,6 +123,8 @@ class TubeAlgebra:
         self.lam = global_dim(cat)
         self.basis, self.index = _basis(cat)
         self.dim = len(self.basis)
+        self.runs = np.searchsorted(self.basis[:, 0] * cat.n + self.basis[:, 1],
+                                    np.arange(cat.n ** 2 + 1))
         C = _structure(cat, self.basis, self.index)
         St = _star(cat, self.basis, self.index)
         xi, eta, zeta = self.basis[:, :3].T
@@ -201,10 +206,9 @@ class TubeAlgebra:
     # -- construction-time checks ----------------------------------------------
 
     def _identity_residual(self):
-        li = self.left_mult(self.identity)
-        ri = self.right_mult(self.identity)
         eye = np.eye(self.dim)
-        return float(max(np.max(np.abs(li - eye)), np.max(np.abs(ri - eye))))
+        return float(max(np.max(np.abs(mult(self.identity) - eye))
+                         for mult in (self.left_mult, self.right_mult)))
 
     def _star_adjoint_residual(self):
         # L(e_k*) = L(e_k)^+: sum_a St[a,k] C[a,j,m] = conj(C[k,m,j]) for all
@@ -267,18 +271,25 @@ def _spectral_blocks(alg, h):
 
     The eigenspaces of right multiplication by h are minimal left ideals
     A q, n_i vectors each for block i, and L_h has the same trace tr rho_i(h)
-    on each of them; clustering the traces groups the ideals by block.  The
-    draw is degenerate unless every group holds s ideals of s vectors each.
+    on each of them; clustering the traces groups the ideals by block.  h
+    lies in the corner algebra, so one eigh per nonempty sector, which R_h
+    and L_h map to itself, gives eigenvectors that each lie in one sector.
+    The draw is degenerate unless every group holds s ideals of s vectors each.
     Each block space lists its ideals in ascending eigenvalue order, so which
     ideal comes first does not hang on rounding in the traces.
     """
-    rh = alg.right_mult(h)
+    rh, lh = alg.right_mult(h), alg.left_mult(h)
     if np.max(np.abs(rh - rh.conj().T)) > 1e-8:
         raise CenterError("right multiplication by the draw is not Hermitian")
-    evals, W = np.linalg.eigh(rh)
-    spread = float(evals[-1] - evals[0]) or 1.0
+    evals, diag = np.empty(alg.dim), np.empty(alg.dim)
+    W = np.zeros((alg.dim, alg.dim), dtype=complex)
+    for a, b in zip(alg.runs[:-1].tolist(), alg.runs[1:].tolist()):
+        if a < b:  # a nonempty sector, mapped to itself by R_h and L_h
+            evals[a:b], w = np.linalg.eigh(rh[a:b, a:b])
+            W[a:b, a:b] = w
+            diag[a:b] = np.real(np.sum(w.conj() * (lh[a:b, a:b] @ w), axis=0))
+    spread = float(np.ptp(evals)) or 1.0
     ideals = _cluster(evals, 1e-6 * spread)
-    diag = np.real(np.sum(W.conj() * (alg.left_mult(h) @ W), axis=0))
     traces = np.array([np.sum(diag[g]) for g in ideals])
     spread = float(np.ptp(traces)) or 1.0
     groups = [np.sort(g) for g in _cluster(traces, 1e-6 * spread)]
@@ -290,20 +301,22 @@ def _spectral_blocks(alg, h):
 def center_decompose(alg, seed=None):
     """Split the identity into the central projections of the tube algebra.
 
-    One seeded Hermitian draw h splits the algebra into its minimal left
-    ideals (`_spectral_blocks`); the ideals of block i span the block, and
-    pi_i is the orthogonal projection of the identity onto it.  A draw is
-    reseeded, up to 8 times, when its spectrum is degenerate or a projector
-    misses idempotency by 1e-12.  The accepted pi_i are purified once, to
-    3 pi_i^2 - 2 pi_i^3, which needs no star symmetrization.
+    One seeded Hermitian draw h, zero off the torus sectors (xi, xi) and
+    star-symmetrized, which keeps that set, lies in the corner algebra and
+    splits the algebra into its minimal left ideals (`_spectral_blocks`);
+    the ideals of block i span the block, and pi_i is the orthogonal
+    projection of the identity onto it.  A draw is reseeded, up to 8 times,
+    when its spectrum is degenerate or a projector misses idempotency by
+    1e-12.  The accepted pi_i are purified once, to 3 pi_i^2 - 2 pi_i^3,
+    which needs no star symmetrization.
     """
-    if seed is None:
-        seed = CENTER_SEED
+    seed = CENTER_SEED if seed is None else seed
     dim = alg.dim
     rng = np.random.default_rng(seed)
 
     for _ in range(_MAX_RESEEDS):
         h = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        h[~np.repeat(np.eye(alg.cat.n, dtype=bool).ravel(), np.diff(alg.runs))] = 0
         spaces = _spectral_blocks(alg, 0.5 * (h + alg.star(h)))
         if spaces is None:
             continue  # degenerate draw, reseed

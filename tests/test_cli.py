@@ -442,6 +442,34 @@ def _s3_with_false_for_0():
     return doc
 
 
+def _s3_with_string_vertices():
+    # "1234" would read as the vertex ids '1', '2', '3', '4'
+    doc = builtin_triangulation("s3").to_dict()
+    for tet in doc["tets"]:
+        tet["v"] = "".join(map(str, tet["v"]))
+    return doc
+
+
+_CLASP = [{"id": "a", "framing": 1}, {"id": "b", "framing": 1}]
+# list-valued fields given as strings or objects: each used to load, read
+# as its characters or its keys
+_NOT_LISTS = [
+    (_STATESUM, _s3_with_string_vertices(), "triangulation document: tetrahedron v"),
+    (_STATESUM, {"tets": {}}, "triangulation document: tets"),
+    (_SURGERY, {"vertices": _CLASP, "edges": ["ab"]}, "plumbing document: edge"),
+    (_SURGERY, {"vertices": _CLASP, "edges": {"ab": 7}}, "plumbing document: edges"),
+    (_SURGERY, {"vertices": {}, "edges": []}, "plumbing document: vertices"),
+    (_CATEGORY, _edited(_ISING, "sixj", 0, "labels", value=5), "category document: sixj labels"),
+    (_CATEGORY, _edited(_ISING, "sixj", 0, "basis", value=5), "category document: sixj basis"),
+    (_CATEGORY, _edited(_ISING, "sixj", 0, "basis", value="0000"),
+     "category document: sixj basis"),
+]
+_NOT_LIST_IDS = ["triangulation-string-v", "triangulation-object-tets",
+                 "plumbing-string-edge", "plumbing-object-edges",
+                 "plumbing-object-vertices", "category-int-sixj-labels",
+                 "category-int-sixj-basis", "category-string-sixj-basis"]
+
+
 @pytest.mark.parametrize("argv,doc", [
     (_CATEGORY, [1, 2]),
     (_CATEGORY, _fibonacci_with_string_qdim()),
@@ -512,6 +540,7 @@ def _s3_with_false_for_0():
     # labels outside 0..n-1 and past int64
     (_CATEGORY, _sixj_with_label(0, 10 ** 30)),
     (_CATEGORY, _sixj_with_label(3, -1)),
+    *((argv, doc) for argv, doc, _ in _NOT_LISTS),
 ], ids=["category-list", "category-string-qdim", "category-fusion-index",
         "triangulation-three-vertices", "triangulation-list",
         "triangulation-string-sign", "triangulation-int-gluing",
@@ -539,7 +568,7 @@ def _s3_with_false_for_0():
         "category-bool-r-symbol-basis", "category-string-r-symbol-basis",
         "category-int-r-symbol-basis", "category-differing-sixj-repeat",
         "category-differing-r-symbol-repeat", "category-sixj-label-beyond-int64",
-        "category-negative-sixj-label"])
+        "category-negative-sixj-label", *_NOT_LIST_IDS])
 def test_malformed_documents_exit_1(capsys, tmp_path, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -563,6 +592,15 @@ def test_real_fields_name_themselves(capsys, tmp_path, doc, field):
     code, out, err = run(capsys, "validate", "--category", str(path))
     assert (code, out) == (1, None)
     assert err == "error: %s must be real numbers\n" % field
+
+
+@pytest.mark.parametrize("argv,doc,field", _NOT_LISTS, ids=_NOT_LIST_IDS)
+def test_list_fields_name_themselves(capsys, tmp_path, argv, doc, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, None)
+    assert err == "error: malformed %s must be a JSON list\n" % field
 
 
 def test_multiplicity_above_one_exits_1(capsys, tmp_path):

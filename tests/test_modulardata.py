@@ -226,6 +226,59 @@ def test_block_irreps_read_no_C(mds, vec_s3_md, name):
     assert all(map(np.array_equal, got, want))
 
 
+def test_block_irreps_call_no_eigensolver(mds, vec_s3_md, monkeypatch):
+    # the center's ideal vectors each lie in one sector: grading is a gather
+    calls = [count_calls(monkeypatch, np.linalg, f)
+             for f in ("eig", "eigh", "eigvals", "eigvalsh", "svd")]
+    for md in (mds["ising"], mds["fibonacci"], vec_s3_md):
+        modulardata.block_irreps(md.alg, md.dec)
+    assert not any(calls)
+
+
+def _grade_multiplicities(md):
+    """m[i, x], the multiplicity of the simple x in block i, counted off the
+    graded irreps; checked against n_i c_i(e_x), e_x the part of the identity
+    on X(x, x, 0, x)."""
+    alg, dec, n = md.alg, md.dec, md.alg.cat.n
+    lab = modulardata.block_irreps(alg, dec)[1]
+    m = np.count_nonzero(lab[:, :, None] == np.arange(n), axis=1)
+    e = np.where(alg.basis[:, 0] == np.arange(n)[:, None], alg.identity, 0)
+    read = np.array([dec.coefficients(ex) for ex in e]).T * np.array(dec.n)[:, None]
+    assert np.max(np.abs(read - m)) < 1e-12
+    return m
+
+
+def _forgetful_sides(N, m, Ncat):
+    """Both sides of sum_k N_ij^k m_k(x) = sum_{y,z} m_i(y) m_j(z) N_yz^x."""
+    return np.einsum("ijk,kx->ijx", N, m), np.einsum("iy,jz,yzx->ijx", m, m, Ncat)
+
+
+@pytest.mark.parametrize(
+    "name", ZOO + ["vec_z4", "vec_z5", "vec_z6", "vec_z7", "vec_s3"]
+    + ["twisted_z%d_%d" % nk for nk in TWISTED] + ["gauged_ising_1", "gauged_fibonacci_1"])
+def test_fusion_rules_survive_forgetting_the_half_braiding(mds, vec_s3_md, name):
+    # forgetting the half-braiding is a tensor functor Z(C) -> C: the grades
+    # of i x j are those of i times those of j, an exact check of N that
+    # needs no half-braiding
+    md = _md(mds, vec_s3_md, name)
+    lhs, rhs = _forgetful_sides(md.N, _grade_multiplicities(md), md.alg.cat.N)
+    assert np.array_equal(lhs, rhs)
+
+
+def test_forgetful_fusion_check_catches_swapped_blocks(mds):
+    # N from an S with two blocks of different grades swapped is a fusion
+    # ring, but not the one the grades give
+    md = mds["ising"]
+    m = _grade_multiplicities(md)
+    a, b = next((a, b) for a in range(len(m)) for b in range(a)
+                if not np.array_equal(m[a], m[b]))
+    p = np.arange(len(m))
+    p[[a, b]] = p[[b, a]]
+    N = verlinde_fusion(md.S[np.ix_(p, p)])[0]
+    lhs, rhs = _forgetful_sides(N, m, md.alg.cat.N)
+    assert not np.array_equal(lhs, rhs)
+
+
 def _label_groups(lab):
     groups = {}
     for i, row in enumerate(lab.tolist()):

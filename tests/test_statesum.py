@@ -15,7 +15,7 @@ from doubletop.statesum import (
     doubled_tetrahedron, dw_oracle, lens_triangulation, load_triangulation,
     s2xs1_twotet, s3_twotet, state_sum, t3_sixtet, _triangulation_from_dict,
 )
-from doubletop.surgery import lens_chain, surgery_invariant
+from doubletop.surgery import SurgeryError, lens_chain, surgery_invariant
 from oracles import (all_pairings, brute_state_sum, closed_pairings, dw_brute,
                      expected_flat_fraction, first_homology, random_f_ring,
                      tet_components, tet_weight, triangulation_classes,
@@ -331,6 +331,22 @@ def test_lens_args_validated():
         with pytest.raises(TriangulationError, match="need integers p >= 1"):
             lens_triangulation(p, q)
     assert issubclass(TriangulationError, ValueError)
+
+
+@pytest.mark.parametrize("p, q", [(2, True), (True, True), (3.0, 1), (3, 1.0)])
+def test_lens_constructors_refuse_bools_and_floats(p, q):
+    # one rule for both: a numbers.Integral that is not a bool, as a framing
+    with pytest.raises(SurgeryError, match="lens parameters must be integers"):
+        lens_chain(p, q)
+    with pytest.raises(TriangulationError, match="need integers p >= 1"):
+        lens_triangulation(p, q)
+
+
+def test_lens_constructors_take_numpy_integers():
+    assert (lens_chain(np.int64(5), np.int64(2)).to_dict()
+            == lens_chain(5, 2).to_dict())
+    assert (lens_triangulation(np.int64(5), np.int64(2)).to_dict()
+            == lens_triangulation(5, 2).to_dict())
 
 
 def test_roundtrip_via_dict():

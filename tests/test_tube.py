@@ -530,6 +530,44 @@ def test_block_space_heads_are_left_ideals(name):
             assert np.linalg.norm(lx @ V - V @ (V.conj().T @ lx @ V)) < 1e-10
 
 
+SECTOR_NAMES = ZOO + ["vec_z4", "vec_s3", "gauged_ising", "gauged_fibonacci"]
+
+
+def _sectors(alg):
+    """The sector xi n + eta of each tube, read off the runs."""
+    sec = np.repeat(np.arange(alg.cat.n ** 2), np.diff(alg.runs))
+    assert np.array_equal(sec, alg.basis[:, 0] * alg.cat.n + alg.basis[:, 1])
+    return sec
+
+
+@pytest.mark.parametrize("name", SECTOR_NAMES)
+def test_block_space_columns_lie_in_one_sector(name):
+    # the draw lies in the corner algebra, so R_h maps each sector to itself
+    # and every eigenvector is exactly zero outside its own sector
+    alg = _algebra(name)
+    sec = _sectors(alg)
+    for B in center_decompose(alg).block_spaces:
+        own = sec[np.argmax(np.abs(B), axis=0)]
+        assert not B[sec[:, None] != own].any()
+
+
+@pytest.mark.parametrize("name", SECTOR_NAMES)
+def test_projections_vanish_off_the_torus_tubes(name):
+    alg = _algebra(name)
+    P = np.asarray(center_decompose(alg).projections)
+    assert not P[:, alg.basis[:, 0] != alg.basis[:, 1]].any()
+
+
+@pytest.mark.parametrize("name", ["ising", "vec_z4", "vec_s3"])
+def test_one_eigh_per_nonempty_sector(monkeypatch, name):
+    # never one eigh of the whole R_h: each runs on one nonempty sector
+    alg = _algebra(name)
+    sizes = np.diff(alg.runs)
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    center_decompose(alg)
+    assert [len(args[0]) for args in calls] == sizes[sizes > 0].tolist()
+
+
 # -- conditional expectation ---------------------------------------------------
 
 

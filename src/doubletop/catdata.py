@@ -1,4 +1,4 @@
-"""Finite fusion-category data: labels, fusion ring, quantum dimensions, F-symbols.
+"""Finite fusion-category data: labels, fusion ring, quantum dimensions, F and R.
 
 A category is described combinatorially by
 
@@ -25,9 +25,10 @@ Rows and columns are ordered by ``e`` and ``f``.  Blocks with ``a``, ``b`` or
 not be serialized; a table entry there must agree with the identity.
 
 The constructor takes the F-symbols as one table ``{(a, b, c, d, e, f): value}``
-and the R-symbols as ``{(a, b, c): value}``.  A document's ``sixj`` entry still
-carries the four basis indices of a general category, and an R-symbol its two;
-each must be 0.
+and the optional R-symbols as ``{(a, b, c): value}``, stored as ``R[a, b, c]``:
+1 where ``a`` or ``b`` is the unit (a table entry there must be 1), zero off ``N``,
+``None`` without a table.  A document's ``sixj`` entry still carries the four
+basis indices of a general category, and an R-symbol its two; each must be 0.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def _outside_message(ix):
             "basis (%d,%d|%d,%d) outside admissible ranges" % tuple(ix))
 
 
+def _label_keys(table, width, n):
+    """The table's label tuples as `width` int columns, labels outside 0..n-1 read as n."""
+    try:
+        keys = np.array(list(table), dtype=np.int64).reshape(-1, width)
+    except OverflowError:  # a label past int64 is outside 0..n-1, as -1 and n are
+        keys = np.array(list(table), dtype=object).clip(-1, n).astype(np.int64)
+    return np.where((keys >= 0) & (keys < n), keys, n)
+
+
 def join(N, rows, *cols):
     """Every row of the int array `rows` once per o with N[row[cols], o] > 0,
     o appended as a last column; row order is kept and o ascends within each.
@@ -81,24 +91,44 @@ class CategoryData:
         self.dual = list(dual)
         self.N = np.asarray(N, dtype=np.int64)
         self.d = np.asarray(qdims, dtype=float)
-        self.rsymbols = dict(rsymbols) if rsymbols else None
         self.residuals = None  # {"pentagon", "unitarity"}, set by validate()
         _refuse_multiplicity(self.N)
         if validate:
             # the block sizes come from N: check the ring before building them
-            self._check_ring()
-        self._build_blocks(fsymbols)
+            self._check_ring(rsymbols)
+        # a negative multiplicity (only unvalidated data has one) counts as
+        # zero; label n stands for every label outside 0..n-1 and fuses to nothing
+        N = np.zeros((self.n + 1,) * 3, dtype=np.int64)
+        N[:-1, :-1, :-1] = np.maximum(self.N, 0)
+        self.R = self._build_r(N, rsymbols, validate)
+        self._build_blocks(N, fsymbols)
         if validate:
             self._check_f()
 
-    # -- block assembly -----------------------------------------------------
+    # -- table assembly -----------------------------------------------------
 
-    def _build_blocks(self, fsymbols):
-        # a negative multiplicity (only unvalidated data has one) counts as
-        # zero; label n stands for every label outside 0..n-1 and fuses to nothing
+    def _build_r(self, N, rsymbols, validate):
+        if not rsymbols:
+            return None
+        a, b, c = keys = _label_keys(rsymbols, 3, self.n).T
+        vals = np.array(list(rsymbols.values()), dtype=complex)
+        unit = (a == 0) | (b == 0)
+        empty = N[a, b, c] == 0
+        bad = np.flatnonzero(empty | unit & (np.abs(vals - 1.0) > STRUCT_TOL))
+        if bad.size:
+            what = "R-symbol on empty space" if empty[bad[0]] else "unit-gauge violation at R-symbol"
+            raise CategoryError("%s (%d,%d,%d)" % (what, *list(rsymbols)[bad[0]]))
+        R = np.zeros(N.shape, dtype=complex)
+        R[0], R[:, 0] = N[0], N[:, 0]
+        R[tuple(keys[:, ~unit])] = vals[~unit]
+        miss = [k for k in map(tuple, (np.argwhere(N[1:, 1:]) + (1, 1, 0)).tolist())
+                if validate and k not in rsymbols]
+        if miss:
+            raise CategoryError("missing R-symbol at (%d,%d,%d)" % miss[0])
+        return R[:self.n, :self.n, :self.n]
+
+    def _build_blocks(self, N, fsymbols):
         n = self.n
-        N = np.zeros((n + 1,) * 3, dtype=np.int64)
-        N[:n, :n, :n] = np.maximum(self.N, 0)
         nrows = np.einsum("abe,ecd->abcd", N, N)
         ncols = np.einsum("bcf,afd->abcd", N, N)
         bad = np.argwhere((nrows > 0) & (nrows != ncols))
@@ -115,13 +145,9 @@ class CategoryData:
         F[0, x, y, z, x, z] = 1.0
         F[x, 0, y, z, x, y] = 1.0
         F[x, y, 0, z, z, y] = 1.0
-        labels = list(fsymbols)
-        try:
-            keys = np.array(labels, dtype=np.int64).reshape(-1, 6)
-        except OverflowError:  # a label past int64 is outside 0..n-1, as -1 and n are
-            keys = np.array(labels, dtype=object).clip(-1, n).astype(np.int64)
+        keys = _label_keys(fsymbols, 6, n)
         vals = np.array(list(fsymbols.values()), dtype=complex)
-        a, b, c, dd, e, f = np.where((keys >= 0) & (keys < n), keys, n).T
+        a, b, c, dd, e, f = keys.T
         unit = (keys[:, :3] == 0).any(axis=1)
         # each entry's three checks, in the order they are reported; the
         # identity reads 1 at every admissible entry of a unit block
@@ -130,41 +156,33 @@ class CategoryData:
         gauge = unit & (np.abs(vals - 1.0) > STRUCT_TOL)
         bad = np.flatnonzero(empty | outside | gauge)
         if bad.size:
-            i = bad[0]
+            i, at = bad[0], list(fsymbols)[bad[0]]
             if empty[i]:
                 raise CategoryError("multiplicity/F-tensor shape mismatch: entry for "
-                                    "empty block (%d,%d,%d;%d)" % labels[i][:4])
+                                    "empty block (%d,%d,%d;%d)" % at[:4])
             if outside[i]:
-                raise CategoryError(_outside_message(labels[i] + (0,) * 4))
-            raise CategoryError("unit-gauge violation at (%d,%d,%d;%d)" % labels[i][:4])
+                raise CategoryError(_outside_message(at + (0,) * 4))
+            raise CategoryError("unit-gauge violation at (%d,%d,%d;%d)" % at[:4])
         # entries on the unit blocks agree with the identity above
         F[tuple(keys[~unit].T)] = vals[~unit]
-
-    # -- accessors ------------------------------------------------------------
-
-    def rsym(self, a, b, c):
-        """R-symbol for c in a(x)b; unit-involving R is 1."""
-        if self.N[a, b, c] == 0:
-            return 0.0
-        if a == 0 or b == 0:
-            return 1.0
-        if self.rsymbols is None:
-            raise CategoryError("category carries no R-symbols")
-        return self.rsymbols[(a, b, c)]
 
     # -- validation -----------------------------------------------------------
 
     def validate(self):
-        self._check_ring()
+        # R as a table again, where a zero R-symbol reads as missing
+        table = {} if self.R is None else {
+            key: self.R[key] for key in map(tuple, np.argwhere(self.R).tolist())}
+        self._check_ring(table)
+        self._build_r(self.N, table, True)
         self._check_f()
 
-    def _check_ring(self):
-        """Everything but the F-symbols: labels, N, quantum dimensions, R."""
+    def _check_ring(self, rsymbols):
+        """Labels, N and quantum dimensions; R's table is finite, on a commutative ring."""
         n, N, dual, d = self.n, self.N, self.dual, self.d
         bad = np.flatnonzero(~np.isfinite(d))
         if bad.size:
             raise CategoryError("non-finite quantum dimension at label %d" % bad[0])
-        for key, v in (self.rsymbols or {}).items():
+        for key, v in (rsymbols or {}).items():
             if not np.isfinite(v):
                 raise CategoryError("non-finite R-symbol at (%d,%d,%d)" % key)
         if n < 1:
@@ -206,15 +224,8 @@ class CategoryData:
             raise CategoryError(
                 "dimension eigenvector mismatch: residual %.3e" % resid
             )
-        if self.rsymbols is not None:
-            if not np.array_equal(N, N.transpose(1, 0, 2)):
-                raise CategoryError("R-symbols on a noncommutative fusion ring")
-            for (a, b, c) in self.rsymbols:
-                if N[a, b, c] == 0:
-                    raise CategoryError("R-symbol on empty space (%d,%d,%d)" % (a, b, c))
-            for key in map(tuple, (np.argwhere(N[1:, 1:]) + (1, 1, 0)).tolist()):
-                if key not in self.rsymbols:
-                    raise CategoryError("missing R-symbol at (%d,%d,%d)" % key)
+        if rsymbols and not np.array_equal(N, N.transpose(1, 0, 2)):
+            raise CategoryError("R-symbols on a noncommutative fusion ring")
 
     @np.errstate(over="ignore", invalid="ignore")
     def _check_f(self):
@@ -242,7 +253,7 @@ class CategoryData:
         pentagon = trees.pentagon_residual(self)
         if not pentagon <= STRUCT_TOL:
             raise CategoryError("pentagon residual %.3e above tolerance" % pentagon)
-        if self.rsymbols is not None:
+        if self.R is not None:
             resid = trees.hexagon_residual(self)
             if not resid <= STRUCT_TOL:
                 raise CategoryError("hexagon residual %.3e above tolerance" % resid)
@@ -273,7 +284,7 @@ def _category_from_dict(doc, validate=True):
         raise
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
-        raise CategoryError("malformed category document: %s" % exc) from exc
+        raise CategoryError("malformed category document: %s" % _fault(exc)) from exc
     return CategoryData(*parts, validate=validate)
 
 
@@ -290,6 +301,11 @@ def _listed(x, what):
     if not isinstance(x, list):
         raise TypeError("%s must be a JSON list" % what)
     return x
+
+
+def _fault(exc):
+    """What a malformed document's error line says of `exc`: a KeyError is a missing field."""
+    return "missing field %s" % exc if isinstance(exc, KeyError) else exc
 
 
 def _reals(xs, what):
@@ -392,12 +408,10 @@ def dump_category(cat):
     slots = np.column_stack((keys[at[0]],) + at[1:]).tolist()
     doc["sixj"] = [{"labels": labels, "basis": [0, 0, 0, 0], "re": v.real,
                     "im": v.imag} for labels, v in zip(slots, M[at].tolist())]
-    if cat.rsymbols is not None:
-        doc["rsymbols"] = [
-            {"a": a, "b": b, "c": c, "basis": [0, 0],
-             "re": float(v.real), "im": float(v.imag)}
-            for (a, b, c), v in sorted(cat.rsymbols.items())
-        ]
+    if cat.R is not None:
+        keys = np.argwhere(cat.R[1:, 1:]) + (1, 1, 0)
+        doc["rsymbols"] = [{"a": a, "b": b, "c": c, "basis": [0, 0], "re": v.real, "im": v.imag}
+                           for (a, b, c), v in zip(keys.tolist(), cat.R[tuple(keys.T)].tolist())]
     return doc
 
 

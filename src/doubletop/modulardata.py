@@ -37,7 +37,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .catdata import join
+from .catdata import CategoryError, join
 from .tube import CenterDecomposition, build_tube_algebra, center_decompose
 
 _EXTRACT_TOL = 1e-6
@@ -150,9 +150,8 @@ def extract_half_braidings(alg, irreps):
     weight = alg.scale * np.sqrt(cat.d[eta] / cat.d[xi])
     # a tube of (xi, eta) maps the tubes of first label eta to those of first
     # label xi, and C is zero elsewhere; in the lex-ordered basis these are
-    # runs, so rho reads one slab of C per (xi, eta)
-    run = np.searchsorted(xi * n + eta, np.arange(n * n + 1))
-    first = run[::n]
+    # the runs alg.runs, so rho reads one slab of C per (xi, eta)
+    run, first = alg.runs, alg.runs[::n]
     Vp, Vq = V[blk, :, p].T.conj(), V[blk, :, q].T
     Y = np.zeros((alg.dim, len(blk)), dtype=complex)
     for s in np.unique(xp * n + xq).tolist():
@@ -632,18 +631,10 @@ def match_blocks(S_a, T_a, S_b, T_b, tol=1e-8):
 
 
 def braiding_st(cat):
-    """Premodular S, T of a braided category from its R-symbols."""
-    n = cat.n
-    theta = np.array([
-        sum(cat.d[c] * cat.rsym(a, a, c) for c in range(n)
-            if cat.N[a, a, c]) / cat.d[a]
-        for a in range(n)
-    ])
-    D = np.sqrt(float(np.sum(cat.d ** 2)))
-    S = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            abar = cat.dual[a]
-            S[a, b] = sum(cat.N[abar, b, c] * (theta[c] / (theta[a] * theta[b]))
-                          * cat.d[c] for c in range(n)) / D
-    return S, theta
+    """Premodular S, T from the R-symbols `cat.R`: theta_a = sum_c d_c R[a,a,c] / d_a,
+    S[a,b] = sum_c N[a*,b,c] theta_c / (theta_a theta_b) d_c / D."""
+    if cat.R is None:
+        raise CategoryError("category carries no R-symbols")
+    theta = np.einsum("c,aac->a", cat.d, cat.R) / cat.d
+    S = (cat.N[cat.dual] * (theta / np.outer(theta, theta)[:, :, None]) * cat.d).sum(axis=2)
+    return S / np.sqrt(float(np.sum(cat.d ** 2))), theta

@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catdata import _listed, global_dim
+from .catdata import _fault, _listed, global_dim
 from .contract import BudgetError, contract
 
 FACE_CORNERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -270,7 +270,7 @@ def _triangulation_from_dict(doc):
         gluings = doc.get("gluings")
         n_vertices = doc.get("vertices")
     except (AttributeError, KeyError, TypeError) as exc:
-        raise TriangulationError("malformed triangulation document: %s" % exc) from exc
+        raise TriangulationError("malformed triangulation document: %s" % _fault(exc)) from exc
     if any(type(v) not in (int, str) for vs, _ in tets for v in vs or ()):
         raise TriangulationError("vertex ids must be JSON integers or strings")
     return Triangulation(tets, gluings=gluings, n_vertices=n_vertices)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catdata import _listed
+from .catdata import _fault, _listed
 from .contract import plan, run
 from .statesum import _classes
 
@@ -90,7 +90,7 @@ class PlumbingGraph:
             edges = [_listed(e, "edge") for e in _listed(doc["edges"], "edges")]
             edges = [(u, w) for u, w in edges]
         except (KeyError, TypeError, ValueError) as exc:
-            raise SurgeryError("malformed plumbing document: %s" % exc) from exc
+            raise SurgeryError("malformed plumbing document: %s" % _fault(exc)) from exc
         for v in [v for v, _ in framings] + [v for edge in edges for v in edge]:
             if not isinstance(v, (int, str)) or isinstance(v, bool):
                 raise SurgeryError("vertex id %r must be an integer or a string" % (v,))

@@ -395,6 +395,84 @@ def fsymbol_violation(N, fsymbols, tol=1e-9):
     return None
 
 
+def rsymbol_violation(N, rsymbols, validate=True, tol=1e-9):
+    """The message of the first R-symbol check that the table
+    {(a, b, c): value} fails on the fusion ring N, in the order
+    `CategoryData` reports them, or None.
+
+    Each entry, in table order, must lie on N and, where a or b is the unit,
+    be 1.  Validation adds a non-finite value first, a noncommutative ring
+    next, and a missing entry (a and b not the unit) last.
+    """
+    n = len(N)
+    if validate:
+        for key, val in rsymbols.items():
+            if not np.isfinite(val):
+                return "non-finite R-symbol at (%d,%d,%d)" % key
+        if not np.array_equal(N, np.swapaxes(N, 0, 1)):
+            return "R-symbols on a noncommutative fusion ring"
+    for (a, b, c), val in rsymbols.items():
+        if not (all(0 <= x < n for x in (a, b, c)) and N[a, b, c] > 0):
+            return "R-symbol on empty space (%d,%d,%d)" % (a, b, c)
+        if 0 in (a, b) and abs(val - 1.0) > tol:
+            return "unit-gauge violation at R-symbol (%d,%d,%d)" % (a, b, c)
+    if validate:
+        for key in itertools.product(range(1, n), range(1, n), range(n)):
+            if N[key] and key not in rsymbols:
+                return "missing R-symbol at (%d,%d,%d)" % key
+    return None
+
+
+def rsymbol_array(N, rsymbols):
+    """R[a, b, c] entry by entry: 1 where a or b is the unit, the table's
+    value (0 if absent) elsewhere on N, and 0 off N."""
+    n = len(N)
+    R = np.zeros((n,) * 3, dtype=complex)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if N[a, b, c]:
+            R[a, b, c] = 1.0 if 0 in (a, b) else rsymbols.get((a, b, c), 0.0)
+    return R
+
+
+def braiding_st(cat):
+    """Premodular S, T from the R-symbols, label by label; the reference for
+    `modulardata.braiding_st`."""
+    n = cat.n
+    theta = np.array([
+        sum(cat.d[c] * cat.R[a, a, c] for c in range(n) if cat.N[a, a, c]) / cat.d[a]
+        for a in range(n)
+    ])
+    D = np.sqrt(float(np.sum(cat.d ** 2)))
+    S = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            abar = cat.dual[a]
+            S[a, b] = sum(cat.N[abar, b, c] * (theta[c] / (theta[a] * theta[b]))
+                          * cat.d[c] for c in range(n)) / D
+    return S, theta
+
+
+def rsymbol_table(cat):
+    """The R-symbols of `cat` as the table {(a, b, c): value} its document lists."""
+    from doubletop.catdata import dump_category
+
+    return {(e["a"], e["b"], e["c"]): complex(e["re"], e["im"])
+            for e in dump_category(cat)["rsymbols"]}
+
+
+def semion_document():
+    """The semion category: vec_z2's fusion ring with F^{ggg}_g = -1 and
+    R^{gg}_e = i."""
+    from doubletop.catdata import dump_category, zoo
+
+    doc = dump_category(zoo("vec_z2"))
+    for ent in doc["sixj"]:
+        if ent["labels"][:3] == [1, 1, 1]:
+            ent["re"] = -1.0
+    doc["rsymbols"] = [{"a": 1, "b": 1, "c": 0, "re": 0.0, "im": 1.0}]
+    return doc
+
+
 def all_pairings(items):
     if not items:
         yield []
@@ -909,7 +987,7 @@ def hexagon_residual(cat):
     worst = 0.0
 
     def rme(x, y, z, mirror):
-        return np.conj(cat.rsym(y, x, z)) if mirror else cat.rsym(x, y, z)
+        return np.conj(cat.R[y, x, z]) if mirror else cat.R[x, y, z]
 
     for mirror in (False, True):
         for a, b, c, dd in itertools.product(range(n), repeat=4):

@@ -13,9 +13,12 @@ from doubletop.catdata import (
     CategoryData, CategoryError, dump_category, global_dim, load_category,
     zoo, _block_keys, _category_from_dict,
 )
+from doubletop.modulardata import braiding_st
+import oracles
 from oracles import (
     fblock, fblock_bases, fsymbol_violation, multiplicity_ring_document, random_f_ring,
-    ring_law_violation, vec_s3_document,
+    ring_law_violation, rsymbol_array, rsymbol_table, rsymbol_violation, semion_document,
+    vec_s3_document,
 )
 
 ZOO = ["vec_z1", "vec_z2", "vec_z3", "vec_z4", "fibonacci", "ising"]
@@ -285,6 +288,115 @@ def test_fsymbol_checks_match_entry_loop(case):
         assert str(info.value) == want
 
 
+def _braided(name):
+    """ising, fibonacci or the semion, with its R-symbols as a table."""
+    cat = _category_from_dict(semion_document()) if name == "semion" else zoo(name)
+    return cat, rsymbol_table(cat)
+
+
+@st.composite
+def _corrupted_r_table(draw, name):
+    """(name, table): the category's R-symbols with one to three entries
+    inserted anywhere, labels out of range (no negative one may alias a real
+    label), on a unit position or on N, and perhaps one entry dropped."""
+    cat, table = _braided(name)
+    items = list(table.items())
+    if draw(st.booleans()):
+        del items[draw(st.integers(0, len(items) - 1))]
+    labels = st.one_of(st.integers(-2, cat.n), st.sampled_from([10 ** 30, -10 ** 30]))
+    units = [(0, x, y) for x in range(cat.n) for y in range(cat.n)]
+    units += [(x, 0, y) for x, _, y in units]
+    on_n = list(map(tuple, np.argwhere(cat.N).tolist()))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.one_of(st.tuples(*[labels] * 3), st.sampled_from(units),
+                             st.sampled_from(on_n)))
+        val = draw(st.sampled_from([1.0, -1.0, 1j, 1.0 + 1e-12, 1.0 + 1e-8, 1.0 - 1e-8,
+                                    float("nan")]))
+        items.insert(draw(st.integers(0, len(items))), (key, val))
+    return name, dict(items)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=st.sampled_from(["ising", "fibonacci", "semion"]).flatmap(_corrupted_r_table),
+       validate=st.booleans())
+@example(case=("ising", {(-1, -1, 0): -1.0}), validate=True)
+@example(case=("ising", {(5, 5, 5): 1.0}), validate=False)
+@example(case=("fibonacci", {(0, 1, 1): -1.0}), validate=True)
+def test_rsymbol_checks_match_entry_loop(case, validate):
+    # the first failed check is named as the entry loop names it; a table
+    # that passes them assembles into the loop's dense R
+    name, table = case
+    cat, _ = _braided(name)
+    want = rsymbol_violation(cat.N, table, validate)
+    if want is None:
+        got = CategoryData(cat.names, cat.dual, cat.N, cat.d, {}, table, validate=False)
+        assert np.array_equal(got.R, rsymbol_array(cat.N, table), equal_nan=True)
+    else:
+        with pytest.raises(CategoryError) as info:
+            CategoryData(cat.names, cat.dual, cat.N, cat.d, {}, table, validate=validate)
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("key", [(-1, -1, 0), (5, 5, 5), (10 ** 30, 1, 1)])
+def test_r_symbol_outside_the_labels_refused_by_name(key, validate):
+    # a negative label used to alias a real one, and a label past n to
+    # raise a bare IndexError
+    cat, table = _braided("ising")
+    with pytest.raises(CategoryError, match=r"^R-symbol on empty space \(%d,%d,%d\)$" % key):
+        CategoryData(cat.names, cat.dual, cat.N, cat.d, {}, {**table, key: -1.0},
+                     validate=validate)
+
+
+@pytest.mark.parametrize("edit, want", [
+    ({(2, 1, 1): None}, "missing R-symbol at (2,1,1)"),
+    ({(1, 2, 1): float("nan")}, "non-finite R-symbol at (1,2,1)"),
+    ({(2, 2, 0): 1.0}, "hexagon residual 2.000e+00 above tolerance"),
+], ids=["missing", "nan", "wrong-psi"])
+def test_validate_runs_the_r_checks(edit, want):
+    # a category built unvalidated meets every R check in validate()
+    ising, table = _braided("ising")
+    table = {k: v for k, v in {**table, **edit}.items() if v is not None}
+    fsymbols = {tuple(e["labels"]): complex(e["re"], e["im"])
+                for e in dump_category(ising)["sixj"]}
+    cat = CategoryData(ising.names, ising.dual, ising.N, ising.d, fsymbols, table,
+                       validate=False)
+    with pytest.raises(CategoryError) as info:
+        cat.validate()
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci"])
+def test_unit_r_symbol_entry_must_be_one(name):
+    # a unit entry of 1 is the one R holds there: the zoo category, under
+    # its fingerprint; any other value is named
+    doc = dump_category(zoo(name))
+    doc["rsymbols"].append({"a": 0, "b": 1, "c": 1, "re": 1.0})
+    assert _category_from_dict(doc).fingerprint() == zoo(name).fingerprint()
+    for bad in (-1.0, 5.0):
+        doc["rsymbols"][-1]["re"] = bad
+        with pytest.raises(CategoryError,
+                           match=r"^unit-gauge violation at R-symbol \(0,1,1\)$"):
+            _category_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "semion"])
+def test_dump_roundtrip_keeps_r(name):
+    cat, _ = _braided(name)
+    again = _category_from_dict(dump_category(cat))
+    assert np.array_equal(again.R, cat.R)
+    assert again.fingerprint() == cat.fingerprint()
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "semion"])
+def test_braiding_st_matches_label_loop(name):
+    cat, _ = _braided(name)
+    S, theta = braiding_st(cat)
+    S0, theta0 = oracles.braiding_st(cat)
+    assert np.max(np.abs(S - S0)) <= 1e-15
+    assert np.max(np.abs(theta - theta0)) <= 1e-15
+
+
 def test_broken_duality_rejected():
     doc = dump_category(zoo("vec_z3"))
     doc["dual"] = [0, 1, 2]  # wrong: g1 dual must be g2
@@ -310,24 +422,26 @@ def test_unit_must_have_dim_one():
 
 def test_rsymbols_present_and_consistent():
     fib = zoo("fibonacci")
-    assert fib.rsym(1, 1, 0) == pytest.approx(cmath.exp(-4j * cmath.pi / 5))
-    assert fib.rsym(1, 1, 1) == pytest.approx(cmath.exp(3j * cmath.pi / 5))
+    assert fib.R[1, 1, 0] == pytest.approx(cmath.exp(-4j * cmath.pi / 5))
+    assert fib.R[1, 1, 1] == pytest.approx(cmath.exp(3j * cmath.pi / 5))
+    # unit-involving R is 1 and R is zero off N
+    assert np.array_equal(fib.R[0], fib.N[0]) and np.array_equal(fib.R[:, 0], fib.N[:, 0])
+    assert np.array_equal(fib.R[fib.N == 0], np.zeros(np.sum(fib.N == 0)))
     # twist from R: theta_a = (1/d_a) sum_c d_c R^{aa}_c
-    d = fib.d
-    theta_tau = (d[0] * fib.rsym(1, 1, 0) + d[1] * fib.rsym(1, 1, 1)) / d[1]
-    assert theta_tau == pytest.approx(cmath.exp(4j * cmath.pi / 5))
+    assert braiding_st(fib)[1][1] == pytest.approx(cmath.exp(4j * cmath.pi / 5))
 
     ising = zoo("ising")
-    theta_sigma = sum(ising.d[c] * ising.rsym(1, 1, c) for c in (0, 2)) / ising.d[1]
-    assert theta_sigma == pytest.approx(cmath.exp(1j * cmath.pi / 8))
-    assert ising.rsym(2, 2, 0) == pytest.approx(-1.0)
+    assert braiding_st(ising)[1][1] == pytest.approx(cmath.exp(1j * cmath.pi / 8))
+    assert ising.R[2, 2, 0] == pytest.approx(-1.0)
 
 
 def test_rsym_requires_braiding_data():
     cat = zoo("vec_z3")
-    assert cat.rsymbols is None
-    with pytest.raises(CategoryError, match="R-symbols"):
-        cat.rsym(1, 1, 2)
+    assert cat.R is None
+    with pytest.raises(CategoryError, match="^category carries no R-symbols$"):
+        braiding_st(cat)
+    with pytest.raises(CategoryError, match="^category carries no R-symbols$"):
+        trees.hexagon_residual(cat)
 
 
 def test_missing_r_symbol_named():

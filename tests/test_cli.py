@@ -603,6 +603,36 @@ def test_list_fields_name_themselves(capsys, tmp_path, argv, doc, field):
     assert err == "error: malformed %s must be a JSON list\n" % field
 
 
+def _without(doc, *path):
+    """A copy of doc with the field at path removed."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize("argv,doc,want", [
+    (_CATEGORY, _without(_ISING, "labels"), "category document: missing field 'labels'"),
+    (_CATEGORY, _without(_ISING, "fusion"), "category document: missing field 'fusion'"),
+    (_CATEGORY, _without(_ISING, "sixj", 0, "re"), "category document: missing field 're'"),
+    (_CATEGORY, _without(_ISING, "labels", 1, "name"), "category document: missing field 'name'"),
+    (_STATESUM, _without(_S3_TWOTET, "tets"), "triangulation document: missing field 'tets'"),
+    (_SURGERY, _without({"vertices": _CLASP, "edges": []}, "vertices", 0, "framing"),
+     "plumbing document: missing field 'framing'"),
+    (_SURGERY, {"vertices": _CLASP}, "plumbing document: missing field 'edges'"),
+], ids=["category-labels", "category-fusion", "category-sixj-re", "category-label-name",
+        "triangulation-tets", "plumbing-framing", "plumbing-edges"])
+def test_missing_fields_name_themselves(capsys, tmp_path, argv, doc, want):
+    # a missing field used to print as its bare quoted key
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, None)
+    assert err == "error: malformed %s\n" % want
+
+
 def test_multiplicity_above_one_exits_1(capsys, tmp_path):
     # x (x) x = 1 + 2x: refused by name at construction, one stderr line
     path = tmp_path / "ring.json"

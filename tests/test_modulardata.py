@@ -373,7 +373,9 @@ def test_half_braiding_equations_match_loop_on_random_f(monkeypatch):
     cat = random_f_ring()
     basis, index = _basis(cat)
     alg = SimpleNamespace(cat=cat, basis=basis, dim=len(basis), scale=np.ones(len(basis)),
-                          C=_structure(cat, basis, index))
+                          C=_structure(cat, basis, index),
+                          runs=np.searchsorted(basis[:, 0] * cat.n + basis[:, 1],
+                                               np.arange(cat.n ** 2 + 1)))
     rng = np.random.default_rng(5)
     irreps = stacked([(rng.normal(size=(alg.dim, 2)) + 1j * rng.normal(size=(alg.dim, 2)), labels)
                       for labels in ([0, 1], [1, 1])])

@@ -4,7 +4,9 @@ import pytest
 from doubletop.catdata import CategoryError, dump_category, zoo, _category_from_dict
 from doubletop.trees import hexagon_residual, pentagon_residual
 import oracles
-from oracles import random_f_ring, shape_moves, vec_s3_document
+from oracles import (
+    random_f_ring, rsymbol_table, semion_document, shape_moves, vec_s3_document,
+)
 
 
 def _with_rsymbols(doc, rsymbols):
@@ -56,10 +58,8 @@ def test_pentagon_residual_of_random_f():
 
 def _semion_f_document():
     # vec_z2 fusion with F^{ggg}_g = -1
-    doc = dump_category(zoo("vec_z2"))
-    for ent in doc["sixj"]:
-        if ent["labels"][:3] == [1, 1, 1]:
-            ent["re"] = -1.0
+    doc = semion_document()
+    del doc["rsymbols"]
     return doc
 
 
@@ -99,9 +99,16 @@ def test_hexagon_residual_zoo():
 
 def test_hexagon_detects_wrong_r():
     cat = zoo("ising")
-    bad = dict(cat.rsymbols)
+    bad = rsymbol_table(cat)
     bad[(2, 2, 0)] = 1.0  # psi self-braiding must be -1
     assert hexagon_residual(_with_rsymbols(dump_category(cat), bad)) > 0.1
+
+
+def test_hexagon_residual_keeps_nan():
+    # a nan R-symbol (refused by validation) used to read as residual 0.0
+    doc = dump_category(zoo("ising"))
+    doc["rsymbols"][0]["re"] = float("nan")
+    assert np.isnan(hexagon_residual(_category_from_dict(doc, validate=False)))
 
 
 def test_semion_hexagon():
@@ -132,7 +139,7 @@ def test_unitarity_matches_oracle(name):
 
 def _ising_with_wrong_psi_braiding():
     cat = zoo("ising")
-    return _with_rsymbols(dump_category(cat), {**cat.rsymbols, (2, 2, 0): 1.0})
+    return _with_rsymbols(dump_category(cat), {**rsymbol_table(cat), (2, 2, 0): 1.0})
 
 
 _HEXAGON_CATEGORIES = {

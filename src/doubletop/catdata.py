@@ -318,7 +318,7 @@ def _reals(xs, what):
 
 def _category_parts(doc):
     """Constructor arguments (names, dual, N, qdims, fsymbols, rsymbols)."""
-    labels = doc["labels"]
+    labels = _listed(doc["labels"], "labels")
     ids = [l["id"] for l in labels]
     if ids != list(range(len(ids))) or any(isinstance(i, bool) for i in ids):
         raise CategoryError("label ids must be dense 0..n-1")
@@ -341,7 +341,7 @@ def _category_parts(doc):
             raise CategoryError("%s %s listed twice with different values" % (what, key))
 
     N = np.zeros((n, n, n), dtype=np.int64)
-    for ent in doc["fusion"]:
+    for ent in _listed(doc["fusion"], "fusion"):
         mult = _ints([ent["mult"]], "fusion multiplicities")[0]
         N[triple("fusion", ent["i"], ent["j"], ent["k"])] = mult
     qdims = _reals(doc["qdims"], "qdims")
@@ -350,7 +350,7 @@ def _category_parts(doc):
     # refused before the basis indices, which such a ring may use
     _refuse_multiplicity(N)
     fsymbols = {}
-    for ent in doc.get("sixj", []):
+    for ent in _listed(doc.get("sixj", []), "sixj"):
         labels, basis = (_listed(ent[k], "sixj " + k) for k in ("labels", "basis"))
         if len(labels) != 6 or len(basis) != 4:
             raise CategoryError("sixj entry needs 6 labels and 4 basis indices")
@@ -359,10 +359,10 @@ def _category_parts(doc):
             raise CategoryError(_outside_message(ix))
         enter(fsymbols, "sixj entry", tuple(ix[:6]),
               complex(*_reals([ent["re"], ent.get("im", 0.0)], "sixj re and im")))
-    rsymbols = None
-    if doc.get("rsymbols"):
+    rsymbols, entries = None, doc.get("rsymbols")
+    if entries is not None and _listed(entries, "rsymbols"):  # null or [] means none
         rsymbols = {}
-        for ent in doc["rsymbols"]:
+        for ent in entries:
             basis = ent.get("basis", [0, 0])
             if not isinstance(basis, list) or _ints(basis, "R-symbol basis") != [0, 0]:
                 raise CategoryError("R-symbol basis must be [0, 0]")

@@ -5,6 +5,13 @@ behind one executable with machine-readable JSON reports on stdout and
 diagnostics on stderr.  Exit codes: 0 success, 1 validation failure,
 2 tolerance failure, 3 budget exceeded or out of memory.
 
+``main`` alone loads ``--category``, builds the report envelope (command,
+argv, status, timings_ms, and category, residuals and results where they
+apply), writes it and maps its status to the exit code.  Each ``_cmd_*``
+takes (args, category or None, timings) and returns (results, residuals
+or None, status).  A run stopped by an error writes no report, only
+one stderr line.
+
 Reports serialize deterministically (sorted keys, fixed block order, fixed
 seeds); the wall-clock ``timings_ms`` field is the only value that varies
 between identical runs.
@@ -72,6 +79,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_TOLERANCE = 2
 EXIT_BUDGET = 3  # a resource ran out: the contraction budget or memory
+_EXIT_CODES = {"ok": EXIT_OK, "validation_failure": EXIT_VALIDATION,
+               "tolerance_failure": EXIT_TOLERANCE}
 
 ZOO_NAMES = ("vec_z2", "vec_z3", "fibonacci", "ising")
 
@@ -110,16 +119,9 @@ def _load_category_arg(uri):
     return cat, {"uri": uri, "fingerprint": "sha256:" + cat.fingerprint()}
 
 
-def _load_triangulation_arg(uri):
-    if uri.startswith("builtin:"):
-        return builtin_triangulation(uri[len("builtin:"):])
-    return load_triangulation(uri)
-
-
-def _load_plumbing_arg(uri):
-    if uri.startswith("builtin:"):
-        return builtin_plumbing(uri[len("builtin:"):])
-    return load_plumbing(uri)
+def _builtin_or_path(uri, builtin, load):
+    """The triangulation or plumbing a builtin:NAME or path argument names."""
+    return builtin(uri[len("builtin:"):]) if uri.startswith("builtin:") else load(uri)
 
 
 def _nested(shape, pad, cells):
@@ -230,32 +232,12 @@ def _emit(doc):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _envelope(command, argv, timings, category=None, residuals=None,
-              results=None, status="ok"):
-    doc = {
-        "command": command,
-        "argv": list(argv),
-        "status": status,
-        "timings_ms": timings,
-    }
-    if category is not None:
-        doc["category"] = category
-    if residuals is not None:
-        doc["residuals"] = {k: float(v) for k, v in residuals.items()}
-    if results is not None:
-        doc["results"] = results
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args, argv):
-    timings = {}
-    with _stage(timings, "load"):
-        cat, block = _load_category_arg(args.category)
+def _cmd_validate(args, cat, timings):
     with _stage(timings, "residuals"):
         residuals = dict(cat.residuals)
     ok = all(v < args.tolerance for v in residuals.values())
@@ -266,17 +248,10 @@ def _cmd_validate(args, argv):
         "tolerance": args.tolerance,
         "pass": ok,
     }
-    _emit(_envelope("validate", argv, timings,
-                    category=block,
-                    residuals=residuals, results=results,
-                    status="ok" if ok else "validation_failure"))
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return results, residuals, "ok" if ok else "validation_failure"
 
 
-def _cmd_center(args, argv):
-    timings = {}
-    with _stage(timings, "load"):
-        cat, block = _load_category_arg(args.category)
+def _cmd_center(args, cat, timings):
     with _stage(timings, "tube"):
         alg = build_tube_algebra(cat)
     with _stage(timings, "center"):
@@ -291,16 +266,10 @@ def _cmd_center(args, argv):
         "vacuum_index": dec.vacuum_index,
         "sum_n_squared": int(sum(n * n for n in dec.n)),
     }
-    _emit(_envelope("center", argv, timings,
-                    category=block,
-                    residuals=residuals, results=results))
-    return EXIT_OK
+    return results, residuals, "ok"
 
 
-def _cmd_modular_data(args, argv):
-    timings = {}
-    with _stage(timings, "load"):
-        cat, block = _load_category_arg(args.category)
+def _cmd_modular_data(args, cat, timings):
     md = compute_modular_data(cat)
     timings.update(md.timings_ms)
     residuals = dict(cat.residuals, **md.residuals)
@@ -319,19 +288,14 @@ def _cmd_modular_data(args, argv):
         "qdims": [float(q) for q in md.qdims],
         "block_dims": [int(n) for n in md.block_dims],
     }
-    _emit(_envelope("modular-data", argv, timings,
-                    category=block,
-                    residuals=residuals, results=results))
-    return EXIT_OK
+    return results, residuals, "ok"
 
 
-def _cmd_invariant(args, argv):
-    timings = {}
-    with _stage(timings, "load"):
-        cat, block = _load_category_arg(args.category)
+def _cmd_invariant(args, cat, timings):
     if args.statesum is not None:
         with _stage(timings, "triangulation"):
-            tri = _load_triangulation_arg(args.statesum)
+            tri = _builtin_or_path(args.statesum, builtin_triangulation,
+                                   load_triangulation)
         with _stage(timings, "state_sum"):
             value = state_sum(cat, tri, budget=args.budget)
         results = {
@@ -344,7 +308,7 @@ def _cmd_invariant(args, argv):
         md = compute_modular_data(cat)
         timings.update(md.timings_ms)
         with _stage(timings, "plumbing"):
-            g = _load_plumbing_arg(args.surgery)
+            g = _builtin_or_path(args.surgery, builtin_plumbing, load_plumbing)
         with _stage(timings, "surgery"):
             res = evaluate(md, g, budget=args.budget)
         results = {
@@ -358,26 +322,21 @@ def _cmd_invariant(args, argv):
             "two_route_residual": abs(res.Z - res.tau),
             "tolerance": 1e-8,
         }
-    _emit(_envelope("invariant", argv, timings,
-                    category=block,
-                    results=results))
-    return EXIT_OK
+    return results, None, "ok"
 
 
-def _cmd_compare(args, argv):
+def _cmd_compare(args, cat, timings):
     """State sum against the surgery sum of the plumbed manifold M(g),
     every clasp positive; the two must agree within --tolerance."""
-    timings = {}
-    with _stage(timings, "load"):
-        cat, block = _load_category_arg(args.category)
     with _stage(timings, "triangulation"):
-        tri = _load_triangulation_arg(args.statesum)
+        tri = _builtin_or_path(args.statesum, builtin_triangulation,
+                               load_triangulation)
     with _stage(timings, "state_sum"):
         z_ss = complex(state_sum(cat, tri, budget=args.budget))
     md = compute_modular_data(cat)
     timings.update(md.timings_ms)
     with _stage(timings, "plumbing"):
-        g = _load_plumbing_arg(args.surgery)
+        g = _builtin_or_path(args.surgery, builtin_plumbing, load_plumbing)
     with _stage(timings, "surgery"):
         z_sg = surgery_invariant(md, g, budget=args.budget)
     delta = abs(z_ss - z_sg)
@@ -392,23 +351,17 @@ def _cmd_compare(args, argv):
     sys.stderr.write("statesum = %.12g%+.12gj  surgery = %.12g%+.12gj  "
                      "delta = %.3e\n" % (z_ss.real, z_ss.imag, z_sg.real,
                                          z_sg.imag, delta))
-    _emit(_envelope("compare", argv, timings,
-                    category=block,
-                    results=results,
-                    status="ok" if ok else "tolerance_failure"))
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return results, None, "ok" if ok else "tolerance_failure"
 
 
-def _cmd_zoo(args, argv):
-    timings = {}
+def _cmd_zoo(args, cat, timings):
     results = {
         "categories": sorted(ZOO_NAMES),
         "category_note": "vec_zN is available for any N >= 1",
         "triangulations": sorted(BUILTIN_TRIANGULATIONS),
         "plumbings": sorted(BUILTIN_PLUMBINGS),
     }
-    _emit(_envelope("zoo", argv, timings, results=results))
-    return EXIT_OK
+    return results, None, "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +587,7 @@ SELFTEST_CRITERIA = (
 )
 
 
-def _cmd_selftest(args, argv):
-    timings = {}
+def _cmd_selftest(args, cat, timings):
     ctx = SelftestContext(budget=args.budget)
     rows = []
     failed = 0
@@ -652,9 +604,7 @@ def _cmd_selftest(args, argv):
         "passed": len(rows) - failed,
         "failed": failed,
     }
-    _emit(_envelope("selftest", argv, timings, results=results,
-                    status="ok" if failed == 0 else "tolerance_failure"))
-    return EXIT_OK if failed == 0 else EXIT_TOLERANCE
+    return results, None, "ok" if failed == 0 else "tolerance_failure"
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +666,18 @@ def _build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
+    timings = {}
+    doc = {"command": args.subcommand, "argv": argv, "timings_ms": timings}
     try:
-        return args.func(args, argv)
+        cat = None
+        if "category" in args:  # every command but zoo and selftest
+            with _stage(timings, "load"):
+                cat, doc["category"] = _load_category_arg(args.category)
+        doc["results"], residuals, doc["status"] = args.func(args, cat, timings)
+        if residuals is not None:
+            doc["residuals"] = {k: float(v) for k, v in residuals.items()}
+        _emit(doc)
+        return _EXIT_CODES[doc["status"]]
     except BudgetError as exc:
         sys.stderr.write("budget error: %s\n" % exc)
         return EXIT_BUDGET

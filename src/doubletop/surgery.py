@@ -151,11 +151,10 @@ def lens_chain(p, q):
     return chain(coeffs)
 
 
-def random_plumbing(rng, max_vertices=5, framing_range=(-3, 3)):
-    """Pseudo-random multigraph; disconnected graphs are deliberate."""
+def random_plumbing(rng, max_vertices=5):
+    """Pseudo-random multigraph, framings in -3..3; disconnected graphs are deliberate."""
     m = int(rng.integers(1, max_vertices + 1))
-    lo, hi = framing_range
-    verts = [(v, int(rng.integers(lo, hi + 1))) for v in range(m)]
+    verts = [(v, int(rng.integers(-3, 4))) for v in range(m)]
     edges = []
     for u in range(m):
         for v in range(u + 1, m):
@@ -216,7 +215,8 @@ def _colored_sums(S, T, g, vertex_weights, budget):
     vertex weight w, from one elimination plan.
 
     Returns (sums, largest_step), the latter from `doubletop.contract`.
-    A huge framing overflows T^(-f) to a NaN, which the callers' gates name.
+    A huge framing overflows T^(-f) to a NaN: `surgery_invariant` refuses
+    a non-finite sum by name, and `evaluate`'s two-route gate fails on it.
     """
     pos = {v: k for k, v in enumerate(g.ids)}
     clasps = [(pos[u], pos[w]) for u, w in g.edges]
@@ -245,9 +245,15 @@ def _colored_sums(S, T, g, vertex_weights, budget):
 
 def surgery_invariant(md, g, budget=None):
     """Z(M(g)) = sum over colorings of prod_v S_{i_v, 0} times J (Dehn
-    surgery), M(g) the plumbed manifold of any graph, every clasp positive."""
+    surgery), M(g) the plumbed manifold of any graph, every clasp positive.
+
+    A sum that is not finite (a huge framing overflows T^(-f)) raises
+    ToleranceError, so that no NaN reaches a report."""
     (val,), _ = _colored_sums(md.S, md.T, g, [md.S[:, 0]], budget)
-    return complex(val)
+    val = complex(val)
+    if not cmath.isfinite(val):
+        raise ToleranceError("surgery sum %r is not finite" % (val,))
+    return val
 
 
 def _tau(S, T, g, dims, core):

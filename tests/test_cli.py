@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import doubletop
-from doubletop.catdata import CategoryData, dump_category, zoo
+from doubletop.catdata import CategoryData, dump_category, load_category, zoo
 from doubletop import cli, modulardata
 from doubletop.cli import main
 from doubletop.modulardata import STAGES
@@ -214,6 +214,16 @@ def test_nan_surgery_value_is_a_tolerance_failure(capsys, tmp_path):
                        "--surgery", str(path))
     assert code == 2 and err.startswith("tolerance error: ")
     assert "|diff| = nan" in err
+
+
+def test_nan_surgery_sum_fails_compare_by_name(capsys, tmp_path):
+    # a NaN surgery sum used to reach the report, which is then not JSON
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [{"id": 0, "framing": 2 ** 62}],
+                                "edges": []}))
+    captured = run(capsys, "compare", "--category", "zoo:ising",
+                   "--statesum", "builtin:s3", "--surgery", str(path))
+    assert captured == (2, None, "tolerance error: surgery sum (nan+nanj) is not finite\n")
 
 
 def test_overflowing_framing_leaves_only_the_error_on_stderr(tmp_path):
@@ -463,11 +473,24 @@ _NOT_LISTS = [
     (_CATEGORY, _edited(_ISING, "sixj", 0, "basis", value=5), "category document: sixj basis"),
     (_CATEGORY, _edited(_ISING, "sixj", 0, "basis", value="0000"),
      "category document: sixj basis"),
+    (_CATEGORY, _edited(_FIBONACCI, "fusion", value={"i": 0}), "category document: fusion"),
+    (_CATEGORY, _edited(_FIBONACCI, "fusion", value={}), "category document: fusion"),
+    (_CATEGORY, _edited(_FIBONACCI, "labels", value={"a": 1}), "category document: labels"),
+    (_CATEGORY, _edited(_FIBONACCI, "sixj", value="ab"), "category document: sixj"),
+    (_CATEGORY, _edited(_FIBONACCI, "sixj", value=None), "category document: sixj"),
+    (_CATEGORY, _edited(_FIBONACCI, "sixj", value={}), "category document: sixj"),
+    (_CATEGORY, _edited(_FIBONACCI, "rsymbols", value={"a": 1}),
+     "category document: rsymbols"),
+    (_CATEGORY, _edited(_FIBONACCI, "rsymbols", value={}), "category document: rsymbols"),
 ]
 _NOT_LIST_IDS = ["triangulation-string-v", "triangulation-object-tets",
                  "plumbing-string-edge", "plumbing-object-edges",
                  "plumbing-object-vertices", "category-int-sixj-labels",
-                 "category-int-sixj-basis", "category-string-sixj-basis"]
+                 "category-int-sixj-basis", "category-string-sixj-basis",
+                 "category-object-fusion", "category-empty-object-fusion",
+                 "category-object-labels", "category-string-sixj", "category-null-sixj",
+                 "category-empty-object-sixj", "category-object-rsymbols",
+                 "category-empty-object-rsymbols"]
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -601,6 +624,18 @@ def test_list_fields_name_themselves(capsys, tmp_path, argv, doc, field):
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, None)
     assert err == "error: malformed %s must be a JSON list\n" % field
+
+
+@pytest.mark.parametrize("rsymbols", [None, [], "absent"])
+def test_no_r_symbols_may_be_absent_null_or_empty(tmp_path, rsymbols):
+    doc = json.loads(json.dumps(_FIBONACCI))
+    if rsymbols == "absent":
+        del doc["rsymbols"]
+    else:
+        doc["rsymbols"] = rsymbols
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert load_category(str(path)).R is None
 
 
 def _without(doc, *path):
@@ -910,6 +945,48 @@ def test_report_writer_matches_json_dumps(capsys, monkeypatch, argv, want):
     assert code == want and len(docs) == 1
     # S, T and N stay arrays in the document; plain gives their lists
     assert out == json.dumps(docs[0], indent=2, sort_keys=True, default=plain) + "\n"
+
+
+def _passing_selftest(monkeypatch):
+    monkeypatch.setattr(cli, "SELFTEST_CRITERIA", ((1, "passes", lambda ctx: (True, "ok")),))
+    return ("selftest",)
+
+
+_CAT = {"category", "residuals"}
+
+
+@pytest.mark.parametrize("argv,extra,status,want", [
+    (("validate", "--category", "zoo:fibonacci"), _CAT, "ok", 0),
+    (("validate", "--category", "zoo:fibonacci", "--tolerance", "1e-20"), _CAT,
+     "validation_failure", 1),
+    (("center", "--category", "zoo:vec_z2"), _CAT, "ok", 0),
+    (("modular-data", "--category", "zoo:vec_z2"), _CAT, "ok", 0),
+    (("invariant", "--category", "zoo:vec_z2", "--statesum", "builtin:rp3"),
+     {"category"}, "ok", 0),
+    (("invariant", "--category", "zoo:vec_z2", "--surgery", "builtin:rp3"),
+     {"category"}, "ok", 0),
+    (("compare", "--category", "zoo:vec_z2", "--statesum", "builtin:rp3",
+      "--surgery", "builtin:lens_2_1"), {"category"}, "ok", 0),
+    (("compare", "--category", "zoo:vec_z2", "--statesum", "builtin:rp3",
+      "--surgery", "builtin:lens_3_1"), {"category"}, "tolerance_failure", 2),
+    (("zoo",), set(), "ok", 0),
+    (_passing_selftest, set(), "ok", 0),
+    (_short_selftest, set(), "tolerance_failure", 2),
+], ids=["validate", "validate-failing", "center", "modular-data", "invariant-statesum",
+        "invariant-surgery", "compare", "compare-failing", "zoo", "selftest",
+        "selftest-failing"])
+def test_every_command_writes_one_envelope(capsys, monkeypatch, argv, extra, status, want):
+    if callable(argv):
+        argv = argv(monkeypatch)
+    code, doc, _ = run(capsys, *argv)
+    assert set(doc) == {"command", "argv", "status", "timings_ms", "results"} | extra
+    assert (doc["command"], doc["argv"]) == (argv[0], list(argv))
+    assert (doc["status"], code) == (status, want)
+    if "category" in extra:
+        assert doc["category"]["uri"] == argv[2]
+        assert "load" in doc["timings_ms"]
+    else:
+        assert "load" not in doc["timings_ms"]
 
 
 def test_modular_data_report_is_written_from_its_arrays(capsys, monkeypatch):

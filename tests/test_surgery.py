@@ -178,6 +178,13 @@ def test_signature_matches_exact_oracle():
         assert signature(g) == signature_exact(g.linking_matrix())
 
 
+def test_non_finite_surgery_sum_raises_by_name(mds):
+    # T ** (-f) overflows at f = 2^62; the NaN sum must not be returned
+    g = PlumbingGraph([(0, 2 ** 62)], [])
+    with pytest.raises(surgery.ToleranceError, match=r"^surgery sum \(nan\+nanj\) is not finite$"):
+        surgery_invariant(mds["ising"], g)
+
+
 def test_random_plumbing_reproducible():
     a = random_plumbing(np.random.default_rng(5))
     b = random_plumbing(np.random.default_rng(5))
